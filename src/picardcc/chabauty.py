@@ -32,11 +32,12 @@ from .errors import (
     ComputationFailure,
     DegenerateDivisor,
     DoubleRoot,
+    FrobeniusUncertified,
     IncreaseE,
     PicardCCError,
     PrecisionExhausted,
 )
-from .frobenius import frobenius_matrix
+from .frobenius import frobenius_matrix, zeta_consistency_check
 from .padic import INF, PadicContext, PadicElement, _pval, cube_roots
 from .series import PadicSeries, poly_eval_mod, refine_root, solve_zeros_in_disk
 
@@ -460,6 +461,7 @@ class ChabautyReport:
     det_ord: int = None
     kernel_dim: int = None
     soundness_ok: bool = None
+    frobenius_certified: bool = None
     timings: dict = field(default_factory=dict)
 
     def to_dict(self):
@@ -468,7 +470,9 @@ class ChabautyReport:
             "status": self.status, "failure_reason": self.failure_reason,
             "S": self.S, "T": self.T, "precision": self.precision,
             "det_ord": self.det_ord, "kernel_dim": self.kernel_dim,
-            "soundness_ok": self.soundness_ok, "timings": self.timings,
+            "soundness_ok": self.soundness_ok,
+            "frobenius_certified": self.frobenius_certified,
+            "timings": self.timings,
         }
 
 
@@ -540,8 +544,13 @@ def _realize_divisors(engine, record, specs, search):
     return [DivisorSpec([P], base_multiple=1)]
 
 
-def _attempt(curve, p, N, e0, e_inc, e_cap, record, specs, search):
+def _attempt(report, curve, p, N, e0, e_inc, e_cap, record, specs, search):
     fd = frobenius_matrix(curve, p, N)
+    zeta = zeta_consistency_check(fd)
+    report.frobenius_certified = zeta.all_ok
+    if not zeta.all_ok:
+        raise FrobeniusUncertified(f"zeta certificate fails at p = {p}: "
+                                   f"char poly {zeta.char_poly}")
     e = e0
     last = None
     while e <= e_cap:
@@ -621,7 +630,7 @@ def run_pipeline(record, params=None):
         while True:
             try:
                 t1 = time.time()
-                result = _attempt(curve, p, N, e0, e_inc, e_cap,
+                result = _attempt(report, curve, p, N, e0, e_inc, e_cap,
                                   record, specs, search)
                 report.timings["solve_s"] = round(time.time() - t1, 2)
                 break

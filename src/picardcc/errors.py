@@ -81,3 +81,9 @@ class DoubleRoot(ComputationFailure):
 
 class IncreaseE(ComputationFailure):
     reason = "increase-e"
+
+
+class FrobeniusUncertified(ComputationFailure):
+    """The Frobenius matrix failed its zeta-function certificate."""
+
+    reason = "frobenius-uncertified"

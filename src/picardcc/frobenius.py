@@ -7,14 +7,21 @@ differential x^a y^b dx/f and expanding the binomial series gives
     phi^* (x^a y^b dx/f)
       = sum_k p^(k+1) C((b-3)/3, k) x^(pa+p-1) A(x)^k y^j dx / f(x)^(s_k)
 
-with j = pb mod 3 in {1, 2} and s_k = p + pk - (pb - j)/3.  Each term is
-g(x) dx / y^t with t = 3 s_k - j, and is reduced to the basis span plus an
-exact differential by two moves:
+with j = pb mod 3 in {1, 2} and s_k = p + pk - (pb - j)/3.  Term k is
+g_k(x) dx / y^(t_k) with t_k = 3 s_k - j = 3p(k+1) - pb: the pole orders
+are 3p apart and all congruent mod 3.  The whole sum is reduced to the basis
+span plus an exact differential in one descending sweep (the order of
+Kedlaya-style reduction): start at the largest t_k, lower t by 3 with pole
+steps, add g_k into the running numerator when t reaches t_k, and finish
+with degree steps once t <= 2.
 
   pole step (t > 2):   write g = u f + v f' (Bezout mod f); then
       g dx/y^t = [u - 3/(3-t) v'] dx/y^(t-3) + d(3/(3-t) v y^(3-t))
   degree step (t <= 2): d(x^m y^(3-t)) = [m x^(m-1) f + (3-t)/3 x^m f'] dx/y^t
       kills the top x-degree (leading coefficient (3m + 12 - 4t)/3 != 0).
+
+A form costs about p k_max pole steps, each with one full division by the
+monic quartic f; the powers A^k are shared by the six forms.
 
 All polynomial arithmetic is on integer coefficients modulo p^W.  Divisions
 by p-divisible integers are tracked by a global shift sigma (values are
@@ -33,9 +40,9 @@ from fractions import Fraction
 
 import sympy
 
-from .errors import PrecisionExhausted
+from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
 from .padic import PadicContext, _int_to_padic, _pval
-from .series import ser_mul, ser_trim
+from .series import ser_add, ser_mul, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
 
@@ -44,17 +51,7 @@ BASIS = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)]
 REGULAR = (0, 1, 2)  # indices of omega_1..omega_3 in BASIS
 
 
-def basis_differentials(curve: PicardCurve):
-    """The six symbolic basis forms (a, b, regular-flag), omega = x^a y^b dx/f."""
-    paper = [(0, 1), (1, 1), (0, 2), (3, 1), (1, 2), (2, 2)]
-    return [(a, b, i < 3) for i, (a, b) in enumerate(paper)]
-
-
 # --- polynomial helpers (integer coefficients mod p^W) -------------------
-
-
-def _poly_mod(a, mod):
-    return [c % mod for c in a]
 
 
 def _poly_sub(a, b, mod):
@@ -67,13 +64,15 @@ def _poly_divmod_monic(a, f, mod):
     """Divide by the monic polynomial f: a = q*f + r, deg r < deg f."""
     a = list(a)
     d = len(f) - 1
+    low = list(enumerate(f[:d]))
     q = [0] * max(len(a) - d, 0)
+    # each slot takes at most d unreduced updates before it is read mod p^W
     for i in range(len(a) - 1, d - 1, -1):
         c = a[i] % mod
         if c:
             q[i - d] = c
-            for j in range(d + 1):
-                a[i - d + j] = (a[i - d + j] - c * f[j]) % mod
+            for j, fj in low:
+                a[i - d + j] -= c * fj
     return q, ser_trim([c % mod for c in a[:d]])
 
 
@@ -98,27 +97,20 @@ def _subst_xp(a, p):
 
 
 def _bezout_unit(curve: PicardCurve, p, mod):
-    """alpha, beta with alpha f + beta f' = 1 (denominators are p-units)."""
+    """beta mod p^W with alpha f + beta f' = 1 for a polynomial alpha
+    (denominators are p-units)."""
     x = sympy.Symbol("x")
     fpoly = sympy.Poly(sum(c * x ** i for i, c in enumerate(curve.f)), x, domain="QQ")
-    dfpoly = fpoly.diff(x)
-    alpha, beta, h = sympy.gcdex(fpoly.as_expr(), dfpoly.as_expr(), x)
-    # scale so alpha f + beta f' = 1 exactly
+    _, beta, h = sympy.gcdex(fpoly.as_expr(), fpoly.diff(x).as_expr(), x)
     hval = sympy.Poly(h, x).all_coeffs()
-    assert len(hval) == 1, "f not squarefree"
-    scale = Fraction(1) / Fraction(sympy.Rational(hval[0]))
+    if len(hval) != 1:
+        raise NotSquarefree("f is not squarefree")
     out = []
-    for poly in (alpha, beta):
-        coeffs = sympy.Poly(poly * sympy.Rational(scale.numerator, scale.denominator),
-                            x).all_coeffs()[::-1]
-        ints = []
-        for c in coeffs:
-            q = Fraction(sympy.Rational(c))
-            den = q.denominator
-            if den % p == 0:
-                raise PrecisionExhausted("Bezout denominators not p-integral (bad p?)")
-            ints.append(q.numerator * pow(den, -1, mod) % mod)
-        out.append(ints)
+    for c in sympy.Poly(beta / hval[0], x).all_coeffs()[::-1]:
+        c = sympy.Rational(c)
+        if c.q % p == 0:
+            raise PrecisionExhausted("Bezout denominators not p-integral (bad p?)")
+        out.append(int(c.p) * pow(int(c.q), -1, mod) % mod)
     return out
 
 
@@ -130,7 +122,8 @@ def _strip(sigma, poly, p):
     sigma stays minimal.  Stored residues divisible by p^d are divided out
     exactly; intermediate reduction values regain the divisibility that the
     divisions by (3 - t) consume, so sigma stays bounded instead of growing
-    with the pole order.  (Validated downstream by the zeta certificates.)"""
+    with the pole order.  (Every pipeline run validates the resulting matrix
+    with zeta_consistency_check.)"""
     poly = ser_trim(poly)
     if sigma <= 0 or not poly:
         return 0 if not poly else sigma, poly
@@ -160,7 +153,7 @@ def _entry_add(e1, e2, p, mod):
 
 
 class _Reducer:
-    """Reduces g(x) dx / y^t into basis coordinates plus an exact part.
+    """Reduces sums of g(x) dx / y^t into basis coordinates plus an exact part.
 
     All values are (sigma, integer data) pairs meaning p^-sigma times the
     stored integers, coefficients modulo p^W.
@@ -173,7 +166,7 @@ class _Reducer:
         self.mod = p ** W
         self.f = [c % self.mod for c in curve.f]
         self.df = [c % self.mod for c in curve.f_deriv()]
-        self.alpha, self.beta = _bezout_unit(curve, p, self.mod)
+        self.beta = _bezout_unit(curve, p, self.mod)
         self.inv3 = pow(3, -1, self.mod)
 
     def _inv_tracked(self, n):
@@ -181,20 +174,32 @@ class _Reducer:
         v = _pval(n, self.p)
         return pow(n // self.p ** v, -1, self.mod), v
 
-    def reduce(self, g, t):
-        """Returns ((sigma, coeffs[6]), exact) with
-        g dx/y^t = p^-sigma sum coeffs_i omega_i + d(sum of exact entries),
-        exact a dict y_exp -> (sigma_e, poly)."""
-        mod, p = self.mod, self.p
-        sigma = 0
-        exact = {}
-        sigma, g = _strip(sigma, _poly_mod(g, mod), p)
+    def reduce(self, terms):
+        """Reduce sum_t g_t dx/y^t, terms a dict t -> g_t with all t
+        congruent mod 3, in one sweep of pole steps from the largest t down;
+        each g_t joins the running numerator when the sweep reaches t.
 
-        while t > 2:
-            gbar = _poly_divmod_monic(g, self.f, mod)[1]
-            v = _poly_divmod_monic(ser_mul(gbar, self.beta, mod), self.f, mod)[1]
-            u = _poly_divmod_monic(_poly_sub(g, ser_mul(v, self.df, mod), mod),
-                                   self.f, mod)[0]
+        Returns ((sigma, coeffs[6]), exact) with
+        sum = p^-sigma sum coeffs_i omega_i + d(sum of exact entries),
+        exact a dict y_exp -> (sigma_e, poly)."""
+        mod, p, f = self.mod, self.p, self.f
+        sigma = 0
+        g = []
+        exact = {}
+        t = max(terms)
+
+        while True:
+            if t in terms:
+                scale = p ** sigma
+                g = ser_add(g, [c * scale for c in terms[t]], mod)
+            if t <= 2:
+                break
+            # g = u f + v f' with v = (g mod f) beta mod f; the second
+            # dividend gbar - v f' has degree <= 6 and is divisible by f
+            q, gbar = _poly_divmod_monic(g, f, mod)
+            v = _poly_divmod_monic(ser_mul(gbar, self.beta, mod), f, mod)[1]
+            u = ser_add(q, _poly_divmod_monic(
+                _poly_sub(gbar, ser_mul(v, self.df, mod), mod), f, mod)[0], mod)
             dv = [i * c % mod for i, c in enumerate(v)][1:]
             inv, extra = self._inv_tracked(3 - t)
             # the division by (3 - t) raises sigma by extra; v and dv sit
@@ -206,9 +211,7 @@ class _Reducer:
                 u = [c * scale % mod for c in u]
             coef = 3 * inv % mod  # 3/(3-t) with the p-part moved into sigma
             g = _poly_sub(u, [c * coef % mod for c in dv], mod)
-            key = 3 - t
-            ve = (sigma, [c * coef % mod for c in v])
-            exact[key] = _entry_add(exact.get(key, (0, [])), ve, p, mod)
+            exact[3 - t] = _strip(sigma, [c * coef % mod for c in v], p)
             t -= 3
             sigma, g = _strip(sigma, g, p)
 
@@ -290,6 +293,25 @@ def _binomial_cutoff(p: int, W: int) -> int:
         k += 1
 
 
+def _pullback_terms(p, a, b, powers, mod):
+    """phi^*(x^a y^b dx/f) as a dict t -> g: term k is
+    p^(k+1) C((b-3)/3, k) x^(pa+p-1) A^k dx/y^t with t = 3p(k+1) - pb,
+    for the powers A^k given; terms that vanish mod p^W are left out."""
+    shift = [0] * (p * a + p - 1)
+    alpha = Fraction(b - 3, 3)
+    binom = Fraction(1)  # C(alpha, k)
+    terms = {}
+    for k, Ak in enumerate(powers):
+        if k > 0:
+            binom = binom * (alpha - (k - 1)) / k
+        ck = Fraction(p) ** (k + 1) * binom  # p-integral, unit denominator
+        ck_int = ck.numerator * pow(ck.denominator, -1, mod) % mod
+        if ck_int:
+            terms[3 * p * (k + 1) - p * b] = shift + [ck_int * c % mod
+                                                      for c in Ak]
+    return terms
+
+
 def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     """M and exact parts f_i with phi^* omega_i = d f_i + sum_j M_ij omega_j."""
     W = working_precision(p, N)
@@ -301,75 +323,35 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     fxp = _subst_xp([c % mod1 for c in curve.f], p)
     fp = _poly_pow([c % mod1 for c in curve.f], p, mod1)
     diff = _poly_sub(fxp, fp, mod1)
-    assert all(c % p == 0 for c in diff), "f(x^p) != f(x)^p mod p"
+    if any(c % p for c in diff):
+        raise ComputationFailure(f"f(x^p) != f(x)^p mod p at p = {p}")
     A = ser_trim([(c // p) % mod for c in diff])
 
     reducer = _Reducer(curve, p, W)
     k_max = _binomial_cutoff(p, W)
+    powers = [[1]]  # A^k, shared by the six basis forms
+    for _ in range(k_max):
+        powers.append(ser_mul(powers[-1], A, mod))
 
     rows = []
     parts = []
     sigma_max = 0
     for (a, b) in BASIS:
-        j = (p * b) % 3
-        # accumulated (sigma, coeffs) and exact dict across binomial terms
-        acc_coeffs = (0, [0] * 6)
-        acc_exact = {}
-        alpha = Fraction(b - 3, 3)
-        binom = Fraction(1)  # C(alpha, k)
-        Ak = [1]
-        for k in range(k_max + 1):
-            if k > 0:
-                binom = binom * (alpha - (k - 1)) / k
-                Ak = ser_mul(Ak, A, mod)
-            ck = Fraction(p) ** (k + 1) * binom
-            vck = (_pval(ck.numerator, p) - _pval(ck.denominator, p)) if ck else W
-            if vck >= W:
-                continue
-            # ck as integer mod p^W (it is p-integral)
-            den = ck.denominator // p ** _pval(ck.denominator, p)
-            num = ck.numerator
-            ck_int = num * pow(den, -1, mod) % mod
-            g = ser_mul([0] * (p * a + p - 1) + [ck_int], Ak, mod)
-            s_k = p + p * k - (p * b - j) // 3
-            t = 3 * s_k - j
-            term_coeffs, term_exact = reducer.reduce(g, t)
-            acc_coeffs = _entry_add(acc_coeffs, term_coeffs, p, mod)
-            for m, entry in term_exact.items():
-                acc_exact[m] = _entry_add(acc_exact.get(m, (0, [])), entry, p, mod)
-
-        rows.append(acc_coeffs)
-        parts.append(ExactPart({m: entry for m, entry in acc_exact.items()
+        (sigma, coeffs), exact = reducer.reduce(
+            _pullback_terms(p, a, b, powers, mod))
+        rows.append((sigma, coeffs))
+        parts.append(ExactPart({m: entry for m, entry in exact.items()
                                 if entry[1]}))
-        sigma_max = max(sigma_max, acc_coeffs[0],
-                        max((e[0] for e in acc_exact.values()), default=0))
+        sigma_max = max(sigma_max, sigma,
+                        max((e[0] for e in exact.values()), default=0))
 
     # build the matrix of PadicElements: entry = p^-sigma * int, known mod p^(W - sigma)
-    M = []
-    for sigma, coeffs in rows:
-        coeffs = coeffs + [0] * (6 - len(coeffs))
-        row = [_int_to_padic(ctx, c, -sigma, W - sigma) for c in coeffs]
-        M.append(row)
+    M = [[_int_to_padic(ctx, c, -sigma, W - sigma) for c in coeffs]
+         for sigma, coeffs in rows]
     if W - sigma_max < N:
         raise PrecisionExhausted(
             f"guard digits exhausted: W={W}, sigma={sigma_max}, N={N}")
     return FrobeniusData(curve, p, W, ctx, M, parts, sigma_max, A, k_max)
-
-
-def frobenius_lift_series(curve: PicardCurve, p: int, N: int):
-    """Data defining phi(y) = y^p (1 + u)^(1/3), u = p A(x)/f(x)^p.
-
-    Returns dict with A (the integer polynomial with pA = f(x^p) - f(x)^p,
-    coefficients mod p^W) and the working precision W.
-    """
-    W = working_precision(p, N)
-    mod = p ** W
-    mod1 = mod * p
-    fxp = _subst_xp([c % mod1 for c in curve.f], p)
-    fp = _poly_pow([c % mod1 for c in curve.f], p, mod1)
-    diff = _poly_sub(fxp, fp, mod1)
-    A = ser_trim([(c // p) % mod for c in diff])
-    return {"A": A, "W": W, "p": p}
 
 
 # --- zeta / consistency --------------------------------------------------

@@ -383,7 +383,7 @@ def _check_ftc(eng, P, Q):
     from picardcc.frobenius import _Reducer
     ctx, p = eng.ctx, eng.p
     red = _Reducer(eng.curve, p, eng.W)
-    (sigma, coeffs), exact = red.reduce([0, 0, 0, 1], 2)  # x^3 dx/y^2
+    (sigma, coeffs), exact = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
     fp = eng.curve.f_deriv()  # degree 3, leading coefficient 4
     om = [Fraction(0)] * 6
     for a, slot in ((0, 0), (1, 1), (2, 3)):

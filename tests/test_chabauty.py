@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from picardcc.algdep import algdep
+import picardcc.chabauty as chabauty_mod
 from picardcc.chabauty import (
     chabauty_set,
     classify_point,
@@ -20,7 +21,7 @@ from picardcc.coleman import (
 )
 from picardcc.curve import CurvePoint, PicardCurve, lift_point
 from picardcc.errors import DegenerateDivisor
-from picardcc.frobenius import frobenius_matrix
+from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
 from picardcc.padic import PadicContext
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -186,7 +187,23 @@ def test_pipeline_report_shape(ex4_p11):
     assert d["status"] == "Success"
     assert len(d["S"]) == 1 and len(d["T"]) == 1
     assert d["soundness_ok"] is True
+    assert d["frobenius_certified"] is True
     assert d["kernel_dim"] == 2
     # JSON-native
     import json
     json.dumps(d)
+
+
+def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):
+    def broken_certificate(fd):
+        z = zeta_consistency_check(fd)
+        z.trace_ok = False
+        return z
+
+    monkeypatch.setattr(chabauty_mod, "zeta_consistency_check",
+                        broken_certificate)
+    rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
+    d = run_pipeline(rec, {"N": 8, "height": 10}).to_dict()
+    assert d["status"] == "Failure"
+    assert d["failure_reason"].startswith("frobenius-uncertified: ")
+    assert d["frobenius_certified"] is False

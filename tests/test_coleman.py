@@ -202,7 +202,7 @@ def test_fundamental_theorem_on_exact_form(ex1_p5):
     eng = ex1_p5
     ctx, p, W = eng.ctx, eng.p, eng.W
     red = _Reducer(eng.curve, p, W)
-    (sigma, coeffs), exact = red.reduce([0, 0, 0, 1], 2)  # x^3 dx/y^2
+    (sigma, coeffs), exact = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
     assert sigma == 0
     fp = eng.curve.f_deriv()  # degree 3, leading coefficient 4
     # omega = f'(x)/3 y dx/f with the x^3 term rewritten via the reduction
