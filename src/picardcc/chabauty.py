@@ -5,7 +5,6 @@ assembly of X(Q_p)_1, classification of its members, and the end-to-end
 pipeline with prime selection and e-escalation.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +18,6 @@ from .coleman import (
 )
 from .curve import (
     BAD_FINITE,
-    BAD_INFINITE,
     GOOD,
     CurvePoint,
     PicardCurve,
@@ -38,7 +36,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .frobenius import frobenius_matrix, zeta_consistency_check
-from .padic import INF, PadicContext, PadicElement, _pval, cube_roots
+from .padic import INF, PadicContext, PadicElement, _int_to_padic, _pval, cube_roots
 from .series import PadicSeries, poly_eval_mod, refine_root, solve_zeros_in_disk
 
 __all__ = [
@@ -69,18 +67,6 @@ def _recap(el, ctx):
         return ctx.zero(INF if ap == INF else int(ap))
     rel = min(el.rel, ctx.N)
     return PadicElement(ctx, el.v, el.unit % ctx.pk(rel), rel, _raw=True)
-
-
-def _int_to_ctx(ctx, c, known):
-    """The integer c, known modulo p^known, as an element of ctx."""
-    c %= ctx.pk(known)
-    if c == 0:
-        return ctx.zero(known)
-    v = _pval(c, ctx.p)
-    if v >= known:
-        return ctx.zero(known)
-    rel = min(known - v, ctx.N)
-    return PadicElement(ctx, v, (c // ctx.pk(v)) % ctx.pk(rel), rel, _raw=True)
 
 
 def _poly_at(poly, x, ctx):
@@ -165,7 +151,7 @@ def vanishing_differentials(curve, p, divisors, N=15, e=40, engine=None):
         if all(c.is_zero or c.valuation() >= engine.N for c in row):
             raise DegenerateDivisor("divisor integral vector is zero to precision")
         rows.append(row)
-    det_ord = int(math.ceil(engine.det_ord))
+    det_ord = engine.det_ord
     prec = engine.N - det_ord - _delta_bound(p, engine.T_good)
     if prec <= 0:
         raise PrecisionExhausted(
@@ -200,7 +186,7 @@ def _series_for_vector(engine, disk, center, vec, ctx_s):
                 raise PicardCCError("regular differential with a pole in a disk")
             continue
         dense[j] = c
-    return PadicSeries(ctx_s, [_int_to_ctx(ctx_s, c, prec) for c in dense])
+    return PadicSeries(ctx_s, [_int_to_padic(ctx_s, c, 0, prec) for c in dense])
 
 
 def _agree_res(r1, k1, r2, k2, p):

@@ -4,8 +4,12 @@ The single-disk ("tiny") integrals expand the integrand in the disk
 uniformizer and integrate termwise; integrals between disks solve the
 Frobenius-equivariant linear system (I - M) v = c, where M is the matrix of
 Frobenius on the cohomology basis and the right-hand side collects exact-part
-values and endpoint corrections.  Endpoints inside bad disks are routed
-through boundary points defined over Q_p(pi), pi^e = p.
+values and endpoint corrections.  M has entries in Q_p, so (I - M) is
+inverted once over Q_p per Frobenius matrix (`FrobeniusData.system`) and
+each right-hand side is multiplied by that inverse.  Endpoints inside bad
+disks are routed through boundary points defined over Q_p(pi), pi^e = p;
+their values are flat RamifiedElements, and the exact parts and series at
+such points are summed straight into the flat integer vector.
 """
 
 import math
@@ -14,7 +18,6 @@ from fractions import Fraction
 
 from .curve import (
     BAD_FINITE,
-    BAD_INFINITE,
     GOOD,
     CurvePoint,
     PicardCurve,
@@ -31,7 +34,6 @@ from .errors import (
     NotSameDisk,
     NotSplit,
     PoleInDisk,
-    PrecisionExhausted,
     WrongDisk,
 )
 from .frobenius import BASIS, FrobeniusData
@@ -40,12 +42,14 @@ from .padic import (
     PadicContext,
     PadicElement,
     RamifiedElement,
+    _fold_mul,
     _int_to_padic,
+    _pval,
     cube_root_ramified,
     cube_roots,
     hensel_lift_root,
 )
-from .series import ser_inv, ser_mul, ser_trim
+from .series import ser_inv, ser_mul
 
 
 # --- input records --------------------------------------------------------
@@ -112,47 +116,14 @@ def realize_nf_points(curve: PicardCurve, spec: NumberFieldPointSpec,
     return points
 
 
-# --- linear algebra over capped-precision elements ------------------------
-
-
-def _solve_linear(rows, rhs):
-    """Solve A v = b by Gauss-Jordan with minimal-valuation pivoting.
-
-    Entries may be PadicElement or RamifiedElement (one ring throughout).
-    Returns (solution, valuation of det A).
-    """
-    n = len(rhs)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    det_ord = 0
-    for col in range(n):
-        piv, piv_val = None, INF
-        for r in range(col, n):
-            entry = aug[r][col]
-            v = entry.valuation()
-            if v < piv_val:
-                piv, piv_val = r, v
-        if piv is None or piv_val == INF:
-            raise PrecisionExhausted("matrix is singular to working precision")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        det_ord += piv_val
-        inv = aug[col][col].inverse()
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor.is_zero:
-                continue
-            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)], det_ord
-
-
 def _pure_form(t: RamifiedElement):
-    """(u, r) with t = u * pi^r when t has a single nonzero coefficient."""
-    nz = [i for i, c in enumerate(t.coeffs) if not c.is_zero]
+    """(r, mu, U, k) with t = p^mu U pi^r, U a unit known modulo p^k, when t
+    has a single nonzero coefficient."""
+    nz = [i for i, c in enumerate(t.a) if c]
     if len(nz) != 1:
         return None
-    return t.coeffs[nz[0]], nz[0]
+    r = nz[0]
+    return r, t.m, t.a[r], -((r - t.A) // t.e) - t.m
 
 
 @dataclass
@@ -188,7 +159,7 @@ class ColemanIntegrator:
         self.disks = classify_disks(self.curve, self.p, self.ctx)
         self._disk_by_key = {d.reduction: d for d in self.disks}
         self.infinite_disk = self._disk_by_key["inf"]
-        self.det_ord = None
+        self.system_inverse, self.det_ord = fd.system
         self.T_good = N + 16
         self.T_bad = e * (N + 10) + 16
         self._disk_data_cache = {}
@@ -207,9 +178,16 @@ class ColemanIntegrator:
             raise WrongDisk(f"point {P!r} reduces outside X(F_{self.p})")
         return disk
 
+    def _center_key(self, disk, center):
+        """Cache key of a disk expansion: a good disk's expansion depends on
+        its center only through x0 mod p^W (y0 is the unique lift)."""
+        if disk.kind != GOOD or center is None:
+            return disk.reduction, None
+        return disk.reduction, center.x.residue(self.W)
+
     def _disk_data(self, disk, center=None):
         """Cached uniformizer series and integrand building blocks."""
-        key = (disk.reduction, id(center) if center is not None else None)
+        key = self._center_key(disk, center)
         got = self._disk_data_cache.get(key)
         if got is not None:
             return got
@@ -280,7 +258,7 @@ class ColemanIntegrator:
         return sh, cf, floor
 
     def _omega_series(self, disk, om_ints, center=None):
-        key = (disk.reduction, id(center) if center is not None else None, om_ints)
+        key = (self._center_key(disk, center), om_ints)
         got = self._omega_cache.get(key)
         if got is not None:
             return got
@@ -380,18 +358,18 @@ class ColemanIntegrator:
         jcap = (e * prec) // vpi + 4
         pure = _pure_form(t)
         if pure is not None:
-            u, r = pure
-            buckets = [None] * e
+            # (c/d) t^j = p^(mu j - v_p(d)) (c/d') U^j pi^(rj), d = p^v_p(d) d'
+            r, mu, U, known = pure
+            k = min(prec, known)
+            mod = ctx.pk(k)
+            out = []
             for j, c, d in terms:
                 if j > jcap:
                     break
-                q, s = divmod(r * j, e)
-                val = scalar(c, d) * u ** j
-                if q:
-                    val = val * ctx.from_rational(Fraction(p) ** q)
-                buckets[s] = val if buckets[s] is None else buckets[s] + val
-            return RamifiedElement(
-                ctx, e, [b if b is not None else ctx.zero() for b in buckets])
+                vd = _pval(d, p)
+                n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
+                out.append((r * j + e * (mu * j - vd), n, k))
+            return RamifiedElement.from_terms(ctx, e, out)
         acc = RamifiedElement.zero(ctx, e)
         tinv = None
         tp, cur = RamifiedElement.from_padic(ctx.one(), e), 0
@@ -404,10 +382,7 @@ class ColemanIntegrator:
                 acc = acc + (tinv ** (-j)).scalar_mul(scalar(c, d))
                 continue
             while cur < j:
-                # refresh nominal precision: the per-step cap rounding of the
-                # coefficient representation would otherwise charge one digit
-                # per multiplication, far beyond the real error growth
-                tp = (tp * t)._refreshed()
+                tp = tp * t
                 cur += 1
             acc = acc + tp.scalar_mul(scalar(c, d))
         return acc
@@ -501,15 +476,12 @@ class ColemanIntegrator:
             out.append(_int_to_padic(ctx, acc, -smax, kprec - smax))
         return out
 
-    def _flat_mul(self, a, b, mod):
-        """Product in Z[pi]/(pi^e - p) on length-e integer vectors."""
-        from .padic import _polymul_mod
-        e, p = self.e, self.p
-        c = _polymul_mod(a, b, mod)
-        out = c[:e] + [0] * (e - len(c[:e]))
-        for i, v in enumerate(c[e:]):
-            out[i] = (out[i] + p * v) % mod
-        return out
+    def _at_pi_minus3(self, poly):
+        """poly(x) at x = pi^-3, each coefficient known modulo p^W."""
+        mod = self.ctx.pk(self.W)
+        return RamifiedElement.from_terms(
+            self.ctx, self.e,
+            [(-3 * j, c % mod, self.W) for j, c in enumerate(poly) if c])
 
     def _exact_at_boundary(self, disk, S):
         """All six exact-part values at a boundary point, with convergence check."""
@@ -520,12 +492,10 @@ class ColemanIntegrator:
                        for _, poly in part.levels.values()), default=1)
 
         if disk.kind == BAD_FINITE:
-            xflat = [c.residue(kprec if c.abs_prec == INF
-                               else min(kprec, int(c.abs_prec)))
-                     for c in S.x.coeffs]
+            xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
             xpows = [[1] + [0] * (e - 1)]
             for _ in range(max_deg - 1):
-                xpows.append(self._flat_mul(xpows[-1], xflat, mod))
+                xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
 
             def poly_at(poly):
                 buckets = [0] * e
@@ -536,24 +506,12 @@ class ColemanIntegrator:
                     for s in range(e):
                         if xp[s]:
                             buckets[s] = (buckets[s] + c * xp[s]) % mod
-                return RamifiedElement(
-                    ctx, e, [_int_to_padic(ctx, b, 0, kprec) for b in buckets])
+                return RamifiedElement(ctx, e, 0, buckets, e * kprec)
 
             def y_power(m):
                 return None, m  # pi^m: handled as a pure shift
         else:
-            def poly_at(poly):
-                # x = pi^-3: sum c_j p^floor(-3j/e) pi^((-3j) mod e)
-                buckets = [None] * e
-                for j, c in enumerate(poly):
-                    if not c:
-                        continue
-                    q, s = divmod(-3 * j, e)
-                    el = _int_to_padic(ctx, c % mod, q, q + kprec)
-                    buckets[s] = el if buckets[s] is None else buckets[s] + el
-                return RamifiedElement(
-                    ctx, e, [b if b is not None else ctx.zero() for b in buckets])
-
+            poly_at = self._at_pi_minus3
             uval = S._u_value
             upows = {0: RamifiedElement.from_padic(ctx.one(), e), 1: uval}
             uinv = uval.inverse()
@@ -569,7 +527,7 @@ class ColemanIntegrator:
                 cur = upows[k]
                 while k != m:
                     k += step
-                    cur = (cur * base)._refreshed()
+                    cur = cur * base
                     upows[k] = cur
                 return upows[m]
 
@@ -585,9 +543,7 @@ class ColemanIntegrator:
                 ram, shift = y_power(m)
                 if ram is not None:
                     term = term * ram
-                term = term.shift_pi(shift)
-                if sig:
-                    term = term.scalar_mul(ctx.from_rational(Fraction(1, p ** sig)))
+                term = term.shift_pi(shift - e * sig)
                 v = term.pi_valuation()
                 if v != INF:
                     diags.append((m, v))
@@ -598,8 +554,7 @@ class ColemanIntegrator:
         # values are only known modulo p^(W - depth/e); if that eats into the
         # target digits, a larger e is required
         need = self.N + 5
-        lowest = min((int(c.abs_prec) for acc in out for c in acc.coeffs
-                      if c.abs_prec != INF), default=None)
+        lowest = min((acc.A // e for acc in out if acc.A != INF), default=None)
         if lowest is not None and lowest < need:
             deepest = max((-m for part in self.fd.exact_parts
                            for m in part.levels), default=0)
@@ -639,29 +594,20 @@ class ColemanIntegrator:
         if disk.kind == BAD_FINITE:
             Aval = RamifiedElement.zero(ctx, e)
             for c in reversed(A):
-                Aval = (Aval * S.x + c)._refreshed()
+                Aval = Aval * S.x + c
             # u = p A(x) / f(x)^p with f(x) = y^3 = pi^3
-            u_el = Aval.scalar_mul(ctx.from_int(p)).shift_pi(-3 * p)
+            u_el = Aval.shift_pi(e - 3 * p)
             if u_el.pi_valuation() < 1:
                 raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
                                 "increase e")
             w = cube_root_ramified(one_r + u_el, one_r)
             return w.shift_pi(p)
         # infinite disk: x = pi^-3, f(x)^p = pi^(-12p) Ft(pi)^p
-        mod = ctx.pk(self.W)
-        buckets = [None] * e
-        for j, c in enumerate(A):
-            if not c:
-                continue
-            q, s = divmod(-3 * j, e)
-            el = _int_to_padic(ctx, c % mod, q, q + self.W)
-            buckets[s] = el if buckets[s] is None else buckets[s] + el
-        Aval = RamifiedElement(ctx, e,
-                               [b if b is not None else ctx.zero() for b in buckets])
+        Aval = self._at_pi_minus3(A)
         dd = self._disk_data(disk)
         Ft_terms = [(k, c, 1) for k, c in enumerate(dd["Ft"]) if c]
         Fv = self._eval_terms(Ft_terms, self.W, RamifiedElement.pi(ctx, e, 1))
-        u_el = (Aval.scalar_mul(ctx.from_int(p)) * Fv.inverse() ** p).shift_pi(12 * p)
+        u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
         if u_el.pi_valuation() < 1:
             raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
                             "increase e")
@@ -769,19 +715,16 @@ class ColemanIntegrator:
                     for i in range(6)]
         EP, EQ = self._endpoint(P), self._endpoint(Q)
         c = [EQ.h[i] - EP.h[i] for i in range(6)]
-        ram = any(isinstance(x, RamifiedElement) for x in c)
-        if ram:
+        if any(isinstance(x, RamifiedElement) for x in c):
             c = [x if isinstance(x, RamifiedElement)
                  else RamifiedElement.from_padic(x, self.e) for x in c]
-
-        def entry(i, j):
-            el = (1 if i == j else 0) - self.fd.M[i][j]
-            return RamifiedElement.from_padic(el, self.e) if ram else el
-
-        rows = [[entry(i, j) for j in range(6)] for i in range(6)]
-        v, det_ord = _solve_linear(rows, c)
-        self.det_ord = det_ord
-        return v
+        out = []
+        for row in self.system_inverse:
+            acc = c[0] * row[0]
+            for x, y in zip(c[1:], row[1:]):
+                acc = acc + x * y
+            out.append(acc)
+        return out
 
     def integral(self, P, Q, omega):
         """int_P^Q omega across arbitrary disks (omega regular where needed)."""

@@ -13,6 +13,10 @@ class DivisionByZeroPrecision(PicardCCError):
     """Division by an element that is zero to the available precision."""
 
 
+class NegativeValuation(PicardCCError):
+    """An element of negative valuation was asked for an integer residue."""
+
+
 class NoCubeRoot(PicardCCError):
     pass
 

@@ -37,11 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import sympy
 
 from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
-from .padic import PadicContext, _int_to_padic, _pval
+from .padic import INF, PadicContext, _int_to_padic, _pval
 from .series import ser_add, ser_mul, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
@@ -273,6 +274,48 @@ class FrobeniusData:
     sigma_max: int
     A_poly: list = None         # pA = f(x^p) - f(x)^p support data
     k_max: int = 0
+
+    @cached_property
+    def system(self):
+        """((I - M)^-1, ord_p det(I - M)), factored once over Q_p and shared
+        by every integrator built on this matrix."""
+        ctx, n = self.ctx, len(self.M)
+        rows = [[(1 if i == j else 0) - self.M[i][j] for j in range(n)]
+                for i in range(n)]
+        eye = [[ctx.one() if i == j else ctx.zero() for j in range(n)]
+               for i in range(n)]
+        return _solve_linear(rows, eye)
+
+
+def _solve_linear(rows, rhs):
+    """Solve A X = B over Q_p by Gauss-Jordan with minimal-valuation pivoting.
+
+    rows is the n x n matrix A and rhs the n x k matrix B, both of
+    PadicElement.  Returns (X, ord_p det A).
+    """
+    n = len(rows)
+    aug = [list(rows[i]) + list(rhs[i]) for i in range(n)]
+    det_ord = 0
+    for col in range(n):
+        piv, piv_val = None, INF
+        for r in range(col, n):
+            v = aug[r][col].valuation()
+            if v < piv_val:
+                piv, piv_val = r, v
+        if piv is None or piv_val == INF:
+            raise PrecisionExhausted("matrix is singular to working precision")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        det_ord += piv_val
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = aug[r][col]
+            if factor.is_zero:
+                continue
+            aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug], det_ord
 
 
 def working_precision(p: int, N: int) -> int:

@@ -16,8 +16,10 @@ import sympy
 from .errors import (
     ContextMismatch,
     DivisionByZeroPrecision,
+    NegativeValuation,
     NoCubeRoot,
     NotSimpleRoot,
+    PrecisionExhausted,
 )
 
 INF = math.inf
@@ -142,22 +144,10 @@ class PadicElement:
                 raise DivisionByZeroPrecision(f"zero to O(p^{self.v}) has no residue mod p^{k}")
             return 0
         if self.v < 0:
-            raise ValueError("negative valuation element has no integer residue")
+            raise NegativeValuation("negative valuation element has no integer residue")
         if self.abs_prec < k:
-            raise ValueError(f"insufficient precision ({self.abs_prec} < {k})")
+            raise PrecisionExhausted(f"insufficient precision ({self.abs_prec} < {k})")
         return (self.unit * self.ctx.pk(self.v)) % self.ctx.pk(k)
-
-    def lift_int(self) -> int:
-        """Integer representative mod p^abs_prec (v >= 0)."""
-        if self.unit == 0:
-            return 0
-        return self.residue(min(self.abs_prec, self.v + self.ctx.N))
-
-    def lift_fraction(self) -> Fraction:
-        """Representative p^v*unit as an exact rational."""
-        if self.unit == 0:
-            return Fraction(0)
-        return Fraction(self.unit) * Fraction(self.ctx.p) ** self.v
 
     def __repr__(self):
         if self.unit == 0:
@@ -298,86 +288,114 @@ class PadicElement:
 
 
 class RamifiedElement:
-    """Element of Q_p(pi), pi^e = p, stored as coefficients of 1, pi, ..., pi^(e-1).
+    """Element p^m * sum(a[i] pi^i) + O(pi^A) of Q_p(pi), pi^e = p.
 
-    With e = 1 the arithmetic agrees with PadicElement.  The pi-adic valuation
-    is min_i(e*v_p(c_i) + i), exposed in units of 1/e as a Fraction.
+    `a` is a list of e integers and A the absolute precision in pi-units
+    (INF only for an exact zero).  The constructor normalizes: every a[i] is
+    reduced modulo the digits it is known to, some a[i] is a p-unit unless
+    the element is zero to precision (then a is all zero and m = 0), and the
+    relative precision A - w is capped at e*N, w being the pi-adic valuation.
+    With e = 1 the arithmetic agrees with PadicElement.
     """
 
-    __slots__ = ("ctx", "e", "coeffs")
+    __slots__ = ("ctx", "e", "m", "a", "A", "w")
 
-    def __init__(self, ctx: PadicContext, e: int, coeffs):
+    def __init__(self, ctx: PadicContext, e: int, m: int, a, A):
         if e < 1:
             raise ValueError("ramification index e must be >= 1")
-        coeffs = list(coeffs)
-        if len(coeffs) != e:
-            raise ValueError(f"need exactly e={e} coefficients, got {len(coeffs)}")
-        self.ctx = ctx
-        self.e = e
-        self.coeffs = [ctx.element(c) for c in coeffs]
+        if len(a) != e:
+            raise ValueError(f"need exactly e={e} coefficients, got {len(a)}")
+        self.ctx, self.e = ctx, e
+        p = ctx.p
+        a = _reduce_flat(ctx, e, m, a, A)
+        g = math.gcd(*a)
+        if g == 0:
+            self.m, self.a, self.A, self.w = 0, a, A, INF
+            return
+        v = _pval(g, p)
+        if v:
+            pv = ctx.pk(v)
+            a = [c // pv for c in a]
+            m += v
+        w = e * m + next(i for i, c in enumerate(a) if c % p)
+        if A > w + e * ctx.N:
+            A = w + e * ctx.N
+            a = _reduce_flat(ctx, e, m, a, A)
+        self.m, self.a, self.A, self.w = m, a, A, w
 
     # constructors -------------------------------------------------------
 
     @classmethod
     def from_padic(cls, x: PadicElement, e: int) -> "RamifiedElement":
-        return cls(x.ctx, e, [x] + [x.ctx.zero()] * (e - 1))
+        if x.unit == 0:
+            return cls(x.ctx, e, 0, [0] * e, e * x.v)
+        return cls(x.ctx, e, x.v, [x.unit] + [0] * (e - 1), e * x.abs_prec)
 
     @classmethod
     def pi(cls, ctx: PadicContext, e: int, power: int = 1) -> "RamifiedElement":
         """pi^power for any integer power (pi^e = p)."""
-        q, r = divmod(power, e)
-        coeffs = [ctx.zero()] * e
-        coeffs[r] = ctx.from_rational(Fraction(ctx.p) ** q)
-        return cls(ctx, e, coeffs)
+        return cls.from_padic(ctx.one(), e).shift_pi(power)
 
     @classmethod
     def zero(cls, ctx: PadicContext, e: int) -> "RamifiedElement":
-        return cls(ctx, e, [ctx.zero()] * e)
+        return cls(ctx, e, 0, [0] * e, INF)
+
+    @classmethod
+    def from_terms(cls, ctx: PadicContext, e: int, terms) -> "RamifiedElement":
+        """sum(n * pi^k) over (k, n, prec), each integer n known modulo p^prec."""
+        terms = [(divmod(k, e), n, k + e * prec) for k, n, prec in terms]
+        if not terms:
+            return cls.zero(ctx, e)
+        m = min(q for (q, _), _, _ in terms)
+        a = [0] * e
+        for (q, s), n, _ in terms:
+            a[s] += n * ctx.pk(q - m)
+        return cls(ctx, e, m, a, min(A for _, _, A in terms))
 
     # accessors ----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coeffs)
+        return self.w == INF
 
     def valuation(self):
         """pi-adic valuation as a Fraction with denominator dividing e (inf if zero)."""
-        vals = [Fraction(self.e * c.v + i, self.e) for i, c in enumerate(self.coeffs) if c.unit]
-        return min(vals) if vals else INF
+        return INF if self.w == INF else Fraction(self.w, self.e)
 
     def pi_valuation(self):
         """Valuation in pi-units (integer, or inf)."""
-        v = self.valuation()
-        return v if v == INF else int(v * self.e)
+        return self.w
 
     def abs_prec_pi(self):
         """Absolute precision in pi-units: known modulo pi^k."""
-        k = INF
-        for i, c in enumerate(self.coeffs):
-            a = c.abs_prec
-            k = min(k, INF if a == INF else self.e * a + i)
-        return k
+        return self.A
+
+    def coefficient(self, i: int) -> PadicElement:
+        """The coefficient of pi^i, an element of Q_p."""
+        prec = INF if self.A == INF else -((i - self.A) // self.e)
+        return _int_to_padic(self.ctx, self.a[i], self.m, prec)
 
     def to_padic(self, noise_floor=None) -> PadicElement:
         """Project to Q_p, requiring the pi^i (i>0) parts to vanish to precision.
 
         noise_floor: minimal p-adic valuation demanded of the junk coefficients
-        (default: their own absolute precision, i.e. they must be zero sentinels).
+        (default: none may be nonzero to precision).
         """
         junk = INF
-        for i, c in enumerate(self.coeffs[1:], start=1):
-            if not c.is_zero:
-                if noise_floor is not None and c.v >= noise_floor:
-                    junk = min(junk, c.v)
-                    continue
+        for i in range(1, self.e):
+            if not self.a[i]:
+                continue
+            c = self.coefficient(i)
+            if noise_floor is None or c.v < noise_floor:
                 raise ValueError(f"pi^{i} coefficient {c!r} is not zero to precision")
-        c0 = self.coeffs[0]
+            junk = min(junk, c.v)
+        c0 = self.coefficient(0)
         if junk == INF:
             return c0
         return c0._add_zero(junk)  # cap the precision by the observed noise level
 
     def __repr__(self):
-        return f"Ramified(e={self.e}, {self.coeffs!r})"
+        return f"Ramified(e={self.e}, {self.ctx.p}^{self.m}*{self.a} + O(pi^{self.A}))"
 
     # arithmetic ---------------------------------------------------------
 
@@ -394,13 +412,19 @@ class RamifiedElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return RamifiedElement(self.ctx, self.e,
-                               [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        A = min(self.A, other.A)
+        if self.w == INF or other.w == INF:
+            x = self if other.w == INF else other
+            return x if x.A <= A else RamifiedElement(x.ctx, x.e, x.m, x.a, A)
+        m = min(self.m, other.m)
+        s1, s2 = self.ctx.pk(self.m - m), self.ctx.pk(other.m - m)
+        return RamifiedElement(self.ctx, self.e, m,
+                               [x * s1 + y * s2 for x, y in zip(self.a, other.a)], A)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RamifiedElement(self.ctx, self.e, [-c for c in self.coeffs])
+        return RamifiedElement(self.ctx, self.e, self.m, [-c for c in self.a], self.A)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -412,7 +436,12 @@ class RamifiedElement:
         return (-self) + other
 
     def scalar_mul(self, s: PadicElement) -> "RamifiedElement":
-        return RamifiedElement(self.ctx, self.e, [s * c for c in self.coeffs])
+        # O(pi^A1) * y + x * O(pi^A2), a zero's valuation being its precision
+        e = self.e
+        A = min(self.A + e * s.v, e * s.abs_prec + min(self.w, self.A))
+        if s.unit == 0 or self.w == INF:
+            return RamifiedElement(self.ctx, e, 0, [0] * e, A)
+        return RamifiedElement(self.ctx, e, self.m + s.v, [c * s.unit for c in self.a], A)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicElement)):
@@ -420,49 +449,16 @@ class RamifiedElement:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.e == 1:
-            return RamifiedElement(self.ctx, 1, [self.coeffs[0] * other.coeffs[0]])
-        return self._mul_flat(other)
+        ctx, e = self.ctx, self.e
+        A = min(self.A + min(other.w, other.A), other.A + min(self.w, self.A))
+        if self.w == INF or other.w == INF:
+            return RamifiedElement(ctx, e, 0, [0] * e, A)
+        m = self.m + other.m
+        # A is finite here; the pi^0 coefficient needs the most digits
+        mod = ctx.pk(-(-A // e) - m)
+        return RamifiedElement(ctx, e, m, _fold_mul(self.a, other.a, e, ctx.p, mod), A)
 
     __rmul__ = __mul__
-
-    def _flat(self):
-        """(shift m, list of ints, modulus digits C): value = p^m * sum(a_i pi^i)."""
-        ctx = self.ctx
-        vs = [c.v for c in self.coeffs if c.unit]
-        m = min(vs) if vs else 0
-        C = 2 * ctx.N + 8
-        pC = ctx.pk(C)
-        ints = []
-        for c in self.coeffs:
-            if c.unit == 0:
-                ints.append(0)
-            else:
-                ints.append((c.unit * ctx.pk(c.v - m)) % pC)
-        return m, ints, C
-
-    def _mul_flat(self, other):
-        ctx, e = self.ctx, self.e
-        m1, a, C = self._flat()
-        m2, b, _ = other._flat()
-        # polynomial product in pi, folded by pi^e = p
-        prod = _polymul_mod(a, b, ctx.pk(C))
-        out = prod[:e] + [0] * max(0, e - len(prod))
-        p = ctx.p
-        for k in range(e, len(prod)):
-            out[k - e] = out[k - e] + prod[k] * p
-        # precision: known modulo pi^A with A = min(A1 + w2, A2 + w1)
-        # (inf arithmetic does the right thing for exact/zero operands)
-        A1, A2 = self.abs_prec_pi(), other.abs_prec_pi()
-        w1, w2 = self.pi_valuation(), other.pi_valuation()
-        A = min(A1 + w2, A2 + w1)
-        m = m1 + m2
-        coeffs = []
-        for i in range(e):
-            # coefficient of pi^i is known modulo p^floor((A - i)/e)
-            cap = INF if A == INF else math.floor(Fraction(int(A) - i, e))
-            coeffs.append(_int_to_padic(ctx, out[i], m, cap))
-        return RamifiedElement(ctx, e, coeffs)
 
     def _refreshed(self) -> "RamifiedElement":
         """Reinterpret the stored digits at full nominal precision.
@@ -471,45 +467,35 @@ class RamifiedElement:
         for error the iteration itself corrects; callers must certify the
         final answer independently.
         """
-        ctx = self.ctx
-        out = []
-        for c in self.coeffs:
-            if c.unit:
-                out.append(PadicElement(ctx, c.v, c.unit, ctx.N, _raw=True))
-            else:
-                out.append(ctx.zero())
-        return RamifiedElement(ctx, self.e, out)
+        return RamifiedElement(self.ctx, self.e, self.m, self.a, INF)
 
     def inverse(self) -> "RamifiedElement":
         """Newton iteration z <- z(2 - a z); requires nonzero to precision."""
         if self.is_zero:
             raise DivisionByZeroPrecision("cannot invert ramified zero")
-        w = self.pi_valuation()
-        a = self.shift_pi(-w)._refreshed()  # unit: pi-valuation 0, coeff0 a p-unit
+        w = self.w
+        a = self.shift_pi(-w)._refreshed()  # unit: pi-valuation 0, a[0] a p-unit
         ctx, e = self.ctx, self.e
-        z = RamifiedElement.from_padic(a.coeffs[0].inverse(), e)
+        z = RamifiedElement.from_padic(a.coefficient(0).inverse(), e)
         two = RamifiedElement.from_padic(ctx.from_int(2), e)
         # correct pi-digit count doubles per step
         steps = max(1, math.ceil(math.log2(max(2, e * ctx.N)))) + 1
         for _ in range(steps):
             z = (z * (two - a * z))._refreshed()
-        # per-coefficient digit caps limit the certifiable error to ~p^(N-1)
+        # the relative-precision cap limits the certifiable error to ~p^(N-1)
         err = a * z - RamifiedElement.from_padic(ctx.one(), e)
-        if not err.is_zero and err.valuation() < ctx.N - 2:
+        if err.w < e * (ctx.N - 2):
             raise DivisionByZeroPrecision("ramified inverse failed to converge")
-        return z.shift_pi(-w)
+        # 1/x is known to the relative precision A - w of x
+        z = z.shift_pi(-w)
+        return RamifiedElement(ctx, e, z.m, z.a, min(z.A, self.A - 2 * w))
 
     def shift_pi(self, k: int) -> "RamifiedElement":
-        """Multiply by pi^k (k may be negative)."""
-        ctx, e = self.ctx, self.e
-        out = [ctx.zero()] * e
-        pfrac = ctx.from_int(ctx.p)
-        for i, c in enumerate(self.coeffs):
-            j = i + k
-            q, r = divmod(j, e)
-            term = c if q == 0 else c * ctx.from_rational(Fraction(ctx.p) ** q)
-            out[r] = out[r] + term
-        return RamifiedElement(ctx, e, out)
+        """Multiply by pi^k (k may be negative): rotate a, folding pi^e = p."""
+        e = self.e
+        q, r = divmod(k, e)
+        a = [self.ctx.p * c for c in self.a[e - r:]] + self.a[:e - r]
+        return RamifiedElement(self.ctx, e, self.m + q, a, self.A + k)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -535,10 +521,19 @@ class RamifiedElement:
         """Image in the residue field F_p (requires pi-valuation >= 0)."""
         if self.is_zero:
             return 0
-        if self.valuation() < 0:
-            raise ValueError("negative valuation: no residue")
-        c0 = self.coeffs[0]
-        return 0 if c0.is_zero or c0.v > 0 else c0.residue(1)
+        if self.w < 0:
+            raise NegativeValuation("negative valuation: no residue")
+        return self.a[0] % self.ctx.p if self.m == 0 else 0
+
+
+def _reduce_flat(ctx, e, m, a, A):
+    """a with each a[i] reduced modulo the p^k it is known to: p^m a[i] pi^i
+    is known modulo pi^A, so k = ceil((A - i)/e) - m."""
+    if A == INF:
+        return list(a)
+    q, r = divmod(A - e * m, e)
+    hi, lo = ctx.pk(max(q + 1, 0)), ctx.pk(max(q, 0))
+    return [c % hi for c in a[:r]] + [c % lo for c in a[r:]]
 
 
 def _int_to_padic(ctx: PadicContext, s: int, shift_v: int, abs_prec) -> PadicElement:
@@ -547,6 +542,15 @@ def _int_to_padic(ctx: PadicContext, s: int, shift_v: int, abs_prec) -> PadicEle
         return ctx.zero(abs_prec)
     probe = PadicElement(ctx, 0, 1, ctx.N, _raw=True)
     return probe._make(shift_v, s, abs_prec)
+
+
+def _fold_mul(a, b, e, p, mod):
+    """Product of two length-e integer vectors in Z[pi]/(pi^e - p), mod `mod`."""
+    c = _polymul_mod(a, b, mod)
+    out = c[:e] + [0] * (e - len(c[:e]))
+    for i, v in enumerate(c[e:]):
+        out[i] = (out[i] + p * v) % mod
+    return out
 
 
 def _polymul_mod(a, b, mod):

@@ -103,6 +103,7 @@ def x40_p13():
 # --- criterion 1: Example 1 at p = 5 and p = 17 ---------------------------
 
 
+@pytest.mark.slow
 def test_ex1_p5_rational_points(ex1_p5):
     d = ex1_p5
     assert d["status"] == "Success"
@@ -116,6 +117,7 @@ def test_ex1_p5_rational_points(ex1_p5):
     assert d["soundness_ok"] is True
 
 
+@pytest.mark.slow
 def test_ex1_p5_extra_points_cubic(ex1_p5):
     d = ex1_p5
     extras = [r for r in d["T"] if r["tag"] != "Ramification"]
@@ -128,6 +130,7 @@ def test_ex1_p5_extra_points_cubic(ex1_p5):
         assert poly_eval_mod([-48, -24, 0, 1], x, 5 ** 10) == 0
 
 
+@pytest.mark.slow
 def test_ex1_p17(ex1_p17):
     d = ex1_p17
     assert d["status"] == "Success"
@@ -152,6 +155,7 @@ def test_ex1_p17(ex1_p17):
 # --- criterion 2: Example 2 at p = 11 -------------------------------------
 
 
+@pytest.mark.slow
 def test_ex2_torsion_point(ex2_p11):
     d = ex2_p11
     assert d["status"] == "Success"
@@ -164,6 +168,7 @@ def test_ex2_torsion_point(ex2_p11):
         assert _val_from_str(s, 11) >= 8
 
 
+@pytest.mark.slow
 def test_ex2_one_ramification_point(ex2_p11):
     d = ex2_p11
     rams = [r for r in d["T"] if r["tag"] == "Ramification"]
@@ -176,6 +181,7 @@ def test_ex2_one_ramification_point(ex2_p11):
 # --- criterion 3: Example 4 at p = 11 -------------------------------------
 
 
+@pytest.mark.slow
 def test_ex4_two_points(ex4_p11):
     d = ex4_p11
     assert d["status"] == "Success"
@@ -189,6 +195,7 @@ def test_ex4_two_points(ex4_p11):
 # --- criterion 4: Table-1 curve at p = 13 ---------------------------------
 
 
+@pytest.mark.slow
 def test_x40_partition(x40_p13):
     d = x40_p13
     assert d["status"] == "Success"
@@ -239,6 +246,7 @@ def test_bad_prime_rejection():
         assert good_prime(curve, p) != p
 
 
+@pytest.mark.slow
 def test_e_escalation_ex1_p5(ex1_p5):
     assert ex1_p5["status"] == "Success"
     assert 40 <= ex1_p5["e"] <= 60

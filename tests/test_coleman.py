@@ -11,10 +11,11 @@ from picardcc.coleman import (
     NumberFieldPointSpec,
     realize_nf_points,
 )
+from picardcc import frobenius
 from picardcc.curve import PicardCurve, lift_point
 from picardcc.errors import BadYRule, NotSameDisk, NotSplit, PoleInDisk
 from picardcc.frobenius import frobenius_matrix
-from picardcc.padic import INF, PadicContext, PadicElement
+from picardcc.padic import INF, PadicContext, PadicElement, RamifiedElement
 
 EX1 = [-64, -48, 0, 6, 1]
 EX2 = [-24, 76, -78, 25, 1]
@@ -302,3 +303,111 @@ def test_projected_result_is_padic(x40_p13):
     v = eng.integral(eng.infinite_disk.very_bad_point, P, unit(0))
     assert isinstance(v, PadicElement)
     assert int(v.abs_prec) >= eng.N
+
+
+# --- caches, and the Frobenius system solved once over Q_p -----------------
+
+
+def _good_point(eng, disk, x):
+    """The Q_p point of `disk` with x-coordinate x."""
+    y0 = disk.reduction[1]
+    return [P for P in lift_point(eng.curve, x, eng.ctx)
+            if P.y.residue(1) == y0][0]
+
+
+def test_disk_caches_key_on_center_value(ex1_p5):
+    eng = ColemanIntegrator(ex1_p5.fd, N=ex1_p5.N, e=ex1_p5.e)
+    disk = next(d for d in eng.disks if d.kind == "good")
+    x0 = disk.reduction[0]
+    P1, P2 = _good_point(eng, disk, x0), _good_point(eng, disk, x0)
+    assert P1 is not P2
+    s1 = eng.pullback_series(disk, unit(0), P1)
+    s2 = eng.pullback_series(disk, unit(0), P2)
+    assert s1 == s2
+    assert len(eng._disk_data_cache) == 1 and len(eng._omega_cache) == 1
+    Q = _good_point(eng, disk, x0 + eng.p)
+    s3 = eng.pullback_series(disk, unit(0), Q)
+    assert s3 != s1
+    assert len(eng._disk_data_cache) == 2 and len(eng._omega_cache) == 2
+
+
+def test_system_factored_once_over_qp(monkeypatch):
+    calls = []
+    solve = frobenius._solve_linear
+
+    def spy(rows, rhs):
+        assert all(isinstance(x, PadicElement) for row in rows + rhs for x in row)
+        calls.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(frobenius, "_solve_linear", spy)
+    fd = frobenius_matrix(PicardCurve(EX1), 5, 10)
+    engines = [ColemanIntegrator(fd, N=10, e=e) for e in (10, 30)]
+    assert calls == [6]
+    assert engines[0].det_ord == engines[1].det_ord == fd.system[1] == 0
+    eng = engines[0]
+    disk = next(d for d in eng.disks if d.kind == "good")
+    P = _good_point(eng, disk, disk.reduction[0])
+    eng.integral(eng.infinite_disk.very_bad_point, P, unit(0))
+    assert calls == [6]
+
+
+def _ramified_gauss_jordan(eng, c):
+    """(I - M) v = c solved directly over Q_p(pi), minimal-valuation pivots."""
+    n = len(c)
+    aug = [[RamifiedElement.from_padic((1 if i == j else 0) - eng.fd.M[i][j], eng.e)
+            for j in range(n)] + [c[i]] for i in range(n)]
+    for col in range(n):
+        piv = min(range(col, n), key=lambda r: aug[r][col].pi_valuation())
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [x * inv for x in aug[col]]
+        for r in range(n):
+            f = aug[r][col]
+            if r != col and not f.is_zero:
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n] for row in aug]
+
+
+@pytest.mark.parametrize("coeffs,p,N,e,other", [
+    (EX1, 5, 10, 10, "good"),      # finite boundaries need e > 30 here
+    (EX1, 5, 10, 40, "bad_finite"),
+    (EX4, 11, 8, 40, "good"),      # no bad finite disk at 11
+], ids=["ex1@5-e10", "ex1@5-e40", "ex4@11-e40"])
+def test_basis_integrals_match_ramified_gauss_jordan(coeffs, p, N, e, other):
+    eng = ColemanIntegrator(frobenius_matrix(PicardCurve(coeffs), p, N), N=N, e=e)
+    P = eng.boundary_point(eng.infinite_disk)
+    disk = next(d for d in eng.disks if d.kind == other)
+    if other == "good":
+        Q = _good_point(eng, disk, disk.reduction[0])
+    else:
+        Q = eng.boundary_point(disk)
+    EP, EQ = eng._endpoint(P), eng._endpoint(Q)
+    c = [q - r for q, r in zip(EQ.h, EP.h)]
+    c = [x if isinstance(x, RamifiedElement) else RamifiedElement.from_padic(x, e)
+         for x in c]
+    want = _ramified_gauss_jordan(eng, c)
+    got = eng.basis_integrals(P, Q)
+    for g, w in zip(got, want):
+        assert isinstance(g, RamifiedElement)
+        assert min(g.abs_prec_pi(), w.abs_prec_pi()) >= e * N
+        assert (g - w).is_zero  # agreement to the smaller stated precision
+
+
+def test_stated_digits_hold_at_higher_precision():
+    # every digit an integral routed through Q_p(pi) states must agree with
+    # the same integral computed at higher N and e
+    curve = PicardCurve(EX1)
+    p = 5
+    vals = []
+    for N, e in ((10, 40), (14, 50)):
+        eng = ColemanIntegrator(frobenius_matrix(curve, p, N), N=N, e=e)
+        P = [Q for Q in lift_point(curve, -3, eng.ctx) if Q.y.residue(1) == 4][0]
+        inf = eng.infinite_disk.very_bad_point
+        vals.append([eng.integral(inf, P, unit(i)) for i in range(3)])
+    for a, b in zip(*vals):
+        assert a.abs_prec >= 10
+        k = min(a.abs_prec, b.abs_prec)
+        lo = min(a.v, b.v, 0)
+        diff = a.unit * p ** (a.v - lo) - b.unit * p ** (b.v - lo)
+        assert diff % p ** (k - lo) == 0, (a, b)

@@ -16,8 +16,11 @@ from picardcc.padic import (
 from picardcc.errors import (
     ContextMismatch,
     DivisionByZeroPrecision,
+    NegativeValuation,
     NoCubeRoot,
     NotSimpleRoot,
+    PicardCCError,
+    PrecisionExhausted,
 )
 
 
@@ -48,6 +51,19 @@ def test_valuations():
     assert ctx.from_int(50).valuation() == 2
     pi3 = RamifiedElement.pi(ctx, 4, 3)
     assert pi3.valuation() == Fraction(3, 4)
+
+
+def test_residue_insufficient_precision_is_typed():
+    ctx = PadicContext(5, 4)
+    with pytest.raises(PrecisionExhausted):
+        ctx.from_int(3).residue(6)
+
+
+def test_residue_negative_valuation_is_typed():
+    ctx = PadicContext(5, 4)
+    with pytest.raises(NegativeValuation):
+        ctx.from_rational(Fraction(2, 5)).residue(1)
+    assert issubclass(NegativeValuation, PicardCCError)
 
 
 def test_rational_constructor():
@@ -192,38 +208,45 @@ def test_ramified_e1_matches_padic(a, b):
         (A1 * B1, ctx.from_int(a * b)),
         (A1 - B1, ctx.from_int(a - b)),
     ):
-        got = flat.coeffs[0]
+        got = flat.to_padic()
         assert got.is_congruent(plain)
+
+
+def _ram(ctx, e, coeffs):
+    """sum(c_i pi^i), built with the public arithmetic."""
+    acc = RamifiedElement.zero(ctx, e)
+    for i, c in enumerate(coeffs):
+        acc = acc + RamifiedElement.pi(ctx, e, i) * ctx.element(c)
+    return acc
 
 
 def test_ramified_mul_against_symbolic():
     # (1 + 2 pi + 3 pi^2)(4 + 5 pi) in Q_5(5^(1/3)):
     # = 4 + 13 pi + 22 pi^2 + 15 pi^3 -> 4 + 75, 13 pi, 22 pi^2
     ctx = PadicContext(5, 6)
-    a = RamifiedElement(ctx, 3, [1, 2, 3])
-    b = RamifiedElement(ctx, 3, [4, 5, 0])
+    a = _ram(ctx, 3, [1, 2, 3])
+    b = _ram(ctx, 3, [4, 5, 0])
     c = a * b
-    assert c.coeffs[0].is_congruent(ctx.from_int(4 + 15 * 5))
-    assert c.coeffs[1].is_congruent(ctx.from_int(13))
-    assert c.coeffs[2].is_congruent(ctx.from_int(22))
+    assert c.coefficient(0).is_congruent(ctx.from_int(4 + 15 * 5))
+    assert c.coefficient(1).is_congruent(ctx.from_int(13))
+    assert c.coefficient(2).is_congruent(ctx.from_int(22))
 
 
 def test_ramified_pi_power_fold():
     ctx = PadicContext(5, 6)
     pi = RamifiedElement.pi(ctx, 4)
     p4 = pi ** 4
-    assert p4.coeffs[0].is_congruent(ctx.from_int(5))
-    assert all(c.is_zero for c in p4.coeffs[1:])
+    assert p4.to_padic().is_congruent(ctx.from_int(5))  # pi^1..pi^3 parts vanish
 
 
 def test_ramified_inverse():
     ctx = PadicContext(7, 6)
-    a = RamifiedElement(ctx, 5, [3, 1, 0, 2, 6])
+    a = _ram(ctx, 5, [3, 1, 0, 2, 6])
     ainv = a.inverse()
     prod = a * ainv
-    one = prod.coeffs[0]
-    assert one.is_congruent(ctx.one(), 4)
-    for c in prod.coeffs[1:]:
+    assert prod.coefficient(0).is_congruent(ctx.one(), 4)
+    for i in range(1, 5):
+        c = prod.coefficient(i)
         assert c.is_zero or c.v >= 4
 
 
@@ -233,7 +256,7 @@ def test_ramified_inverse_with_pi_valuation():
     a = pi * 2 + pi * pi * 3  # valuation 1/3
     assert a.valuation() == Fraction(1, 3)
     prod = a * a.inverse()
-    assert prod.coeffs[0].is_congruent(ctx.one(), 6)
+    assert prod.coefficient(0).is_congruent(ctx.one(), 6)
 
 
 def test_ramified_projection_to_qp():
@@ -246,6 +269,132 @@ def test_ramified_projection_to_qp():
 
 def test_ramified_valuation_of_mixed():
     ctx = PadicContext(5, 6)
-    a = RamifiedElement(ctx, 4, [ctx.from_int(25), ctx.from_int(5), 0, 0])
+    a = _ram(ctx, 4, [25, 5, 0, 0])
     # min(4*2+0, 4*1+1) = 5
     assert a.valuation() == Fraction(5, 4)
+
+
+# --- the flat Q_p(pi) representation against exact Z[pi]/(pi^e - p) ------
+#
+# An exact value is (m, vec): p^m * sum(vec[i] pi^i) with integer vec.
+
+
+def _exact_mul(X, Y, e, p):
+    (m1, a), (m2, b) = X, Y
+    c = [0] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return m1 + m2, [c[i] + (p * c[i + e] if i + e < len(c) else 0)
+                     for i in range(e)]
+
+
+def _exact_add(X, Y, p):
+    (m1, a), (m2, b) = X, Y
+    m = min(m1, m2)
+    return m, [x * p ** (m1 - m) + y * p ** (m2 - m) for x, y in zip(a, b)]
+
+
+def _exact_val(X, e, p):
+    m, a = X
+    vals = []
+    for i, c in enumerate(a):
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            vals.append(e * (m + v) + i)
+    return min(vals) if vals else INF
+
+
+def _agrees(x, X):
+    """Every pi-adic digit that x states agrees with the exact value X."""
+    p, e = x.ctx.p, x.e
+    diff = _exact_add((x.m, x.a), (X[0], [-c for c in X[1]]), p)
+    return _exact_val(diff, e, p) >= x.abs_prec_pi()
+
+
+_E = st.sampled_from([1, 3, 10, 50])
+_P = st.sampled_from([5, 7, 11])
+
+
+@st.composite
+def _flat_pair(draw):
+    """(ctx, e, [(x, X), (y, Y)]): x states the digits of the exact X to
+    full relative precision, or to fewer."""
+    e, p = draw(_E), draw(_P)
+    ctx = PadicContext(p, 6)
+    out = []
+    for _ in range(2):
+        m = draw(st.integers(-2, 2))
+        vec = [draw(st.integers(-p ** 4, p ** 4)) * p ** draw(st.integers(0, 2))
+               for _ in range(e)]
+        if not any(vec):
+            vec[draw(st.integers(0, e - 1))] = 1
+        x = RamifiedElement(ctx, e, m, vec, INF)
+        rel = draw(st.integers(1, e * ctx.N))
+        x = RamifiedElement(ctx, e, x.m, x.a, x.pi_valuation() + rel)
+        out.append((x, (m, vec)))
+    return ctx, e, out
+
+
+@settings(max_examples=80, deadline=None)
+@given(_flat_pair())
+def test_flat_ring_ops_match_exact(data):
+    ctx, e, [(x, X), (y, Y)] = data
+    p = ctx.p
+    assert x.pi_valuation() == _exact_val(X, e, p)
+    assert y.pi_valuation() == _exact_val(Y, e, p)
+    assert _agrees(x, X) and _agrees(y, Y)
+    assert _agrees(x + y, _exact_add(X, Y, p))
+    assert _agrees(x - y, _exact_add(X, (Y[0], [-c for c in Y[1]]), p))
+    assert _agrees(-x, (X[0], [-c for c in X[1]]))
+    assert _agrees(x * y, _exact_mul(X, Y, e, p))
+    s = ctx.from_rational(Fraction(3, p))
+    assert _agrees(x.scalar_mul(s), _exact_mul(X, (-1, [3] + [0] * (e - 1)), e, p))
+    # precision: the min-rule, capped at e*N digits past the valuation
+    w1, w2 = x.pi_valuation(), y.pi_valuation()
+    prod = x * y
+    assert prod.abs_prec_pi() == min(w1 + w2 + e * ctx.N,
+                                     x.abs_prec_pi() + w2, y.abs_prec_pi() + w1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_pair(), st.integers(-120, 120))
+def test_flat_shift_pi_is_mul_by_pi_power(data, k):
+    ctx, e, [(x, X), _] = data
+    p = ctx.p
+    pik = RamifiedElement.pi(ctx, e, k)
+    shifted = x.shift_pi(k)
+    q, r = divmod(k, e)
+    assert _agrees(shifted, _exact_mul(X, (q, [int(i == r) for i in range(e)]), e, p))
+    assert shifted.abs_prec_pi() == x.abs_prec_pi() + k
+    assert (shifted - x * pik).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flat_pair())
+def test_flat_inverse_matches_exact(data):
+    ctx, e, [(x, X), _] = data
+    y = x.inverse()
+    one = _exact_mul(X, (y.m, y.a), e, ctx.p)
+    err = _exact_add(one, (0, [-1] + [0] * (e - 1)), ctx.p)
+    # y is stated modulo pi^A, so x*y - 1 vanishes modulo pi^(A + v(x))
+    assert _exact_val(err, e, ctx.p) >= y.abs_prec_pi() + x.pi_valuation()
+    assert y.pi_valuation() == -x.pi_valuation()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_flat_pair())
+def test_flat_to_padic_matches_exact(data):
+    ctx, e, [(x, X), _] = data
+    m, vec = X
+    a0 = vec[0] or 1
+    c0 = RamifiedElement(ctx, e, m, [a0] + [0] * (e - 1), INF)
+    got = c0.to_padic()
+    want = ctx.from_rational(Fraction(a0) * Fraction(ctx.p) ** m)
+    assert got.is_congruent(want) and got.abs_prec == -(-c0.abs_prec_pi() // e)
+    if any(not x.coefficient(i).is_zero for i in range(1, e)):
+        with pytest.raises(ValueError):
+            x.to_padic()
