@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import sympy
 
-from .padic import PadicElement, _pval
+from .padic import PadicElement, poly_at
 
 __all__ = ["algdep", "lll_reduce"]
 
@@ -61,13 +61,6 @@ def lll_reduce(basis, delta=Fraction(3, 4)):
     return [[int(x) for x in row] for row in b]
 
 
-def _poly_at(poly, alpha):
-    acc = alpha * 0
-    for c in reversed(poly):
-        acc = acc * alpha + c
-    return acc
-
-
 def _trim(poly):
     while poly and poly[-1] == 0:
         poly = poly[:-1]
@@ -88,7 +81,7 @@ def _normalize(poly):
 
 
 def _vanishes(poly, alpha, k):
-    val = _poly_at(poly, alpha)
+    val = poly_at(poly, alpha)
     return val.is_zero or val.valuation() >= min(k, int(val.abs_prec)) - 3
 
 

@@ -14,6 +14,7 @@ from .coleman import (
     ColemanIntegrator,
     DivisorSpec,
     NumberFieldPointSpec,
+    _integerize,
     realize_nf_points,
 )
 from .curve import (
@@ -23,10 +24,11 @@ from .curve import (
     PicardCurve,
     good_prime,
     lift_point,
-    points_over_Fp,
+    prime_rejection,
     rational_point_search,
 )
 from .errors import (
+    BadPrime,
     ComputationFailure,
     DegenerateDivisor,
     DoubleRoot,
@@ -36,8 +38,18 @@ from .errors import (
     PrecisionExhausted,
 )
 from .frobenius import frobenius_matrix, zeta_consistency_check
-from .padic import INF, PadicContext, PadicElement, _int_to_padic, _pval, cube_roots
-from .series import PadicSeries, poly_eval_mod, refine_root, solve_zeros_in_disk
+from .padic import (
+    INF,
+    PadicContext,
+    PadicElement,
+    _int_to_padic,
+    _pval,
+    cube_roots,
+    poly_at,
+    poly_deriv,
+    poly_eval_mod,
+)
+from .series import PadicSeries, solve_zeros_in_disk
 
 __all__ = [
     "VanishingBasis",
@@ -67,13 +79,6 @@ def _recap(el, ctx):
         return ctx.zero(INF if ap == INF else int(ap))
     rel = min(el.rel, ctx.N)
     return PadicElement(ctx, el.v, el.unit % ctx.pk(rel), rel, _raw=True)
-
-
-def _poly_at(poly, x, ctx):
-    acc = ctx.zero(INF)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
 
 
 # --- vanishing differentials ---------------------------------------------
@@ -230,7 +235,8 @@ def _disk_points(engine, disk, vanishing, ctx_s, base):
         for rec in recs:
             if not rec.certified_simple:
                 continue
-            r = refine_root(F, rec, p, Np)
+            # F(r) = 0 mod p^Np already holds for every record
+            r = rec.residue
             if any(_agree_res(r, Np, r2, Np2, p) for (r2, Np2, _) in accepted):
                 continue
             if all(_annihilates(r, solved[j], p)
@@ -288,19 +294,19 @@ def _point_from_root(engine, disk, center, r, Np):
         # t = y; recover x from f(x) = y^3 by Newton from the lifted center
         y = t
         target = y * y * y
-        df = engine.curve.f_deriv()
+        df = poly_deriv(engine.curve.f)
         x = center.x
         for _ in range(Np.bit_length() + 3):
             num = engine.curve.f_eval(x) - target
             if num.is_zero:
                 break
-            x = x - num / _poly_at(df, x, ctx)
+            x = x - num / poly_at(df, x)
         return CurvePoint(x, y)
     # infinite disk: x = t^-3, y = u(t) t^-4
     x = ctx.from_int(1) / (t * t * t)
     dd = engine._disk_data(disk, None)
     m = int(Np) + 2
-    uval = _poly_at([c % ctx.pk(ctx.N) for c in dd["u"][:m]], t, ctx)
+    uval = poly_at([c % ctx.pk(ctx.N) for c in dd["u"][:m]], t)
     y_ser = uval / (t * t * t * t)
     best, bestv = None, None
     for yy in cube_roots(engine.curve.f_eval(x)):
@@ -319,16 +325,11 @@ def chabauty_set(curve, p, N, e, vanishing, engine=None):
     """
     if engine is None:
         engine = ColemanIntegrator(frobenius_matrix(curve, p, N), N=N, e=e)
-    n_fp = len(points_over_Fp(curve, p))
-    assert len(engine.disks) == n_fp, "disk scan must cover all of X(F_p)"
     ctx_s = PadicContext(p, vanishing.base_precision)
     base = engine.infinite_disk.very_bad_point
     found = []
-    scanned = 0
-    for disk in engine.disks:
-        scanned += 1
+    for disk in engine.disks:  # one per point of X(F_p): see classify_disks
         found.extend(_disk_points(engine, disk, vanishing, ctx_s, base))
-    assert scanned == n_fp
     return found
 
 
@@ -498,7 +499,7 @@ def _split_product(specs):
         return None
     prod = [1]
     for spec in specs:
-        g = [int(c) for c in spec.x_minpoly]
+        g = _integerize(spec.x_minpoly)
         out = [0] * (len(prod) + len(g) - 1)
         for i, a in enumerate(prod):
             for j, b in enumerate(g):
@@ -569,7 +570,7 @@ def _contains_point(pts, sp, ctx, tol):
 
 def run_pipeline(record, params=None):
     """Steps 1-7 on one curve record; all failures land in the report."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     params = dict(params or {})
     N = int(params.get("N", 15))
     e0 = int(params.get("e0", 40))
@@ -588,56 +589,41 @@ def run_pipeline(record, params=None):
         )
         specs = _divisor_specs(record)
         split = _split_product(specs)
+        p = int(p_override or good_prime(curve, 5, split_poly=split))
+        rejection = prime_rejection(curve, p, split)
+        if rejection:
+            raise BadPrime(rejection)
 
-        def next_prime(minp, skip):
-            return good_prime(curve, minp, split_poly=split, skip=skip)
-
-        if p_override:
-            p = int(p_override)
-            if curve.disc_f % p == 0 or p <= 3 or (
-                    curve.discriminant and curve.discriminant % p == 0):
-                report.failure_reason = f"p = {p} is a prime of bad reduction"
-                report.timings["total_s"] = round(time.time() - t0, 2)
-                return report
-            if split is not None and next_prime(p, ()) != p:
-                report.failure_reason = (
-                    f"p = {p} rejected (divisor field not completely split)")
-                report.timings["total_s"] = round(time.time() - t0, 2)
-                return report
-        else:
-            p = next_prime(5, ())
-
-        t1 = time.time()
+        t1 = time.perf_counter()
         search = rational_point_search(curve, height)
-        report.timings["search_s"] = round(time.time() - t1, 2)
+        report.timings["search_s"] = round(time.perf_counter() - t1, 2)
 
-        tried = []
-        result = None
+        retried = False
         while True:
             try:
-                t1 = time.time()
-                result = _attempt(report, curve, p, N, e0, e_inc, e_cap,
-                                  record, specs, search)
-                report.timings["solve_s"] = round(time.time() - t1, 2)
+                t1 = time.perf_counter()
+                engine, van, pts, e_used = _attempt(
+                    report, curve, p, N, e0, e_inc, e_cap, record, specs, search)
+                report.timings["solve_s"] = round(time.perf_counter() - t1, 2)
                 break
-            except DoubleRoot as exc:
-                tried.append(p)
-                if len(tried) > 1 or p_override:
+            except DoubleRoot:
+                # one retry at the next admissible prime
+                if retried or p_override:
                     raise
-                p = next_prime(p + 1, tuple(tried))
+                retried = True
+                p = good_prime(curve, p + 1, split_poly=split)
 
-        engine, van, pts, e_used = result
         report.p, report.e = p, e_used
         report.precision = van.precision
         report.det_ord = van.det_ord
         report.kernel_dim = len(van.vectors)
 
-        t1 = time.time()
+        t1 = time.perf_counter()
         for Q in pts:
             cls = classify_point(Q, engine, van, relation_bound=bound)
             rec = _point_record(Q, cls)
             (report.S if cls.tag == "Rational" else report.T).append(rec)
-        report.timings["classify_s"] = round(time.time() - t1, 2)
+        report.timings["classify_s"] = round(time.perf_counter() - t1, 2)
 
         tol = max(4, min(8, van.precision))
         report.soundness_ok = all(
@@ -647,5 +633,5 @@ def run_pipeline(record, params=None):
         report.p = report.p or (int(p_override) if p_override else None)
         reason = getattr(exc, "reason", exc.__class__.__name__)
         report.failure_reason = f"{reason}: {exc}"
-    report.timings["total_s"] = round(time.time() - t0, 2)
+    report.timings["total_s"] = round(time.perf_counter() - t0, 2)
     return report

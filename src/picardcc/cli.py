@@ -14,7 +14,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .chabauty import _divisor_specs, _split_product, run_pipeline
-from .curve import PicardCurve, good_prime, points_over_Fp
+from .curve import PicardCurve, good_prime, points_over_Fp, prime_rejection
 from .errors import CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
 from .series import hensel_system_of_roots
@@ -69,17 +69,8 @@ def validate_record(record, where=""):
 
 def check_prime_override(record, p):
     """Reason string when prime p cannot be used for this record, else None."""
-    curve = validate_record(record)
-    if p <= 3:
-        return f"p = {p} is too small (need p > 3)"
-    if curve.disc_f % p == 0 or (
-            curve.discriminant and curve.discriminant % p == 0):
-        return f"p = {p} is a prime of bad reduction for this curve"
-    split = _split_product(_divisor_specs(record))
-    if split is not None and good_prime(curve, p, split_poly=split) != p:
-        return (f"p = {p} rejected: the divisor field is not completely "
-                "split at p")
-    return None
+    return prime_rejection(validate_record(record), p,
+                           _split_product(_divisor_specs(record)))
 
 
 def report_record(report, duration_s):
@@ -136,9 +127,9 @@ def cmd_analyze(args):
     except RecordInvalid as exc:
         print(f"invalid record: {exc}", file=sys.stderr)
         return 2
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_pipeline(record, _params_from_args(args))
-    rec = report_record(report, time.time() - t0)
+    rec = report_record(report, time.perf_counter() - t0)
     _summarize(report)
     payload = json.dumps(rec)
     if args.out:
@@ -151,9 +142,9 @@ def cmd_analyze(args):
 
 def _run_one(task):
     record, params = task
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = run_pipeline(record, params)
-    return report_record(report, time.time() - t0)
+    return report_record(report, time.perf_counter() - t0)
 
 
 def cmd_batch(args):
@@ -235,15 +226,11 @@ def cmd_zeta(args):
     except RecordInvalid as exc:
         print(f"invalid record: {exc}", file=sys.stderr)
         return 2
-    if args.prime:
-        p = args.prime
-        if p <= 3 or curve.disc_f % p == 0 or (
-                curve.discriminant and curve.discriminant % p == 0):
-            print(f"refused: p = {p} is a prime of bad reduction",
-                  file=sys.stderr)
-            return 2
-    else:
-        p = good_prime(curve, 5)
+    p = args.prime or good_prime(curve, 5)
+    reason = prime_rejection(curve, p)
+    if reason:
+        print(f"refused: {reason}", file=sys.stderr)
+        return 2
     fd = frobenius_matrix(curve, p, args.precision)
     z = zeta_consistency_check(fd)
     count = len(points_over_Fp(curve, p))

@@ -22,11 +22,10 @@ from .curve import (
     CurvePoint,
     PicardCurve,
     _poly_of_series,
-    _splits_completely,
-    _taylor_shift,
     classify_disks,
-    reduce_point,
     local_expansion,
+    reduce_point,
+    split_roots,
 )
 from .errors import (
     BadYRule,
@@ -48,6 +47,10 @@ from .padic import (
     cube_root_ramified,
     cube_roots,
     hensel_lift_root,
+    poly_at,
+    poly_deriv,
+    poly_eval_mod,
+    taylor_shift,
 )
 from .series import ser_inv, ser_mul
 
@@ -91,20 +94,16 @@ def realize_nf_points(curve: PicardCurve, spec: NumberFieldPointSpec,
     y-coordinate comes from y_rule, checked against the curve (BadYRule), or
     from the unique cube root when there is exactly one.
     """
-    p = ctx.p
     g = _integerize(spec.x_minpoly)
-    if not _splits_completely(g, p):
-        raise NotSplit(f"{spec.x_minpoly} does not split completely mod {p}")
+    roots = split_roots(g, ctx.p)
+    if roots is None:
+        raise NotSplit(f"{spec.x_minpoly} does not split completely mod {ctx.p}")
     points = []
-    for a in range(p):
-        if sum(c * pow(a, i, p) for i, c in enumerate(g)) % p != 0:
-            continue
+    for a in roots:
         x = hensel_lift_root(g, a, ctx)
         fx = curve.f_eval(x)
         if spec.y_rule is not None:
-            y = ctx.zero()
-            for c in reversed(spec.y_rule):
-                y = y * x + ctx.from_rational(Fraction(c))
+            y = poly_at(spec.y_rule, x)
             if not (y ** 3).is_congruent(fx):
                 raise BadYRule(f"y-rule does not satisfy y^3 = f(x) at x = {x!r}")
         else:
@@ -205,8 +204,7 @@ class ColemanIntegrator:
             T = self.T_bad
             exp = local_expansion(self.curve, disk, ctx, T)
             xt = list(exp.x_coeffs) + [0] * (T + 1 - len(exp.x_coeffs))
-            dxt = [k * c % mod for k, c in enumerate(xt)][1:]
-            dd.update(T=T, xt=xt, dxt=dxt)
+            dd.update(T=T, xt=xt, dxt=poly_deriv(xt))
         else:
             T = self.T_bad
             exp = local_expansion(self.curve, disk, ctx, T)
@@ -270,8 +268,8 @@ class ColemanIntegrator:
             if ci:
                 (P1 if b == 1 else P2)[a] = (((P1 if b == 1 else P2)[a]) + ci) % mod
         if disk.kind == GOOD:
-            s1 = _taylor_shift(P1, dd["x0"], mod)
-            s2 = _taylor_shift(P2, dd["x0"], mod)
+            s1 = taylor_shift(P1, dd["x0"], mod)
+            s2 = taylor_shift(P2, dd["x0"], mod)
             num = [0] * (T + 1)
             for poly, ypow in ((s1, dd["ys"]), (s2, dd["y2"])):
                 if not any(poly):
@@ -469,9 +467,7 @@ class ColemanIntegrator:
             smax = max((sig for sig, _ in part.levels.values()), default=0)
             acc = 0
             for m, (sig, poly) in part.levels.items():
-                pv = 0
-                for c in reversed(poly):
-                    pv = (pv * xr + c) % mod
+                pv = poly_eval_mod(poly, xr, mod)
                 acc = (acc + pv * yp(m) * pow(p, smax - sig, mod)) % mod
             out.append(_int_to_padic(ctx, acc, -smax, kprec - smax))
         return out
@@ -592,9 +588,7 @@ class ColemanIntegrator:
         one_r = RamifiedElement.from_padic(ctx.one(), e)
         A = self.fd.A_poly
         if disk.kind == BAD_FINITE:
-            Aval = RamifiedElement.zero(ctx, e)
-            for c in reversed(A):
-                Aval = Aval * S.x + c
+            Aval = poly_at(A, S.x)
             # u = p A(x) / f(x)^p with f(x) = y^3 = pi^3
             u_el = Aval.shift_pi(e - 3 * p)
             if u_el.pi_valuation() < 1:

@@ -8,19 +8,28 @@ A curve is y^3 = f(x) with f monic, quartic, squarefree.  Points use the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
 
 from .errors import (
+    ComputationFailure,
     NotMonic,
-    NotSplit,
     NotSquarefree,
     WrongDegree,
     WrongDisk,
 )
-from .padic import PadicContext, PadicElement, RamifiedElement, cube_roots, hensel_lift_root
+from .padic import (
+    PadicContext,
+    RamifiedElement,
+    cube_roots,
+    hensel_lift_root,
+    poly_at,
+    poly_deriv,
+    poly_eval_mod,
+    taylor_shift,
+)
 from .series import ser_cuberoot, ser_inv, ser_mul, ser_trim
 
 
@@ -46,20 +55,8 @@ class PicardCurve:
         self.genus = 3
 
     def f_eval(self, x):
-        """Horner evaluation of f; works on ints, Fractions, and ring elements."""
-        acc = x * 0 + self.f[4]
-        for c in reversed(self.f[:4]):
-            acc = acc * x + c
-        return acc
-
-    def f_deriv(self):
-        return [i * c for i, c in enumerate(self.f)][1:]
-
-    def f_eval_mod(self, x, mod):
-        acc = 0
-        for c in reversed(self.f):
-            acc = (acc * x + c) % mod
-        return acc
+        """f(x) on ints, Fractions, and ring elements."""
+        return poly_at(self.f, x)
 
     def __repr__(self):
         terms = " + ".join(f"{c}*x^{i}" for i, c in enumerate(self.f) if c)
@@ -106,39 +103,42 @@ class ResidueDisk:
         return f"Disk({self.reduction}, {self.kind})"
 
 
-def good_prime(curve: PicardCurve, min_prime: int = 5, split_poly=None,
-               skip=()):
-    """Smallest prime p > 3 of good reduction, optionally completely split.
+def prime_rejection(curve: PicardCurve, p: int, split_poly=None):
+    """Why p cannot be the prime for this curve, or None when it can.
 
-    Always requires p not dividing 3*disc(f); additionally p not dividing the
-    supplied curve discriminant, and — when split_poly g is given — g mod p
-    must have deg(g) distinct roots in F_p.
+    p must be a prime > 3 dividing neither disc(f) nor the supplied curve
+    discriminant; when split_poly g is given, g must split completely mod p.
     """
-    p = max(min_prime, 5)
-    p = int(sympy.nextprime(p - 1))
-    while True:
-        ok = (curve.disc_f % p != 0)
-        if ok and curve.discriminant is not None:
-            ok = curve.discriminant % p != 0
-        if ok and p in skip:
-            ok = False
-        if ok and split_poly is not None:
-            ok = _splits_completely(split_poly, p)
-        if ok:
-            return p
+    if p <= 3 or not sympy.isprime(p):
+        return f"p = {p} is not a prime > 3"
+    if curve.disc_f % p == 0 or (
+            curve.discriminant and curve.discriminant % p == 0):
+        return f"p = {p} is a prime of bad reduction for this curve"
+    if split_poly is not None and split_roots(split_poly, p) is None:
+        return (f"p = {p} rejected: the divisor field is not completely "
+                "split at p")
+    return None
+
+
+def good_prime(curve: PicardCurve, min_prime: int = 5, split_poly=None):
+    """Smallest p >= min_prime that prime_rejection accepts."""
+    p = int(sympy.nextprime(max(min_prime, 5) - 1))
+    while prime_rejection(curve, p, split_poly):
         p = int(sympy.nextprime(p))
+    return p
 
 
-def _splits_completely(g, p):
-    g = [c % p for c in g]
-    deg = len(ser_trim(g)) - 1
-    if deg <= 0:
-        return True
-    roots = [a for a in range(p) if sum(c * pow(a, i, p) for i, c in enumerate(g)) % p == 0]
-    if len(roots) != deg:
-        return False
-    dg = [i * c % p for i, c in enumerate(g)][1:]
-    return all(sum(c * pow(a, i, p) for i, c in enumerate(dg)) % p != 0 for a in roots)
+def split_roots(g, p):
+    """The roots of the integer polynomial g in F_p, ascending, when g has
+    deg(g) distinct roots there (so every one is simple); else None.
+
+    A p-divisible leading coefficient means a root off Z_p: not split.
+    """
+    g = ser_trim(g)
+    if not g or g[-1] % p == 0:
+        return None
+    roots = [a for a in range(p) if poly_eval_mod(g, a, p) == 0]
+    return roots if len(roots) == len(g) - 1 else None
 
 
 def points_over_Fp(curve: PicardCurve, p: int):
@@ -148,7 +148,7 @@ def points_over_Fp(curve: PicardCurve, p: int):
         cubes.setdefault(pow(y, 3, p), []).append(y)
     pts = []
     for x in range(p):
-        for y in cubes.get(curve.f_eval_mod(x, p), []):
+        for y in cubes.get(poly_eval_mod(curve.f, x, p), []):
             pts.append((x, y))
     pts.append("inf")
     return pts
@@ -242,7 +242,7 @@ def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
             raise WrongDisk(f"center {center!r} is not in disk {disk!r}")
         x0 = center.x.residue(W)
         y0 = center.y.residue(W)
-        fx = _taylor_shift(curve.f, x0, mod)  # f(x0 + t)
+        fx = taylor_shift(curve.f, x0, mod)  # f(x0 + t)
         y = ser_cuberoot(fx + [0] * max(0, T + 1 - len(fx)), mod, T, y0)
         return LocalExpansion(GOOD, p, W, T, 0, [x0, 1], 0, y, center)
 
@@ -260,7 +260,7 @@ def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
             # numerator: s - f(x_k)
             num = [(-c) % mod for c in fxs] + [0] * max(0, 2 - len(fxs))
             num[1] = (num[1] + 1) % mod
-            dfxs = _poly_of_series(curve.f_deriv(), xs, mod, prec - 1)
+            dfxs = _poly_of_series(poly_deriv(curve.f), xs, mod, prec - 1)
             corr = ser_mul(num, ser_inv(dfxs, mod, prec - 1), mod, prec - 1)
             xs = [(xs[i] if i < len(xs) else 0) + (corr[i] if i < len(corr) else 0)
                   for i in range(max(len(xs), len(corr)))]
@@ -284,16 +284,6 @@ def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
                           CurvePoint(inf=True))
 
 
-def _taylor_shift(poly, a, mod):
-    """Coefficients of poly(a + t) mod `mod`."""
-    c = [x % mod for x in poly]
-    n = len(c)
-    for k in range(n):
-        for j in range(n - 2, k - 1, -1):
-            c[j] = (c[j] + a * c[j + 1]) % mod
-    return c
-
-
 def _poly_of_series(poly, s, mod, T):
     """Evaluate an integer polynomial on a series s, truncated to degree T."""
     acc = [poly[-1] % mod]
@@ -303,18 +293,6 @@ def _poly_of_series(poly, s, mod, T):
             acc = [0]
         acc[0] = (acc[0] + c) % mod
     return acc + [0] * (T + 1 - len(acc))
-
-
-def laurent_eval(shift, coeffs, t, one):
-    """Evaluate t^shift * sum(coeffs[i] t^i) at a ring element t.
-
-    `one` is the multiplicative identity of the target ring; coefficients are
-    plain integers.
-    """
-    acc = one * 0
-    for c in reversed(coeffs):
-        acc = acc * t + one * c
-    return acc * t ** shift if shift else acc
 
 
 # --- rational point search ----------------------------------------------
@@ -367,7 +345,8 @@ def rational_point_search(curve: PicardCurve, height_bound: int = 1000):
             if r ** 3 == m:
                 x = Fraction(a, b)
                 y = Fraction(r, b * b)
-                assert y ** 3 == curve.f_eval(x)
+                if y ** 3 != curve.f_eval(x):
+                    raise ComputationFailure(f"({x}, {y}) is not on the curve")
                 found.append(CurvePoint(exact_x=x, exact_y=y))
     found.sort(key=lambda P: (P.exact_x, P.exact_y))
     return [CurvePoint(inf=True)] + found

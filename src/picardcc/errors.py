@@ -61,6 +61,12 @@ class NotSplit(PicardCCError):
     pass
 
 
+class BadPrime(PicardCCError):
+    """A prime that curve.prime_rejection refuses for this record."""
+
+    reason = "bad-prime"
+
+
 class BadYRule(PicardCCError):
     pass
 

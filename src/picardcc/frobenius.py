@@ -42,7 +42,7 @@ from functools import cached_property
 import sympy
 
 from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
-from .padic import INF, PadicContext, _int_to_padic, _pval
+from .padic import INF, PadicContext, _int_to_padic, _pval, poly_deriv
 from .series import ser_add, ser_mul, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
@@ -147,10 +147,7 @@ def _entry_add(e1, e2, p, mod):
         p1 = [c * p ** (s - s1) % mod for c in p1]
     if s2 < s:
         p2 = [c * p ** (s - s2) % mod for c in p2]
-    n = max(len(p1), len(p2))
-    out = [((p1[i] if i < len(p1) else 0) + (p2[i] if i < len(p2) else 0)) % mod
-           for i in range(n)]
-    return _strip(s, out, p)
+    return _strip(s, ser_add(p1, p2, mod), p)
 
 
 class _Reducer:
@@ -166,7 +163,7 @@ class _Reducer:
         self.W = W
         self.mod = p ** W
         self.f = [c % self.mod for c in curve.f]
-        self.df = [c % self.mod for c in curve.f_deriv()]
+        self.df = [c % self.mod for c in poly_deriv(curve.f)]
         self.beta = _bezout_unit(curve, p, self.mod)
         self.inv3 = pow(3, -1, self.mod)
 
@@ -201,7 +198,7 @@ class _Reducer:
             v = _poly_divmod_monic(ser_mul(gbar, self.beta, mod), f, mod)[1]
             u = ser_add(q, _poly_divmod_monic(
                 _poly_sub(gbar, ser_mul(v, self.df, mod), mod), f, mod)[0], mod)
-            dv = [i * c % mod for i, c in enumerate(v)][1:]
+            dv = poly_deriv(v)
             inv, extra = self._inv_tracked(3 - t)
             # the division by (3 - t) raises sigma by extra; v and dv sit
             # inside that division so they stay at the old scale, while u

@@ -579,34 +579,69 @@ def _polymul_mod(a, b, mod):
             for i in range(out_len)]
 
 
-# --- Hensel machinery ----------------------------------------------------
+# --- integer polynomials -------------------------------------------------
+# Coefficient lists are low-to-high.
+
+
+def poly_eval_mod(poly, x, mod):
+    """Evaluate an integer coefficient list at x modulo `mod` (Horner)."""
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % mod
+    return acc
+
+
+def poly_at(poly, x):
+    """Horner evaluation in the ring of x: ints, Fractions, p-adic elements.
+
+    Coefficients may be ints or Fractions; the empty polynomial is x * 0.
+    """
+    if not poly:
+        return x * 0
+    acc = x * 0 + poly[-1]
+    for c in reversed(poly[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def poly_deriv(poly):
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def taylor_shift(poly, a, mod):
+    """Coefficients of poly(a + t) mod `mod`."""
+    c = [x % mod for x in poly]
+    n = len(c)
+    for k in range(n):
+        for j in range(n - 2, k - 1, -1):
+            c[j] = (c[j] + a * c[j + 1]) % mod
+    return c
+
+
+def newton_lift(poly, r: int, p: int, N: int) -> int:
+    """The root modulo p^N of the integer polynomial poly that lifts r, a
+    simple root of poly mod p; the correct digits double with each step."""
+    pN = p ** N
+    dpoly = poly_deriv(poly)
+    for _ in range(N.bit_length() + 1):
+        fr = poly_eval_mod(poly, r, pN)
+        if fr == 0:
+            break
+        r = (r - fr * pow(poly_eval_mod(dpoly, r, pN), -1, pN)) % pN
+    return r
 
 
 def hensel_lift_root(g, r0: int, ctx: PadicContext) -> PadicElement:
     """Unique root of the integer polynomial g in Z_p congruent to r0 mod p.
 
-    g is a low-to-high list of integer coefficients.  Requires g(r0) = 0 and
-    g'(r0) != 0 mod p (a simple root); Newton iteration then converges
-    quadratically to N digits.
+    Requires g(r0) = 0 and g'(r0) != 0 mod p (a simple root); Newton
+    iteration then converges quadratically to N digits.
     """
     p, N = ctx.p, ctx.N
-
-    def ev(poly, x, mod):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % mod
-        return acc
-
-    dg = [i * c for i, c in enumerate(g)][1:]
-    if ev(g, r0, p) != 0 or ev(dg, r0, p) == 0:
+    if poly_eval_mod(g, r0, p) != 0 or poly_eval_mod(poly_deriv(g), r0, p) == 0:
         raise NotSimpleRoot(f"r0={r0} is not a simple root of g mod {p}")
-    r = r0 % p
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        mod = ctx.pk(prec)
-        r = (r - ev(g, r, mod) * pow(ev(dg, r, mod), -1, mod)) % mod
-    return ctx.from_int(r if r else 0) if r else ctx.zero(N)
+    r = newton_lift(g, r0 % p, p, N)
+    return ctx.from_int(r) if r else ctx.zero(N)
 
 
 def cube_roots(a: PadicElement):
@@ -627,15 +662,8 @@ def cube_roots(a: PadicElement):
     rel = a.rel
     for r0 in roots_mod_p:
         # Newton-lift r0 to a cube root of the unit part
-        r = int(r0)
-        prec = 1
-        while prec < rel:
-            prec = min(2 * prec, rel)
-            mod = ctx.pk(prec)
-            u = a.unit % mod
-            r = (r - (pow(r, 3, mod) - u) * pow(3 * r * r % mod, -1, mod)) % mod
-        y = PadicElement(ctx, a.v // 3, r % ctx.pk(rel), rel, _raw=True)
-        out.append(y)
+        r = newton_lift([-a.unit, 0, 0, 1], int(r0), p, rel)
+        out.append(PadicElement(ctx, a.v // 3, r, rel, _raw=True))
     return out
 
 

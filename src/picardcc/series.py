@@ -17,7 +17,15 @@ from .errors import (
     NoRootsGuaranteed,
     PrecisionExhausted,
 )
-from .padic import INF, PadicContext, PadicElement, _polymul_mod, _pval
+from .padic import (
+    PadicContext,
+    PadicElement,
+    _polymul_mod,
+    _pval,
+    poly_deriv,
+    poly_eval_mod,
+    taylor_shift,
+)
 
 
 # --- fast integer-coefficient series engine ------------------------------
@@ -84,18 +92,6 @@ def ser_cuberoot(a, mod, T, c0_root):
     return out + [0] * (T + 1 - len(out))
 
 
-def poly_eval_mod(poly, x, mod):
-    """Evaluate an integer coefficient list at x modulo `mod` (Horner)."""
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % mod
-    return acc
-
-
-def poly_deriv(poly):
-    return [i * c for i, c in enumerate(poly)][1:]
-
-
 # --- public series type --------------------------------------------------
 
 
@@ -115,46 +111,6 @@ class PadicSeries:
 
     def coeff(self, i) -> PadicElement:
         return self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero()
-
-    def __add__(self, other):
-        T = min(self.T, other.T)
-        n = min(max(len(self.coeffs), len(other.coeffs)), T + 1)
-        return PadicSeries(self.ctx, [self.coeff(i) + other.coeff(i) for i in range(n)], T)
-
-    def __sub__(self, other):
-        T = min(self.T, other.T)
-        n = min(max(len(self.coeffs), len(other.coeffs)), T + 1)
-        return PadicSeries(self.ctx, [self.coeff(i) - other.coeff(i) for i in range(n)], T)
-
-    def scalar(self, c):
-        c = self.ctx.element(c)
-        return PadicSeries(self.ctx, [c * a for a in self.coeffs], self.T)
-
-    def __mul__(self, other):
-        T = min(self.T, other.T)
-        n = min(len(self.coeffs) + len(other.coeffs) - 1, T + 1)
-        out = [self.ctx.zero() for _ in range(max(n, 0))]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero and a.is_exact_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > T:
-                    break
-                out[i + j] = out[i + j] + a * b
-        return PadicSeries(self.ctx, out, T)
-
-    def derivative(self):
-        out = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-        return PadicSeries(self.ctx, out, max(self.T - 1, 0))
-
-    def evaluate(self, x):
-        """Horner evaluation; x may be a PadicElement or RamifiedElement."""
-        if not self.coeffs:
-            return self.ctx.zero()
-        acc = self.coeffs[-1] if not hasattr(x, "e") else x * 0 + self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * x + c
-        return acc
 
 
 def antiderivative(fprime: PadicSeries, c) -> PadicSeries:
@@ -255,25 +211,13 @@ def hensel_system_of_roots(F, p: int, N: int):
         raise ValueError("F is identically zero mod p")
     dF = poly_deriv(F)
 
-    def taylor_shift_scaled(poly, a, pi):
-        """Coefficients of poly(a + pi*s) mod p^N (pi = p^i)."""
-        # repeated synthetic division by (x - a), then scale by powers of pi
-        c = list(poly)
-        n = len(c)
-        for k in range(n):
-            for j in range(n - 2, k - 1, -1):
-                c[j] = (c[j] + a * c[j + 1]) % pN
-        scale = 1
-        for j in range(n):
-            c[j] = (c[j] * scale) % pN
-            scale = (scale * pi) % pN
-        return c
-
     stack = [(b, 1) for b in range(p) if poly_eval_mod(F, b, p) == 0]
     records = []
     while stack:
         a, i = stack.pop(0)
-        g0 = taylor_shift_scaled(F, a, p ** i if i < N else pN)
+        # coefficients of F(a + p^i s) mod p^N
+        g0 = [c * pow(p, i * j, pN) % pN
+              for j, c in enumerate(taylor_shift(F, a, pN))]
         if any(c % pN for c in g0):
             v = min(_pval(c, p) for c in g0 if c % pN)
             g = [(c // p ** v) % p for c in g0]
@@ -294,23 +238,6 @@ def _pval_capped(n, p, cap):
     if n == 0:
         return cap
     return min(_pval(n, p), cap)
-
-
-def refine_root(F, record: RootRecord, p: int, N: int) -> int:
-    """Newton-refine a certified-simple record to a root of F modulo p^N."""
-    pN = p ** N
-    dF = poly_deriv(F)
-    r = record.residue
-    for _ in range(N.bit_length() + 2):
-        fr = poly_eval_mod(F, r, pN)
-        if fr == 0:
-            break
-        d = poly_eval_mod(dF, r, pN)
-        w = _pval(d, p)
-        # simple certified root: d = p^w * unit with small w
-        unit_inv = pow(d // p ** w, -1, pN)
-        r = (r - (fr // p ** w) * unit_inv) % pN
-    return r
 
 
 def solve_zeros_in_disk(fprime: PadicSeries, c, ctx: PadicContext,

@@ -17,12 +17,11 @@ from picardcc.curve import (
     points_over_Fp,
 )
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
-from picardcc.padic import PadicContext
+from picardcc.padic import PadicContext, poly_deriv, poly_eval_mod
 from picardcc.series import (
     PadicSeries,
     hensel_system_of_roots,
     normalize,
-    poly_eval_mod,
     truncation_bound,
 )
 
@@ -310,7 +309,7 @@ def _good_points(eng, count):
     such disks at small p; the infinite disk's center fills in then)."""
     pts, seen = [], set()
     for x0 in range(eng.p):
-        if eng.curve.f_eval_mod(x0, eng.p) == 0:
+        if poly_eval_mod(eng.curve.f, x0, eng.p) == 0:
             continue
         lifts = lift_point(eng.curve, x0, eng.ctx)
         for P in lifts:
@@ -365,7 +364,7 @@ def test_coleman_properties(coeffs):
 
         # principal divisor: div(x - x0) - 3*inf integrates to zero
         for x0 in range(p):
-            if curve.f_eval_mod(x0, p) == 0:
+            if poly_eval_mod(curve.f, x0, p) == 0:
                 continue
             pts = lift_point(curve, x0, ctx)
             if len(pts) == 3:
@@ -392,7 +391,7 @@ def _check_ftc(eng, P, Q):
     ctx, p = eng.ctx, eng.p
     red = _Reducer(eng.curve, p, eng.W)
     (sigma, coeffs), exact = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
-    fp = eng.curve.f_deriv()  # degree 3, leading coefficient 4
+    fp = poly_deriv(eng.curve.f)  # degree 3, leading coefficient 4
     om = [Fraction(0)] * 6
     for a, slot in ((0, 0), (1, 1), (2, 3)):
         om[slot] += Fraction(fp[a], 3)

@@ -194,6 +194,12 @@ def test_pipeline_report_shape(ex4_p11):
     json.dumps(d)
 
 
+def test_pipeline_composite_prime_is_failure():
+    d = run_pipeline({"f": [-48, -24, 0, 0, 1]}, {"p": 25, "N": 8}).to_dict()
+    assert d["status"] == "Failure"
+    assert d["failure_reason"] == "bad-prime: p = 25 is not a prime > 3"
+
+
 def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):
     def broken_certificate(fd):
         z = zeta_consistency_check(fd)

@@ -48,6 +48,11 @@ def test_zeta_bad_prime_refused(capsys):
     rec = json.dumps({"f": EX3})
     # 2 is always bad (p must exceed 3); disc check catches others
     assert main(["zeta", "--curve", rec, "--prime", "2"]) == 2
+    assert "refused" in capsys.readouterr().err
+    # a composite is refused, not passed on to PadicContext
+    rec = json.dumps({"f": [-48, -24, 0, 0, 1]})
+    assert main(["zeta", "--curve", rec, "--prime", "25"]) == 2
+    assert "refused" in capsys.readouterr().err
 
 
 # --- record validation ----------------------------------------------------
@@ -75,6 +80,9 @@ def test_analyze_bad_prime_override(capsys):
     # 31492800 = disc factor of this f is divisible by 2,3,5 -> 5 is bad?
     # p=3 is categorically refused
     assert main(["analyze", "--curve", rec, "--prime", "3"]) == 2
+    assert "refused" in capsys.readouterr().err
+    rec = json.dumps({"f": [-48, -24, 0, 0, 1]})
+    assert main(["analyze", "--curve", rec, "--prime", "25"]) == 2
     assert "refused" in capsys.readouterr().err
 
 
@@ -122,6 +130,20 @@ def _strip_timings(path):
         rec.pop("timings", None)
         out.append(rec)
     return out
+
+
+def test_batch_composite_prime_line_is_failure(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    dst = tmp_path / "out.jsonl"
+    lines = [{"label": "c25", "f": [-48, -24, 0, 0, 1], "p": 25},
+             {"label": "c49", "f": EX4, "p": 49}]
+    src.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    assert main(["batch", "--in", str(src), "--out", str(dst)]) == 0
+    recs = [json.loads(l) for l in dst.read_text().splitlines()]
+    assert [r["report"]["label"] for r in recs] == ["c25", "c49"]
+    for r in recs:
+        assert r["report"]["status"] == "Failure"
+        assert r["report"]["failure_reason"].startswith("bad-prime: ")
 
 
 def test_batch_deterministic_modulo_timings(tmp_path, capsys):

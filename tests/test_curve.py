@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from picardcc.curve import (
     BAD_FINITE,
@@ -12,15 +13,15 @@ from picardcc.curve import (
     PicardCurve,
     classify_disks,
     good_prime,
-    laurent_eval,
     lift_point,
     local_expansion,
     points_over_Fp,
+    prime_rejection,
     rational_point_search,
     reduce_point,
 )
 from picardcc.errors import NotMonic, NotSquarefree, WrongDegree
-from picardcc.padic import PadicContext
+from picardcc.padic import PadicContext, poly_at, poly_deriv, poly_eval_mod
 
 
 EX1 = [-64, -48, 0, 6, 1]      # y^3 = x^4 + 6x^3 - 48x - 64
@@ -63,6 +64,48 @@ def test_good_prime_linear_split_is_noop():
     assert good_prime(c, split_poly=[-1, 1]) == good_prime(c)
 
 
+def _admissible(curve, p, g):
+    """prime_rejection's contract spelled out directly."""
+    if p <= 3 or any(p % d == 0 for d in range(2, p)):
+        return False
+    if curve.disc_f % p == 0 or (curve.discriminant and curve.discriminant % p == 0):
+        return False
+    if g is None:
+        return True
+    roots = [a for a in range(p) if sum(c * a ** i for i, c in enumerate(g)) % p == 0]
+    return g[-1] % p != 0 and len(roots) == len(g) - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       st.one_of(st.none(), st.integers(1, 10 ** 6)),
+       st.one_of(st.none(),
+                 st.tuples(st.lists(st.integers(-8, 8), max_size=3),
+                           st.integers(-3, 3).filter(bool))))
+def test_prime_rejection_matches_definition(f, disc, g):
+    try:
+        curve = PicardCurve(f + [1], discriminant=disc)
+    except NotSquarefree:
+        assume(False)
+    g = None if g is None else g[0] + [g[1]]
+    ok = [p for p in range(60) if _admissible(curve, p, g)]
+    for p in range(60):
+        assert (prime_rejection(curve, p, g) is None) == (p in ok), p
+    if ok:
+        assert good_prime(curve, split_poly=g) == ok[0]
+        assert good_prime(curve, ok[0], split_poly=g) == ok[0]
+
+
+def test_prime_rejection_reasons():
+    c = PicardCurve(EX4)  # disc(f) = 13 * 17^2
+    assert "not a prime > 3" in prime_rejection(c, 25)
+    assert "not a prime > 3" in prime_rejection(c, 3)
+    assert "bad reduction" in prime_rejection(c, 13)
+    assert "bad reduction" in prime_rejection(PicardCurve(EX4, discriminant=5 * 7), 7)
+    assert "not completely split" in prime_rejection(c, 7, [-1, 1, 1])
+    assert prime_rejection(c, 11, [-1, 1, 1]) is None
+
+
 def test_points_over_Fp_contains_inf():
     c = PicardCurve(EX3)
     assert "inf" in points_over_Fp(c, 13)
@@ -79,7 +122,7 @@ def test_points_over_Fp_oracle():
     c = PicardCurve(EX3)
     pts = points_over_Fp(c, 13)
     expect = {(x, y) for x in range(13) for y in range(13)
-              if pow(y, 3, 13) == c.f_eval_mod(x, 13)}
+              if pow(y, 3, 13) == poly_eval_mod(c.f, x, 13)}
     assert set(p for p in pts if p != "inf") == expect
 
 
@@ -91,7 +134,7 @@ def test_classify_disks_partition():
     n_inf = sum(1 for d in disks if d.kind == BAD_INFINITE)
     assert n_inf == 1
     n_bad = sum(1 for d in disks if d.kind == BAD_FINITE)
-    n_roots = len([x for x in range(p) if c.f_eval_mod(x, p) == 0])
+    n_roots = len([x for x in range(p) if poly_eval_mod(c.f, x, p) == 0])
     assert n_bad == n_roots
     n_good = sum(1 for d in disks if d.kind == GOOD)
     assert n_good == len(disks) - n_bad - 1
@@ -179,7 +222,7 @@ def test_local_expansion_bad_finite():
     # x(t) = a + t^3/f'(a) + O(t^6)
     a = bad.very_bad_point.x.residue(8)
     mod = 17 ** 8
-    fprime_a = sum(cc * pow(a, i, mod) for i, cc in enumerate(c17.f_deriv())) % mod
+    fprime_a = poly_eval_mod(poly_deriv(c17.f), a, mod)
     assert exp.x_coeffs[3] == pow(fprime_a, -1, mod)
     assert exp.x_coeffs[1] == 0 and exp.x_coeffs[2] == 0
 
@@ -209,8 +252,8 @@ def test_laurent_eval_matches_point():
     center = [P for P in lift_point(c, x0, ctx) if P.y.residue(1) == y0][0]
     exp = local_expansion(c, good, ctx, T=12, center=center)
     t = ctx.from_int(7)
-    xv = laurent_eval(exp.x_shift, [ctx.from_int(cc) for cc in exp.x_coeffs], t, ctx.one())
-    yv = laurent_eval(exp.y_shift, [ctx.from_int(cc) for cc in exp.y_coeffs], t, ctx.one())
+    xv = poly_at(exp.x_coeffs, t) * t ** exp.x_shift
+    yv = poly_at(exp.y_coeffs, t) * t ** exp.y_shift
     assert (yv ** 3).is_congruent(c.f_eval(xv), 7)
 
 

@@ -12,6 +12,11 @@ from picardcc.padic import (
     RamifiedElement,
     cube_roots,
     hensel_lift_root,
+    newton_lift,
+    poly_at,
+    poly_deriv,
+    poly_eval_mod,
+    taylor_shift,
 )
 from picardcc.errors import (
     ContextMismatch,
@@ -171,6 +176,49 @@ def test_hensel_matches_exhaustion():
             for r0 in simple:
                 lifted = hensel_lift_root(g, r0, ctx).residue(N)
                 assert lifted in brute
+
+
+# --- integer polynomial helpers ------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=7),
+       st.integers(-10 ** 4, 10 ** 4), st.integers(-10 ** 4, 10 ** 4),
+       st.integers(2, 10 ** 9))
+def test_taylor_shift_is_substitution(P, a, t, m):
+    assert poly_eval_mod(taylor_shift(P, a, m), t, m) == poly_eval_mod(P, a + t, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=7),
+       st.integers(-10 ** 8, 10 ** 8), st.sampled_from([5, 7, 11]))
+def test_poly_at_padic_matches_residues(P, x, p):
+    ctx = PadicContext(p, 6)
+    assert poly_at(P, ctx.from_int(x)).residue(6) == poly_eval_mod(P, x, p ** 6)
+
+
+def test_poly_at_generic_rings():
+    assert poly_at([], 3) == 0
+    assert poly_at([1, 2, 3], 2) == 17
+    assert poly_at([Fraction(1, 2), 1], Fraction(1, 3)) == Fraction(5, 6)
+    ctx = PadicContext(5, 6)
+    assert poly_at([], ctx.from_int(7)).is_exact_zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=2, max_size=5),
+       st.sampled_from([5, 7, 11]), st.integers(1, 4))
+def test_newton_lift_matches_brute_force(P, p, N):
+    pN = p ** N
+    dP = poly_deriv(P)
+    for r0 in range(p):
+        if poly_eval_mod(P, r0, p) or not poly_eval_mod(dP, r0, p):
+            continue
+        r = newton_lift(P, r0, p, N)
+        assert poly_eval_mod(P, r, pN) == 0
+        # Hensel: exactly one root mod p^N lies over a simple root mod p
+        assert r == next(x for x in range(r0, pN, p)
+                         if poly_eval_mod(P, x, pN) == 0)
 
 
 small_ints = st.integers(min_value=-400, max_value=400)
