@@ -8,9 +8,7 @@ substitution to full precision and by an exact factorization check.
 import math
 from fractions import Fraction
 
-import sympy
-
-from .padic import PadicElement, poly_at
+from .padic import PadicElement, poly_at, sympy_poly
 
 __all__ = ["algdep", "lll_reduce"]
 
@@ -87,13 +85,11 @@ def _vanishes(poly, alpha, k):
 
 def _irreducible_part(poly, alpha, k):
     """poly itself if irreducible over Q, else the factor vanishing at alpha."""
-    x = sympy.Symbol("x")
-    expr = sum(c * x ** i for i, c in enumerate(poly))
-    _, factors = sympy.factor_list(expr)
+    _, factors = sympy_poly(poly).factor_list()
     if len(factors) == 1 and factors[0][1] == 1:
         return _normalize(poly)
     for fac, _mult in factors:
-        fpoly = [int(c) for c in reversed(sympy.Poly(fac, x).all_coeffs())]
+        fpoly = [int(c) for c in reversed(fac.all_coeffs())]
         if len(fpoly) >= 2 and _vanishes(fpoly, alpha, k):
             return _normalize(fpoly)
     return None

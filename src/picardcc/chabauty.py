@@ -6,7 +6,7 @@ pipeline with prime selection and e-escalation.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .algdep import algdep
@@ -28,6 +28,7 @@ from .curve import (
     rational_point_search,
 )
 from .errors import (
+    BadDivisor,
     BadPrime,
     ComputationFailure,
     DegenerateDivisor,
@@ -48,6 +49,7 @@ from .padic import (
     poly_at,
     poly_deriv,
     poly_eval_mod,
+    sympy_poly,
 )
 from .series import PadicSeries, solve_zeros_in_disk
 
@@ -60,12 +62,6 @@ __all__ = [
     "classify_point",
     "run_pipeline",
 ]
-
-
-def _unit3(i):
-    v = [0, 0, 0]
-    v[i] = 1
-    return v
 
 
 def _recap(el, ctx):
@@ -140,28 +136,25 @@ def _kernel_basis(rows, ctx):
     return basis
 
 
-def vanishing_differentials(curve, p, divisors, N=15, e=40, engine=None):
+def vanishing_differentials(engine, divisors):
     """Basis of regular differentials whose integrals kill every divisor.
 
     divisors: list of DivisorSpec (realized points, implicitly minus a
     multiple of infinity).  Raises DegenerateDivisor on a zero integral
     vector and PrecisionExhausted when N - ord_p(det(M-I)) - delta <= 0.
     """
-    if engine is None:
-        engine = ColemanIntegrator(frobenius_matrix(curve, p, N), N=N, e=e)
-    ctx = engine.ctx
     rows = []
     for D in divisors:
-        row = [engine.divisor_integral(D, _unit3(i)) for i in range(3)]
+        row = engine.divisor_integral(D)
         if all(c.is_zero or c.valuation() >= engine.N for c in row):
             raise DegenerateDivisor("divisor integral vector is zero to precision")
         rows.append(row)
     det_ord = engine.det_ord
-    prec = engine.N - det_ord - _delta_bound(p, engine.T_good)
+    prec = engine.N - det_ord - _delta_bound(engine.p, engine.T_good)
     if prec <= 0:
         raise PrecisionExhausted(
             f"N - ord_p(det(M-I)) - delta = {prec} <= 0")
-    vectors = _kernel_basis(rows, ctx)
+    vectors = _kernel_basis(rows, engine.ctx)
     return VanishingBasis(vectors, prec, engine.N - det_ord, rows, det_ord)
 
 
@@ -209,15 +202,22 @@ def _annihilates(r, solved_entry, p):
     return _pval(val, p) >= Np - 4
 
 
+def _dot(vec, integrals):
+    """sum(c * I) over the nonzero coefficients c of vec."""
+    terms = [I * c for c, I in zip(vec, integrals) if not c.is_zero]
+    return sum(terms[1:], terms[0])
+
+
 def _disk_points(engine, disk, vanishing, ctx_s, base):
     p = engine.p
     center = _disk_center(engine, disk)
+    integrals = None if center.inf else engine.integral(base, center)
     solved = []
     for vec in vanishing.vectors:
         if center.inf:
             const = ctx_s.zero(INF)
         else:
-            const = _recap(engine.integral(base, center, list(vec)), ctx_s)
+            const = _recap(_dot(vec, integrals), ctx_s)
         fprime = _series_for_vector(engine, disk, center, vec, ctx_s)
         try:
             solved.append(solve_zeros_in_disk(fprime, const, ctx_s,
@@ -317,15 +317,13 @@ def _point_from_root(engine, disk, center, r, Np):
     return CurvePoint(x, best)
 
 
-def chabauty_set(curve, p, N, e, vanishing, engine=None):
+def chabauty_set(engine, vanishing):
     """All points of X(Q_p) killing every vanishing differential.
 
     Scans every residue disk; a root is accepted when it is a certified
     simple root of at least one basis series and annihilates all of them.
     """
-    if engine is None:
-        engine = ColemanIntegrator(frobenius_matrix(curve, p, N), N=N, e=e)
-    ctx_s = PadicContext(p, vanishing.base_precision)
+    ctx_s = PadicContext(engine.p, vanishing.base_precision)
     base = engine.infinite_disk.very_bad_point
     found = []
     for disk in engine.disks:  # one per point of X(F_p): see classify_disks
@@ -379,7 +377,6 @@ def classify_point(Q, engine, vanishing, relation_bound=50,
     their classes are 3-torsion, so they are never counted as the found
     rational points S of the algorithm.
     """
-    ctx = engine.ctx
     tol = max(5, min(8, vanishing.precision))
     # coordinates are full-precision representatives; only the certified
     # digits of the underlying residue class are trusted for recognition
@@ -396,7 +393,7 @@ def classify_point(Q, engine, vanishing, relation_bound=50,
                                    evidence={"f_of_x": str(fx)})
 
     base = engine.infinite_disk.very_bad_point
-    Ivec = [engine.integral(base, Q, _unit3(i)) for i in range(3)]
+    Ivec = engine.integral(base, Q)
     ev = {"integrals": [str(v) for v in Ivec]}
 
     px = algdep(Q.x, 1, height_bound, prec=kp)
@@ -452,15 +449,7 @@ class ChabautyReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "label": self.label, "p": self.p, "N": self.N, "e": self.e,
-            "status": self.status, "failure_reason": self.failure_reason,
-            "S": self.S, "T": self.T, "precision": self.precision,
-            "det_ord": self.det_ord, "kernel_dim": self.kernel_dim,
-            "soundness_ok": self.soundness_ok,
-            "frobenius_certified": self.frobenius_certified,
-            "timings": self.timings,
-        }
+        return asdict(self)
 
 
 def _point_record(Q, cls):
@@ -483,13 +472,32 @@ def _point_record(Q, cls):
     return rec
 
 
+def _coefficients(values, name):
+    try:
+        if isinstance(values, list):
+            return [Fraction(str(c)) for c in values]
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise BadDivisor(f"divisor {name} must be a list of numbers, got {values!r}")
+
+
 def _divisor_specs(record):
+    """The record's divisors as NumberFieldPointSpecs (BadDivisor if one
+    is malformed).  g must have distinct roots, or no prime splits it."""
+    divisors = record.get("divisors") or []
+    if not isinstance(divisors, list):
+        raise BadDivisor("'divisors' must be a list")
     specs = []
-    for d in record.get("divisors", []):
-        g = [Fraction(str(c)) for c in d["g"]]
+    for d in divisors:
+        if not isinstance(d, dict):
+            raise BadDivisor(f"divisor {d!r} is not a JSON object")
+        g = _coefficients(d.get("g"), "g")
         y_rule = d.get("y_rule")
         if y_rule is not None:
-            y_rule = [Fraction(str(c)) for c in y_rule]
+            y_rule = _coefficients(y_rule, "y_rule")
+        poly = sympy_poly(g)
+        if poly.degree() < 1 or not poly.is_sqf:
+            raise BadDivisor(f"g = {d['g']} is constant or has a repeated root")
         specs.append(NumberFieldPointSpec(g, y_rule))
     return specs
 
@@ -544,8 +552,8 @@ def _attempt(report, curve, p, N, e0, e_inc, e_cap, record, specs, search):
         try:
             engine = ColemanIntegrator(fd, N=N, e=e)
             divisors = _realize_divisors(engine, record, specs, search)
-            van = vanishing_differentials(curve, p, divisors, engine=engine)
-            pts = chabauty_set(curve, p, N, e, van, engine=engine)
+            van = vanishing_differentials(engine, divisors)
+            pts = chabauty_set(engine, van)
             return engine, van, pts, e
         except IncreaseE as exc:
             last = exc

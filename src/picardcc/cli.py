@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .chabauty import _divisor_specs, _split_product, run_pipeline
 from .curve import PicardCurve, good_prime, points_over_Fp, prime_rejection
-from .errors import CurveValidationError, PicardCCError
+from .errors import BadDivisor, CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
 from .series import hensel_system_of_roots
 
@@ -60,10 +60,10 @@ def validate_record(record, where=""):
                             label=record.get("label"))
     except (CurveValidationError, TypeError, ValueError) as exc:
         raise RecordInvalid(f"record{where}: {exc}")
-    for d in record.get("divisors") or []:
-        if not isinstance(d, dict) or not isinstance(d.get("g"), list):
-            raise RecordInvalid(
-                f"record{where}: each divisor needs a coefficient list 'g'")
+    try:
+        _divisor_specs(record)
+    except BadDivisor as exc:
+        raise RecordInvalid(f"record{where}: {exc}")
     return curve
 
 
@@ -243,13 +243,6 @@ def cmd_zeta(args):
     return 0 if z.all_ok else 1
 
 
-def _env_int(name, default):
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="picardcc",
@@ -259,19 +252,14 @@ def build_parser():
 
     def pipeline_flags(sp):
         sp.add_argument("--prime", type=int,
-                        default=_env_int("PICARDCC_PRIME", 0) or None,
                         help="prime override (must be good and split)")
-        sp.add_argument("--precision", type=int,
-                        default=_env_int("PICARDCC_PRECISION", 15),
+        sp.add_argument("--precision", type=int, default=15,
                         help="p-adic working digits N (default 15)")
-        sp.add_argument("--e", type=int, default=_env_int("PICARDCC_E", 40),
+        sp.add_argument("--e", type=int, default=40,
                         help="initial ramification parameter (default 40)")
-        sp.add_argument("--e-increment", type=int,
-                        default=_env_int("PICARDCC_E_INCREMENT", 20))
-        sp.add_argument("--e-cap", type=int,
-                        default=_env_int("PICARDCC_E_CAP", 200))
-        sp.add_argument("--relation-bound", type=int,
-                        default=_env_int("PICARDCC_RELATION_BOUND", 50))
+        sp.add_argument("--e-increment", type=int, default=20)
+        sp.add_argument("--e-cap", type=int, default=200)
+        sp.add_argument("--relation-bound", type=int, default=50)
 
     sp = sub.add_parser("analyze", help="run the pipeline on one curve")
     sp.add_argument("--curve", required=True,
@@ -283,7 +271,7 @@ def build_parser():
     sp = sub.add_parser("batch", help="run the pipeline over a JSONL file")
     sp.add_argument("--in", dest="infile", required=True)
     sp.add_argument("--out", dest="outfile", required=True)
-    sp.add_argument("--jobs", type=int, default=_env_int("PICARDCC_JOBS", 1))
+    sp.add_argument("--jobs", type=int, default=1)
     pipeline_flags(sp)
     sp.set_defaults(func=cmd_batch)
 
@@ -297,10 +285,8 @@ def build_parser():
     sp = sub.add_parser("zeta", help="Frobenius / zeta consistency report")
     sp.add_argument("--curve", required=True,
                     help="curve record: inline JSON or a file path")
-    sp.add_argument("--prime", type=int,
-                    default=_env_int("PICARDCC_PRIME", 0) or None)
-    sp.add_argument("--precision", type=int,
-                    default=_env_int("PICARDCC_PRECISION", 10))
+    sp.add_argument("--prime", type=int)
+    sp.add_argument("--precision", type=int, default=10)
     sp.set_defaults(func=cmd_zeta)
     return parser
 

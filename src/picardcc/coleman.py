@@ -1,15 +1,13 @@
 """Coleman integration on Picard curves y^3 = f(x).
 
-The single-disk ("tiny") integrals expand the integrand in the disk
-uniformizer and integrate termwise; integrals between disks solve the
-Frobenius-equivariant linear system (I - M) v = c, where M is the matrix of
-Frobenius on the cohomology basis and the right-hand side collects exact-part
-values and endpoint corrections.  M has entries in Q_p, so (I - M) is
-inverted once over Q_p per Frobenius matrix (`FrobeniusData.system`) and
-each right-hand side is multiplied by that inverse.  Endpoints inside bad
-disks are routed through boundary points defined over Q_p(pi), pi^e = p;
-their values are flat RamifiedElements, and the exact parts and series at
-such points are summed straight into the flat integer vector.
+`integral(P, Q)` is the vector of the regular integrals int_P^Q omega_i,
+i = 1..3, for any two points.  Tiny integrals integrate the disk expansion
+termwise; between disks, `basis_integrals` solves the Frobenius-equivariant
+system (I - M) v = c for all six basis forms, M being Frobenius on the
+cohomology basis and c the exact parts and endpoint corrections.  (I - M) is
+inverted once over Q_p (`FrobeniusData.system`).  `integral` routes points
+inside bad disks through boundary points over Q_p(pi), pi^e = p, whose values
+are flat RamifiedElements, and projects to Q_p when P and Q are Q_p points.
 """
 
 import math
@@ -35,7 +33,7 @@ from .errors import (
     PoleInDisk,
     WrongDisk,
 )
-from .frobenius import BASIS, FrobeniusData
+from .frobenius import BASIS, REGULAR, FrobeniusData
 from .padic import (
     INF,
     PadicContext,
@@ -77,6 +75,13 @@ class DivisorSpec:
 
     points: list
     base_multiple: int = None
+
+
+def _unit(i):
+    """The basis differential omega_(i+1) as a coefficient vector."""
+    v = [0] * 6
+    v[i] = 1
+    return v
 
 
 def _integerize(poly):
@@ -123,19 +128,6 @@ def _pure_form(t: RamifiedElement):
         return None
     r = nz[0]
     return r, t.m, t.a[r], -((r - t.A) // t.e) - t.m
-
-
-@dataclass
-class _Endpoint:
-    """Admissible endpoint of the linear system with its Frobenius data.
-
-    h[i] = f_i(R) - int_R^phi(R) omega_i, so the system right-hand side for
-    a pair (P, Q) is simply h(Q) - h(P).
-    """
-
-    point: object
-    disk: object
-    h: list
 
 
 class ColemanIntegrator:
@@ -417,10 +409,8 @@ class ColemanIntegrator:
 
     # -- boundary points ---------------------------------------------------
 
-    def boundary_point(self, disk, e: int = None) -> CurvePoint:
+    def boundary_point(self, disk) -> CurvePoint:
         """The point at |t| = p^(-1/e) with t = pi on a bad disk."""
-        if e is not None and e != self.e:
-            raise ValueError("integrator is fixed at e = %d" % self.e)
         if disk.kind == GOOD:
             raise WrongDisk("boundary points are defined for bad disks")
         got = self._boundary_cache.get(disk.reduction)
@@ -493,7 +483,7 @@ class ColemanIntegrator:
             for _ in range(max_deg - 1):
                 xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
 
-            def poly_at(poly):
+            def at_x(poly):
                 buckets = [0] * e
                 for j, c in enumerate(poly):
                     if not c:
@@ -507,7 +497,7 @@ class ColemanIntegrator:
             def y_power(m):
                 return None, m  # pi^m: handled as a pure shift
         else:
-            poly_at = self._at_pi_minus3
+            at_x = self._at_pi_minus3
             uval = S._u_value
             upows = {0: RamifiedElement.from_padic(ctx.one(), e), 1: uval}
             uinv = uval.inverse()
@@ -535,7 +525,7 @@ class ColemanIntegrator:
         for part in self.fd.exact_parts:
             acc = RamifiedElement.zero(ctx, e)
             for m, (sig, poly) in sorted(part.levels.items()):
-                term = poly_at(poly)
+                term = at_x(poly)
                 ram, shift = y_power(m)
                 if ram is not None:
                     term = term * ram
@@ -620,15 +610,13 @@ class ColemanIntegrator:
 
     # -- endpoints of the linear system ------------------------------------
 
-    def _unit_omega(self, i):
-        v = [0] * 6
-        v[i] = 1
-        return v
-
     def _endpoint(self, R):
+        """h with h[i] = f_i(R) - int_R^phi(R) omega_i for an endpoint R of
+        the linear system, whose right-hand side for (P, Q) is h(Q) - h(P).
+        The cache holds R too, so no other point can reuse its id()."""
         got = self._endpoint_cache.get(id(R))
         if got is not None:
-            return got
+            return got[1]
         disk = self.disk_of(R)
         if disk.kind == GOOD:
             if not isinstance(R.x, PadicElement):
@@ -637,7 +625,7 @@ class ColemanIntegrator:
             tphi = R.x ** self.p - R.x
             h = []
             for i in range(6):
-                om, floor = self._lift_omega(self._unit_omega(i))
+                om, floor = self._lift_omega(_unit(i))
                 sh, cf = self._omega_series(disk, om, center=R)
                 tiny = self._eval_terms(self._antider_terms(sh, cf), floor, tphi)
                 h.append(fvals[i] - tiny)
@@ -648,15 +636,14 @@ class ColemanIntegrator:
             tphi = self._phi_param(disk, R)
             h = []
             for i in range(6):
-                om, floor = self._lift_omega(self._unit_omega(i))
+                om, floor = self._lift_omega(_unit(i))
                 sh, cf = self._omega_series(disk, om)
                 terms = self._antider_terms(sh, cf)
                 tiny = (self._eval_terms(terms, floor, tphi)
                         - self._eval_terms(terms, floor, R._disk_t))
                 h.append(fvals[i] - tiny)
-        rec = _Endpoint(R, disk, h)
-        self._endpoint_cache[id(R)] = rec
-        return rec
+        self._endpoint_cache[id(R)] = (R, h)
+        return h
 
     # -- public integrals ---------------------------------------------------
 
@@ -692,23 +679,11 @@ class ColemanIntegrator:
     def basis_integrals(self, P, Q):
         """The vector (int_P^Q omega_i) for the six basis differentials.
 
-        P and Q must be good-disk Q_p points, boundary points, or interior
-        points of bad disks away from the very bad point (routed through the
-        disk boundary automatically).
+        P and Q must be endpoints of the linear system: good-disk Q_p points
+        or boundary points of bad disks.
         """
-        dP, dQ = self.disk_of(P), self.disk_of(Q)
-        if dP.kind != GOOD and getattr(P, "_disk_t", None) is None:
-            S = self.boundary_point(dP)
-            base = self.basis_integrals(S, Q)
-            return [self._tiny(dP, P, S, self._unit_omega(i)) + base[i]
-                    for i in range(6)]
-        if dQ.kind != GOOD and getattr(Q, "_disk_t", None) is None:
-            S = self.boundary_point(dQ)
-            base = self.basis_integrals(P, S)
-            return [base[i] + self._tiny(dQ, S, Q, self._unit_omega(i))
-                    for i in range(6)]
-        EP, EQ = self._endpoint(P), self._endpoint(Q)
-        c = [EQ.h[i] - EP.h[i] for i in range(6)]
+        hP, hQ = self._endpoint(P), self._endpoint(Q)
+        c = [q - r for q, r in zip(hQ, hP)]
         if any(isinstance(x, RamifiedElement) for x in c):
             c = [x if isinstance(x, RamifiedElement)
                  else RamifiedElement.from_padic(x, self.e) for x in c]
@@ -720,42 +695,38 @@ class ColemanIntegrator:
             out.append(acc)
         return out
 
-    def integral(self, P, Q, omega):
-        """int_P^Q omega across arbitrary disks (omega regular where needed)."""
+    def _system_endpoint(self, disk, P):
+        """P itself when it can be an endpoint of the linear system, else
+        the boundary point of its bad disk."""
+        if disk.kind == GOOD or getattr(P, "_disk_t", None) is not None:
+            return P
+        return self.boundary_point(disk)
+
+    def integral(self, P, Q):
+        """[int_P^Q omega_i for the regular omega_1, omega_2, omega_3].
+
+        P and Q may lie anywhere; interior points of bad disks (away from
+        the very bad point of a finite one) are routed through the disk's
+        boundary point.  The values are projected to Q_p when P and Q are
+        both Q_p points.
+        """
         dP, dQ = self.disk_of(P), self.disk_of(Q)
         if dP is dQ:
-            return self._tiny(dP, P, Q, omega)
-        parts = []
-        if dP.kind == GOOD:
-            P2 = P
-        elif getattr(P, "_disk_t", None) is not None:
-            P2 = P
+            vals = [self._tiny(dP, P, Q, _unit(i)) for i in REGULAR]
         else:
-            P2 = self.boundary_point(dP)
-            parts.append(self._tiny(dP, P, P2, omega))
-        if dQ.kind == GOOD:
-            Q2 = Q
-        elif getattr(Q, "_disk_t", None) is not None:
-            Q2 = Q
-        else:
-            Q2 = self.boundary_point(dQ)
-            parts.append(self._tiny(dQ, Q2, Q, omega))
-        v = self.basis_integrals(P2, Q2)
-        omega = list(omega) + [0] * (6 - len(list(omega)))
-        total = None
-        for ci, vi in zip(omega, v):
-            el = self.ctx.element(ci)
-            if el.is_zero:
-                continue
-            term = vi * el
-            total = term if total is None else total + term
-        if total is None:
-            total = self.ctx.zero(self.N)
-        for extra in parts:
-            total = total + extra
+            P2, Q2 = self._system_endpoint(dP, P), self._system_endpoint(dQ, Q)
+            v = self.basis_integrals(P2, Q2)
+            vals = []
+            for i in REGULAR:
+                val = v[i]
+                if P2 is not P:
+                    val = val + self._tiny(dP, P, P2, _unit(i))
+                if Q2 is not Q:
+                    val = val + self._tiny(dQ, Q2, Q, _unit(i))
+                vals.append(val)
         if self._is_unramified(P) and self._is_unramified(Q):
-            total = self._project(total)
-        return total
+            vals = [self._project(v) for v in vals]
+        return vals
 
     def _project(self, value):
         """Project a Q_p-rational answer computed through Q_p(pi) back to Q_p."""
@@ -766,19 +737,12 @@ class ColemanIntegrator:
         except ValueError as exc:
             raise IncreaseE(f"ramified noise exceeds tolerance: {exc}")
 
-    def divisor_integral(self, divisor, omega):
-        """int_D omega for D = sum(points) - (number of points) * infinity."""
-        if isinstance(divisor, DivisorSpec):
-            pts = list(divisor.points)
-            if divisor.base_multiple is not None and divisor.base_multiple != len(pts):
-                raise ValueError("divisor must have degree zero against infinity")
-        else:
-            pts = list(divisor)
+    def divisor_integral(self, divisor: DivisorSpec):
+        """integral(infinity, P) summed over the points P of the divisor
+        D = sum(points) - (number of points) * infinity."""
+        pts = divisor.points
+        if divisor.base_multiple is not None and divisor.base_multiple != len(pts):
+            raise ValueError("divisor must have degree zero against infinity")
         base = self.infinite_disk.very_bad_point
-        total = None
-        for P in pts:
-            val = self.integral(base, P, omega)
-            total = val if total is None else total + val
-        if total is None:
-            return self.ctx.zero(self.N)
-        return self._project(total)
+        rows = [self.integral(base, P) for P in pts]
+        return [sum(col[1:], col[0]) for col in zip(*rows)]

@@ -28,6 +28,7 @@ from .padic import (
     poly_at,
     poly_deriv,
     poly_eval_mod,
+    sympy_poly,
     taylor_shift,
 )
 from .series import ser_cuberoot, ser_inv, ser_mul, ser_trim
@@ -45,9 +46,7 @@ class PicardCurve:
         if any(Fraction(c).denominator != 1 for c in f):
             raise NotMonic("f must have integer coefficients")
         self.f = [int(c) for c in f]
-        x = sympy.Symbol("x")
-        poly = sympy.Poly(sum(int(c) * x ** i for i, c in enumerate(self.f)), x)
-        self.disc_f = int(sympy.discriminant(poly.as_expr(), x))
+        self.disc_f = int(sympy_poly(self.f).discriminant())
         if self.disc_f == 0:
             raise NotSquarefree("f has a repeated root")
         self.discriminant = int(discriminant) if discriminant is not None else None

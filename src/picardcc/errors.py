@@ -71,6 +71,12 @@ class BadYRule(PicardCCError):
     pass
 
 
+class BadDivisor(PicardCCError):
+    """A record divisor g that is constant, has a repeated root or a non-number."""
+
+    reason = "bad-divisor"
+
+
 class DegenerateDivisor(PicardCCError):
     pass
 

@@ -42,7 +42,7 @@ from functools import cached_property
 import sympy
 
 from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
-from .padic import INF, PadicContext, _int_to_padic, _pval, poly_deriv
+from .padic import INF, PadicContext, _int_to_padic, _pval, poly_deriv, sympy_poly
 from .series import ser_add, ser_mul, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
@@ -100,15 +100,12 @@ def _subst_xp(a, p):
 def _bezout_unit(curve: PicardCurve, p, mod):
     """beta mod p^W with alpha f + beta f' = 1 for a polynomial alpha
     (denominators are p-units)."""
-    x = sympy.Symbol("x")
-    fpoly = sympy.Poly(sum(c * x ** i for i, c in enumerate(curve.f)), x, domain="QQ")
-    _, beta, h = sympy.gcdex(fpoly.as_expr(), fpoly.diff(x).as_expr(), x)
-    hval = sympy.Poly(h, x).all_coeffs()
-    if len(hval) != 1:
+    fpoly = sympy_poly(curve.f)
+    _, beta, h = fpoly.gcdex(fpoly.diff())  # h is the monic gcd
+    if h.degree() != 0:
         raise NotSquarefree("f is not squarefree")
     out = []
-    for c in sympy.Poly(beta / hval[0], x).all_coeffs()[::-1]:
-        c = sympy.Rational(c)
+    for c in beta.all_coeffs()[::-1]:
         if c.q % p == 0:
             raise PrecisionExhausted("Bezout denominators not p-integral (bad p?)")
         out.append(int(c.p) * pow(int(c.q), -1, mod) % mod)

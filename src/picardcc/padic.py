@@ -608,6 +608,11 @@ def poly_deriv(poly):
     return [i * c for i, c in enumerate(poly)][1:]
 
 
+def sympy_poly(poly):
+    """The coefficient list (ints or Fractions) as a sympy Poly in x."""
+    return sympy.Poly([sympy.Rational(c) for c in reversed(poly)], sympy.Symbol("x"))
+
+
 def taylor_shift(poly, a, mod):
     """Coefficients of poly(a + t) mod `mod`."""
     c = [x % mod for x in poly]

@@ -36,7 +36,7 @@ def ex4_p11():
     eng = ColemanIntegrator(fd, N=12, e=40)
     divs = [DivisorSpec(realize_nf_points(
         curve, NumberFieldPointSpec([-1, 1, 1]), eng.ctx), base_multiple=2)]
-    van = vanishing_differentials(curve, 11, divs, engine=eng)
+    van = vanishing_differentials(eng, divs)
     return curve, eng, divs, van
 
 
@@ -58,8 +58,9 @@ def test_kernel_dimension_rank1(ex4_p11):
 
 def test_kernel_annihilates_divisor(ex4_p11):
     _, eng, divs, van = ex4_p11
+    row = eng.divisor_integral(divs[0])
     for vec in van.vectors:
-        v = eng.divisor_integral(divs[0], list(vec))
+        v = sum(c * I for c, I in zip(vec, row))
         assert v.is_zero or v.valuation() >= van.precision
 
 
@@ -70,8 +71,23 @@ def test_kernel_dimension_rank2(x40_p13):
         P = [Q for Q in lift_point(curve, x0, eng.ctx)
              if Q.y.residue(1) == 6 % 13][0]
         divs.append(DivisorSpec([P]))
-    van = vanishing_differentials(curve, 13, divs, engine=eng)
+    van = vanishing_differentials(eng, divs)
     assert len(van.vectors) == 1
+
+
+def test_vanishing_one_system_solve_per_point(x40_p13, monkeypatch):
+    curve, eng = x40_p13
+    P = [Q for Q in lift_point(curve, 4, eng.ctx) if Q.y.residue(1) == 6][0]
+    calls = []
+    solve = ColemanIntegrator.basis_integrals
+
+    def spy(self, A, B):
+        calls.append((A, B))
+        return solve(self, A, B)
+
+    monkeypatch.setattr(ColemanIntegrator, "basis_integrals", spy)
+    vanishing_differentials(eng, [DivisorSpec([P])])
+    assert len(calls) == 1
 
 
 def test_degenerate_divisor_rejected(x40_p13):
@@ -79,15 +95,15 @@ def test_degenerate_divisor_rejected(x40_p13):
     # div(x - 4) - 3*inf is principal: its integral vector vanishes
     pts = lift_point(curve, 4, eng.ctx)
     with pytest.raises(DegenerateDivisor):
-        vanishing_differentials(curve, 13, [DivisorSpec(pts)], engine=eng)
+        vanishing_differentials(eng, [DivisorSpec(pts)])
 
 
 # --- chabauty_set and classification --------------------------------------
 
 
 def test_chabauty_set_ex4(ex4_p11):
-    curve, eng, _, van = ex4_p11
-    pts = chabauty_set(curve, 11, 12, 40, van, engine=eng)
+    _, eng, _, van = ex4_p11
+    pts = chabauty_set(eng, van)
     assert len(pts) == 2
     assert sum(1 for Q in pts if Q.inf) == 1
     other = [Q for Q in pts if not Q.inf][0]
@@ -97,8 +113,8 @@ def test_chabauty_set_ex4(ex4_p11):
 
 
 def test_classify_ex4(ex4_p11):
-    curve, eng, _, van = ex4_p11
-    pts = chabauty_set(curve, 11, 12, 40, van, engine=eng)
+    _, eng, _, van = ex4_p11
+    pts = chabauty_set(eng, van)
     tags = {}
     for Q in pts:
         cls = classify_point(Q, eng, van)

@@ -1,10 +1,12 @@
 """Tests for the command-line surface: roots, zeta, analyze, batch."""
 
+import contextlib
 import json
+import signal
 
 import pytest
 
-from picardcc.chabauty import ChabautyReport
+from picardcc.chabauty import ChabautyReport, run_pipeline
 from picardcc.cli import main, parse_record, report_record, RecordInvalid
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -144,6 +146,52 @@ def test_batch_composite_prime_line_is_failure(tmp_path, capsys):
     for r in recs:
         assert r["report"]["status"] == "Failure"
         assert r["report"]["failure_reason"].startswith("bad-prime: ")
+
+
+BAD_DIVISORS = pytest.mark.parametrize(
+    "g,why", [(["a", 1], "list of numbers"), ([1, -2, 1], "repeated root")],
+    ids=["non-numeric", "repeated-root"])
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the body runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@BAD_DIVISORS
+def test_pipeline_bad_divisor_is_failure(g, why):
+    with _deadline(20):
+        rep = run_pipeline({"f": EX4, "divisors": [{"g": g}]}, {"N": 8})
+    assert rep.status == "Failure"
+    assert rep.failure_reason.startswith("bad-divisor: ")
+    assert why in rep.failure_reason
+
+
+@BAD_DIVISORS
+def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, g, why):
+    src = tmp_path / "in.jsonl"
+    dst = tmp_path / "out.jsonl"
+    lines = [{"label": "bad", "f": EX4, "divisors": [{"g": g}]},
+             {"label": "next", "f": EX4, "p": 2}]
+    src.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    with _deadline(20):
+        assert main(["batch", "--in", str(src), "--out", str(dst)]) == 1
+    recs = [json.loads(l)["report"] for l in dst.read_text().splitlines()]
+    assert recs[0]["status"] == "Failure"
+    assert recs[0]["failure_reason"].startswith("validation: ")
+    assert why in recs[0]["failure_reason"]
+    assert recs[1]["label"] == "next"
+    assert recs[1]["failure_reason"].startswith("bad-prime: ")
 
 
 def test_batch_deterministic_modulo_timings(tmp_path, capsys):

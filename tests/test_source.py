@@ -1,9 +1,18 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "picardcc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "picardcc"
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_no_assert_statements():
@@ -14,3 +23,15 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_bench_tracer_targets_exist():
+    # the traced benchmark wraps picardcc callables by name; a rename
+    # would break it only when the benchmark runs
+    run = _load(ROOT / "bench" / "run.py", "bench_run")
+    spans = _load(ROOT / "bench" / "spans.py", "bench_spans")
+    tracer = spans.Tracer()
+    try:
+        run.install_tracer(tracer)
+    finally:
+        tracer.restore()
