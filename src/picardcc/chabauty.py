@@ -5,6 +5,7 @@ assembly of X(Q_p)_1, classification of its members, and the end-to-end
 pipeline with prime selection and e-escalation.
 """
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -502,21 +503,24 @@ def _divisor_specs(record):
     return specs
 
 
+def _point_spec(record):
+    """The record's "point" as two Fractions, or None when it has none.
+    A point is a degree-one divisor, so a malformed one is BadDivisor."""
+    point = record.get("point")
+    xy = _coefficients(point, "point") if point else None
+    if xy is not None and len(xy) != 2:
+        raise BadDivisor(f"divisor point must be two numbers, got {point!r}")
+    return xy
+
+
 def _split_product(specs):
     if not specs:
         return None
-    prod = [1]
-    for spec in specs:
-        g = _integerize(spec.x_minpoly)
-        out = [0] * (len(prod) + len(g) - 1)
-        for i, a in enumerate(prod):
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-        prod = out
-    return prod
+    prod = math.prod(sympy_poly(_integerize(s.x_minpoly)) for s in specs)
+    return [int(c) for c in reversed(prod.all_coeffs())]
 
 
-def _realize_divisors(engine, record, specs, search):
+def _realize_divisors(engine, specs, point, search):
     ctx = engine.ctx
     if specs:
         out = []
@@ -524,8 +528,8 @@ def _realize_divisors(engine, record, specs, search):
             pts = realize_nf_points(engine.curve, spec, ctx)
             out.append(DivisorSpec(pts, base_multiple=len(pts)))
         return out
-    if record.get("point"):
-        xq, yq = (Fraction(str(v)) for v in record["point"])
+    if point:
+        xq, yq = point
     else:
         cand = [P for P in search if not P.inf and P.exact_y != 0]
         if not cand:
@@ -539,7 +543,7 @@ def _realize_divisors(engine, record, specs, search):
     return [DivisorSpec([P], base_multiple=1)]
 
 
-def _attempt(report, curve, p, N, e0, e_inc, e_cap, record, specs, search):
+def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
     fd = frobenius_matrix(curve, p, N)
     zeta = zeta_consistency_check(fd)
     report.frobenius_certified = zeta.all_ok
@@ -551,7 +555,7 @@ def _attempt(report, curve, p, N, e0, e_inc, e_cap, record, specs, search):
     while e <= e_cap:
         try:
             engine = ColemanIntegrator(fd, N=N, e=e)
-            divisors = _realize_divisors(engine, record, specs, search)
+            divisors = _realize_divisors(engine, specs, point, search)
             van = vanishing_differentials(engine, divisors)
             pts = chabauty_set(engine, van)
             return engine, van, pts, e
@@ -596,6 +600,7 @@ def run_pipeline(record, params=None):
             label=record.get("label"),
         )
         specs = _divisor_specs(record)
+        point = _point_spec(record)
         split = _split_product(specs)
         p = int(p_override or good_prime(curve, 5, split_poly=split))
         rejection = prime_rejection(curve, p, split)
@@ -611,7 +616,7 @@ def run_pipeline(record, params=None):
             try:
                 t1 = time.perf_counter()
                 engine, van, pts, e_used = _attempt(
-                    report, curve, p, N, e0, e_inc, e_cap, record, specs, search)
+                    report, curve, p, N, e0, e_inc, e_cap, specs, point, search)
                 report.timings["solve_s"] = round(time.perf_counter() - t1, 2)
                 break
             except DoubleRoot:

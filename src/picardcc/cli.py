@@ -13,7 +13,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from .chabauty import _divisor_specs, _split_product, run_pipeline
+from .chabauty import _divisor_specs, _point_spec, _split_product, run_pipeline
 from .curve import PicardCurve, good_prime, points_over_Fp, prime_rejection
 from .errors import BadDivisor, CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
@@ -62,6 +62,7 @@ def validate_record(record, where=""):
         raise RecordInvalid(f"record{where}: {exc}")
     try:
         _divisor_specs(record)
+        _point_spec(record)
     except BadDivisor as exc:
         raise RecordInvalid(f"record{where}: {exc}")
     return curve

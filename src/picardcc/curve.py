@@ -298,52 +298,41 @@ def _poly_of_series(poly, s, mod, T):
 
 
 def _icbrt(n: int) -> int:
-    """Exact integer cube root of |n| rounded down, signed."""
-    if n == 0:
-        return 0
-    sign = 1 if n > 0 else -1
+    """Integer cube root of n rounded toward zero, exact for every int:
+    Newton's r <- (2r + m // r^2) // 3 from a power of two above cbrt(m)
+    decreases strictly until it reaches floor(cbrt(m))."""
     m = abs(n)
-    r = round(m ** (1.0 / 3.0))
-    while r ** 3 > m:
-        r -= 1
-    while (r + 1) ** 3 <= m:
-        r += 1
-    return sign * r
+    if m == 0:
+        return 0
+    r = 1 << -(-m.bit_length() // 3)
+    while (s := (2 * r + m // (r * r)) // 3) < r:
+        r = s
+    return r if n > 0 else -r
 
 
 def rational_point_search(curve: PicardCurve, height_bound: int = 1000):
     """All (a/b, y) in X(Q) with gcd(a, b) = 1, max(|a|, b) <= H, plus infinity.
 
-    y^3 = f(a/b) has a rational solution iff n b^2 is a perfect cube, where
-    n = b^4 f(a/b); then y = cbrt(n b^2) / b^2.  A numpy float prefilter
-    discards almost all candidates before exact confirmation.
+    The search is exact.  Let F(a, b) = b^4 f(a/b) and y = r/s in lowest
+    terms.  f is monic, so gcd(F(a, b), b) = gcd(a^4, b) = 1, and
+    r^3 b^4 = F(a, b) s^3 forces s^3 = b^4.  Hence b = d^3, s = d^4 and
+    r^3 = F(a, d^3): only cube denominators are searched, and a point is
+    kept exactly when F(a, d^3) is a perfect cube.
     """
-    import numpy as np
-
     H = height_bound
-    c0, c1, c2, c3, _ = curve.f
     found = []
-    a_arr = np.arange(-H, H + 1, dtype=np.float64)
-    a2 = a_arr * a_arr
-    a3 = a2 * a_arr
-    a4 = a3 * a_arr
-    for b in range(1, H + 1):
-        bf = float(b)
-        n_arr = a4 + c3 * a3 * bf + c2 * a2 * bf ** 2 + c1 * a_arr * bf ** 3 + c0 * bf ** 4
-        target = n_arr * bf * bf
-        roots = np.rint(np.cbrt(target))
-        resid = np.abs(roots ** 3 - target)
-        cand = np.nonzero(resid <= 1e-6 * np.abs(target) + 4)[0]
-        for idx in cand:
-            a = int(idx) - H
-            if math.gcd(a, b) != 1:
+    for d in range(1, _icbrt(H) + 1):
+        b = d ** 3
+        # F(a, b) = b^4 f(a/b) as a polynomial in a
+        F = [c * b ** (4 - i) for i, c in enumerate(curve.f)]
+        for a in range(-H, H + 1):
+            if math.gcd(a, d) != 1:
                 continue
-            n = a ** 4 + c3 * a ** 3 * b + c2 * a ** 2 * b * b + c1 * a * b ** 3 + c0 * b ** 4
-            m = n * b * b
-            r = _icbrt(m)
-            if r ** 3 == m:
+            n = poly_at(F, a)
+            r = _icbrt(n)
+            if r ** 3 == n:
                 x = Fraction(a, b)
-                y = Fraction(r, b * b)
+                y = Fraction(r, d ** 4)
                 if y ** 3 != curve.f_eval(x):
                     raise ComputationFailure(f"({x}, {y}) is not on the curve")
                 found.append(CurvePoint(exact_x=x, exact_y=y))

@@ -72,7 +72,8 @@ class BadYRule(PicardCCError):
 
 
 class BadDivisor(PicardCCError):
-    """A record divisor g that is constant, has a repeated root or a non-number."""
+    """A record divisor g that is constant, has a repeated root or a
+    non-number, or a "point" that is not two numbers."""
 
     reason = "bad-divisor"
 

@@ -149,8 +149,12 @@ def test_batch_composite_prime_line_is_failure(tmp_path, capsys):
 
 
 BAD_DIVISORS = pytest.mark.parametrize(
-    "g,why", [(["a", 1], "list of numbers"), ([1, -2, 1], "repeated root")],
-    ids=["non-numeric", "repeated-root"])
+    "bad,why", [({"divisors": [{"g": ["a", 1]}]}, "list of numbers"),
+                ({"divisors": [{"g": [1, -2, 1]}]}, "repeated root"),
+                ({"point": ["a", 1]}, "list of numbers"),
+                ({"point": [1]}, "two numbers")],
+    ids=["non-numeric", "repeated-root", "point-non-numeric",
+         "point-one-number"])
 
 
 @contextlib.contextmanager
@@ -169,19 +173,19 @@ def _deadline(seconds):
 
 
 @BAD_DIVISORS
-def test_pipeline_bad_divisor_is_failure(g, why):
+def test_pipeline_bad_divisor_is_failure(bad, why):
     with _deadline(20):
-        rep = run_pipeline({"f": EX4, "divisors": [{"g": g}]}, {"N": 8})
+        rep = run_pipeline(dict(bad, f=EX4), {"N": 8})
     assert rep.status == "Failure"
     assert rep.failure_reason.startswith("bad-divisor: ")
     assert why in rep.failure_reason
 
 
 @BAD_DIVISORS
-def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, g, why):
+def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, bad, why):
     src = tmp_path / "in.jsonl"
     dst = tmp_path / "out.jsonl"
-    lines = [{"label": "bad", "f": EX4, "divisors": [{"g": g}]},
+    lines = [dict(bad, label="bad", f=EX4),
              {"label": "next", "f": EX4, "p": 2}]
     src.write_text("".join(json.dumps(r) + "\n" for r in lines))
     with _deadline(20):

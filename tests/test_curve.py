@@ -1,8 +1,10 @@
 """Tests for the Picard curve model, disks, local coordinates, point search."""
 
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from picardcc.curve import (
@@ -19,6 +21,7 @@ from picardcc.curve import (
     prime_rejection,
     rational_point_search,
     reduce_point,
+    _icbrt,
 )
 from picardcc.errors import NotMonic, NotSquarefree, WrongDegree
 from picardcc.padic import PadicContext, poly_at, poly_deriv, poly_eval_mod
@@ -293,3 +296,48 @@ def test_rational_point_search_monotone():
     small = {(P.exact_x, P.exact_y) for P in rational_point_search(c, 20) if not P.inf}
     large = {(P.exact_x, P.exact_y) for P in rational_point_search(c, 60) if not P.inf}
     assert small <= large
+
+
+def test_rational_point_search_denominator_cube():
+    # f(1/8) = 1/4096 = (1/16)^3: denominator b = 2^3, y = r / 2^4
+    c = PicardCurve([1, 0, 1, -520, 1])
+    coords = {(P.exact_x, P.exact_y)
+              for P in rational_point_search(c, 1000) if not P.inf}
+    assert (Fraction(1, 8), Fraction(1, 16)) in coords
+
+
+def _brute_force_points(f, H):
+    """Every (a/b, y) with b <= H, |a| <= H, gcd(a, b) = 1: y^3 = f(a/b) iff
+    n b^2 is a cube, n = b^4 f(a/b); then y = cbrt(n b^2) / b^2."""
+    out = set()
+    for b in range(1, H + 1):
+        for a in range(-H, H + 1):
+            if math.gcd(a, b) != 1:
+                continue
+            m = sum(c * a ** i * b ** (4 - i) for i, c in enumerate(f)) * b * b
+            r, exact = sympy.integer_nthroot(abs(m), 3)
+            if exact:
+                out.add((Fraction(a, b), Fraction(r if m >= 0 else -r, b * b)))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+       st.integers(1, 40))
+def test_rational_point_search_matches_brute_force(f, H):
+    try:
+        c = PicardCurve(f + [1])
+    except NotSquarefree:
+        assume(False)
+    pts = rational_point_search(c, H)
+    assert pts[0].inf and not any(P.inf for P in pts[1:])
+    assert {(P.exact_x, P.exact_y) for P in pts[1:]} == _brute_force_points(c.f, H)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 10, 2 ** 53 + 1, 10 ** 20 + 7,
+                               3 ** 150, 10 ** 100, 10 ** 200])
+@pytest.mark.parametrize("j", [-1, 0, 1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_icbrt_exact(k, j, sign):
+    # floor(cbrt(k^3 + j)) is k - 1 for j = -1 and k otherwise (k >= 1)
+    assert _icbrt(sign * (k ** 3 + j)) == sign * (k - 1 if j < 0 else k)
