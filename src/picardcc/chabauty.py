@@ -288,9 +288,10 @@ def _point_from_root(engine, disk, center, r, Np):
     if disk.kind == GOOD:
         x = center.x + t
         y0 = disk.reduction[1]
-        y = [yy for yy in cube_roots(engine.curve.f_eval(x))
-             if yy.residue(1) == y0][0]
-        return CurvePoint(x, y)
+        ys = [yy for yy in cube_roots(engine.curve.f_eval(x)) if yy.residue(1) == y0]
+        if not ys:
+            raise ComputationFailure(f"no cube root of f({x!r}) reduces to {y0} mod {p}")
+        return CurvePoint(x, ys[0])
     if disk.kind == BAD_FINITE:
         # t = y; recover x from f(x) = y^3 by Newton from the lifted center
         y = t

@@ -11,9 +11,11 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
-from .chabauty import _divisor_specs, _point_spec, _split_product, run_pipeline
+from .chabauty import (ChabautyReport, _divisor_specs, _point_spec, _split_product,
+                       run_pipeline)
 from .curve import PicardCurve, good_prime, points_over_Fp, prime_rejection
 from .errors import BadDivisor, CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
@@ -142,9 +144,15 @@ def cmd_analyze(args):
 
 
 def _run_one(task):
+    """One batch record's report; any exception is a Failure, not a lost batch."""
     record, params = task
     t0 = time.perf_counter()
-    report = run_pipeline(record, params)
+    try:
+        report = run_pipeline(record, params)
+    except Exception as exc:
+        traceback.print_exc()
+        report = ChabautyReport(label=record.get("label") or "", N=params["N"], e=params["e0"],
+                                failure_reason=f"internal: {type(exc).__name__}: {exc}")
     return report_record(report, time.perf_counter() - t0)
 
 

@@ -302,80 +302,78 @@ class ColemanIntegrator:
 
     # -- termwise evaluation ----------------------------------------------
 
-    @staticmethod
-    def _antider_terms(shift, coeffs):
-        """Termwise antiderivative as [(power, coeff, divisor)], fixed at 0."""
-        terms = []
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            k = shift + i
-            if k == -1:
-                raise PoleInDisk("nonzero residue: logarithmic term")
-            terms.append((k + 1, c, k + 1))
-        return terms
+    def _antider_rows(self, disk, omegas, center=None):
+        """(terms, prec) for each omega: its termwise antiderivative in the
+        disk, fixed at 0, as [(power, coeff, divisor)] by increasing power."""
+        rows = []
+        for omega in omegas:
+            shift, coeffs, floor = self.pullback_series(disk, omega, center)
+            terms = []
+            for i, c in enumerate(coeffs):
+                if not c:
+                    continue
+                k = shift + i
+                if k == -1:
+                    raise PoleInDisk("nonzero residue: logarithmic term")
+                terms.append((k + 1, c, k + 1))
+            rows.append((terms, floor))
+        return rows
 
-    def _eval_terms(self, terms, prec, t):
-        """sum(c/d * t^j for (j, c, d) in terms) at the uniformizer value t."""
+    def _eval_terms(self, rows, t):
+        """[sum(c/d * t^j for (j, c, d) in terms) for (terms, prec) in rows]
+        at the uniformizer value t.  A non-pure ramified t has its powers
+        made once for all rows; the table is dropped when the call returns."""
         ctx, p, e = self.ctx, self.p, self.e
         if t is None or t.is_zero:
-            if any(j < 0 for j, _, _ in terms):
+            if any(j < 0 for terms, _ in rows for j, _, _ in terms):
                 raise PoleInDisk("pole at the disk center")
-            const = sum(c * pow(d, -1, ctx.pk(prec)) for j, c, d in terms if j == 0)
-            return _int_to_padic(ctx, const % ctx.pk(prec), 0, prec)
-        modp = ctx.pk(prec)
+            consts = [(sum(c * pow(d, -1, ctx.pk(prec)) for j, c, d in terms if j == 0), prec)
+                      for terms, prec in rows]
+            return [_int_to_padic(ctx, c % ctx.pk(prec), 0, prec) for c, prec in consts]
+        v, scale = ((t.valuation(), 1) if isinstance(t, PadicElement)
+                    else (t.pi_valuation(), e))
+        if v < 1:
+            raise WrongDisk("evaluation point lies outside the open disk")
+        # terms past the precision are dropped
+        rows = [([tm for tm in terms if tm[0] <= (scale * prec) // v + 4], prec)
+                for terms, prec in rows]
 
-        def scalar(c, d):
-            el = _int_to_padic(ctx, c % modp, 0, prec)
+        def scalar(c, d, prec):
+            el = _int_to_padic(ctx, c % ctx.pk(prec), 0, prec)
             return el if d == 1 else el * ctx.from_int(d).inverse()
 
         if isinstance(t, PadicElement):
-            v = int(t.valuation())
-            if v < 1:
-                raise WrongDisk("evaluation point lies outside the open disk")
-            jcap = prec // v + 4
-            acc = None
-            for j, c, d in terms:
-                if j > jcap:
-                    break
-                term = scalar(c, d) * t ** j
-                acc = term if acc is None else acc + term
-            return acc if acc is not None else ctx.zero(prec)
-
-        vpi = t.pi_valuation()
-        if vpi == INF or vpi < 1:
-            raise WrongDisk("evaluation point lies outside the open disk")
-        jcap = (e * prec) // vpi + 4
+            vals = [[scalar(c, d, prec) * t ** j for j, c, d in terms] for terms, prec in rows]
+            return [sum(vs[1:], vs[0]) if vs else ctx.zero(prec)
+                    for vs, (_, prec) in zip(vals, rows)]
         pure = _pure_form(t)
         if pure is not None:
             # (c/d) t^j = p^(mu j - v_p(d)) (c/d') U^j pi^(rj), d = p^v_p(d) d'
             r, mu, U, known = pure
-            k = min(prec, known)
-            mod = ctx.pk(k)
             out = []
-            for j, c, d in terms:
-                if j > jcap:
-                    break
-                vd = _pval(d, p)
-                n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
-                out.append((r * j + e * (mu * j - vd), n, k))
-            return RamifiedElement.from_terms(ctx, e, out)
-        acc = RamifiedElement.zero(ctx, e)
-        tinv = None
-        tp, cur = RamifiedElement.from_padic(ctx.one(), e), 0
-        for j, c, d in terms:
-            if j > jcap:
-                break
-            if j < 0:
-                if tinv is None:
-                    tinv = t.inverse()
-                acc = acc + (tinv ** (-j)).scalar_mul(scalar(c, d))
-                continue
-            while cur < j:
-                tp = tp * t
-                cur += 1
-            acc = acc + tp.scalar_mul(scalar(c, d))
-        return acc
+            for terms, prec in rows:
+                k = min(prec, known)
+                mod = ctx.pk(k)
+                vals = []
+                for j, c, d in terms:
+                    vd = _pval(d, p)
+                    n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
+                    vals.append((r * j + e * (mu * j - vd), n, k))
+                out.append(RamifiedElement.from_terms(ctx, e, vals))
+            return out
+        exps = {j for terms, _ in rows for j, _, _ in terms}
+        powers = {0: RamifiedElement.from_padic(ctx.one(), e)}
+        for j in range(1, max(exps, default=0) + 1):
+            powers[j] = powers[j - 1] * t
+        if min(exps, default=0) < 0:
+            tinv = t.inverse()
+            powers.update((j, tinv ** (-j)) for j in exps if j < 0)
+        return [sum((powers[j].scalar_mul(scalar(c, d, prec)) for j, c, d in terms),
+                    RamifiedElement.zero(ctx, e)) for terms, prec in rows]
+
+    def _eval_series(self, coeffs, t):
+        """sum(coeffs[k] t^k) at t, each coefficient known modulo p^W."""
+        return self._eval_terms([([(k, c, 1) for k, c in enumerate(coeffs) if c], self.W)], t)[0]
 
     # -- uniformizer values of points -------------------------------------
 
@@ -395,10 +393,9 @@ class ColemanIntegrator:
             return None
         cands = cube_roots(P.x.inverse())
         dd = self._disk_data(disk)
-        u_terms = [(k, c, 1) for k, c in enumerate(dd["u"]) if c]
         best, best_val = None, -INF
         for tc in cands:
-            ut = self._eval_terms(u_terms, self.W, tc)
+            ut = self._eval_series(dd["u"], tc)
             diff = P.y * tc ** 4 - ut
             v = diff.valuation()
             if v > best_val:
@@ -420,12 +417,10 @@ class ColemanIntegrator:
         pi1 = RamifiedElement.pi(ctx, e, 1)
         dd = self._disk_data(disk)
         if disk.kind == BAD_FINITE:
-            x_terms = [(k, c, 1) for k, c in enumerate(dd["xt"]) if c]
-            xS = self._eval_terms(x_terms, self.W, pi1)
+            xS = self._eval_series(dd["xt"], pi1)
             S = CurvePoint(xS, pi1)
         else:
-            u_terms = [(k, c, 1) for k, c in enumerate(dd["u"]) if c]
-            uS = self._eval_terms(u_terms, self.W, pi1)
+            uS = self._eval_series(dd["u"], pi1)
             S = CurvePoint(RamifiedElement.pi(ctx, e, -3), uS.shift_pi(-4))
             S._u_value = uS
         S._disk_t = pi1
@@ -589,19 +584,17 @@ class ColemanIntegrator:
         # infinite disk: x = pi^-3, f(x)^p = pi^(-12p) Ft(pi)^p
         Aval = self._at_pi_minus3(A)
         dd = self._disk_data(disk)
-        Ft_terms = [(k, c, 1) for k, c in enumerate(dd["Ft"]) if c]
-        Fv = self._eval_terms(Ft_terms, self.W, RamifiedElement.pi(ctx, e, 1))
+        Fv = self._eval_series(dd["Ft"], RamifiedElement.pi(ctx, e, 1))
         u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
         if u_el.pi_valuation() < 1:
             raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
                             "increase e")
         w = cube_root_ramified(one_r + u_el, one_r)
         y_phi = S.y ** p * w
-        u_terms = [(k, c, 1) for k, c in enumerate(dd["u"]) if c]
         best, best_val = None, -INF
         for c in cube_roots(ctx.one()):
             tc = RamifiedElement.pi(ctx, e, p).scalar_mul(c)
-            ut = self._eval_terms(u_terms, self.W, tc)
+            ut = self._eval_series(dd["u"], tc)
             yc = ut.scalar_mul(c.inverse() ** 4).shift_pi(-4 * p)
             v = (yc - y_phi).valuation()
             if v > best_val:
@@ -618,30 +611,22 @@ class ColemanIntegrator:
         if got is not None:
             return got[1]
         disk = self.disk_of(R)
+        omegas = [_unit(i) for i in range(6)]
         if disk.kind == GOOD:
             if not isinstance(R.x, PadicElement):
                 raise WrongDisk("good-disk system endpoints must be Q_p points")
             fvals = self._exact_at_unramified(R.x, R.y)
-            tphi = R.x ** self.p - R.x
-            h = []
-            for i in range(6):
-                om, floor = self._lift_omega(_unit(i))
-                sh, cf = self._omega_series(disk, om, center=R)
-                tiny = self._eval_terms(self._antider_terms(sh, cf), floor, tphi)
-                h.append(fvals[i] - tiny)
+            tiny = self._eval_terms(self._antider_rows(disk, omegas, R),
+                                    R.x ** self.p - R.x)
         else:
             if getattr(R, "_disk_t", None) is None:
                 raise WrongDisk("bad-disk system endpoints must be boundary points")
             fvals = self._exact_at_boundary(disk, R)
             tphi = self._phi_param(disk, R)
-            h = []
-            for i in range(6):
-                om, floor = self._lift_omega(_unit(i))
-                sh, cf = self._omega_series(disk, om)
-                terms = self._antider_terms(sh, cf)
-                tiny = (self._eval_terms(terms, floor, tphi)
-                        - self._eval_terms(terms, floor, R._disk_t))
-                h.append(fvals[i] - tiny)
+            rows = self._antider_rows(disk, omegas)
+            tiny = [a - b for a, b in zip(self._eval_terms(rows, tphi),
+                                          self._eval_terms(rows, R._disk_t))]
+        h = [f - v for f, v in zip(fvals, tiny)]
         self._endpoint_cache[id(R)] = (R, h)
         return h
 
@@ -652,13 +637,13 @@ class ColemanIntegrator:
         dP, dQ = self.disk_of(P), self.disk_of(Q)
         if dP is not dQ:
             raise NotSameDisk(f"{P!r} and {Q!r} lie in different disks")
-        return self._tiny(dP, P, Q, omega)
+        return self._tiny(dP, P, Q, [omega])[0]
 
     def _is_unramified(self, P):
         return P.inf or isinstance(P.x, PadicElement)
 
-    def _tiny(self, disk, P, Q, omega):
-        om_ints, floor = self._lift_omega(omega)
+    def _tiny(self, disk, P, Q, omegas):
+        """[int_P^Q omega for omega in omegas], P and Q in `disk`."""
         if disk.kind == GOOD:
             if self._is_unramified(P):
                 center, other, sign = P, Q, 1
@@ -666,15 +651,13 @@ class ColemanIntegrator:
                 center, other, sign = Q, P, -1
             else:
                 raise WrongDisk("tiny integral in a good disk needs a Q_p endpoint")
-            sh, cf = self._omega_series(disk, om_ints, center=center)
-            val = self._eval_terms(self._antider_terms(sh, cf), floor,
-                                   other.x - center.x)
-            return val if sign == 1 else -val
-        sh, cf = self._omega_series(disk, om_ints)
-        terms = self._antider_terms(sh, cf)
-        vQ = self._eval_terms(terms, floor, self._param(disk, Q))
-        vP = self._eval_terms(terms, floor, self._param(disk, P))
-        return vQ - vP
+            vals = self._eval_terms(self._antider_rows(disk, omegas, center),
+                                    other.x - center.x)
+            return vals if sign == 1 else [-v for v in vals]
+        rows = self._antider_rows(disk, omegas)
+        vQ = self._eval_terms(rows, self._param(disk, Q))
+        vP = self._eval_terms(rows, self._param(disk, P))
+        return [q - r for q, r in zip(vQ, vP)]
 
     def basis_integrals(self, P, Q):
         """The vector (int_P^Q omega_i) for the six basis differentials.
@@ -711,19 +694,17 @@ class ColemanIntegrator:
         both Q_p points.
         """
         dP, dQ = self.disk_of(P), self.disk_of(Q)
+        regular = [_unit(i) for i in REGULAR]
         if dP is dQ:
-            vals = [self._tiny(dP, P, Q, _unit(i)) for i in REGULAR]
+            vals = self._tiny(dP, P, Q, regular)
         else:
             P2, Q2 = self._system_endpoint(dP, P), self._system_endpoint(dQ, Q)
             v = self.basis_integrals(P2, Q2)
-            vals = []
-            for i in REGULAR:
-                val = v[i]
-                if P2 is not P:
-                    val = val + self._tiny(dP, P, P2, _unit(i))
-                if Q2 is not Q:
-                    val = val + self._tiny(dQ, Q2, Q, _unit(i))
-                vals.append(val)
+            vals = [v[i] for i in REGULAR]
+            if P2 is not P:
+                vals = [a + b for a, b in zip(vals, self._tiny(dP, P, P2, regular))]
+            if Q2 is not Q:
+                vals = [a + b for a, b in zip(vals, self._tiny(dQ, Q2, Q, regular))]
         if self._is_unramified(P) and self._is_unramified(Q):
             vals = [self._project(v) for v in vals]
         return vals

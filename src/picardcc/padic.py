@@ -545,12 +545,13 @@ def _int_to_padic(ctx: PadicContext, s: int, shift_v: int, abs_prec) -> PadicEle
 
 
 def _fold_mul(a, b, e, p, mod):
-    """Product of two length-e integer vectors in Z[pi]/(pi^e - p), mod `mod`."""
-    c = _polymul_mod(a, b, mod)
-    out = c[:e] + [0] * (e - len(c[:e]))
-    for i, v in enumerate(c[e:]):
-        out[i] = (out[i] + p * v) % mod
-    return out
+    """Product of two length-e integer vectors in Z[pi]/(pi^e - p), mod `mod`.
+
+    pi^e = p is folded on the packed product: block i of prod >> e*B is the
+    coefficient of pi^(i+e), and the blocks are sized to hold p + 1 of them."""
+    prod, Bb = _kronecker(a, b, mod, p + 1)
+    shift = 8 * Bb * e
+    return _unpack((prod & ((1 << shift) - 1)) + p * (prod >> shift), e, Bb, mod)
 
 
 def _polymul_mod(a, b, mod):
@@ -561,22 +562,27 @@ def _polymul_mod(a, b, mod):
     """
     if not a or not b:
         return []
-    n = max(len(a), len(b))
-    # block size: fits coefficient products plus carries
-    B = (mod * mod * n).bit_length() + 1
-    B = (B + 7) // 8 * 8  # byte aligned
-    Bb = B // 8
-    abuf = bytearray(len(a) * Bb)
-    for i, c in enumerate(a):
-        abuf[i * Bb:(i + 1) * Bb] = int(c % mod).to_bytes(Bb, "little")
-    bbuf = bytearray(len(b) * Bb)
-    for i, c in enumerate(b):
-        bbuf[i * Bb:(i + 1) * Bb] = int(c % mod).to_bytes(Bb, "little")
-    prod = int.from_bytes(bytes(abuf), "little") * int.from_bytes(bytes(bbuf), "little")
-    out_len = len(a) + len(b) - 1
-    pbytes = prod.to_bytes(out_len * Bb + 16, "little")
-    return [int.from_bytes(pbytes[i * Bb:(i + 1) * Bb], "little") % mod
-            for i in range(out_len)]
+    prod, Bb = _kronecker(a, b, mod, 1)
+    return _unpack(prod, len(a) + len(b) - 1, Bb, mod)
+
+
+def _kronecker(a, b, mod, spread):
+    """(a * b packed, B): entries reduced mod `mod`, in B-byte blocks that hold
+    spread * min(len(a), len(b)) * mod^2.  A square packs its operand once."""
+    Bb = ((spread * min(len(a), len(b)) * mod * mod).bit_length() + 7) // 8
+    x = _pack(a, mod, Bb)
+    return (x * x if a is b else x * _pack(b, mod, Bb)), Bb
+
+
+def _pack(a, mod, Bb):
+    """The integer whose Bb-byte blocks are the entries of a, reduced mod `mod`."""
+    return int.from_bytes(b"".join([(c % mod).to_bytes(Bb, "little") for c in a]), "little")
+
+
+def _unpack(x, n, Bb, mod):
+    """The n Bb-byte blocks of x, each reduced mod `mod`."""
+    buf = x.to_bytes(n * Bb, "little")
+    return [int.from_bytes(buf[i:i + Bb], "little") % mod for i in range(0, n * Bb, Bb)]
 
 
 # --- integer polynomials -------------------------------------------------

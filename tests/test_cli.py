@@ -2,10 +2,12 @@
 
 import contextlib
 import json
+import multiprocessing
 import signal
 
 import pytest
 
+import picardcc.cli as cli_mod
 from picardcc.chabauty import ChabautyReport, run_pipeline
 from picardcc.cli import main, parse_record, report_record, RecordInvalid
 
@@ -210,3 +212,29 @@ def test_batch_deterministic_modulo_timings(tmp_path, capsys):
     assert main(["batch", "--in", str(src), "--out", str(b)]) == 0
     assert _strip_timings(a) == _strip_timings(b)
     assert "duplicate labels: dup" in out1
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_batch_survives_stray_exception(tmp_path, capsys, monkeypatch, jobs):
+    # an exception that is not a typed failure becomes that record's
+    # Failure line; the pool path must not lose the rest of the batch
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patched run_pipeline only by fork")
+
+    def flaky(record, params):
+        if record["label"] == "boom":
+            raise RuntimeError("kaput")
+        return run_pipeline(record, params)
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", flaky)
+    labels = ["before", "boom", "after"]
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text("".join(json.dumps({"label": lbl, "f": EX4, "p": 2}) + "\n"
+                           for lbl in labels))
+    assert main(["batch", "--in", str(src), "--out", str(dst), "--jobs", jobs]) == 0
+    recs = [json.loads(l)["report"] for l in dst.read_text().splitlines()]
+    assert [r["label"] for r in recs] == labels
+    assert [r["status"] for r in recs] == ["Failure"] * 3
+    assert recs[1]["failure_reason"] == "internal: RuntimeError: kaput"
+    assert recs[0]["failure_reason"].startswith("bad-prime: ")
+    assert recs[2]["failure_reason"].startswith("bad-prime: ")

@@ -236,6 +236,33 @@ def test_fundamental_theorem_on_exact_form(ex1_p5):
     assert d.is_zero or d.valuation() >= eng.N - 1
 
 
+def test_antiderivatives_share_one_power_table(ex1_p5, monkeypatch):
+    # phi(S) at a finite boundary point S has several nonzero pi-digits, so
+    # the six forms are evaluated from one table of t^1, ..., t^J
+    eng = ex1_p5
+    disk = next(d for d in eng.disks if d.kind == "bad_finite")
+    S = eng.boundary_point(disk)
+    t = eng._phi_param(disk, S)
+    assert sum(1 for c in t.a if c) > 1
+    rows = eng._antider_rows(disk, [unit(i) for i in range(6)])
+    each = [eng._eval_terms([row], t)[0] for row in rows]
+    used = [j for terms, prec in rows for j, _, _ in terms
+            if j <= (eng.e * prec) // t.pi_valuation() + 4]
+    assert min(used) >= 0
+    calls = []
+    mul = RamifiedElement.__mul__
+
+    def spy(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RamifiedElement, "__mul__", spy)
+    got = eng._eval_terms(rows, t)
+    assert len(calls) <= max(used)
+    for a, b in zip(got, each):
+        assert (a.m, a.a, a.A) == (b.m, b.a, b.A)
+
+
 # --- boundary points and bad-disk routing ---------------------------------
 
 

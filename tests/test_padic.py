@@ -3,13 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from picardcc.padic import (
     INF,
     PadicContext,
     PadicElement,
     RamifiedElement,
+    _fold_mul,
+    _polymul_mod,
     cube_roots,
     hensel_lift_root,
     newton_lift,
@@ -446,3 +448,56 @@ def test_flat_to_padic_matches_exact(data):
     if any(not x.coefficient(i).is_zero for i in range(1, e)):
         with pytest.raises(ValueError):
             x.to_padic()
+
+
+# --- the Kronecker kernel ---------------------------------------------------
+
+
+def _schoolbook(a, b):
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return c
+
+
+@st.composite
+def _kernel_operands(draw, equal_lengths):
+    """(p, mod, a, b) with mod = p^k, k <= 20, and operands of up to 64
+    entries. Entries may be negative or all mod - 1, where every block sum
+    is at its largest; b may be the same list as a."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 17]))
+    mod = p ** draw(st.integers(1, 20))
+    la = draw(st.integers(1, 64))
+    lb = la if equal_lengths else draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        a, b = [mod - 1] * la, [mod - 1] * lb
+    else:
+        entry = st.integers(-mod * mod, mod * mod)
+        a = draw(st.lists(entry, min_size=la, max_size=la))
+        b = draw(st.lists(entry, min_size=lb, max_size=lb))
+    if la == lb and draw(st.booleans()):
+        b = a
+    return p, mod, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_operands(equal_lengths=False))
+@example((5, 5, [4], [4]))
+@example((17, 17 ** 20, [17 ** 20 - 1] * 3, [-1, 2 * 17 ** 20]))
+def test_polymul_mod_matches_schoolbook(data):
+    _, mod, a, b = data
+    assert _polymul_mod(a, b, mod) == [c % mod for c in _schoolbook(a, b)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_operands(equal_lengths=True))
+@example((5, 5, [4] * 4, [4] * 4))
+@example((17, 17 ** 20, [17 ** 20 - 1] * 64, [17 ** 20 - 1] * 64))
+def test_fold_mul_matches_schoolbook_folded(data):
+    # pi^e = p: the coefficient of pi^(i+e) adds p times itself to pi^i
+    p, mod, a, b = data
+    e = len(a)
+    c = _schoolbook(a, b) + [0]
+    assert _fold_mul(a, b, e, p, mod) == [(c[i] + p * c[i + e]) % mod
+                                          for i in range(e)]
