@@ -30,6 +30,7 @@ from .curve import (
 )
 from .errors import (
     BadDivisor,
+    BadParameter,
     BadPrime,
     ComputationFailure,
     DegenerateDivisor,
@@ -42,9 +43,6 @@ from .errors import (
 from .frobenius import frobenius_matrix, zeta_consistency_check
 from .padic import (
     INF,
-    PadicContext,
-    PadicElement,
-    _int_to_padic,
     _pval,
     cube_roots,
     poly_at,
@@ -52,7 +50,7 @@ from .padic import (
     poly_eval_mod,
     sympy_poly,
 )
-from .series import PadicSeries, solve_zeros_in_disk
+from .series import solve_zeros_in_disk
 
 __all__ = [
     "VanishingBasis",
@@ -63,19 +61,6 @@ __all__ = [
     "classify_point",
     "run_pipeline",
 ]
-
-
-def _recap(el, ctx):
-    """A PadicElement re-expressed in a (usually lower-precision) context.
-
-    Zero sentinels keep their full absolute precision: the normalization
-    step budgets zero coefficients by abs_prec, not relative precision.
-    """
-    if el.is_zero:
-        ap = el.abs_prec
-        return ctx.zero(INF if ap == INF else int(ap))
-    rel = min(el.rel, ctx.N)
-    return PadicElement(ctx, el.v, el.unit % ctx.pk(rel), rel, _raw=True)
 
 
 # --- vanishing differentials ---------------------------------------------
@@ -172,22 +157,6 @@ def _disk_center(engine, disk):
     raise ComputationFailure(f"no center above {disk.reduction}")
 
 
-def _series_for_vector(engine, disk, center, vec, ctx_s):
-    """The pullback of a regular combination as a PadicSeries over ctx_s."""
-    sh, cf, prec = engine.pullback_series(
-        disk, list(vec), center if disk.kind == GOOD else None)
-    top = sh + len(cf) - 1
-    dense = [0] * (top + 1)
-    for k, c in enumerate(cf):
-        j = sh + k
-        if j < 0:
-            if c % engine.ctx.pk(min(prec, ctx_s.N)):
-                raise PicardCCError("regular differential with a pole in a disk")
-            continue
-        dense[j] = c
-    return PadicSeries(ctx_s, [_int_to_padic(ctx_s, c, 0, prec) for c in dense])
-
-
 def _agree_res(r1, k1, r2, k2, p):
     k = min(k1, k2)
     return (r1 - r2) % p ** k == 0
@@ -209,20 +178,18 @@ def _dot(vec, integrals):
     return sum(terms[1:], terms[0])
 
 
-def _disk_points(engine, disk, vanishing, ctx_s, base):
+def _disk_points(engine, disk, vanishing, base):
     p = engine.p
     center = _disk_center(engine, disk)
     integrals = None if center.inf else engine.integral(base, center)
+    rows = engine.antiderivative_rows(disk, vanishing.vectors,
+                                      center if disk.kind == GOOD else None)
     solved = []
-    for vec in vanishing.vectors:
-        if center.inf:
-            const = ctx_s.zero(INF)
-        else:
-            const = _recap(_dot(vec, integrals), ctx_s)
-        fprime = _series_for_vector(engine, disk, center, vec, ctx_s)
+    for vec, (terms, prec) in zip(vanishing.vectors, rows):
+        const = engine.ctx.zero() if center.inf else _dot(vec, integrals)
         try:
-            solved.append(solve_zeros_in_disk(fprime, const, ctx_s,
-                                              require_simple=False))
+            solved.append(solve_zeros_in_disk(terms, prec, const,
+                                              vanishing.base_precision))
         except PrecisionExhausted as exc:
             # starved coefficients trace back to boundary routing noise,
             # which shrinks as e grows
@@ -325,11 +292,10 @@ def chabauty_set(engine, vanishing):
     Scans every residue disk; a root is accepted when it is a certified
     simple root of at least one basis series and annihilates all of them.
     """
-    ctx_s = PadicContext(engine.p, vanishing.base_precision)
     base = engine.infinite_disk.very_bad_point
     found = []
     for disk in engine.disks:  # one per point of X(F_p): see classify_disks
-        found.extend(_disk_points(engine, disk, vanishing, ctx_s, base))
+        found.extend(_disk_points(engine, disk, vanishing, base))
     return found
 
 
@@ -595,11 +561,11 @@ def run_pipeline(record, params=None):
 
     report = ChabautyReport(label=record.get("label") or "", N=N, e=e0)
     try:
-        curve = PicardCurve(
-            [int(c) for c in record["f"]],
-            discriminant=record.get("discriminant"),
-            label=record.get("label"),
-        )
+        for name, value in (("N", N), ("e0", e0), ("e_increment", e_inc)):
+            if value < 1:
+                raise BadParameter(f"{name} must be at least 1, got {value}")
+        curve = PicardCurve(record["f"], discriminant=record.get("discriminant"),
+                            label=record.get("label"))
         specs = _divisor_specs(record)
         point = _point_spec(record)
         split = _split_product(specs)

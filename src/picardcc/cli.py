@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .chabauty import (ChabautyReport, _divisor_specs, _point_spec, _split_product,
                        run_pipeline)
-from .curve import PicardCurve, good_prime, points_over_Fp, prime_rejection
+from .curve import PicardCurve, good_prime, prime_rejection
 from .errors import BadDivisor, CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
 from .series import hensel_system_of_roots
@@ -57,8 +57,7 @@ def validate_record(record, where=""):
             f"record{where}: 'f' must be the 5 coefficients c0..c4 of a "
             "monic quartic")
     try:
-        curve = PicardCurve([int(c) for c in f],
-                            discriminant=record.get("discriminant"),
+        curve = PicardCurve(f, discriminant=record.get("discriminant"),
                             label=record.get("label"))
     except (CurveValidationError, TypeError, ValueError) as exc:
         raise RecordInvalid(f"record{where}: {exc}")
@@ -242,10 +241,9 @@ def cmd_zeta(args):
         return 2
     fd = frobenius_matrix(curve, p, args.precision)
     z = zeta_consistency_check(fd)
-    count = len(points_over_Fp(curve, p))
     print(f"{curve.label or 'curve'}: p={p} N={args.precision}")
     print(f"  char poly (leading first): {z.char_poly}")
-    print(f"  trace = {z.trace}  (p + 1 - #X(F_p) = {p + 1 - count})")
+    print(f"  trace = {z.trace}  (p + 1 - #X(F_p) = {p + 1 - z.point_count})")
     print(f"  det = p^3: {'ok' if z.det_ok else 'FAILED'}")
     print(f"  functional equation: {'ok' if z.functional_eq_ok else 'FAILED'}")
     print(f"  all checks: {'ok' if z.all_ok else 'FAILED'}")

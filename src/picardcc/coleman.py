@@ -302,9 +302,11 @@ class ColemanIntegrator:
 
     # -- termwise evaluation ----------------------------------------------
 
-    def _antider_rows(self, disk, omegas, center=None):
+    def antiderivative_rows(self, disk, omegas, center=None):
         """(terms, prec) for each omega: its termwise antiderivative in the
-        disk, fixed at 0, as [(power, coeff, divisor)] by increasing power."""
+        disk, fixed at 0, as [(power, coeff, divisor)] by increasing power,
+        each coeff an integer known modulo p^prec.  Tiny integrals evaluate
+        these rows and the Chabauty solver finds their zeros."""
         rows = []
         for omega in omegas:
             shift, coeffs, floor = self.pullback_series(disk, omega, center)
@@ -616,14 +618,14 @@ class ColemanIntegrator:
             if not isinstance(R.x, PadicElement):
                 raise WrongDisk("good-disk system endpoints must be Q_p points")
             fvals = self._exact_at_unramified(R.x, R.y)
-            tiny = self._eval_terms(self._antider_rows(disk, omegas, R),
+            tiny = self._eval_terms(self.antiderivative_rows(disk, omegas, R),
                                     R.x ** self.p - R.x)
         else:
             if getattr(R, "_disk_t", None) is None:
                 raise WrongDisk("bad-disk system endpoints must be boundary points")
             fvals = self._exact_at_boundary(disk, R)
             tphi = self._phi_param(disk, R)
-            rows = self._antider_rows(disk, omegas)
+            rows = self.antiderivative_rows(disk, omegas)
             tiny = [a - b for a, b in zip(self._eval_terms(rows, tphi),
                                           self._eval_terms(rows, R._disk_t))]
         h = [f - v for f, v in zip(fvals, tiny)]
@@ -651,10 +653,10 @@ class ColemanIntegrator:
                 center, other, sign = Q, P, -1
             else:
                 raise WrongDisk("tiny integral in a good disk needs a Q_p endpoint")
-            vals = self._eval_terms(self._antider_rows(disk, omegas, center),
+            vals = self._eval_terms(self.antiderivative_rows(disk, omegas, center),
                                     other.x - center.x)
             return vals if sign == 1 else [-v for v in vals]
-        rows = self._antider_rows(disk, omegas)
+        rows = self.antiderivative_rows(disk, omegas)
         vQ = self._eval_terms(rows, self._param(disk, Q))
         vP = self._eval_terms(rows, self._param(disk, P))
         return [q - r for q, r in zip(vQ, vP)]

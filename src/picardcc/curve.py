@@ -1,8 +1,8 @@
 """Picard curve model: validation, prime selection, residue disks, local
 coordinates, point lifting, and rational point search.
 
-A curve is y^3 = f(x) with f monic, quartic, squarefree.  Points use the
-(x, b, inf) convention with b = [1, y, y^2] at finite points.
+A curve is y^3 = f(x) with f monic, quartic, squarefree.  A point is
+(x, y), or the point at infinity.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sympy
 
 from .errors import (
     ComputationFailure,
+    CurveValidationError,
     NotMonic,
     NotSquarefree,
     WrongDegree,
@@ -38,18 +39,21 @@ class PicardCurve:
     """y^3 = f(x), f monic quartic squarefree; genus 3."""
 
     def __init__(self, f_coefficients, discriminant=None, label=None):
-        f = list(f_coefficients)
+        f = [Fraction(c) for c in f_coefficients]
         if len(f) != 5 or f[4] == 0:
             raise WrongDegree(f"f must be quartic, got degree {len(f) - 1}")
         if f[4] != 1:
             raise NotMonic(f"leading coefficient {f[4]} != 1")
-        if any(Fraction(c).denominator != 1 for c in f):
+        if any(c.denominator != 1 for c in f):
             raise NotMonic("f must have integer coefficients")
         self.f = [int(c) for c in f]
         self.disc_f = int(sympy_poly(self.f).discriminant())
         if self.disc_f == 0:
             raise NotSquarefree("f has a repeated root")
-        self.discriminant = int(discriminant) if discriminant is not None else None
+        d = None if discriminant is None else Fraction(discriminant)
+        if d is not None and d.denominator != 1:
+            raise CurveValidationError(f"discriminant {discriminant!r} is not an integer")
+        self.discriminant = None if d is None else int(d)
         self.label = label
         self.genus = 3
 
@@ -64,19 +68,13 @@ class PicardCurve:
 
 @dataclass
 class CurvePoint:
-    """A point of X over Q_p or Q_p(p^(1/e)); b = [1, y, y^2] when finite."""
+    """A point of X over Q_p or Q_p(p^(1/e)), or the point at infinity."""
 
     x: object = None
     y: object = None
     inf: bool = False
     exact_x: object = None  # Fraction, when the point is known exactly
     exact_y: object = None
-
-    @property
-    def b(self):
-        if self.inf:
-            raise ValueError("b^0 undefined at infinity")
-        return [self.y * 0 + 1, self.y, self.y * self.y]
 
     def __repr__(self):
         if self.inf:
@@ -96,7 +94,6 @@ class ResidueDisk:
     reduction: object  # (x mod p, y mod p) or "inf"
     kind: str
     very_bad_point: object = None
-    ramification_index: int = 1
 
     def __repr__(self):
         return f"Disk({self.reduction}, {self.kind})"
@@ -160,13 +157,12 @@ def classify_disks(curve: PicardCurve, p: int, ctx: PadicContext = None):
     disks = []
     for pt in points_over_Fp(curve, p):
         if pt == "inf":
-            disks.append(ResidueDisk("inf", BAD_INFINITE,
-                                     CurvePoint(inf=True), 3))
+            disks.append(ResidueDisk("inf", BAD_INFINITE, CurvePoint(inf=True)))
         elif pt[1] == 0:
             # ramification point: lift the root of f (simple mod p at good p)
             xr = hensel_lift_root(curve.f, pt[0], ctx)
             center = CurvePoint(xr, ctx.zero())
-            disks.append(ResidueDisk(pt, BAD_FINITE, center, 3))
+            disks.append(ResidueDisk(pt, BAD_FINITE, center))
         else:
             disks.append(ResidueDisk(pt, GOOD))
     return disks
@@ -203,7 +199,8 @@ class LocalExpansion:
     """x(t), y(t) as integer Laurent series modulo p^W to t-order T.
 
     A pair (shift, coeffs) encodes t^shift * sum(coeffs[i] t^i).  Coefficient
-    arithmetic is exact modulo p^W; the caller chooses W with guard digits.
+    arithmetic is exact modulo p^W, W the N of the caller's context, which
+    carries the guard digits.
     """
 
     kind: str
@@ -222,16 +219,14 @@ class LocalExpansion:
 
 
 def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
-                    T: int, W: int = None, center: CurvePoint = None) -> LocalExpansion:
+                    T: int, center: CurvePoint = None) -> LocalExpansion:
     """Expand (x(t), y(t)) in the disk's uniformizer.
 
     Good disk: t = x - x(center), any Q_p-point of the disk as center.
     Bad finite disk: t = y; x(t) from f(x) = t^3 by series Newton.
     Infinite disk: x = t^(-3), y = t^(-4) u(t) with u(0) = 1.
     """
-    if W is None:
-        W = ctx.N
-    p = ctx.p
+    W, p = ctx.N, ctx.p
     mod = p ** W
 
     if disk.kind == GOOD:

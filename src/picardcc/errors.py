@@ -25,10 +25,6 @@ class NotSimpleRoot(PicardCCError):
     pass
 
 
-class NoRootsGuaranteed(PicardCCError):
-    """Constant term has negative valuation: the series has no zeros on the disk."""
-
-
 class CurveValidationError(PicardCCError):
     pass
 
@@ -65,6 +61,12 @@ class BadPrime(PicardCCError):
     """A prime that curve.prime_rejection refuses for this record."""
 
     reason = "bad-prime"
+
+
+class BadParameter(PicardCCError):
+    """A pipeline parameter out of range: N, e0 or e_increment below 1."""
+
+    reason = "bad-parameter"
 
 
 class BadYRule(PicardCCError):

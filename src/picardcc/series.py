@@ -1,25 +1,21 @@
-"""Truncated power series over Q_p: normalization, truncation bounds, and
-certified root isolation inside a residue disk.
+"""Power series for the p-adic pipeline, with plain integer coefficients.
 
-Two layers live here.  The public `PadicSeries` carries capped-precision
-coefficients and powers the root-solving pipeline.  The `ser_*` helpers are a
-fast engine on plain integer coefficient lists modulo p^W, used by the curve
-and Frobenius machinery where per-coefficient precision tracking would be
-needless overhead.
+The `ser_*` helpers multiply, invert and take cube roots of series truncated
+at t^(T+1) with coefficients modulo p^W; the curve and Frobenius machinery
+build local expansions and pullbacks with them.  `solve_zeros_in_disk` reads
+one row of `ColemanIntegrator.antiderivative_rows` (integer terms c t^j / d
+known modulo p^prec) and isolates the zeros of that antiderivative on pZ_p:
+precision accounting, the scaling F(x) = f(px)/p^lambda, the truncation
+bound and a Hensel search for the roots of F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (
-    DoubleRoot,
-    NoRootsGuaranteed,
-    PrecisionExhausted,
-)
+from .errors import PicardCCError, PrecisionExhausted
 from .padic import (
     PadicContext,
-    PadicElement,
     _polymul_mod,
     _pval,
     poly_deriv,
@@ -92,54 +88,7 @@ def ser_cuberoot(a, mod, T, c0_root):
     return out + [0] * (T + 1 - len(out))
 
 
-# --- public series type --------------------------------------------------
-
-
-class PadicSeries:
-    """Power series over Q_p known modulo t^(T+1), with capped coefficients."""
-
-    __slots__ = ("ctx", "coeffs", "T", "delta")
-
-    def __init__(self, ctx: PadicContext, coeffs, T=None):
-        self.ctx = ctx
-        self.coeffs = [ctx.element(c) for c in coeffs]
-        self.T = T if T is not None else len(self.coeffs) - 1
-        self.delta = 0  # precision loss recorded by antiderivative()
-
-    def __repr__(self):
-        return f"PadicSeries({self.coeffs!r}, T={self.T})"
-
-    def coeff(self, i) -> PadicElement:
-        return self.coeffs[i] if i < len(self.coeffs) else self.ctx.zero()
-
-
-def antiderivative(fprime: PadicSeries, c) -> PadicSeries:
-    """Term-wise a_i t^i -> a_i t^(i+1)/(i+1) with constant term c.
-
-    The returned series carries `delta`, the worst v_p(i+1) over retained
-    terms — the precision lost to the divisions.
-    """
-    ctx = fprime.ctx
-    c = ctx.element(c)
-    out = [c]
-    delta = 0
-    for i, a in enumerate(fprime.coeffs):
-        out.append(a / ctx.from_int(i + 1))
-        if not a.is_zero:
-            delta = max(delta, _pval(i + 1, ctx.p))
-    s = PadicSeries(ctx, out, fprime.T + 1)
-    s.delta = delta
-    return s
-
-
-@dataclass
-class NormalizedSeries:
-    """F(x) = f(px)/p^lambda with coefficients in Z_p, not all divisible by p."""
-
-    coeffs: list  # integer coefficients modulo p^Nprime
-    lam: int
-    Nprime: int
-    ctx: PadicContext
+# --- zeros of an antiderivative in a residue disk -------------------------
 
 
 @dataclass
@@ -158,42 +107,6 @@ def truncation_bound(N: int, lam: int, ctx: PadicContext) -> int:
     while not (m - lam - N >= 1 and ctx.p ** (m - lam - N) > m):
         m += 1
     return m
-
-
-def normalize(f: PadicSeries, Nprime: int) -> NormalizedSeries:
-    """Scale f(px) by p^-lambda so its coefficients are integral with a unit.
-
-    Implements the root bijection r <-> pr between roots of f in pZ_p and
-    roots of the output in Z_p.  Coefficients are returned as plain integers
-    modulo p^Nprime; raises PrecisionExhausted if any coefficient of the
-    truncated normalized series is not determined to that precision.
-    """
-    ctx = f.ctx
-    c = f.coeff(0)
-    if not c.is_zero and c.valuation() < 0:
-        raise NoRootsGuaranteed(f"constant term has valuation {c.valuation()} < 0")
-
-    # valuations of coefficients of f(px): v(b_i) + i
-    vals = [b.v + i for i, b in enumerate(f.coeffs) if not b.is_zero]
-    if not vals:
-        raise PrecisionExhausted("series is zero to precision: roots undetermined")
-    lam = min(vals)
-
-    M = truncation_bound(Nprime, lam, ctx)
-    out = []
-    for i in range(0, M + 1):
-        b = f.coeff(i)
-        if b.is_zero:
-            if b.abs_prec + i - lam < Nprime:
-                raise PrecisionExhausted(
-                    f"coefficient {i} known only to O(p^{b.abs_prec})")
-            out.append(0)
-            continue
-        shifted_v = b.v + i - lam
-        if shifted_v + b.rel < Nprime:
-            raise PrecisionExhausted(f"coefficient {i} has too few digits")
-        out.append((b.unit * ctx.pk(shifted_v)) % ctx.pk(Nprime))
-    return NormalizedSeries(ser_trim(out), lam, Nprime, ctx)
 
 
 def hensel_system_of_roots(F, p: int, N: int):
@@ -240,27 +153,63 @@ def _pval_capped(n, p, cap):
     return min(_pval(n, p), cap)
 
 
-def solve_zeros_in_disk(fprime: PadicSeries, c, ctx: PadicContext,
-                        require_simple: bool = True):
-    """Certified zeros of the antiderivative of fprime (constant term c) on pZ_p.
+def solve_zeros_in_disk(terms, prec, const, N: int):
+    """Certified zeros on pZ_p of f(t) = const + sum(c/d t^j for (j, c, d) in terms).
 
-    Returns (records, Nprime, lam, F) where each record's residue r stands for
-    the root t = p * r_tilde.  F is the truncated normalized polynomial mod
-    p^Nprime, for later refinement.  Raises PrecisionExhausted when N' <= 0,
-    DoubleRoot when a root cannot be certified simple (and require_simple).
+    `terms` and `prec` are one row of `ColemanIntegrator.antiderivative_rows`:
+    each c is an integer known modulo p^prec, and a power with no term is
+    zero to that precision.  `const` is a PadicElement and N the precision
+    of the vanishing differentials.  Returns (records, Nprime, lam, F): N'
+    is N less delta, the worst v_p(d) of a nonzero term; F(x) =
+    f(px)/p^lam is the normalized series truncated at `truncation_bound`,
+    modulo p^N', with some coefficient a unit; each record's residue r
+    stands for the root t = p * r_tilde.  A constant of negative valuation
+    leaves f no zeros:
+    ([], N', None, None).  Raises PrecisionExhausted when N' <= 0 or when a
+    coefficient of F is not known modulo p^N'.
     """
-    f = antiderivative(fprime, c)
-    Nprime = ctx.N - f.delta
+    ctx = const.ctx
+    p, pN = ctx.p, ctx.pk(N)
+    # coefficient of t^j as (v, unit, rel): p^v * unit known to rel digits
+    # or, as in PadicElement, unit 0 for zero to O(p^v).  F needs at most N
+    # digits, so units are kept mod p^N and rel is not capped
+    coeffs = {0: (const.v, const.unit, const.rel)}
+    delta = 0
+    for j, c, d in terms:
+        if j <= 0:
+            if c % ctx.pk(min(prec, N)):
+                raise PicardCCError("regular differential with a pole in a disk")
+            continue
+        vd = _pval(d, p)
+        if c % ctx.pk(prec) == 0:
+            coeffs[j] = (prec - vd, 0, 0)
+            continue
+        vc = _pval(c, p)
+        coeffs[j] = (vc - vd, c // ctx.pk(vc) * pow(d // ctx.pk(vd), -1, pN) % pN, prec - vc)
+        delta = max(delta, vd)
+
+    Nprime = N - delta
     if Nprime <= 0:
-        raise PrecisionExhausted(f"N' = {Nprime} after integration loss {f.delta}")
-    try:
-        norm = normalize(f, Nprime)
-    except NoRootsGuaranteed:
+        raise PrecisionExhausted(f"N' = {Nprime} after integration loss {delta}")
+    if coeffs[0][1] and coeffs[0][0] < 0:
         return [], Nprime, None, None
-    records = hensel_system_of_roots(norm.coeffs, ctx.p, Nprime)
-    if require_simple:
-        for rec in records:
-            if not rec.certified_simple:
-                raise DoubleRoot(
-                    f"root {rec.residue} mod p^{rec.known_digits} not certified simple")
-    return records, Nprime, norm.lam, norm.coeffs
+
+    # the root bijection t = p x: coefficients of f(px) have valuation v + j
+    vals = [v + j for j, (v, unit, _) in coeffs.items() if unit]
+    if not vals:
+        raise PrecisionExhausted("series is zero to precision: roots undetermined")
+    lam = min(vals)
+    F = []
+    for j in range(truncation_bound(Nprime, lam, ctx) + 1):
+        v, unit, rel = coeffs[j] if j in coeffs else (prec - _pval(j, p), 0, 0)
+        if not unit:
+            if v + j - lam < Nprime:
+                raise PrecisionExhausted(f"coefficient {j} known only to O(p^{v})")
+            F.append(0)
+            continue
+        shifted_v = v + j - lam
+        if shifted_v + rel < Nprime:
+            raise PrecisionExhausted(f"coefficient {j} has too few digits")
+        F.append(unit * ctx.pk(shifted_v) % ctx.pk(Nprime))
+    F = ser_trim(F)
+    return hensel_system_of_roots(F, p, Nprime), Nprime, lam, F

@@ -19,9 +19,8 @@ from picardcc.curve import (
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
 from picardcc.padic import PadicContext, poly_deriv, poly_eval_mod
 from picardcc.series import (
-    PadicSeries,
     hensel_system_of_roots,
-    normalize,
+    solve_zeros_in_disk,
     truncation_bound,
 )
 
@@ -438,30 +437,31 @@ def test_truncation_bound_value():
 
 
 def test_normalize_bijection_brute_force():
-    """normalize realizes the root bijection t = pu exactly: on every residue
-    u mod p^N' the truncated normalized series agrees with f(pu)/p^lam."""
-    p, Np = 5, 3
+    """The solver's F realizes the root bijection t = pu exactly: on every
+    residue u mod p^N' it agrees with f(pu)/p^lam, f = c0 + sum(c_j t^j / j)."""
+    p, N = 5, 4
     ctx = PadicContext(p, 10)
     rng = np.random.default_rng(7)
-    mod = p ** Np
     checked = 0
     while checked < 200:
-        deg = int(rng.integers(1, 7))
-        coeffs = [Fraction(int(c)) for c in rng.integers(-40, 41, deg + 1)]
-        if rng.integers(0, 3) == 0:
-            # a p in a denominator exercises nontrivial lam (kept off the
-            # constant term, which must stay p-integral for roots to exist)
-            coeffs[1] = Fraction(int(rng.integers(-40, 41)), p)
-        if all(c == 0 for c in coeffs):
+        # a degree of 5 or more puts a term t^j/j with p | j in the row,
+        # whose negative valuation moves lam and charges delta
+        deg = int(rng.integers(1, 9))
+        nums = [int(c) for c in rng.integers(-40, 41, deg + 1)]
+        if all(c == 0 for c in nums):
             continue
-        f = PadicSeries(ctx, [ctx.from_rational(c) for c in coeffs])
-        norm = normalize(f, Np)
+        terms = [(j, c % p ** 10, j) for j, c in enumerate(nums) if j and c]
+        _, Np, lam, F = solve_zeros_in_disk(terms, 10, ctx.from_int(nums[0]), N)
+        assert Np == (N - 1 if any(j % p == 0 for j, _, _ in terms) else N)
+        mod = p ** Np
+        assert any(c % p for c in F)
         for u in range(mod):
-            exact = sum(c * (p * u) ** i for i, c in enumerate(coeffs))
-            scaled = exact / Fraction(p) ** norm.lam
+            exact = nums[0] + sum(Fraction(c, j) * (p * u) ** j
+                                  for j, c in enumerate(nums) if j)
+            scaled = exact / Fraction(p) ** lam
             assert scaled.denominator % p != 0
             den_inv = pow(scaled.denominator % mod, -1, mod)
             want = scaled.numerator * den_inv % mod
-            got = poly_eval_mod(norm.coeffs, u, mod)
-            assert got == want, (coeffs, u)
+            got = poly_eval_mod(F, u, mod)
+            assert got == want, (nums, u)
         checked += 1

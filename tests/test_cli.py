@@ -200,6 +200,62 @@ def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, bad, why):
     assert recs[1]["failure_reason"].startswith("bad-prime: ")
 
 
+BAD_PARAMETERS = pytest.mark.parametrize(
+    "params,flag", [({"N": 0}, "--precision"), ({"e0": 0}, "--e"),
+                    ({"e_increment": 0}, "--e-increment")],
+    ids=["N", "e0", "e-increment"])
+
+
+@BAD_PARAMETERS
+def test_pipeline_bad_parameter_is_failure(params, flag):
+    # ex1@5 started at e = 10 must escalate, so e_increment = 0 would retry
+    # e = 10 for ever
+    record = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
+    with _deadline(20):
+        rep = run_pipeline(record, dict({"N": 15, "e0": 10}, **params))
+    assert rep.status == "Failure"
+    name = next(iter(params))
+    assert rep.failure_reason == f"bad-parameter: {name} must be at least 1, got 0"
+
+
+@BAD_PARAMETERS
+def test_analyze_bad_parameter_is_failure(capsys, params, flag):
+    rec = json.dumps({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5})
+    with _deadline(20):
+        assert main(["analyze", "--curve", rec, "--e", "10", flag, "0"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]
+    assert report["failure_reason"].startswith("bad-parameter: ")
+
+
+NON_INTEGRAL = pytest.mark.parametrize(
+    "bad,why", [({"f": [2.5, 5, 6, 2, 1]}, "integer coefficients"),
+                ({"f": EX4, "discriminant": 2.5}, "not an integer")],
+    ids=["f", "discriminant"])
+
+
+def test_integral_strings_accepted():
+    # coefficients are read as numbers, not truncated, and "5" is 5
+    rec = {"f": ["2", "5", "6", "2", "1"], "discriminant": "12"}
+    assert parse_record(json.dumps(rec)) is not None
+
+
+@NON_INTEGRAL
+def test_pipeline_non_integral_is_failure(bad, why):
+    rep = run_pipeline(dict(bad, divisors=[{"g": [-1, 1, 1]}], p=11), {"N": 8})
+    assert rep.status == "Failure"
+    assert why in rep.failure_reason
+
+
+@NON_INTEGRAL
+def test_batch_non_integral_line_is_failure(tmp_path, capsys, bad, why):
+    src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+    src.write_text(json.dumps(dict(bad, divisors=[{"g": [-1, 1, 1]}], p=11)) + "\n")
+    assert main(["batch", "--in", str(src), "--out", str(dst), "--precision", "8"]) == 1
+    report = json.loads(dst.read_text())["report"]
+    assert report["failure_reason"].startswith("validation: ")
+    assert why in report["failure_reason"]
+
+
 def test_batch_deterministic_modulo_timings(tmp_path, capsys):
     # records that fail fast in the pipeline (bad prime for the curve),
     # so two runs are cheap and must agree byte-for-byte modulo timings

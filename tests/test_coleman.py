@@ -244,7 +244,7 @@ def test_antiderivatives_share_one_power_table(ex1_p5, monkeypatch):
     S = eng.boundary_point(disk)
     t = eng._phi_param(disk, S)
     assert sum(1 for c in t.a if c) > 1
-    rows = eng._antider_rows(disk, [unit(i) for i in range(6)])
+    rows = eng.antiderivative_rows(disk, [unit(i) for i in range(6)])
     each = [eng._eval_terms([row], t)[0] for row in rows]
     used = [j for terms, prec in rows for j, _, _ in terms
             if j <= (eng.e * prec) // t.pi_valuation() + 4]

@@ -1,52 +1,60 @@
-"""Tests for series normalization, truncation bounds, and root isolation."""
+"""Tests for the zero solver of a residue disk, its truncation bound, root
+isolation and the integer series engine."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
-from picardcc.padic import PadicContext
+from picardcc.errors import PicardCCError, PrecisionExhausted
+from picardcc.padic import PadicContext, poly_eval_mod
 from picardcc.series import (
-    PadicSeries,
-    antiderivative,
     hensel_system_of_roots,
-    normalize,
     ser_cuberoot,
     ser_inv,
     ser_mul,
     solve_zeros_in_disk,
     truncation_bound,
 )
-from picardcc.errors import DoubleRoot, PrecisionExhausted
 
 
-def test_antiderivative_constant():
+def _solve(ctx, fprime, c, prec=None, N=None):
+    """Zeros of c + the antiderivative of sum(fprime[i] t^i), read as the
+    row (i + 1, fprime[i], i + 1) the integrator builds, known by default
+    to 2N digits so that the powers it lacks are zero to that precision."""
+    terms = [(i + 1, a, i + 1) for i, a in enumerate(fprime) if a]
+    prec = 2 * ctx.N if prec is None else prec
+    return solve_zeros_in_disk(terms, prec, ctx.element(c), ctx.N if N is None else N)
+
+
+def test_solve_constant_only():
     ctx = PadicContext(5, 6)
-    f = antiderivative(PadicSeries(ctx, []), 7)
-    assert f.coeff(0).is_congruent(ctx.from_int(7))
-    assert f.delta == 0
+    recs, Np, lam, F = _solve(ctx, [], 7)
+    assert (recs, Np, lam, F) == ([], 6, 0, [7])
 
 
-def test_antiderivative_linear():
+def test_solve_linear_derivative():
     ctx = PadicContext(5, 6)
-    f = antiderivative(PadicSeries(ctx, [1, 2]), 0)
-    assert f.coeff(1).is_congruent(ctx.one())
-    assert f.coeff(2).is_congruent(ctx.one())
+    # f = t + t^2: F(x) = f(5x)/5 = x + 5x^2, whose one root in Z_5 is 0
+    recs, Np, lam, F = _solve(ctx, [1, 2], 0)
+    assert (Np, lam, F) == (6, 1, [0, 1, 5])
+    assert [r.residue for r in recs] == [0]
 
 
-def test_antiderivative_records_loss():
+def test_solve_charges_integration_loss():
     ctx = PadicContext(5, 6)
-    f = antiderivative(PadicSeries(ctx, [0, 0, 0, 0, 1]), 0)  # t^4 -> t^5/5
-    assert f.coeff(5).valuation() == -1
-    assert f.delta >= 1
+    # f = t^5/5: delta = v_5(5) = 1 and F(x) = f(5x)/5^4 = x^5
+    recs, Np, lam, F = _solve(ctx, [0, 0, 0, 0, 1], 0)
+    assert (Np, lam, F) == (5, 4, [0, 0, 0, 0, 0, 1])
 
 
-def test_antiderivative_roundtrip():
-    ctx = PadicContext(7, 6)
-    f = PadicSeries(ctx, [3, 1, 4, 1, 5])
-    df = PadicSeries(ctx, [f.coeff(i) * i for i in range(1, 5)], 3)
-    g = antiderivative(df, f.coeff(0))
-    for i in range(5):
-        assert g.coeff(i).is_congruent(f.coeff(i), 5)
+def test_solve_recovers_polynomial():
+    p, N = 7, 6
+    ctx = PadicContext(p, N)
+    f = [3, 1, 4, 1, 5]
+    recs, Np, lam, F = _solve(ctx, [f[i] * i for i in range(1, 5)], f[0])
+    assert (Np, lam) == (N, 0)
+    assert F == [c * p ** i % p ** N for i, c in enumerate(f) if c * p ** i % p ** N]
 
 
 def test_truncation_bound_examples():
@@ -61,18 +69,16 @@ def test_truncation_bound_lambda_shift():
             assert truncation_bound(N, lam, ctx) == truncation_bound(N + lam, 0, ctx)
 
 
-def test_normalize_monomial():
+def test_solve_monomial():
     ctx = PadicContext(5, 4)
-    norm = normalize(PadicSeries(ctx, [0, 1]), 4)  # f = t
-    assert norm.lam == 1
-    assert norm.coeffs[1] == 1 and norm.coeffs[0] == 0
+    _, _, lam, F = _solve(ctx, [1], 0)  # f = t
+    assert (lam, F) == (1, [0, 1])
 
 
-def test_normalize_shifted():
+def test_solve_shifted():
     ctx = PadicContext(5, 4)
-    norm = normalize(PadicSeries(ctx, [5, 1]), 4)  # f = 5 + t
-    assert norm.lam == 1
-    assert norm.coeffs[0] == 1  # constant becomes 1
+    _, _, lam, F = _solve(ctx, [1], 5)  # f = 5 + t: the constant becomes 1
+    assert (lam, F) == (1, [1, 1])
 
 
 def test_hensel_system_traced_examples():
@@ -156,20 +162,20 @@ def test_refine_root():
 
 def test_solve_zeros_basepoint():
     ctx = PadicContext(5, 6)
-    recs, Np, lam, F = solve_zeros_in_disk(PadicSeries(ctx, [1]), 0, ctx)
+    recs, Np, lam, F = _solve(ctx, [1], 0)
     assert len(recs) == 1 and recs[0].residue == 0
 
 
 def test_solve_zeros_unit_constant():
     ctx = PadicContext(5, 6)
-    recs, *_ = solve_zeros_in_disk(PadicSeries(ctx, [1]), 3, ctx)
+    recs, *_ = _solve(ctx, [1], 3)
     assert recs == []
 
 
 def test_solve_zeros_one_simple():
     ctx = PadicContext(7, 6)
     # f' = 1 + t + t^2, c = 7u: Newton polygon gives one root in pZ_p
-    recs, Np, lam, F = solve_zeros_in_disk(PadicSeries(ctx, [1, 1, 1]), 14, ctx)
+    recs, Np, lam, F = _solve(ctx, [1, 1, 1], 14)
     assert len(recs) == 1
     r = recs[0].residue
     # verify: t = p*r is a zero of c + t + t^2/2 + t^3/3 mod p^(Np - lam)
@@ -180,11 +186,70 @@ def test_solve_zeros_one_simple():
     assert val % 7 ** (Np - lam - 1) == 0
 
 
-def test_solve_zeros_double_root():
+def test_solve_zeros_double_root_not_certified():
     ctx = PadicContext(5, 4)
-    # f = c + t^2/... constructed to force a double root: f' = 2t, c = 0 -> f = t^2
-    with pytest.raises(DoubleRoot):
-        solve_zeros_in_disk(PadicSeries(ctx, [0, 2]), 0, ctx)
+    # f' = 2t, c = 0 -> f = t^2: a double root, reported but not certified
+    recs, Np, lam, F = _solve(ctx, [0, 2], 0)
+    assert [(r.residue, r.certified_simple) for r in recs] == [(0, False)]
+
+
+def test_solve_negative_valuation_constant_has_no_zeros():
+    ctx = PadicContext(5, 6)
+    # N' is still charged for the loss of t^5/5
+    assert _solve(ctx, [0, 0, 0, 0, 1], Fraction(1, 5)) == ([], 5, None, None)
+
+
+def test_solve_integration_loss_exhausts_precision():
+    ctx = PadicContext(5, 1)
+    with pytest.raises(PrecisionExhausted, match=r"^N' = 0 after integration loss 1$"):
+        _solve(ctx, [0, 0, 0, 0, 1], 1)
+
+
+def test_solve_zero_series_exhausts_precision():
+    ctx = PadicContext(5, 4)
+    # a term that is zero modulo p^prec counts as zero
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^series is zero to precision: roots undetermined$"):
+        _solve(ctx, [5 ** 3], 0, prec=3)
+
+
+def test_solve_missing_power_is_zero_only_to_prec():
+    ctx = PadicContext(5, 3)
+    # the row stops before t^1, which is therefore only O(p^1): not enough
+    # for three digits of F(x) = 1 + O(5^2) x
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^coefficient 1 known only to O\(p\^1\)$"):
+        solve_zeros_in_disk([], 1, ctx.one(), 3)
+
+
+def test_solve_inexact_zero_constant_exhausts_precision():
+    ctx = PadicContext(5, 4)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^coefficient 0 known only to O\(p\^1\)$"):
+        solve_zeros_in_disk([(1, 1, 1)], 4, ctx.zero(1), 4)
+
+
+def test_solve_few_digits_exhaust_precision():
+    ctx = PadicContext(5, 5)
+    # c = 1 known mod 5^2 gives the t coefficient two digits; F needs four
+    with pytest.raises(PrecisionExhausted, match=r"^coefficient 1 has too few digits$"):
+        solve_zeros_in_disk([(1, 1, 1)], 2, ctx.one(), 5)
+
+
+def test_solve_digits_past_N_do_not_reach_F():
+    ctx = PadicContext(5, 10)
+    # F is known mod p^N' with N' <= N = 4: the 5^6 of the constant is gone
+    *_, F = solve_zeros_in_disk([(1, 1, 1)], 10, ctx.from_int(1 + 5 ** 6), 4)
+    assert F == [1, 5]
+
+
+def test_solve_pole_term():
+    ctx = PadicContext(5, 4)
+    with pytest.raises(PicardCCError, match="pole"):
+        solve_zeros_in_disk([(-1, 3, -1), (1, 1, 1)], 4, ctx.zero(), 4)
+    # a pole term that is zero to precision is dropped
+    _, _, lam, F = solve_zeros_in_disk([(-1, 5 ** 4, -1), (1, 1, 1)], 4, ctx.zero(), 4)
+    assert (lam, F) == (1, [0, 1])
 
 
 def test_solve_zeros_oracle_random():
@@ -193,11 +258,11 @@ def test_solve_zeros_oracle_random():
         p, N = 5, 3
         ctx = PadicContext(p, N)
         deg = rng.randint(0, 7)
-        fp = [rng.randrange(-20, 20) for _ in range(deg + 1)]
+        fp = [rng.randrange(-20, 20) % p ** N for _ in range(deg + 1)]
         c = rng.choice([0, p, 2 * p, 1, 3, p * p]) * rng.choice([1, -1])
         try:
-            recs, Np, lam, F = solve_zeros_in_disk(PadicSeries(ctx, fp), c, ctx)
-        except (DoubleRoot, PrecisionExhausted):
+            recs, Np, lam, F = _solve(ctx, fp, c)
+        except PrecisionExhausted:
             continue
         if F is None:
             continue
@@ -205,6 +270,7 @@ def test_solve_zeros_oracle_random():
         expect = brute_roots(F, p, Np)
         got = expand_records(recs, p, Np)
         assert got == expect
+        assert all(poly_eval_mod(F, r.residue, p ** Np) == 0 for r in recs)
 
 
 def test_ser_engine_inverse():
