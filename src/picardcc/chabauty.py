@@ -564,6 +564,8 @@ def run_pipeline(record, params=None):
         for name, value in (("N", N), ("e0", e0), ("e_increment", e_inc)):
             if value < 1:
                 raise BadParameter(f"{name} must be at least 1, got {value}")
+        if e_cap < e0:
+            raise BadParameter(f"e_cap {e_cap} is below e0 {e0}")
         curve = PicardCurve(record["f"], discriminant=record.get("discriminant"),
                             label=record.get("label"))
         specs = _divisor_specs(record)

@@ -20,8 +20,11 @@ with degree steps once t <= 2.
   degree step (t <= 2): d(x^m y^(3-t)) = [m x^(m-1) f + (3-t)/3 x^m f'] dx/y^t
       kills the top x-degree (leading coefficient (3m + 12 - 4t)/3 != 0).
 
-A form costs about p k_max pole steps, each with one full division by the
-monic quartic f; the powers A^k are shared by the six forms.
+Before the sweep the pullback is put over one denominator, H/y^t_max with
+H = sum_t g_t f^((t_max - t)/3), and H is expanded once in f-adic digits
+H = sum_j r_j f^j (deg r_j < 4); r_j is the term at pole order t_max - 3j.
+Form (a, b) pulls back to x^(pa) times the (0, b) pullback, so only b = 1, 2
+are expanded and every pole step divides a numerator of degree below 2p + 4.
 
 All polynomial arithmetic is on integer coefficients modulo p^W.  Divisions
 by p-divisible integers are tracked by a global shift sigma (values are
@@ -43,7 +46,7 @@ import sympy
 
 from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
 from .padic import INF, PadicContext, _int_to_padic, _pval, poly_deriv, sympy_poly
-from .series import ser_add, ser_mul, ser_trim
+from .series import ser_add, ser_inv, ser_mul, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
 
@@ -155,9 +158,7 @@ class _Reducer:
     """
 
     def __init__(self, curve, p, W):
-        self.curve = curve
         self.p = p
-        self.W = W
         self.mod = p ** W
         self.f = [c % self.mod for c in curve.f]
         self.df = [c % self.mod for c in poly_deriv(curve.f)]
@@ -267,7 +268,6 @@ class FrobeniusData:
     exact_parts: list           # 6 ExactPart
     sigma_max: int
     A_poly: list = None         # pA = f(x^p) - f(x)^p support data
-    k_max: int = 0
 
     @cached_property
     def system(self):
@@ -349,6 +349,30 @@ def _pullback_terms(p, a, b, powers, mod):
     return terms
 
 
+def _fpow_table(f, levels, mod):
+    """[(f^(2^i), 1/rev(f^(2^i)) to 4 * 2^i terms) for i < levels]."""
+    table = []
+    for _ in range(levels):
+        table.append((f, ser_inv(f[::-1], mod, len(f) - 2)))
+        f = ser_mul(f, f, mod)
+    return table
+
+
+def _f_adic_digits(h, level, table, mod):
+    """The 2^(level+1) digits r_j (deg r_j < 4) of h = sum_j r_j f^j, exact
+    mod p^W for the monic quartic f = table[0][0], len(h) <= 8 * 2^level: the
+    quotient by f^(2^level) comes from the reciprocal of its reversal."""
+    if level < 0:
+        return [ser_trim(h)]
+    F, inv = table[level]
+    D = len(F) - 1
+    m = len(h) - D  # quotient length; q and h[D:] are empty when m <= 0
+    q = ser_mul(h[D:][::-1], inv[:m], mod, m - 1)[::-1]
+    r = _poly_sub(h[:D], ser_mul(q, F[:D], mod, D - 1), mod)
+    return (_f_adic_digits(r, level - 1, table, mod)
+            + _f_adic_digits(q, level - 1, table, mod))
+
+
 def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     """M and exact parts f_i with phi^* omega_i = d f_i + sum_j M_ij omega_j."""
     W = working_precision(p, N)
@@ -366,16 +390,32 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
 
     reducer = _Reducer(curve, p, W)
     k_max = _binomial_cutoff(p, W)
-    powers = [[1]]  # A^k, shared by the six basis forms
+    powers = [[1]]  # A^k, shared by both pullbacks
     for _ in range(k_max):
         powers.append(ser_mul(powers[-1], A, mod))
+    # deg A < 4p, so a numerator H below has at most p + 4p k_max coefficients
+    top = ((p + 4 * p * k_max - 1) // 8).bit_length()
+    table = _fpow_table(reducer.f, top + 1, mod)
+    digits = {}
+    for b in (1, 2):
+        terms = _pullback_terms(p, 0, b, powers, mod)
+        t_max = max(terms)
+        H = []  # sum_t g_t f^((t_max - t)/3), by Horner in f^p
+        for t in range(min(terms), t_max + 1, 3 * p):
+            H = ser_add(ser_mul(H, fp, mod), terms.get(t, []), mod)
+        # digit r_j sits at pole order t_max - 3j; deg H < 4 (t_max // 3 + 1),
+        # so the last, at t_max mod 3, is the whole quotient H // f^(t_max // 3)
+        r = _f_adic_digits(H, top, table, mod)
+        digits[b] = {t_max - 3 * j: r[j] if j < len(r) else []
+                     for j in range(t_max // 3 + 1)}
 
     rows = []
     parts = []
     sigma_max = 0
     for (a, b) in BASIS:
+        shift = [0] * (p * a)
         (sigma, coeffs), exact = reducer.reduce(
-            _pullback_terms(p, a, b, powers, mod))
+            {t: shift + g for t, g in digits[b].items()})
         rows.append((sigma, coeffs))
         parts.append(ExactPart({m: entry for m, entry in exact.items()
                                 if entry[1]}))
@@ -388,7 +428,7 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     if W - sigma_max < N:
         raise PrecisionExhausted(
             f"guard digits exhausted: W={W}, sigma={sigma_max}, N={N}")
-    return FrobeniusData(curve, p, W, ctx, M, parts, sigma_max, A, k_max)
+    return FrobeniusData(curve, p, W, ctx, M, parts, sigma_max, A)
 
 
 # --- zeta / consistency --------------------------------------------------

@@ -201,30 +201,32 @@ def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, bad, why):
 
 
 BAD_PARAMETERS = pytest.mark.parametrize(
-    "params,flag", [({"N": 0}, "--precision"), ({"e0": 0}, "--e"),
-                    ({"e_increment": 0}, "--e-increment")],
-    ids=["N", "e0", "e-increment"])
+    "name,flag,value,why",
+    [("N", "--precision", 0, "N must be at least 1, got 0"),
+     ("e0", "--e", 0, "e0 must be at least 1, got 0"),
+     ("e_increment", "--e-increment", 0, "e_increment must be at least 1, got 0"),
+     ("e_cap", "--e-cap", 5, "e_cap 5 is below e0 10")],
+    ids=["N", "e0", "e-increment", "e-cap"])
 
 
 @BAD_PARAMETERS
-def test_pipeline_bad_parameter_is_failure(params, flag):
+def test_pipeline_bad_parameter_is_failure(name, flag, value, why):
     # ex1@5 started at e = 10 must escalate, so e_increment = 0 would retry
     # e = 10 for ever
     record = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
     with _deadline(20):
-        rep = run_pipeline(record, dict({"N": 15, "e0": 10}, **params))
+        rep = run_pipeline(record, {"N": 15, "e0": 10, name: value})
     assert rep.status == "Failure"
-    name = next(iter(params))
-    assert rep.failure_reason == f"bad-parameter: {name} must be at least 1, got 0"
+    assert rep.failure_reason == f"bad-parameter: {why}"
 
 
 @BAD_PARAMETERS
-def test_analyze_bad_parameter_is_failure(capsys, params, flag):
+def test_analyze_bad_parameter_is_failure(capsys, name, flag, value, why):
     rec = json.dumps({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5})
     with _deadline(20):
-        assert main(["analyze", "--curve", rec, "--e", "10", flag, "0"]) == 0
+        assert main(["analyze", "--curve", rec, "--e", "10", flag, str(value)]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]
-    assert report["failure_reason"].startswith("bad-parameter: ")
+    assert report["failure_reason"] == f"bad-parameter: {why}"
 
 
 NON_INTEGRAL = pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the Frobenius action on cohomology and the zeta certificates."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picardcc.curve import (
     GOOD,
@@ -13,14 +14,19 @@ from picardcc.curve import (
 from picardcc.frobenius import (
     BASIS,
     REGULAR,
+    ExactPart,
+    FrobeniusData,
+    _binomial_cutoff,
     _entry_add,
+    _f_adic_digits,
+    _fpow_table,
     _pullback_terms,
     _Reducer,
     frobenius_matrix,
     zeta_consistency_check,
 )
-from picardcc.padic import PadicContext
-from picardcc.series import ser_cuberoot, ser_inv, ser_mul
+from picardcc.padic import PadicContext, _int_to_padic
+from picardcc.series import ser_add, ser_cuberoot, ser_inv, ser_mul, ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
 EX3 = [-2, 0, 0, 0, 1]
@@ -231,7 +237,7 @@ def test_sweep_is_linear_in_terms(coeffs, p, N):
     fd = frobenius_matrix(c, p, N)
     mod = p ** fd.N_work
     powers = [[1]]
-    for _ in range(fd.k_max):
+    for _ in range(_binomial_cutoff(p, fd.N_work)):
         powers.append(ser_mul(powers[-1], fd.A_poly, mod))
     a, b = BASIS[-1]
     terms = _pullback_terms(p, a, b, powers, mod)
@@ -258,3 +264,80 @@ def test_trace_to_N_digits_p7():
         tr = tr + fd.M[i][i]
     d = fd.ctx.from_int(p + 1 - len(points_over_Fp(c, p))) - tr
     assert d.residue(N) == 0
+
+
+# lengths of h: empty, under one digit, and one off a power-of-two block
+DIGIT_LENGTHS = st.sampled_from(
+    [0, 1, 2, 3] + [4 * 2 ** i + d for i in range(8) for d in (-1, 1)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 30), DIGIT_LENGTHS,
+       st.randoms(use_true_random=False))
+def test_f_adic_digits_reassemble(p, W, n, rng):
+    mod = p ** W
+    f = [rng.randrange(mod) for _ in range(4)] + [1]
+    h = [rng.randrange(mod) for _ in range(n)]
+    level = ((max(n, 1) - 1) // 8).bit_length()  # n <= 8 * 2^level
+    digits = _f_adic_digits(h, level, _fpow_table(f, level + 1, mod), mod)
+    assert all(len(r) <= 4 for r in digits)
+    acc = []
+    for r in reversed(digits):
+        acc = ser_add(ser_mul(acc, f, mod), r, mod)
+    assert ser_trim(acc) == ser_trim(h)
+
+
+def _reference_frobenius(fd):
+    """Exact parts and FrobeniusData at fd's precision from the raw pullback
+    of each form, one sweep over its binomial terms (no f-adic expansion)."""
+    curve, p, W = fd.curve, fd.p, fd.N_work
+    mod, ctx = p ** W, PadicContext(p, W)
+    powers = [[1]]
+    for _ in range(_binomial_cutoff(p, W)):
+        powers.append(ser_mul(powers[-1], fd.A_poly, mod))
+    red = _Reducer(curve, p, W)
+    rows, parts = [], []
+    for a, b in BASIS:
+        row, exact = red.reduce(_pullback_terms(p, a, b, powers, mod))
+        rows.append(row)
+        parts.append(exact)
+    sigma_max = max(max(s for s, _ in rows),
+                    max(e[0] for ex in parts for e in ex.values()))
+    M = [[_int_to_padic(ctx, c, -s, W - s) for c in coeffs]
+         for s, coeffs in rows]
+    return parts, FrobeniusData(curve, p, W, ctx, M,
+                                [ExactPart(ex) for ex in parts], sigma_max,
+                                fd.A_poly)
+
+
+@pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 15), (EX4, 11, 8),
+                                        ([-5, 5, -5, -6, 1], 7, 10)])
+def test_digit_sweep_matches_raw_pullback(coeffs, p, N):
+    c = PicardCurve(coeffs)
+    fd = frobenius_matrix(c, p, N)
+    parts, ref = _reference_frobenius(fd)
+    for i in range(6):
+        for j in range(6):
+            d = fd.M[i][j] - ref.M[i][j]
+            assert d.valuation() >= N and d.abs_prec >= N, (i, j)
+        levels = fd.exact_parts[i].levels
+        for m in set(levels) | set(parts[i]):
+            assert _agree_mod(levels.get(m, (0, [])), parts[i].get(m, (0, [])),
+                              p, N), (i, m)
+    assert zeta_consistency_check(fd).char_poly == \
+        zeta_consistency_check(ref).char_poly
+
+
+@pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 15), (EX4, 11, 8)])
+def test_sweep_numerators_stay_short(monkeypatch, coeffs, p, N):
+    # the sweep sees x^(pa) times an f-adic digit, never the whole pullback
+    lengths = []
+    reduce = _Reducer.reduce
+
+    def spy(self, terms):
+        lengths.extend(len(g) for g in terms.values())
+        return reduce(self, terms)
+
+    monkeypatch.setattr(_Reducer, "reduce", spy)
+    frobenius_matrix(PicardCurve(coeffs), p, N)
+    assert len(lengths) > 6 and max(lengths) <= 2 * p + 4
