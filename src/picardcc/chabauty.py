@@ -527,8 +527,9 @@ def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
             pts = chabauty_set(engine, van)
             return engine, van, pts, e
         except IncreaseE as exc:
-            last = exc
-            e = max(e + e_inc, getattr(exc, "e_min", 0))
+            # not exc: its traceback holds this frame, a cycle that pins the integrator
+            last = str(exc)
+            e = max(e + e_inc, exc.e_min)
     raise IncreaseE(f"e escalation exhausted at cap {e_cap} ({last})")
 
 

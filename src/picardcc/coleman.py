@@ -459,102 +459,109 @@ class ColemanIntegrator:
             out.append(_int_to_padic(ctx, acc, -smax, kprec - smax))
         return out
 
-    def _at_pi_minus3(self, poly):
-        """poly(x) at x = pi^-3, each coefficient known modulo p^W."""
-        mod = self.ctx.pk(self.W)
-        return RamifiedElement.from_terms(
-            self.ctx, self.e,
-            [(-3 * j, c % mod, self.W) for j, c in enumerate(poly) if c])
-
     def _exact_at_boundary(self, disk, S):
         """All six exact-part values at a boundary point, with convergence check."""
+        if disk.kind != BAD_FINITE:
+            return self._exact_at_infinity(S)
         ctx, p, e = self.ctx, self.p, self.e
         kprec = self.W
         mod = ctx.pk(kprec)
         max_deg = max((len(poly) for part in self.fd.exact_parts
                        for _, poly in part.levels.values()), default=1)
+        xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
+        xpows = [[1] + [0] * (e - 1)]
+        for _ in range(max_deg - 1):
+            xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
 
-        if disk.kind == BAD_FINITE:
-            xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
-            xpows = [[1] + [0] * (e - 1)]
-            for _ in range(max_deg - 1):
-                xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
-
-            def at_x(poly):
-                buckets = [0] * e
-                for j, c in enumerate(poly):
-                    if not c:
-                        continue
-                    xp = xpows[j]
-                    for s in range(e):
-                        if xp[s]:
-                            buckets[s] = (buckets[s] + c * xp[s]) % mod
-                return RamifiedElement(ctx, e, 0, buckets, e * kprec)
-
-            def y_power(m):
-                return None, m  # pi^m: handled as a pure shift
-        else:
-            at_x = self._at_pi_minus3
-            uval = S._u_value
-            upows = {0: RamifiedElement.from_padic(ctx.one(), e), 1: uval}
-            uinv = uval.inverse()
-
-            def upow(m):
-                if m in upows:
-                    return upows[m]
-                step = 1 if m > 0 else -1
-                base = uval if m > 0 else uinv
-                k = m
-                while k not in upows:
-                    k -= step
-                cur = upows[k]
-                while k != m:
-                    k += step
-                    cur = cur * base
-                    upows[k] = cur
-                return upows[m]
-
-            def y_power(m):
-                # y^m = pi^(-4m) u(pi)^m
-                return upow(m), -4 * m
+        def at_x(poly):
+            buckets = [0] * e
+            for j, c in enumerate(poly):
+                if not c:
+                    continue
+                xp = xpows[j]
+                for s in range(e):
+                    if xp[s]:
+                        buckets[s] = (buckets[s] + c * xp[s]) % mod
+            return RamifiedElement(ctx, e, 0, buckets, e * kprec)
 
         out, diags = [], []
         for part in self.fd.exact_parts:
             acc = RamifiedElement.zero(ctx, e)
             for m, (sig, poly) in sorted(part.levels.items()):
-                term = at_x(poly)
-                ram, shift = y_power(m)
-                if ram is not None:
-                    term = term * ram
-                term = term.shift_pi(shift - e * sig)
+                # y = pi on the boundary, so y^m is a pure shift
+                term = at_x(poly).shift_pi(m - e * sig)
                 v = term.pi_valuation()
                 if v != INF:
                     diags.append((m, v))
                 acc = acc + term
             out.append(acc)
-        self._check_convergence(diags)
-        # each wrap of pi^e = p in a deep y^m shift divides by p, so the
-        # values are only known modulo p^(W - depth/e); if that eats into the
-        # target digits, a larger e is required
-        need = self.N + 5
-        lowest = min((acc.A // e for acc in out if acc.A != INF), default=None)
-        if lowest is not None and lowest < need:
-            deepest = max((-m for part in self.fd.exact_parts
-                           for m in part.levels), default=0)
-            budget = max(1, self.W - need)
-            exc = IncreaseE(
-                f"boundary values precise only to O(p^{lowest}) at radius "
-                f"1/{e} (need {need} digits); increase e")
-            exc.e_min = -(-deepest // budget)
-            raise exc
+        self._check_convergence(diags, [acc.A for acc in out])
         return out
 
-    def _check_convergence(self, diags):
-        """Flag evaluations whose deep pole terms dominate: the boundary is
-        too close to the very bad point and e must grow."""
-        if not diags:
-            return
-        vmin = min(v for _, v in diags)
+    def _exact_at_infinity(self, S):
+        """The six exact parts at the infinite disk's boundary point S.
+
+        Level m of a form is p^-sigma poly(pi^-3) pi^(-4m) u^m, u = S._u_value
+        a unit.  The product rule of RamifiedElement.__mul__ gives each level's
+        valuation and precision from poly alone, and levels at or past the
+        precision of their form are skipped; the rest are added into e integer
+        buckets, with u^m chained by u^(+-3) within each class of m mod 3.
+        """
+        ctx, p, e, W = self.ctx, self.p, self.e, self.W
+        mod = ctx.pk(W)
+        uval = S._u_value
+        uinv = uval.inverse()
+        plans, diags = [], []
+        for part in self.fd.exact_parts:
+            levels, prec = [], INF
+            for m, (sig, poly) in part.levels.items():
+                terms = [(j, c % mod) for j, c in enumerate(poly) if c]
+                top = 3 * terms[-1][0]
+                # w(poly(pi^-3)): pi^-top sum c_j pi^(top - 3j), pi^e = p folded
+                fold = {}
+                for j, c in terms:
+                    q, r = divmod(top - 3 * j, e)
+                    fold[r] = fold.get(r, 0) + c * ctx.pk(q)
+                wt = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
+                # times u^m (valuation 0), then times pi^shift
+                A = min(e * W - top, (uval if m > 0 else uinv).A + min(wt, e * W - top))
+                shift = -4 * m - e * sig
+                if wt < A:
+                    A = min(A, wt + e * W)
+                    diags.append((m, wt + shift))
+                    levels.append((m, terms, shift, wt + shift))
+                prec = min(prec, A + shift)
+            plans.append(([(m, t, s) for m, t, s, w in levels if w < prec], prec))
+        self._check_convergence(diags, [prec for _, prec in plans])
+
+        need = {m for levels, _ in plans for m, _, _ in levels}
+        upow = {}
+        for s, b in ((1, uval), (-1, uinv)):
+            deep = [max((m * s for m in need if m % 3 == r), default=0) for r in range(3)]
+            for k in range(1, max(deep) + 1):
+                if k <= 3:
+                    upow[s * k] = b if k == 1 else upow[s * (k - 1)] * b
+                elif k <= deep[s * k % 3]:
+                    upow[s * k] = upow[s * (k - 3)] * upow[3 * s]
+        out = []
+        for levels, prec in plans:
+            base = min((shift - 3 * t[-1][0]) // e for _, t, shift in levels) if levels else 0
+            acc = [0] * e
+            for m, terms, shift in levels:
+                ua = upow[m].a
+                for j, c in terms:
+                    q, r = divmod(shift - 3 * j, e)
+                    lo, hi = c * ctx.pk(q - base), c * ctx.pk(q + 1 - base)
+                    acc[:r] = [x + hi * a for x, a in zip(acc[:r], ua[e - r:])]
+                    acc[r:] = [x + lo * a for x, a in zip(acc[r:], ua)]
+            out.append(RamifiedElement(ctx, e, base, acc, prec))
+        return out
+
+    def _check_convergence(self, diags, precs):
+        """Flag evaluations whose deep pole terms dominate (the boundary is
+        too close to the very bad point) or whose values, known modulo
+        pi^prec for prec in precs, fall short of the target: e must grow."""
+        vmin = min((v for _, v in diags), default=INF)
         if vmin < -4 * self.e:
             raise IncreaseE(f"exact part blows up at radius 1/{self.e} "
                             f"(term of size p^{-vmin / self.e:.1f})")
@@ -566,6 +573,18 @@ class ColemanIntegrator:
             if vdeep < min(vrest, 0):
                 raise IncreaseE("exact-part terms are not decaying at radius "
                                 f"1/{self.e}; increase e")
+        # each wrap of pi^e = p in a deep y^m shift divides by p, so the
+        # values are only known modulo p^(W - depth/e); if that eats into the
+        # target digits, a larger e is required
+        need = self.N + 5
+        lowest = min((prec // self.e for prec in precs if prec != INF), default=None)
+        if lowest is not None and lowest < need:
+            deepest = max((-m for part in self.fd.exact_parts
+                           for m in part.levels), default=0)
+            raise IncreaseE(
+                f"boundary values precise only to O(p^{lowest}) at radius "
+                f"1/{self.e} (need {need} digits); increase e",
+                e_min=-(-deepest // max(1, self.W - need)))
 
     # -- Frobenius images of endpoints -------------------------------------
 
@@ -584,7 +603,8 @@ class ColemanIntegrator:
             w = cube_root_ramified(one_r + u_el, one_r)
             return w.shift_pi(p)
         # infinite disk: x = pi^-3, f(x)^p = pi^(-12p) Ft(pi)^p
-        Aval = self._at_pi_minus3(A)
+        Aval = RamifiedElement.from_terms(ctx, e, [(-3 * j, c % ctx.pk(self.W), self.W)
+                                                   for j, c in enumerate(A) if c])
         dd = self._disk_data(disk)
         Fv = self._eval_series(dd["Ft"], RamifiedElement.pi(ctx, e, 1))
         u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)

@@ -99,7 +99,13 @@ class DoubleRoot(ComputationFailure):
 
 
 class IncreaseE(ComputationFailure):
+    """The ramification index e is too small; e_min > 0 bounds the next e."""
+
     reason = "increase-e"
+
+    def __init__(self, message="", e_min=0):
+        super().__init__(message)
+        self.e_min = e_min
 
 
 class FrobeniusUncertified(ComputationFailure):

@@ -1,6 +1,9 @@
 """Tests for vanishing differentials, the Chabauty set, classification,
 and algebraic recognition."""
 
+import gc
+import os
+import types
 from fractions import Fraction
 
 import pytest
@@ -242,3 +245,28 @@ def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):
     assert d["status"] == "Failure"
     assert d["failure_reason"].startswith("frobenius-uncertified: ")
     assert d["frobenius_certified"] is False
+
+
+def test_failed_e_attempts_are_freed_without_the_cycle_collector():
+    # ex1 at p = 5 from e = 10 climbs to e = 50; each failed attempt's
+    # integrator must die with its last reference, not wait for a full
+    # collection (an exception kept across attempts holds its frames)
+    rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
+    pkg = os.path.dirname(chabauty_mod.__file__)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        rep = run_pipeline(rec, {"N": 15, "e0": 10})
+        assert rep.status == "Success" and rep.e == 50
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        pinned = [o for o in gc.garbage if isinstance(o, ColemanIntegrator) or
+                  (isinstance(o, types.FrameType) and
+                   o.f_code.co_filename.startswith(pkg))]
+        assert not pinned
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()

@@ -1,7 +1,9 @@
 """Tests for Coleman integration: tiny integrals, the Frobenius system,
 boundary points, divisor integrals, and number-field point realization."""
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -13,7 +15,7 @@ from picardcc.coleman import (
 )
 from picardcc import frobenius
 from picardcc.curve import PicardCurve, lift_point
-from picardcc.errors import BadYRule, NotSameDisk, NotSplit, PoleInDisk
+from picardcc.errors import BadYRule, IncreaseE, NotSameDisk, NotSplit, PoleInDisk
 from picardcc.frobenius import frobenius_matrix
 from picardcc.padic import INF, PadicContext, PadicElement, RamifiedElement, poly_deriv
 
@@ -21,6 +23,7 @@ EX1 = [-64, -48, 0, 6, 1]
 EX2 = [-24, 76, -78, 25, 1]
 EX4 = [2, 5, 6, 2, 1]
 X40 = [-40, 0, 0, 0, 1]
+POOL1_5 = [-5, 5, -5, -6, 1]
 
 
 @pytest.fixture(scope="module")
@@ -439,3 +442,90 @@ def test_stated_digits_hold_at_higher_precision():
         lo = min(a.v, b.v, 0)
         diff = a.unit * p ** (a.v - lo) - b.unit * p ** (b.v - lo)
         assert diff % p ** (k - lo) == 0, (a, b)
+
+
+# --- exact parts at the infinite boundary point ----------------------------
+
+
+@lru_cache(maxsize=None)
+def _frobenius(coeffs, p, N):
+    return frobenius_matrix(PicardCurve(list(coeffs)), p, N)
+
+
+def _reference_exact_at_infinity(eng, S):
+    """Every level in full: poly(pi^-3) times u^m, u^m by steps of u^(+-1),
+    shifted by pi^(-4m) p^-sigma and summed; with the (m, v) of each level."""
+    e, uval = eng.e, S._u_value
+    uinv = uval.inverse()
+    ms = [m for part in eng.fd.exact_parts for m in part.levels]
+    upow = {1: uval, -1: uinv}
+    for k in range(2, max(ms) + 1):
+        upow[k] = upow[k - 1] * uval
+    for k in range(2, -min(ms) + 1):
+        upow[-k] = upow[1 - k] * uinv
+    mod = eng.ctx.pk(eng.W)
+    out, diags = [], []
+    for part in eng.fd.exact_parts:
+        acc = RamifiedElement.zero(eng.ctx, e)
+        for m, (sig, poly) in sorted(part.levels.items()):
+            # poly(pi^-3), each coefficient known modulo p^W
+            at_x = RamifiedElement.from_terms(
+                eng.ctx, e, [(-3 * j, c % mod, eng.W) for j, c in enumerate(poly) if c])
+            term = (at_x * upow[m]).shift_pi(-4 * m - e * sig)
+            if not term.is_zero:
+                diags.append((m, term.pi_valuation()))
+            acc = acc + term
+        out.append(acc)
+    return out, diags
+
+
+@pytest.mark.parametrize("coeffs,p,N,e", [
+    (EX1, 5, 15, 10), (EX1, 5, 15, 30), (EX1, 5, 15, 50),
+    (EX4, 11, 8, 3), (EX4, 11, 8, 40),
+    (POOL1_5, 7, 10, 7), (POOL1_5, 7, 10, 40),
+], ids=["ex1@5-e10", "ex1@5-e30", "ex1@5-e50", "ex4@11-e3", "ex4@11-e40",
+        "pool1-5@7-e7", "pool1-5@7-e40"])
+def test_exact_at_infinity_matches_level_by_level_sum(coeffs, p, N, e, monkeypatch):
+    eng = ColemanIntegrator(_frobenius(tuple(coeffs), p, N), N=N, e=e)
+    disk = eng.infinite_disk
+    S = eng.boundary_point(disk)
+    want, want_diags = _reference_exact_at_infinity(eng, S)
+    try:
+        eng._check_convergence(want_diags, [a.A for a in want])
+        want_exc = None
+    except IncreaseE as exc:
+        want_exc = (str(exc), exc.e_min)
+    seen = []
+    check = eng._check_convergence
+
+    def spy(diags, precs):
+        seen.append(Counter(diags))
+        check(diags, precs)
+
+    monkeypatch.setattr(eng, "_check_convergence", spy)
+    try:
+        got = eng._exact_at_boundary(disk, S)
+        got_exc = None
+    except IncreaseE as exc:
+        got_exc = (str(exc), exc.e_min)
+    assert seen == [Counter(want_diags)]
+    assert got_exc == want_exc
+    if want_exc is None:
+        assert [(g.m, g.a, g.A) for g in got] == [(w.m, w.a, w.A) for w in want]
+
+
+def test_exact_at_infinity_makes_few_ramified_products(monkeypatch):
+    # the full level-by-level path makes 1,957 products here
+    eng = ColemanIntegrator(_frobenius(tuple(EX4), 11, 8), N=8, e=40)
+    disk = eng.infinite_disk
+    S = eng.boundary_point(disk)
+    calls = []
+    mul = RamifiedElement.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RamifiedElement, "__mul__", counting)
+    eng._exact_at_boundary(disk, S)
+    assert 0 < len(calls) <= 200
