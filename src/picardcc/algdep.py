@@ -1,8 +1,8 @@
 """Recognition of algebraic numbers from p-adic approximations.
 
-Small-dimension lattice reduction over the rationals, specialized to the
-degree <= 6 relations we ever need; any candidate relation is verified by
-substitution to full precision and by an exact factorization check.
+LLL reduces the lattice {c : sum c_i r^i = 0 mod p^k}, r = alpha mod p^k,
+whose short vectors are the candidate relations; a candidate is accepted
+only after substitution to full precision and an exact factorization check.
 """
 
 import math
@@ -17,46 +17,54 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def lll_reduce(basis, delta=Fraction(3, 4)):
-    """LLL reduction of integer row vectors; returns the reduced rows.
+def lll_reduce(basis):
+    """LLL-reduced basis (delta = 3/4) of linearly independent integer rows.
 
-    Plain textbook implementation with rational Gram-Schmidt data recomputed
-    on structural changes; fine for the dimension <= 8 lattices used here.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3:
+    the Gram-Schmidt data mu and B, computed once in exact rationals, are
+    updated in place by each size reduction RED(k, l) and each swap.
     """
-    b = [[Fraction(x) for x in row] for row in basis]
+    b = [list(row) for row in basis]
     n = len(b)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = []
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (_dot(b[i], b[j]) - sum(
+                mu[j][l] * mu[i][l] * B[l] for l in range(j))) / B[j]
+        B.append(Fraction(_dot(b[i], b[i])) - sum(
+            mu[i][l] ** 2 * B[l] for l in range(i)))
 
-    def gso():
-        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            w = list(b[i])
-            for j in range(i):
-                denom = _dot(star[j], star[j])
-                mu[i][j] = _dot(b[i], star[j]) / denom if denom else Fraction(0)
-                w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
-            star.append(w)
-        return star, mu
+    def red(k, l):
+        q = round(mu[k][l])
+        if q:
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            mu[k][l] -= q
+            for i in range(l):
+                mu[k][i] -= q * mu[l][i]
 
-    star, mu = gso()
     k = 1
     while k < n:
-        changed = False
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                changed = True
-        if changed:
-            star, mu = gso()
-        lhs = _dot(star[k], star[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * _dot(star[k - 1], star[k - 1])
-        if lhs >= rhs:
-            k += 1
-        else:
+        red(k, k - 1)
+        if B[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]:
+            # SWAP(k)
             b[k], b[k - 1] = b[k - 1], b[k]
-            star, mu = gso()
+            for j in range(k - 1):
+                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
+            m = mu[k][k - 1]
+            Bk = B[k] + m * m * B[k - 1]
+            mu[k][k - 1] = m * B[k - 1] / Bk
+            B[k - 1], B[k] = Bk, B[k - 1] * B[k] / Bk
+            for row in mu[k + 1:]:
+                t = row[k]
+                row[k] = row[k - 1] - m * t
+                row[k - 1] = t + mu[k][k - 1] * row[k]
             k = max(k - 1, 1)
-    return [[int(x) for x in row] for row in b]
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return b
 
 
 def _trim(poly):
@@ -68,14 +76,10 @@ def _trim(poly):
 def _normalize(poly):
     """Primitive, positive leading coefficient, low-to-high."""
     poly = _trim(list(poly))
-    g = 0
-    for c in poly:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        poly = [c // g for c in poly]
+    g = math.gcd(*poly) or 1
     if poly and poly[-1] < 0:
-        poly = [-c for c in poly]
-    return poly
+        g = -g
+    return [c // g for c in poly]
 
 
 def _vanishes(poly, alpha, k):
@@ -123,27 +127,20 @@ def algdep(alpha, degree_bound, height_bound=10 ** 8, prec=None):
     pk = ctx.pk(k)
     d = degree_bound
     r = alpha.residue(k)
-    powers = [pow(r, i, pk) for i in range(d + 1)]
 
-    # weight the congruence column so any vector with a nonzero residual
-    # modulo p^k is far longer than a true relation of height <= H
-    K = pk
-    rows = []
-    for i in range(d + 1):
-        row = [0] * (d + 2)
-        row[i] = 1
-        row[d + 1] = K * powers[i]
-        rows.append(row)
-    rows.append([0] * (d + 1) + [K * pk])
+    # basis p^k e_0 and e_i - (r^i mod p^k) e_0 of the congruence lattice
+    rows = [[pk] + [0] * d]
+    rows += [[-pow(r, i, pk)] + [int(j == i) for j in range(1, d + 1)]
+             for i in range(1, d + 1)]
 
     for row in lll_reduce(rows):
-        cand = _trim(list(row[: d + 1]))
+        cand = _trim(row)
         if len(cand) < 2:
             continue
         if max(abs(c) for c in cand) > height_bound:
             continue
-        # a genuine relation is far shorter than the ~p^(k/(d+2)) expected
-        # for the shortest vector of a random lattice of this shape
+        # sqrt(2) |c| <= p^(k/(d+2)): well below p^(k/(d+1)), the shortest
+        # length in a lattice of determinant p^k with no planted relation
         norm2 = sum(c * c for c in cand)
         if norm2 ** (d + 2) * 2 ** (d + 2) > pk * pk:
             continue

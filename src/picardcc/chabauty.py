@@ -313,32 +313,42 @@ class PointClassification:
 
 
 def _find_relation(I, J, bound, tol):
+    """Least (n, m), n in 1..bound, then m in -bound..bound, m != 0, with
+    n I = m J to valuation tol in every component, or None.  With b = J_j of
+    least valuation and a = n I_j, every such m has m b = a mod p^k for
+    k = min(tol, prec(a), prec(b)), fixing m mod p^(k - v(b)) if v(b) < k.
+    """
+    j = min(range(len(J)), key=lambda i: J[i].valuation())
+    b, p = J[j], J[j].ctx.p
     for n in range(1, bound + 1):
         nI = [v * n for v in I]
-        for m in range(-bound, bound + 1):
-            if m == 0:
+        a = nI[j]
+        k = min(tol, a.abs_prec, b.abs_prec)
+        ms = range(-bound, bound + 1)
+        if b.valuation() < k:
+            if a.valuation() < b.valuation():
                 continue
-            ok = True
-            for a, b in zip(nI, J):
-                d = a - b * m
-                if not (d.is_zero or d.valuation() >= tol):
-                    ok = False
-                    break
-            if ok:
+            mod = p ** (k - b.v)
+            r = 0 if a.is_zero else (
+                a.unit * p ** (a.v - b.v) * pow(b.unit, -1, mod)) % mod
+            ms = range(-bound + (r + bound) % mod, bound + 1, mod)
+        for m in ms:
+            if m and all(d.is_zero or d.valuation() >= tol
+                         for d in (x - y * m for x, y in zip(nI, J))):
                 return (n, m)
     return None
 
 
-def _recognize(alpha, height_bound=10 ** 8, max_degree=4, prec=None):
-    for d in range(1, max_degree + 1):
-        poly = algdep(alpha, d, height_bound, prec=prec)
+def _recognize(alpha, prec):
+    """Least-degree minimal polynomial of alpha of degree <= 4, or None."""
+    for d in range(1, 5):
+        poly = algdep(alpha, d, prec=prec)
         if poly:
             return poly
     return None
 
 
-def classify_point(Q, engine, vanishing, relation_bound=50,
-                   height_bound=10 ** 8):
+def classify_point(Q, engine, vanishing, relation_bound=50):
     """Trichotomy tag for a member of X(Q_p)_1, with integral evidence.
 
     Ramification points (including rational ones) are tagged Ramification:
@@ -354,46 +364,38 @@ def classify_point(Q, engine, vanishing, relation_bound=50,
     if Q.inf:
         return PointClassification("Rational", evidence={"point": "inf"})
 
+    mx = _recognize(Q.x, kp)
     fx = engine.curve.f_eval(Q.x)
     if Q.y.is_zero or fx.is_zero or fx.valuation() >= tol:
-        mp = _recognize(Q.x, height_bound, prec=kp)
-        return PointClassification("Ramification", minpoly_x=mp,
+        return PointClassification("Ramification", mx,
                                    evidence={"f_of_x": str(fx)})
 
     base = engine.infinite_disk.very_bad_point
     Ivec = engine.integral(base, Q)
     ev = {"integrals": [str(v) for v in Ivec]}
 
-    px = algdep(Q.x, 1, height_bound, prec=kp)
-    py = algdep(Q.y, 1, height_bound, prec=kp)
-    if px and py and len(px) == 2 and len(py) == 2:
-        xq = Fraction(-px[0], px[1])
-        yq = Fraction(-py[0], py[1])
+    # y is recognized once: here when x is rational, else where it is reported
+    x_rational = mx is not None and len(mx) == 2
+    my = _recognize(Q.y, kp) if x_rational else None
+    if x_rational and my is not None and len(my) == 2:
+        xq, yq = Fraction(-mx[0], mx[1]), Fraction(-my[0], my[1])
         if yq ** 3 == engine.curve.f_eval(xq):
             Q.exact_x, Q.exact_y = xq, yq
-            return PointClassification("Rational", minpoly_x=px,
-                                       minpoly_y=py, evidence=ev)
+            return PointClassification("Rational", mx, my, evidence=ev)
 
     if all(v.is_zero or v.valuation() >= tol for v in Ivec):
-        return PointClassification(
-            "TorsionCandidate",
-            minpoly_x=_recognize(Q.x, height_bound, prec=kp),
-            minpoly_y=_recognize(Q.y, height_bound, prec=kp),
-            evidence=ev)
-
-    for di, row in enumerate(vanishing.divisor_integrals):
-        rel = _find_relation(Ivec, row, relation_bound, tol)
-        if rel:
-            return PointClassification(
-                "LinearRelation", relation=(rel[0], rel[1], di),
-                minpoly_x=_recognize(Q.x, height_bound, prec=kp), evidence=ev)
-
-    mp = _recognize(Q.x, height_bound, prec=kp)
-    if mp:
-        return PointClassification(
-            "RecognizedAlgebraic", minpoly_x=mp,
-            minpoly_y=_recognize(Q.y, height_bound, prec=kp), evidence=ev)
-    return PointClassification("Unrecognized", evidence=ev)
+        tag = "TorsionCandidate"
+    else:
+        for di, row in enumerate(vanishing.divisor_integrals):
+            rel = _find_relation(Ivec, row, relation_bound, tol)
+            if rel:
+                return PointClassification("LinearRelation", mx,
+                                           relation=(*rel, di), evidence=ev)
+        if not mx:
+            return PointClassification("Unrecognized", evidence=ev)
+        tag = "RecognizedAlgebraic"
+    return PointClassification(
+        tag, mx, my if x_rational else _recognize(Q.y, kp), evidence=ev)
 
 
 # --- pipeline -------------------------------------------------------------

@@ -7,8 +7,18 @@ import types
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
-from picardcc.algdep import algdep
+from picardcc.algdep import (
+    _dot,
+    _irreducible_part,
+    _normalize,
+    _trim,
+    _vanishes,
+    algdep,
+    lll_reduce,
+)
 import picardcc.chabauty as chabauty_mod
 from picardcc.chabauty import (
     chabauty_set,
@@ -25,7 +35,7 @@ from picardcc.coleman import (
 from picardcc.curve import CurvePoint, PicardCurve, lift_point
 from picardcc.errors import ComputationFailure, DegenerateDivisor
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
-from picardcc.padic import PadicContext
+from picardcc.padic import INF, PadicContext
 
 EX1 = [-64, -48, 0, 6, 1]
 EX4 = [2, 5, 6, 2, 1]
@@ -157,6 +167,42 @@ def test_classify_ramification(x40_p13):
     assert cls.tag == "Ramification"
 
 
+def _classify_with_algdep_log(monkeypatch, record, params):
+    """run_pipeline with every algdep call of classify_point logged per
+    point as (coordinate, degree)."""
+    logs = []
+    classify, recognize = chabauty_mod.classify_point, chabauty_mod.algdep
+
+    def classify_spy(Q, *args, **kwargs):
+        logs.append((Q, []))
+        return classify(Q, *args, **kwargs)
+
+    def algdep_spy(alpha, d, *args, **kwargs):
+        Q, log = logs[-1]
+        coordinate = "x" if alpha is Q.x else "y" if alpha is Q.y else alpha
+        log.append((coordinate, d))
+        return recognize(alpha, d, *args, **kwargs)
+
+    monkeypatch.setattr(chabauty_mod, "classify_point", classify_spy)
+    monkeypatch.setattr(chabauty_mod, "algdep", algdep_spy)
+    rep = run_pipeline(record, params)
+    assert rep.status == "Success"
+    return [log for _, log in logs]
+
+
+@pytest.mark.parametrize("record,params", [
+    ({"label": "ex4", "f": EX4, "divisors": [{"g": [-1, 1, 1]}], "p": 11},
+     {"N": 8}),
+    ({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5},
+     {"N": 15, "e0": 10}),
+], ids=["ex4@11", "ex1@5"])
+def test_classify_recognizes_each_coordinate_once(monkeypatch, record, params):
+    logs = _classify_with_algdep_log(monkeypatch, record, params)
+    assert any(logs)
+    for log in logs:
+        assert len(log) == len(set(log)), log
+
+
 # --- algdep ----------------------------------------------------------------
 
 
@@ -206,6 +252,212 @@ def test_algdep_negative_valuation():
     ctx = PadicContext(5, 15)
     alpha = ctx.from_rational(Fraction(2, 5))
     assert algdep(alpha, 1) == [-2, 5]
+
+
+# The previous recognition code, kept as references for the differential
+# tests: the weighted (d+2)-column lattice reduced by an LLL that recomputes
+# its Gram-Schmidt data after every change, and the (n, m) pair scan.
+
+
+def _lll_recompute(basis, delta=Fraction(3, 4)):
+    b = [[Fraction(x) for x in row] for row in basis]
+    n = len(b)
+
+    def gso():
+        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            w = list(b[i])
+            for j in range(i):
+                denom = _dot(star[j], star[j])
+                mu[i][j] = _dot(b[i], star[j]) / denom if denom else Fraction(0)
+                w = [x - mu[i][j] * y for x, y in zip(w, star[j])]
+            star.append(w)
+        return star, mu
+
+    star, mu = gso()
+    k = 1
+    while k < n:
+        changed = False
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                changed = True
+        if changed:
+            star, mu = gso()
+        lhs = _dot(star[k], star[k])
+        rhs = (delta - mu[k][k - 1] ** 2) * _dot(star[k - 1], star[k - 1])
+        if lhs >= rhs:
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            star, mu = gso()
+            k = max(k - 1, 1)
+    return [[int(x) for x in row] for row in b]
+
+
+def _algdep_weighted(alpha, degree_bound, height_bound=10 ** 8, prec=None):
+    ctx = alpha.ctx
+    if alpha.is_zero:
+        return [0, 1]
+    if alpha.valuation() < 0:
+        rev = _algdep_weighted(ctx.from_int(1) / alpha, degree_bound,
+                               height_bound, prec=prec)
+        return _normalize(list(reversed(rev))) if rev else None
+    k = min(int(alpha.abs_prec), ctx.N)
+    if prec is not None:
+        k = min(k, int(prec))
+    pk = ctx.pk(k)
+    d = degree_bound
+    r = alpha.residue(k)
+    rows = []
+    for i in range(d + 1):
+        row = [0] * (d + 2)
+        row[i] = 1
+        row[d + 1] = pk * pow(r, i, pk)
+        rows.append(row)
+    rows.append([0] * (d + 1) + [pk * pk])
+    for row in _lll_recompute(rows):
+        cand = _trim(list(row[: d + 1]))
+        if len(cand) < 2 or max(abs(c) for c in cand) > height_bound:
+            continue
+        norm2 = sum(c * c for c in cand)
+        if norm2 ** (d + 2) * 2 ** (d + 2) > pk * pk:
+            continue
+        if not _vanishes(cand, alpha, k):
+            continue
+        out = _irreducible_part(cand, alpha, k)
+        if out and len(out) >= 2:
+            return out
+    return None
+
+
+def _find_relation_scan(I, J, bound, tol):
+    for n in range(1, bound + 1):
+        nI = [v * n for v in I]
+        for m in range(-bound, bound + 1):
+            if m == 0:
+                continue
+            ok = True
+            for a, b in zip(nI, J):
+                d = a - b * m
+                if not (d.is_zero or d.valuation() >= tol):
+                    ok = False
+                    break
+            if ok:
+                return (n, m)
+    return None
+
+
+PRIMES = st.sampled_from([5, 7, 11, 13, 17])
+
+
+@st.composite
+def algdep_inputs(draw):
+    """(alpha, d, prec): a Hensel-lifted root of a random irreducible
+    polynomial of small height, or a random residue, known mod p^k."""
+    p, k = draw(PRIMES), draw(st.integers(4, 30))
+    mod = p ** k
+    if draw(st.booleans()):
+        r = draw(st.integers(0, mod - 1))
+    else:
+        deg, height = draw(st.integers(1, 4)), draw(st.sampled_from([3, 30]))
+        cs = [0] + [draw(st.integers(-height, height)) for _ in range(deg)]
+        r = draw(st.integers(0, p - 1))
+        # c_0 puts a root at r mod p
+        cs[0] = -sum(c * r ** i for i, c in enumerate(cs)) % p \
+            + p * draw(st.integers(-height // p - 1, height // p))
+        dcs = [i * c for i, c in enumerate(cs)][1:]
+        assume(cs[-1] != 0 and sum(c * r ** i for i, c in enumerate(dcs)) % p)
+        assume(sympy.Poly(cs[::-1], sympy.Symbol("t")).is_irreducible)
+        for _ in range(6):
+            fr = sum(c * r ** i for i, c in enumerate(cs))
+            dr = sum(c * r ** i for i, c in enumerate(dcs))
+            r = (r - fr * pow(dr, -1, mod)) % mod
+    prec = draw(st.none() | st.integers(4, k))
+    return PadicContext(p, k).from_int(r), draw(st.integers(1, 4)), prec
+
+
+@given(algdep_inputs())
+@settings(max_examples=60, deadline=None)
+def test_algdep_matches_weighted_lattice(case):
+    alpha, d, prec = case
+    assert algdep(alpha, d, prec=prec) == _algdep_weighted(alpha, d, prec=prec)
+
+
+@st.composite
+def congruence_lattices(draw):
+    p, k, d = draw(PRIMES), draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    pk = p ** k
+    r = draw(st.integers(0, pk - 1))
+    rows = [[pk] + [0] * d]
+    for i in range(1, d + 1):
+        rows.append([-pow(r, i, pk)] + [int(j == i) for j in range(1, d + 1)])
+    return pk, r, rows
+
+
+def _gram_schmidt(rows):
+    star, mu = [], []
+    for b in rows:
+        w = [Fraction(x) for x in b]
+        mu.append([_dot(b, s) / _dot(s, s) for s in star])
+        for m, s in zip(mu[-1], star):
+            w = [x - m * y for x, y in zip(w, s)]
+        star.append(w)
+    return [_dot(s, s) for s in star], mu
+
+
+@given(congruence_lattices())
+@settings(max_examples=100, deadline=None)
+def test_lll_reduce_is_a_reduced_basis_of_the_lattice(lattice):
+    pk, r, rows = lattice
+    out = lll_reduce(rows)
+    for c in out:
+        assert sum(ci * pow(r, i, pk) for i, ci in enumerate(c)) % pk == 0
+    assert abs(sympy.Matrix(out).det()) == pk
+    B, mu = _gram_schmidt(out)
+    assert all(abs(m) <= Fraction(1, 2) for row in mu for m in row)
+    for k in range(1, len(out)):
+        assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+
+
+@st.composite
+def relation_inputs(draw):
+    """(I, J, bound, tol): random vectors of three Q_p elements, some with a
+    planted relation n I = m J; entries may be zero to precision, known to
+    few digits, or of nonzero valuation."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    ctx = PadicContext(p, draw(st.integers(6, 14)))
+
+    def element():
+        kind = draw(st.sampled_from(["full", "full", "low", "zero"]))
+        if kind == "zero":
+            return ctx.zero(draw(st.sampled_from([INF, 2, 5, 9])))
+        v = draw(st.integers(-1, 4))
+        u = draw(st.integers(1, p ** 6))
+        x = ctx.from_rational(Fraction(u) * Fraction(p) ** v)
+        if kind == "low":
+            x = x + ctx.zero(v + draw(st.integers(1, 4)))
+        return x
+
+    I = [element() for _ in range(3)]
+    if draw(st.booleans()):
+        n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8)) * draw(
+            st.sampled_from([-1, 1]))
+        J = [x * n / m for x in I]
+        if draw(st.booleans()):  # p-adically small noise
+            J = [y + ctx.from_int(p ** draw(st.integers(3, 10))) for y in J]
+    else:
+        J = [element() for _ in range(3)]
+    return I, J, draw(st.integers(3, 12)), draw(st.integers(2, 9))
+
+
+@given(relation_inputs())
+@settings(max_examples=150, deadline=None)
+def test_find_relation_matches_scan(case):
+    I, J, bound, tol = case
+    assert chabauty_mod._find_relation(I, J, bound, tol) == \
+        _find_relation_scan(I, J, bound, tol)
 
 
 # --- pipeline smoke test ---------------------------------------------------
