@@ -130,6 +130,16 @@ def _pure_form(t: RamifiedElement):
     return r, t.m, t.a[r], -((r - t.A) // t.e) - t.m
 
 
+def _add_shifted(ctx, acc, base, c, k, vec):
+    """acc += c pi^k sum(vec[i] pi^i) in place, acc holding the coefficients
+    of p^base pi^i and pi^e = p folded; k must be at least e * base."""
+    e = len(acc)
+    q, r = divmod(k, e)
+    lo, hi = c * ctx.pk(q - base), c * ctx.pk(q + 1 - base)
+    acc[:r] = [x + hi * a for x, a in zip(acc[:r], vec[e - r:])]
+    acc[r:] = [x + lo * a for x, a in zip(acc[r:], vec)]
+
+
 class ColemanIntegrator:
     """Coleman integrals on one curve at one good prime.
 
@@ -460,102 +470,91 @@ class ColemanIntegrator:
         return out
 
     def _exact_at_boundary(self, disk, S):
-        """All six exact-part values at a boundary point, with convergence check."""
-        if disk.kind != BAD_FINITE:
-            return self._exact_at_infinity(S)
-        ctx, p, e = self.ctx, self.p, self.e
-        kprec = self.W
-        mod = ctx.pk(kprec)
-        max_deg = max((len(poly) for part in self.fd.exact_parts
-                       for _, poly in part.levels.values()), default=1)
-        xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
-        xpows = [[1] + [0] * (e - 1)]
-        for _ in range(max_deg - 1):
-            xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
+        """The six exact parts f_i(S) at the boundary point S of a bad disk.
 
-        def at_x(poly):
-            buckets = [0] * e
-            for j, c in enumerate(poly):
-                if not c:
-                    continue
-                xp = xpows[j]
-                for s in range(e):
-                    if xp[s]:
-                        buckets[s] = (buckets[s] + c * xp[s]) % mod
-            return RamifiedElement(ctx, e, 0, buckets, e * kprec)
-
-        out, diags = [], []
-        for part in self.fd.exact_parts:
-            acc = RamifiedElement.zero(ctx, e)
-            for m, (sig, poly) in sorted(part.levels.items()):
-                # y = pi on the boundary, so y^m is a pure shift
-                term = at_x(poly).shift_pi(m - e * sig)
-                v = term.pi_valuation()
-                if v != INF:
-                    diags.append((m, v))
-                acc = acc + term
-            out.append(acc)
-        self._check_convergence(diags, [acc.A for acc in out])
-        return out
-
-    def _exact_at_infinity(self, S):
-        """The six exact parts at the infinite disk's boundary point S.
-
-        Level m of a form is p^-sigma poly(pi^-3) pi^(-4m) u^m, u = S._u_value
-        a unit.  The product rule of RamifiedElement.__mul__ gives each level's
-        valuation and precision from poly alone, and levels at or past the
-        precision of their form are skipped; the rest are added into e integer
-        buckets, with u^m chained by u^(+-3) within each class of m mod 3.
+        Level m of a form is p^-sigma poly(x) y^m; the product rule gives its
+        valuation and precision.  A form is known to the least precision of
+        its levels; the levels at or past it are skipped and the rest are
+        added into e integer buckets at one base exponent.  On a finite disk
+        y = pi: level m is V pi^(m - e sigma), V = poly(x(pi)) from the
+        x-power table, known to pi^(eW), added as soon as its valuation is
+        read.  At infinity x = pi^-3, y = pi^-4 u with u a unit: the valuation
+        folds from poly(pi^-3) alone, and u^m is made after the convergence
+        check for the kept levels only, chained by u^(+-3) per class mod 3.
         """
         ctx, p, e, W = self.ctx, self.p, self.e, self.W
         mod = ctx.pk(W)
-        uval = S._u_value
-        uinv = uval.inverse()
-        plans, diags = [], []
+        finite = disk.kind == BAD_FINITE
+        if finite:
+            max_deg = max((len(poly) for part in self.fd.exact_parts
+                           for _, poly in part.levels.values()), default=1)
+            xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
+            xpows = [[1] + [0] * (e - 1)]
+            for _ in range(max_deg - 1):
+                xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
+        else:
+            uval = S._u_value
+            uinv = uval.inverse()
+        forms, diags = [], []
         for part in self.fd.exact_parts:
-            levels, prec = [], INF
-            for m, (sig, poly) in part.levels.items():
-                terms = [(j, c % mod) for j, c in enumerate(poly) if c]
-                top = 3 * terms[-1][0]
-                # w(poly(pi^-3)): pi^-top sum c_j pi^(top - 3j), pi^e = p folded
-                fold = {}
-                for j, c in terms:
-                    q, r = divmod(top - 3 * j, e)
-                    fold[r] = fold.get(r, 0) + c * ctx.pk(q)
-                wt = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
-                # times u^m (valuation 0), then times pi^shift
-                A = min(e * W - top, (uval if m > 0 else uinv).A + min(wt, e * W - top))
-                shift = -4 * m - e * sig
-                if wt < A:
-                    A = min(A, wt + e * W)
-                    diags.append((m, wt + shift))
-                    levels.append((m, terms, shift, wt + shift))
-                prec = min(prec, A + shift)
-            plans.append(([(m, t, s) for m, t, s, w in levels if w < prec], prec))
-        self._check_convergence(diags, [prec for _, prec in plans])
+            acc, kept = [0] * e, []
+            if finite:
+                levels = [(m, m - e * sig, poly) for m, (sig, poly) in part.levels.items()]
+                prec = min((e * W + shift for _, shift, _ in levels), default=INF)
+                base = min((shift // e for _, shift, _ in levels), default=0)
+                for m, shift, poly in levels:
+                    V = [0] * e
+                    for j, c in enumerate(poly):
+                        if c:
+                            V = [x + c * y for x, y in zip(V, xpows[j])]
+                    V = [x % mod for x in V]
+                    g = math.gcd(*V)
+                    if not g:
+                        continue
+                    k = _pval(g, p)
+                    v = e * k + next(i for i, x in enumerate(V) if x % ctx.pk(k + 1)) + shift
+                    diags.append((m, v))
+                    if v < prec:
+                        _add_shifted(ctx, acc, base, 1, shift, V)
+            else:
+                levels, prec = [], INF
+                for m, (sig, poly) in part.levels.items():
+                    terms = [(j, c % mod) for j, c in enumerate(poly) if c]
+                    top = 3 * terms[-1][0]
+                    # w(poly(pi^-3)): pi^-top sum c_j pi^(top - 3j), pi^e = p folded
+                    fold = {}
+                    for j, c in terms:
+                        q, r = divmod(top - 3 * j, e)
+                        fold[r] = fold.get(r, 0) + c * ctx.pk(q)
+                    wt = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
+                    # times u^m (valuation 0), then times pi^shift
+                    A = min(e * W - top, (uval if m > 0 else uinv).A + min(wt, e * W - top))
+                    shift = -4 * m - e * sig
+                    if wt < A:
+                        A = min(A, wt + e * W)
+                        diags.append((m, wt + shift))
+                        levels.append((m, terms, shift, wt + shift))
+                    prec = min(prec, A + shift)
+                kept = [(m, t, s) for m, t, s, v in levels if v < prec]
+                base = min(((s - 3 * t[-1][0]) // e for _, t, s in kept), default=0)
+            forms.append((base, acc, prec, kept))
+        self._check_convergence(diags, [prec for _, _, prec, _ in forms])
 
-        need = {m for levels, _ in plans for m, _, _ in levels}
-        upow = {}
-        for s, b in ((1, uval), (-1, uinv)):
-            deep = [max((m * s for m in need if m % 3 == r), default=0) for r in range(3)]
-            for k in range(1, max(deep) + 1):
-                if k <= 3:
-                    upow[s * k] = b if k == 1 else upow[s * (k - 1)] * b
-                elif k <= deep[s * k % 3]:
-                    upow[s * k] = upow[s * (k - 3)] * upow[3 * s]
-        out = []
-        for levels, prec in plans:
-            base = min((shift - 3 * t[-1][0]) // e for _, t, shift in levels) if levels else 0
-            acc = [0] * e
-            for m, terms, shift in levels:
-                ua = upow[m].a
-                for j, c in terms:
-                    q, r = divmod(shift - 3 * j, e)
-                    lo, hi = c * ctx.pk(q - base), c * ctx.pk(q + 1 - base)
-                    acc[:r] = [x + hi * a for x, a in zip(acc[:r], ua[e - r:])]
-                    acc[r:] = [x + lo * a for x, a in zip(acc[r:], ua)]
-            out.append(RamifiedElement(ctx, e, base, acc, prec))
-        return out
+        if not finite:
+            need = {m for _, _, _, kept in forms for m, _, _ in kept}
+            upow = {}
+            for s, b in ((1, uval), (-1, uinv)):
+                deep = [max((m * s for m in need if m % 3 == r), default=0) for r in range(3)]
+                for k in range(1, max(deep) + 1):
+                    if k <= 3:
+                        upow[s * k] = b if k == 1 else upow[s * (k - 1)] * b
+                    elif k <= deep[s * k % 3]:
+                        upow[s * k] = upow[s * (k - 3)] * upow[3 * s]
+            for base, acc, _, kept in forms:
+                for m, terms, shift in kept:
+                    for j, c in terms:
+                        _add_shifted(ctx, acc, base, c, shift - 3 * j, upow[m].a)
+        return [RamifiedElement(ctx, e, base, acc, prec) for base, acc, prec, _ in forms]
 
     def _check_convergence(self, diags, precs):
         """Flag evaluations whose deep pole terms dominate (the boundary is
@@ -591,27 +590,23 @@ class ColemanIntegrator:
     def _phi_param(self, disk, S):
         """Uniformizer value of phi(S) for a boundary point S."""
         ctx, p, e = self.ctx, self.p, self.e
-        one_r = RamifiedElement.from_padic(ctx.one(), e)
         A = self.fd.A_poly
         if disk.kind == BAD_FINITE:
-            Aval = poly_at(A, S.x)
             # u = p A(x) / f(x)^p with f(x) = y^3 = pi^3
-            u_el = Aval.shift_pi(e - 3 * p)
-            if u_el.pi_valuation() < 1:
-                raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
-                                "increase e")
-            w = cube_root_ramified(one_r + u_el, one_r)
-            return w.shift_pi(p)
-        # infinite disk: x = pi^-3, f(x)^p = pi^(-12p) Ft(pi)^p
-        Aval = RamifiedElement.from_terms(ctx, e, [(-3 * j, c % ctx.pk(self.W), self.W)
-                                                   for j, c in enumerate(A) if c])
-        dd = self._disk_data(disk)
-        Fv = self._eval_series(dd["Ft"], RamifiedElement.pi(ctx, e, 1))
-        u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
+            u_el = poly_at(A, S.x).shift_pi(e - 3 * p)
+        else:
+            # x = pi^-3, f(x)^p = pi^(-12p) Ft(pi)^p
+            Aval = RamifiedElement.from_terms(ctx, e, [(-3 * j, c % ctx.pk(self.W), self.W)
+                                                       for j, c in enumerate(A) if c])
+            dd = self._disk_data(disk)
+            Fv = self._eval_series(dd["Ft"], RamifiedElement.pi(ctx, e, 1))
+            u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
         if u_el.pi_valuation() < 1:
             raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
                             "increase e")
-        w = cube_root_ramified(one_r + u_el, one_r)
+        w = cube_root_ramified(RamifiedElement.from_padic(ctx.one(), e) + u_el)
+        if disk.kind == BAD_FINITE:
+            return w.shift_pi(p)
         y_phi = S.y ** p * w
         best, best_val = None, -INF
         for c in cube_roots(ctx.one()):

@@ -125,10 +125,6 @@ class PadicElement:
         return self.unit == 0
 
     @property
-    def is_exact_zero(self) -> bool:
-        return self.unit == 0 and self.v == INF
-
-    @property
     def abs_prec(self):
         """Absolute precision: the element is known modulo p^abs_prec."""
         return self.v + self.rel if self.unit else self.v
@@ -248,9 +244,6 @@ class PadicElement:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, n: int):
         if n == 0:
             return self.ctx.one()
@@ -366,10 +359,6 @@ class RamifiedElement:
         """Valuation in pi-units (integer, or inf)."""
         return self.w
 
-    def abs_prec_pi(self):
-        """Absolute precision in pi-units: known modulo pi^k."""
-        return self.A
-
     def coefficient(self, i: int) -> PadicElement:
         """The coefficient of pi^i, an element of Q_p."""
         prec = INF if self.A == INF else -((i - self.A) // self.e)
@@ -470,18 +459,14 @@ class RamifiedElement:
         return RamifiedElement(self.ctx, self.e, self.m, self.a, INF)
 
     def inverse(self) -> "RamifiedElement":
-        """Newton iteration z <- z(2 - a z); requires nonzero to precision."""
+        """1/x by the Newton step of `_inverse_root` with k = 1; requires x
+        nonzero to precision."""
         if self.is_zero:
             raise DivisionByZeroPrecision("cannot invert ramified zero")
         w = self.w
         a = self.shift_pi(-w)._refreshed()  # unit: pi-valuation 0, a[0] a p-unit
         ctx, e = self.ctx, self.e
-        z = RamifiedElement.from_padic(a.coefficient(0).inverse(), e)
-        two = RamifiedElement.from_padic(ctx.from_int(2), e)
-        # correct pi-digit count doubles per step
-        steps = max(1, math.ceil(math.log2(max(2, e * ctx.N)))) + 1
-        for _ in range(steps):
-            z = (z * (two - a * z))._refreshed()
+        z = _inverse_root(a, 1, RamifiedElement.from_padic(a.coefficient(0).inverse(), e))
         # the relative-precision cap limits the certifiable error to ~p^(N-1)
         err = a * z - RamifiedElement.from_padic(ctx.one(), e)
         if err.w < e * (ctx.N - 2):
@@ -678,16 +663,27 @@ def cube_roots(a: PadicElement):
     return out
 
 
-def cube_root_ramified(a: RamifiedElement, start: RamifiedElement) -> RamifiedElement:
-    """Cube root of a in Q_p(pi) by Newton iteration from an approximate root.
-
-    `start` must satisfy start^3 = a to positive pi-adic precision with
-    3*start^2 a unit times pi-power; convergence is quadratic.
-    """
-    z = start
+def _inverse_root(a: RamifiedElement, k: int, r: RamifiedElement) -> RamifiedElement:
+    """a^(-1/k) for a unit a of Q_p(pi), from r, a root to positive pi-adic
+    precision, by the division-free Newton step r <- r((k + 1) - a r^k)/k
+    (Brent-Zimmermann, Modern Computer Arithmetic, 4.2); k = 1 or 3 is a
+    unit since p > 3.  The correct pi-digits double per step, and each iterate is read
+    at full nominal precision (`_refreshed`)."""
     ctx, e = a.ctx, a.e
     steps = max(1, math.ceil(math.log2(max(2, e * ctx.N)))) + 1
-    three = ctx.from_int(3)
+    k1 = RamifiedElement.from_padic(ctx.from_int(k + 1), e)
+    kinv = ctx.from_int(k).inverse()
     for _ in range(steps):
-        z = (z - (z * z * z - a) * (z * z * three).inverse())._refreshed()
-    return z
+        rk = r
+        for _ in range(k - 1):
+            rk = rk * r
+        r = (r * (k1 - a * rk)).scalar_mul(kinv)._refreshed()
+    return r
+
+
+def cube_root_ramified(a: RamifiedElement) -> RamifiedElement:
+    """The cube root of a = 1 mod pi in Q_p(pi) that is 1 mod pi: a r^2 for
+    r = a^(-1/3), stated at full nominal precision like the Newton iterates."""
+    one = RamifiedElement.from_padic(a.ctx.one(), a.e)
+    r = _inverse_root(a, 3, one)
+    return (a * r * r)._refreshed()

@@ -17,7 +17,14 @@ from picardcc import frobenius
 from picardcc.curve import PicardCurve, lift_point
 from picardcc.errors import BadYRule, IncreaseE, NotSameDisk, NotSplit, PoleInDisk
 from picardcc.frobenius import frobenius_matrix
-from picardcc.padic import INF, PadicContext, PadicElement, RamifiedElement, poly_deriv
+from picardcc.padic import (
+    INF,
+    PadicContext,
+    PadicElement,
+    RamifiedElement,
+    _fold_mul,
+    poly_deriv,
+)
 
 EX1 = [-64, -48, 0, 6, 1]
 EX2 = [-24, 76, -78, 25, 1]
@@ -421,7 +428,7 @@ def test_basis_integrals_match_ramified_gauss_jordan(coeffs, p, N, e, other):
     got = eng.basis_integrals(P, Q)
     for g, w in zip(got, want):
         assert isinstance(g, RamifiedElement)
-        assert min(g.abs_prec_pi(), w.abs_prec_pi()) >= e * N
+        assert min(g.A, w.A) >= e * N
         assert (g - w).is_zero  # agreement to the smaller stated precision
 
 
@@ -444,7 +451,7 @@ def test_stated_digits_hold_at_higher_precision():
         assert diff % p ** (k - lo) == 0, (a, b)
 
 
-# --- exact parts at the infinite boundary point ----------------------------
+# --- exact parts at the boundary points of bad disks -----------------------
 
 
 @lru_cache(maxsize=None)
@@ -479,22 +486,54 @@ def _reference_exact_at_infinity(eng, S):
     return out, diags
 
 
-@pytest.mark.parametrize("coeffs,p,N,e", [
-    (EX1, 5, 15, 10), (EX1, 5, 15, 30), (EX1, 5, 15, 50),
-    (EX4, 11, 8, 3), (EX4, 11, 8, 40),
-    (POOL1_5, 7, 10, 7), (POOL1_5, 7, 10, 40),
+def _reference_exact_at_finite(eng, S):
+    """Every level in full: poly(x(pi)) from the x-power table as a
+    RamifiedElement known to pi^(eW), shifted by pi^m p^-sigma (y = pi) and
+    summed; with the (m, v) of each level."""
+    ctx, p, e = eng.ctx, eng.p, eng.e
+    mod = ctx.pk(eng.W)
+    max_deg = max(len(poly) for part in eng.fd.exact_parts
+                  for _, poly in part.levels.values())
+    xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
+    xpows = [[1] + [0] * (e - 1)]
+    for _ in range(max_deg - 1):
+        xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
+    out, diags = [], []
+    for part in eng.fd.exact_parts:
+        acc = RamifiedElement.zero(ctx, e)
+        for m, (sig, poly) in sorted(part.levels.items()):
+            buckets = [0] * e
+            for j, c in enumerate(poly):
+                for s in range(e):
+                    buckets[s] = (buckets[s] + c * xpows[j][s]) % mod
+            term = RamifiedElement(ctx, e, 0, buckets, e * eng.W).shift_pi(m - e * sig)
+            if not term.is_zero:
+                diags.append((m, term.pi_valuation()))
+            acc = acc + term
+        out.append(acc)
+    return out, diags
+
+
+@pytest.mark.parametrize("coeffs,p,N,e,kind", [
+    (EX1, 5, 15, 10, "inf"), (EX1, 5, 15, 30, "inf"), (EX1, 5, 15, 50, "inf"),
+    (EX4, 11, 8, 3, "inf"), (EX4, 11, 8, 40, "inf"),
+    (POOL1_5, 7, 10, 7, "inf"), (POOL1_5, 7, 10, 40, "inf"),
+    (EX1, 5, 15, 10, "finite"), (EX1, 5, 15, 30, "finite"), (EX1, 5, 15, 50, "finite"),
+    (EX1, 5, 8, 40, "finite"),
+    pytest.param(X40, 13, 15, 40, "finite", marks=pytest.mark.slow),
+    pytest.param(X40, 13, 15, 120, "finite", marks=pytest.mark.slow),
 ], ids=["ex1@5-e10", "ex1@5-e30", "ex1@5-e50", "ex4@11-e3", "ex4@11-e40",
-        "pool1-5@7-e7", "pool1-5@7-e40"])
-def test_exact_at_infinity_matches_level_by_level_sum(coeffs, p, N, e, monkeypatch):
+        "pool1-5@7-e7", "pool1-5@7-e40",
+        "ex1@5-e10-finite", "ex1@5-e30-finite", "ex1@5-e50-finite", "ex1@5-N8-e40-finite",
+        "x40@13-e40-finite", "x40@13-e120-finite"])
+def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, monkeypatch):
     eng = ColemanIntegrator(_frobenius(tuple(coeffs), p, N), N=N, e=e)
-    disk = eng.infinite_disk
-    S = eng.boundary_point(disk)
-    want, want_diags = _reference_exact_at_infinity(eng, S)
-    try:
-        eng._check_convergence(want_diags, [a.A for a in want])
-        want_exc = None
-    except IncreaseE as exc:
-        want_exc = (str(exc), exc.e_min)
+    if kind == "inf":
+        disks, reference = [eng.infinite_disk], _reference_exact_at_infinity
+    else:
+        disks = [d for d in eng.disks if d.kind == "bad_finite"]
+        reference = _reference_exact_at_finite
+    assert disks
     seen = []
     check = eng._check_convergence
 
@@ -503,15 +542,36 @@ def test_exact_at_infinity_matches_level_by_level_sum(coeffs, p, N, e, monkeypat
         check(diags, precs)
 
     monkeypatch.setattr(eng, "_check_convergence", spy)
-    try:
-        got = eng._exact_at_boundary(disk, S)
-        got_exc = None
-    except IncreaseE as exc:
-        got_exc = (str(exc), exc.e_min)
-    assert seen == [Counter(want_diags)]
-    assert got_exc == want_exc
-    if want_exc is None:
-        assert [(g.m, g.a, g.A) for g in got] == [(w.m, w.a, w.A) for w in want]
+    for disk in disks:
+        S = eng.boundary_point(disk)
+        want, want_diags = reference(eng, S)
+        try:
+            check(want_diags, [a.A for a in want])
+            want_exc = None
+        except IncreaseE as exc:
+            want_exc = (str(exc), exc.e_min)
+        seen.clear()
+        try:
+            got = eng._exact_at_boundary(disk, S)
+            got_exc = None
+        except IncreaseE as exc:
+            got_exc = (str(exc), exc.e_min)
+        assert seen == [Counter(want_diags)]
+        assert got_exc == want_exc
+        if want_exc is None:
+            assert [(g.m, g.a, g.A) for g in got] == [(w.m, w.a, w.A) for w in want]
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    method = getattr(RamifiedElement, name)
+
+    def counting(self, other):
+        calls.append(1)
+        return method(self, other)
+
+    monkeypatch.setattr(RamifiedElement, name, counting)
+    return calls
 
 
 def test_exact_at_infinity_makes_few_ramified_products(monkeypatch):
@@ -519,13 +579,16 @@ def test_exact_at_infinity_makes_few_ramified_products(monkeypatch):
     eng = ColemanIntegrator(_frobenius(tuple(EX4), 11, 8), N=8, e=40)
     disk = eng.infinite_disk
     S = eng.boundary_point(disk)
-    calls = []
-    mul = RamifiedElement.__mul__
-
-    def counting(self, other):
-        calls.append(1)
-        return mul(self, other)
-
-    monkeypatch.setattr(RamifiedElement, "__mul__", counting)
+    calls = _count_calls(monkeypatch, "__mul__")
     eng._exact_at_boundary(disk, S)
     assert 0 < len(calls) <= 200
+
+
+def test_exact_at_finite_boundary_adds_no_ramified_elements(monkeypatch):
+    # the level-by-level path adds one RamifiedElement per level
+    eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 15), N=15, e=50)
+    disk = next(d for d in eng.disks if d.kind == "bad_finite")
+    S = eng.boundary_point(disk)
+    calls = _count_calls(monkeypatch, "__add__")
+    assert len(eng._exact_at_boundary(disk, S)) == 6
+    assert not calls

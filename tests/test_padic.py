@@ -1,5 +1,6 @@
 """Tests for capped-precision p-adic and ramified arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from picardcc.padic import (
     RamifiedElement,
     _fold_mul,
     _polymul_mod,
+    cube_root_ramified,
     cube_roots,
     hensel_lift_root,
     newton_lift,
@@ -91,7 +93,7 @@ def test_zero_sentinel_precision():
     ctx = PadicContext(5, 4)
     a = ctx.from_int(1)
     d = a - a
-    assert d.is_zero and not d.is_exact_zero
+    assert d.is_zero and d.v != INF
     assert d.abs_prec == 4
     with pytest.raises(DivisionByZeroPrecision):
         a / d
@@ -204,7 +206,7 @@ def test_poly_at_generic_rings():
     assert poly_at([1, 2, 3], 2) == 17
     assert poly_at([Fraction(1, 2), 1], Fraction(1, 3)) == Fraction(5, 6)
     ctx = PadicContext(5, 6)
-    assert poly_at([], ctx.from_int(7)).is_exact_zero
+    assert poly_at([], ctx.from_int(7)).v == INF
 
 
 @settings(max_examples=150, deadline=None)
@@ -362,7 +364,7 @@ def _agrees(x, X):
     """Every pi-adic digit that x states agrees with the exact value X."""
     p, e = x.ctx.p, x.e
     diff = _exact_add((x.m, x.a), (X[0], [-c for c in X[1]]), p)
-    return _exact_val(diff, e, p) >= x.abs_prec_pi()
+    return _exact_val(diff, e, p) >= x.A
 
 
 _E = st.sampled_from([1, 3, 10, 50])
@@ -406,8 +408,7 @@ def test_flat_ring_ops_match_exact(data):
     # precision: the min-rule, capped at e*N digits past the valuation
     w1, w2 = x.pi_valuation(), y.pi_valuation()
     prod = x * y
-    assert prod.abs_prec_pi() == min(w1 + w2 + e * ctx.N,
-                                     x.abs_prec_pi() + w2, y.abs_prec_pi() + w1)
+    assert prod.A == min(w1 + w2 + e * ctx.N, x.A + w2, y.A + w1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,7 +420,7 @@ def test_flat_shift_pi_is_mul_by_pi_power(data, k):
     shifted = x.shift_pi(k)
     q, r = divmod(k, e)
     assert _agrees(shifted, _exact_mul(X, (q, [int(i == r) for i in range(e)]), e, p))
-    assert shifted.abs_prec_pi() == x.abs_prec_pi() + k
+    assert shifted.A == x.A + k
     assert (shifted - x * pik).is_zero
 
 
@@ -431,7 +432,7 @@ def test_flat_inverse_matches_exact(data):
     one = _exact_mul(X, (y.m, y.a), e, ctx.p)
     err = _exact_add(one, (0, [-1] + [0] * (e - 1)), ctx.p)
     # y is stated modulo pi^A, so x*y - 1 vanishes modulo pi^(A + v(x))
-    assert _exact_val(err, e, ctx.p) >= y.abs_prec_pi() + x.pi_valuation()
+    assert _exact_val(err, e, ctx.p) >= y.A + x.pi_valuation()
     assert y.pi_valuation() == -x.pi_valuation()
 
 
@@ -444,10 +445,60 @@ def test_flat_to_padic_matches_exact(data):
     c0 = RamifiedElement(ctx, e, m, [a0] + [0] * (e - 1), INF)
     got = c0.to_padic()
     want = ctx.from_rational(Fraction(a0) * Fraction(ctx.p) ** m)
-    assert got.is_congruent(want) and got.abs_prec == -(-c0.abs_prec_pi() // e)
+    assert got.is_congruent(want) and got.abs_prec == -(-c0.A // e)
     if any(not x.coefficient(i).is_zero for i in range(1, e)):
         with pytest.raises(ValueError):
             x.to_padic()
+
+
+# --- cube roots in Q_p(pi) ---------------------------------------------------
+
+
+def _nested_inverse_cube_root(a):
+    """Newton's z <- z - (z^3 - a)/(3 z^2) from z = 1, with a fresh Newton
+    inverse of 3 z^2 in every step, each iterate read at full precision."""
+    ctx, e = a.ctx, a.e
+    z = RamifiedElement.from_padic(ctx.one(), e)
+    three = ctx.from_int(3)
+    for _ in range(max(1, math.ceil(math.log2(max(2, e * ctx.N)))) + 1):
+        z = (z - (z * z * z - a) * (z * z * three).inverse())._refreshed()
+    return z
+
+
+@settings(max_examples=40, deadline=None)
+@given(_P, _E, st.integers(2, 8), st.data())
+def test_cube_root_ramified_matches_nested_newton(p, e, N, data):
+    ctx = PadicContext(p, N)
+    vec = [data.draw(st.integers(0, p ** N)) for _ in range(e)]
+    vec[0] = 1 + p * vec[0]
+    a = RamifiedElement(ctx, e, 0, vec, data.draw(st.integers(1, e * N)))
+    got, want = cube_root_ramified(a), _nested_inverse_cube_root(a)
+    assert (got.m, got.a, got.A) == (want.m, want.a, want.A)
+    cube = got * got * got - a
+    assert cube.is_zero and cube.A == a.A
+
+
+def test_cube_root_ramified_makes_few_products(monkeypatch):
+    # the nested-inverse iteration makes 360 products on this input
+    from picardcc import coleman
+    from picardcc.curve import PicardCurve
+    from picardcc.frobenius import frobenius_matrix
+
+    eng = coleman.ColemanIntegrator(
+        frobenius_matrix(PicardCurve([-64, -48, 0, 6, 1]), 5, 15), N=15, e=50)
+    args = []
+    monkeypatch.setattr(coleman, "cube_root_ramified",
+                        lambda a: args.append(a) or cube_root_ramified(a))
+    disk = eng.infinite_disk
+    eng._phi_param(disk, eng.boundary_point(disk))
+    calls = []
+    mul = RamifiedElement.__mul__
+    monkeypatch.setattr(RamifiedElement, "__mul__",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    [a] = args
+    root = cube_root_ramified(a)
+    assert 0 < len(calls) <= 100
+    assert (root * root * root - a).is_zero
 
 
 # --- the Kronecker kernel ---------------------------------------------------
