@@ -19,12 +19,9 @@ from .coleman import (
     realize_nf_points,
 )
 from .curve import (
-    BAD_FINITE,
-    GOOD,
     CurvePoint,
     PicardCurve,
     good_prime,
-    lift_point,
     prime_rejection,
     rational_point_search,
 )
@@ -41,15 +38,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .frobenius import frobenius_matrix, zeta_consistency_check
-from .padic import (
-    INF,
-    _pval,
-    cube_roots,
-    poly_at,
-    poly_deriv,
-    poly_eval_mod,
-    sympy_poly,
-)
+from .padic import INF, _pval, poly_eval_mod, sympy_poly
 from .series import solve_zeros_in_disk
 
 __all__ = [
@@ -147,16 +136,6 @@ def vanishing_differentials(engine, divisors):
 # --- solving for X(Q_p)_1 -------------------------------------------------
 
 
-def _disk_center(engine, disk):
-    if disk.kind != GOOD:
-        return disk.very_bad_point
-    x0, y0 = disk.reduction
-    for P in lift_point(engine.curve, x0, engine.ctx):
-        if P.y.residue(1) == y0:
-            return P
-    raise ComputationFailure(f"no center above {disk.reduction}")
-
-
 def _agree_res(r1, k1, r2, k2, p):
     k = min(k1, k2)
     return (r1 - r2) % p ** k == 0
@@ -180,10 +159,9 @@ def _dot(vec, integrals):
 
 def _disk_points(engine, disk, vanishing, base):
     p = engine.p
-    center = _disk_center(engine, disk)
+    center = engine.center(disk)
     integrals = None if center.inf else engine.integral(base, center)
-    rows = engine.antiderivative_rows(disk, vanishing.vectors,
-                                      center if disk.kind == GOOD else None)
+    rows = engine.antiderivative_rows(disk, vanishing.vectors, center)
     solved = []
     for vec, (terms, prec) in zip(vanishing.vectors, rows):
         const = engine.ctx.zero() if center.inf else _dot(vec, integrals)
@@ -244,46 +222,13 @@ def _disk_points(engine, disk, vanishing, base):
 
 def _point_from_root(engine, disk, center, r, Np):
     """Rebuild the curve point with uniformizer value t = p*r in its disk."""
-    ctx, p = engine.ctx, engine.p
-    t_int = (p * r) % p ** (Np + 1)
+    t_int = (engine.p * r) % engine.p ** (Np + 1)
     if t_int == 0:
         return CurvePoint(center.x, center.y, inf=center.inf,
                           exact_x=center.exact_x, exact_y=center.exact_y)
     # full-precision representative of the certified class t = p*r mod p^(Np+1);
     # the certificate records how many digits are actually determined
-    t = ctx.from_int(t_int)
-    if disk.kind == GOOD:
-        x = center.x + t
-        y0 = disk.reduction[1]
-        ys = [yy for yy in cube_roots(engine.curve.f_eval(x)) if yy.residue(1) == y0]
-        if not ys:
-            raise ComputationFailure(f"no cube root of f({x!r}) reduces to {y0} mod {p}")
-        return CurvePoint(x, ys[0])
-    if disk.kind == BAD_FINITE:
-        # t = y; recover x from f(x) = y^3 by Newton from the lifted center
-        y = t
-        target = y * y * y
-        df = poly_deriv(engine.curve.f)
-        x = center.x
-        for _ in range(Np.bit_length() + 3):
-            num = engine.curve.f_eval(x) - target
-            if num.is_zero:
-                break
-            x = x - num / poly_at(df, x)
-        return CurvePoint(x, y)
-    # infinite disk: x = t^-3, y = u(t) t^-4
-    x = ctx.from_int(1) / (t * t * t)
-    dd = engine._disk_data(disk, None)
-    m = int(Np) + 2
-    uval = poly_at([c % ctx.pk(ctx.N) for c in dd["u"][:m]], t)
-    y_ser = uval / (t * t * t * t)
-    best, bestv = None, None
-    for yy in cube_roots(engine.curve.f_eval(x)):
-        d = yy - y_ser
-        v = d.valuation() if not d.is_zero else INF
-        if best is None or v > bestv:
-            best, bestv = yy, v
-    return CurvePoint(x, best)
+    return engine.point_at(disk, engine.ctx.from_int(t_int), center)
 
 
 def chabauty_set(engine, vanishing):

@@ -14,6 +14,8 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 
+from sympy import isprime
+
 from .chabauty import (ChabautyReport, _divisor_specs, _point_spec, _split_product,
                        run_pipeline)
 from .curve import PicardCurve, good_prime, prime_rejection
@@ -215,8 +217,12 @@ def cmd_batch(args):
 
 
 def cmd_roots(args):
-    poly = [int(c) for c in args.poly.split(",")]
     try:
+        poly = [int(c) for c in args.poly.split(",")]
+        if not isprime(args.p):
+            raise ValueError(f"p = {args.p} is not a prime")
+        if args.n < 1:
+            raise ValueError(f"n must be at least 1, got {args.n}")
         records = hensel_system_of_roots(poly, args.p, args.n)
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
@@ -228,6 +234,9 @@ def cmd_roots(args):
 
 
 def cmd_zeta(args):
+    if args.precision < 1:
+        print(f"invalid input: N must be at least 1, got {args.precision}", file=sys.stderr)
+        return 2
     try:
         record = load_record(args.curve)
         curve = validate_record(record)

@@ -19,7 +19,6 @@ from .curve import (
     GOOD,
     CurvePoint,
     PicardCurve,
-    _poly_of_series,
     classify_disks,
     local_expansion,
     reduce_point,
@@ -27,6 +26,7 @@ from .curve import (
 )
 from .errors import (
     BadYRule,
+    ComputationFailure,
     IncreaseE,
     NotSameDisk,
     NotSplit,
@@ -164,7 +164,6 @@ class ColemanIntegrator:
         self.T_good = N + 16
         self.T_bad = e * (N + 10) + 16
         self._disk_data_cache = {}
-        self._omega_cache = {}
         self._endpoint_cache = {}
         self._boundary_cache = {}
 
@@ -187,39 +186,59 @@ class ColemanIntegrator:
         return disk.reduction, center.x.residue(self.W)
 
     def _disk_data(self, disk, center=None):
-        """Cached uniformizer series and integrand building blocks."""
+        """The disk's six basis differentials pulled back once, cached per
+        disk and, on a good disk, per center.
+
+        forms[i] = (k0, coeffs) with omega_i = sum(coeffs[j] t^(k0+j)) dt,
+        coefficients mod p^W; every other form is their combination
+        (`antiderivative_rows`).  Form (a, b) = x^a y^b dx / f is
+        (x0 + t)^a g_b cut at t^T on a good disk (t = x - x0, g_b = y^b/f);
+        t^(b-3) x^a x' cut at t^(T-2) on a finite bad disk (t = y); and
+        -3 t^(8-3a-4b) g_b cut at t^(T-6) at infinity (x = t^-3,
+        y = t^-4 u, g_b = u^b/Ft, Ft = t^12 f(t^-3)).  Bad disks also keep
+        x(t) as "xt", or u(t) as "u" and Ft as "Ft".
+        """
         key = self._center_key(disk, center)
         got = self._disk_data_cache.get(key)
         if got is not None:
             return got
-        ctx, p = self.ctx, self.p
+        ctx, f = self.ctx, self.curve.f
         mod = ctx.pk(self.W)
-        dd = {"mod": mod}
         if disk.kind == GOOD:
             T = self.T_good
             exp = local_expansion(self.curve, disk, ctx, T, center=center)
-            ys = list(exp.y_coeffs) + [0] * (T + 1 - len(exp.y_coeffs))
-            fx = _poly_of_series(self.curve.f, exp.x_coeffs, mod, T)
-            dd.update(T=T, x0=exp.x_coeffs[0], ys=ys,
-                      y2=ser_mul(ys, ys, mod, T), Finv=ser_inv(fx, mod, T))
+            x0, ys = exp.x_coeffs[0], exp.y_coeffs
+            Finv = ser_inv(taylor_shift(f, x0, mod), mod, T)
+            xg = {}
+            for b, yb in ((1, ys), (2, ser_mul(ys, ys, mod, T))):
+                g = ser_mul(yb, Finv, mod, T)
+                for a in range(3):
+                    xg[a, b] = g
+                    g = [(x0 * c + d) % mod for c, d in zip(g, [0] + g)]  # times x0 + t
+            dd = {"forms": [(0, xg[ab]) for ab in BASIS]}
         elif disk.kind == BAD_FINITE:
             T = self.T_bad
-            exp = local_expansion(self.curve, disk, ctx, T)
-            xt = list(exp.x_coeffs) + [0] * (T + 1 - len(exp.x_coeffs))
-            dd.update(T=T, xt=xt, dxt=poly_deriv(xt))
+            xt = local_expansion(self.curve, disk, ctx, T).x_coeffs
+            dx = [c % mod for c in poly_deriv(xt)]
+            xdx = [dx, ser_mul(xt, dx, mod, T)]
+            xdx.append(ser_mul(xt, xdx[1], mod, T))
+            dd = {"xt": xt, "forms": [(b - 3, xdx[a][:T + 2 - b]) for a, b in BASIS]}
         else:
             T = self.T_bad
-            exp = local_expansion(self.curve, disk, ctx, T)
-            u = list(exp.y_coeffs) + [0] * (T + 1 - len(exp.y_coeffs))
-            c0, c1, c2, c3, _ = self.curve.f
+            u = local_expansion(self.curve, disk, ctx, T).y_coeffs
+            c0, c1, c2, c3, _ = f
             Ft = [0] * (T + 1)
             for k, c in zip((0, 3, 6, 9, 12), (1, c3, c2, c1, c0)):
                 if k <= T:
                     Ft[k] = c % mod
             Finv = ser_inv(Ft, mod, T)
-            dd.update(T=T, u=u, Ft=Ft,
-                      g1=ser_mul(u, Finv, mod, T),
-                      g2=ser_mul(ser_mul(u, u, mod, T), Finv, mod, T))
+            g = {1: ser_mul(u, Finv, mod, T),
+                 2: ser_mul(ser_mul(u, u, mod, T), Finv, mod, T)}
+            forms = []
+            for a, b in BASIS:
+                k0 = 8 - 3 * a - 4 * b
+                forms.append((k0, [-3 * c % mod for c in g[b][:T - 5 - k0]]))
+            dd = {"u": u, "Ft": Ft, "forms": forms}
         self._disk_data_cache[key] = dd
         return dd
 
@@ -247,89 +266,38 @@ class ColemanIntegrator:
             out.append(el.residue(k))
         return tuple(out), floor
 
-    def pullback_series(self, disk, omega, center=None):
-        """omega pulled back to the disk, as (shift, coeffs, prec).
-
-        The differential equals t^shift * sum(coeffs[k] t^k) dt with integer
-        coefficients valid mod p^prec; good disks expand around `center`.
-        """
-        om_ints, floor = self._lift_omega(omega)
-        sh, cf = self._omega_series(disk, om_ints, center)
-        return sh, cf, floor
-
-    def _omega_series(self, disk, om_ints, center=None):
-        key = (self._center_key(disk, center), om_ints)
-        got = self._omega_cache.get(key)
-        if got is not None:
-            return got
-        dd = self._disk_data(disk, center)
-        mod, T = dd["mod"], dd["T"]
-        # coefficients of x^a for each power of y
-        P1, P2 = [0, 0, 0], [0, 0, 0]
-        for ci, (a, b) in zip(om_ints, BASIS):
-            if ci:
-                (P1 if b == 1 else P2)[a] = (((P1 if b == 1 else P2)[a]) + ci) % mod
-        if disk.kind == GOOD:
-            s1 = taylor_shift(P1, dd["x0"], mod)
-            s2 = taylor_shift(P2, dd["x0"], mod)
-            num = [0] * (T + 1)
-            for poly, ypow in ((s1, dd["ys"]), (s2, dd["y2"])):
-                if not any(poly):
-                    continue
-                part = ser_mul(poly, ypow, mod, T)
-                for k, c in enumerate(part):
-                    num[k] = (num[k] + c) % mod
-            out = (0, ser_mul(num, dd["Finv"], mod, T))
-        elif disk.kind == BAD_FINITE:
-            # x^a y^b dx / f = t^(b-3) P_b(x(t)) x'(t) dt
-            arr = [0] * (T + 1)
-            for b, poly in ((1, P1), (2, P2)):
-                if not any(poly):
-                    continue
-                part = ser_mul(_poly_of_series(poly, dd["xt"], mod, T),
-                               dd["dxt"], mod, T)
-                for k, c in enumerate(part):
-                    idx = k + b - 1  # t-power (k + b - 3) minus shift (-2)
-                    if idx <= T:
-                        arr[idx] = (arr[idx] + c) % mod
-            out = (-2, arr)
-        else:
-            # x^a y^b dx / f = -3 t^(8-3a-4b) u(t)^b / Ft(t) dt
-            arr = [0] * (T + 1)
-            for ci, (a, b) in zip(om_ints, BASIS):
-                if not ci:
-                    continue
-                base = dd["g1"] if b == 1 else dd["g2"]
-                off = (8 - 3 * a - 4 * b) + 6
-                sc = (-3 * ci) % mod
-                for k, c in enumerate(base):
-                    idx = off + k
-                    if idx <= T:
-                        arr[idx] = (arr[idx] + sc * c) % mod
-            out = (-6, arr)
-        self._omega_cache[key] = out
-        return out
-
-    # -- termwise evaluation ----------------------------------------------
-
     def antiderivative_rows(self, disk, omegas, center=None):
         """(terms, prec) for each omega: its termwise antiderivative in the
         disk, fixed at 0, as [(power, coeff, divisor)] by increasing power,
-        each coeff an integer known modulo p^prec.  Tiny integrals evaluate
-        these rows and the Chabauty solver finds their zeros."""
+        each coeff an integer known modulo p^prec.  The pullback of omega is
+        the combination of the disk's six basis pullbacks (`_disk_data`)
+        with the integers of `_lift_omega`, reduced mod p^W once; a good
+        disk expands around `center`.  Tiny integrals evaluate these rows
+        and the Chabauty solver finds their zeros."""
+        forms = self._disk_data(disk, center)["forms"]
+        mod = self.ctx.pk(self.W)
+        lo = min(k0 for k0, _ in forms)
+        width = max(k0 + len(cf) for k0, cf in forms) - lo
         rows = []
         for omega in omegas:
-            shift, coeffs, floor = self.pullback_series(disk, omega, center)
+            ints, floor = self._lift_omega(omega)
+            acc = [0] * width
+            for ci, (k0, cf) in zip(ints, forms):
+                if ci:
+                    s = k0 - lo
+                    acc[s:s + len(cf)] = [x + ci * c for x, c in zip(acc[s:], cf)]
             terms = []
-            for i, c in enumerate(coeffs):
+            for k, c in enumerate(acc, lo):
+                c %= mod
                 if not c:
                     continue
-                k = shift + i
                 if k == -1:
                     raise PoleInDisk("nonzero residue: logarithmic term")
                 terms.append((k + 1, c, k + 1))
             rows.append((terms, floor))
         return rows
+
+    # -- termwise evaluation ----------------------------------------------
 
     def _eval_terms(self, rows, t):
         """[sum(c/d * t^j for (j, c, d) in terms) for (terms, prec) in rows]
@@ -403,18 +371,44 @@ class ColemanIntegrator:
         # infinite disk: t^-3 = x, branch fixed by y = t^-4 u(t)
         if P.inf:
             return None
-        cands = cube_roots(P.x.inverse())
-        dd = self._disk_data(disk)
-        best, best_val = None, -INF
-        for tc in cands:
-            ut = self._eval_series(dd["u"], tc)
-            diff = P.y * tc ** 4 - ut
-            v = diff.valuation()
-            if v > best_val:
-                best, best_val = tc, v
-        if best is None or best_val < 1:
+        u = self._disk_data(disk)["u"]
+        gaps = [((P.y * tc ** 4 - self._eval_series(u, tc)).valuation(), tc)
+                for tc in cube_roots(P.x.inverse())]
+        best_val, best = max(gaps, key=lambda g: g[0], default=(-INF, None))
+        if best_val < 1:
             raise WrongDisk(f"{P!r} has no branch in the infinite disk")
         return best
+
+    # -- points of a disk ----------------------------------------------------
+
+    def center(self, disk) -> CurvePoint:
+        """The point at t = 0: the very bad point of a bad disk, or the Q_p
+        point of a good disk above the integer x of its reduction."""
+        if disk.kind != GOOD:
+            return disk.very_bad_point
+        return self._good_point(disk, self.ctx.element(disk.reduction[0]))
+
+    def point_at(self, disk, t, center) -> CurvePoint:
+        """The point with uniformizer value t != 0 in `disk`, a good disk
+        expanded around `center`.  A bad disk reads it off its expansion,
+        exact to W digits since T_bad >= W - 1: (x(t), t) on a finite disk,
+        (t^-3, u(t) t^-4) at infinity.  T_good can fall below W - 1, so on a
+        good disk x(center) + t is lifted to the disk's cube-root branch."""
+        if disk.kind == GOOD:
+            return self._good_point(disk, center.x + t)
+        dd = self._disk_data(disk)
+        if disk.kind == BAD_FINITE:
+            return CurvePoint(self._eval_series(dd["xt"], t), t)
+        return CurvePoint(t ** -3, self._eval_series(dd["u"], t) * t ** -4)
+
+    def _good_point(self, disk, x):
+        """(x, y) on a good disk, y the cube root of f(x) that reduces to
+        the disk's y."""
+        y0 = disk.reduction[1]
+        for y in cube_roots(self.curve.f_eval(x)):
+            if y.residue(1) == y0:
+                return CurvePoint(x, y)
+        raise ComputationFailure(f"no cube root of f({x!r}) reduces to {y0} mod {self.p}")
 
     # -- boundary points ---------------------------------------------------
 
@@ -608,15 +602,12 @@ class ColemanIntegrator:
         if disk.kind == BAD_FINITE:
             return w.shift_pi(p)
         y_phi = S.y ** p * w
-        best, best_val = None, -INF
-        for c in cube_roots(ctx.one()):
-            tc = RamifiedElement.pi(ctx, e, p).scalar_mul(c)
-            ut = self._eval_series(dd["u"], tc)
-            yc = ut.scalar_mul(c.inverse() ** 4).shift_pi(-4 * p)
-            v = (yc - y_phi).valuation()
-            if v > best_val:
-                best, best_val = tc, v
-        return best
+        pi_p = RamifiedElement.pi(ctx, e, p)
+
+        def gap(c):  # y at t = c pi^p is u(t) c^-4 pi^(-4p)
+            ut = self._eval_series(dd["u"], pi_p.scalar_mul(c))
+            return (ut.scalar_mul(c.inverse() ** 4).shift_pi(-4 * p) - y_phi).valuation()
+        return pi_p.scalar_mul(max(cube_roots(ctx.one()), key=gap))
 
     # -- endpoints of the linear system ------------------------------------
 

@@ -203,19 +203,10 @@ class LocalExpansion:
     carries the guard digits.
     """
 
-    kind: str
-    p: int
-    W: int
-    T: int
     x_shift: int
     x_coeffs: list
     y_shift: int
     y_coeffs: list
-    center: object = None
-
-    @property
-    def mod(self):
-        return self.p ** self.W
 
 
 def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
@@ -238,7 +229,7 @@ def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
         y0 = center.y.residue(W)
         fx = taylor_shift(curve.f, x0, mod)  # f(x0 + t)
         y = ser_cuberoot(fx + [0] * max(0, T + 1 - len(fx)), mod, T, y0)
-        return LocalExpansion(GOOD, p, W, T, 0, [x0, 1], 0, y, center)
+        return LocalExpansion(0, [x0, 1], 0, y)
 
     if disk.kind == BAD_FINITE:
         if center is not None and reduce_point(center, p) != disk.reduction:
@@ -264,8 +255,7 @@ def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
         for k, c in enumerate(xs):
             if 3 * k <= T:
                 xt[3 * k] = c
-        return LocalExpansion(BAD_FINITE, p, W, T, 0, xt, 0, [0, 1] + [0] * (T - 1),
-                              disk.very_bad_point)
+        return LocalExpansion(0, xt, 0, [0, 1] + [0] * (T - 1))
 
     # infinite disk: u^3 = t^12 f(t^-3) = 1 + c3 t^3 + c2 t^6 + c1 t^9 + c0 t^12
     c0, c1, c2, c3, _ = curve.f
@@ -274,8 +264,7 @@ def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
         if k <= T:
             rhs[k] = c % mod
     u = ser_cuberoot(rhs, mod, T, 1)
-    return LocalExpansion(BAD_INFINITE, p, W, T, -3, [1] + [0] * T, -4, u,
-                          CurvePoint(inf=True))
+    return LocalExpansion(-3, [1] + [0] * T, -4, u)
 
 
 def _poly_of_series(poly, s, mod, T):

@@ -33,7 +33,7 @@ from picardcc.coleman import (
     realize_nf_points,
 )
 from picardcc.curve import CurvePoint, PicardCurve, lift_point
-from picardcc.errors import ComputationFailure, DegenerateDivisor
+from picardcc.errors import DegenerateDivisor
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
 from picardcc.padic import INF, PadicContext
 
@@ -101,19 +101,6 @@ def test_vanishing_one_system_solve_per_point(x40_p13, monkeypatch):
     monkeypatch.setattr(ColemanIntegrator, "basis_integrals", spy)
     vanishing_differentials(eng, [DivisorSpec([P])])
     assert len(calls) == 1
-
-
-def test_point_from_root_without_matching_cube_root_is_typed(ex4_p11, monkeypatch):
-    # a good-disk root whose f(x) has no cube root over the disk's y
-    _, eng, _, _ = ex4_p11
-    disk = next(d for d in eng.disks if d.kind == "good")
-    center = [Q for Q in lift_point(eng.curve, disk.reduction[0], eng.ctx)
-              if Q.y.residue(1) == disk.reduction[1]][0]
-    Q = chabauty_mod._point_from_root(eng, disk, center, 1, 8)
-    assert Q.y.residue(1) == disk.reduction[1]
-    monkeypatch.setattr(chabauty_mod, "cube_roots", lambda a: [])
-    with pytest.raises(ComputationFailure):
-        chabauty_mod._point_from_root(eng, disk, center, 1, 8)
 
 
 def test_degenerate_divisor_rejected(x40_p13):

@@ -36,6 +36,19 @@ def test_roots_x2(capsys):
     assert "(0,2)" in out and "not certified simple" in out
 
 
+@pytest.mark.parametrize("argv,why", [
+    (["--p", "5", "--n", "3", "--poly", "1,x"], "invalid literal for int()"),
+    (["--p", "0", "--n", "3", "--poly=-1,0,1"], "p = 0 is not a prime"),
+    (["--p", "4", "--n", "3", "--poly=-1,0,1"], "p = 4 is not a prime"),
+    (["--p", "5", "--n", "-3", "--poly=-1,0,1"], "n must be at least 1, got -3"),
+], ids=["poly", "p0", "p4", "n"])
+def test_roots_invalid_input_refused(capsys, argv, why):
+    assert main(["roots", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("invalid input: ") and why in captured.err
+    assert captured.out == ""
+
+
 # --- zeta -----------------------------------------------------------------
 
 
@@ -57,6 +70,15 @@ def test_zeta_bad_prime_refused(capsys):
     rec = json.dumps({"f": [-48, -24, 0, 0, 1]})
     assert main(["zeta", "--curve", rec, "--prime", "25"]) == 2
     assert "refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_zeta_precision_below_one_refused(capsys, precision):
+    rec = json.dumps({"f": EX3})
+    assert main(["zeta", "--curve", rec, "--prime", "13", "--precision", precision]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"invalid input: N must be at least 1, got {precision}")
+    assert "all checks" not in captured.out
 
 
 # --- record validation ----------------------------------------------------

@@ -6,25 +6,44 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from picardcc import coleman, curve, frobenius, series
 from picardcc.coleman import (
     ColemanIntegrator,
     DivisorSpec,
     NumberFieldPointSpec,
     realize_nf_points,
 )
-from picardcc import frobenius
-from picardcc.curve import PicardCurve, lift_point
-from picardcc.errors import BadYRule, IncreaseE, NotSameDisk, NotSplit, PoleInDisk
-from picardcc.frobenius import frobenius_matrix
+from picardcc.curve import (
+    CurvePoint,
+    PicardCurve,
+    _poly_of_series,
+    lift_point,
+    local_expansion,
+)
+from picardcc.errors import (
+    BadYRule,
+    ComputationFailure,
+    IncreaseE,
+    NotSameDisk,
+    NotSplit,
+    PoleInDisk,
+)
+from picardcc.frobenius import BASIS, frobenius_matrix
 from picardcc.padic import (
     INF,
     PadicContext,
     PadicElement,
     RamifiedElement,
     _fold_mul,
+    _int_to_padic,
+    cube_roots,
+    poly_at,
     poly_deriv,
+    taylor_shift,
 )
+from picardcc.series import ser_inv, ser_mul
 
 EX1 = [-64, -48, 0, 6, 1]
 EX2 = [-24, 76, -78, 25, 1]
@@ -156,11 +175,12 @@ def test_pole_in_disk_at_infinity(ex1_p5):
 
 
 def test_infinite_disk_no_residues(ex1_p5):
-    # all six basis differentials have zero residue at infinity
+    # all six basis differentials have zero residue at infinity: their rows
+    # raise no PoleInDisk for a log term
     eng = ex1_p5
     for i in range(6):
-        sh, cf, _ = eng.pullback_series(eng.infinite_disk, unit(i))
-        assert cf[-1 - sh] == 0
+        [(terms, _)] = eng.antiderivative_rows(eng.infinite_disk, [unit(i)])
+        assert terms and all(j != 0 for j, _, _ in terms)
 
 
 # --- the Frobenius-equivariant system ------------------------------------
@@ -360,14 +380,14 @@ def test_disk_caches_key_on_center_value(ex1_p5):
     x0 = disk.reduction[0]
     P1, P2 = _good_point(eng, disk, x0), _good_point(eng, disk, x0)
     assert P1 is not P2
-    s1 = eng.pullback_series(disk, unit(0), P1)
-    s2 = eng.pullback_series(disk, unit(0), P2)
+    s1 = eng.antiderivative_rows(disk, [unit(0)], P1)
+    s2 = eng.antiderivative_rows(disk, [unit(0)], P2)
     assert s1 == s2
-    assert len(eng._disk_data_cache) == 1 and len(eng._omega_cache) == 1
+    assert len(eng._disk_data_cache) == 1
     Q = _good_point(eng, disk, x0 + eng.p)
-    s3 = eng.pullback_series(disk, unit(0), Q)
+    s3 = eng.antiderivative_rows(disk, [unit(0)], Q)
     assert s3 != s1
-    assert len(eng._disk_data_cache) == 2 and len(eng._omega_cache) == 2
+    assert len(eng._disk_data_cache) == 2
 
 
 def test_system_factored_once_over_qp(monkeypatch):
@@ -592,3 +612,183 @@ def test_exact_at_finite_boundary_adds_no_ramified_elements(monkeypatch):
     calls = _count_calls(monkeypatch, "__add__")
     assert len(eng._exact_at_boundary(disk, S)) == 6
     assert not calls
+
+
+# --- basis pullbacks and the points of a disk ------------------------------
+
+
+@lru_cache(maxsize=None)
+def _engine(coeffs, p, N, e):
+    return ColemanIntegrator(_frobenius(coeffs, p, N), N=N, e=e)
+
+
+def _reference_rows(eng, disk, omegas, center=None):
+    """Each omega pulled back on its own, its x^a y^b parts multiplied out
+    with the disk's expansion, then integrated termwise."""
+    ctx, f = eng.ctx, eng.curve.f
+    mod = ctx.pk(eng.W)
+    rows = []
+    for omega in omegas:
+        ints, floor = eng._lift_omega(omega)
+        P = {1: [0, 0, 0], 2: [0, 0, 0]}  # coefficients of x^a for each y^b
+        for ci, (a, b) in zip(ints, BASIS):
+            P[b][a] = (P[b][a] + ci) % mod
+        if disk.kind == "good":
+            T = eng.T_good
+            exp = local_expansion(eng.curve, disk, ctx, T, center=center)
+            x0, ys = exp.x_coeffs[0], exp.y_coeffs
+            num = [0] * (T + 1)
+            for b, yb in ((1, ys), (2, ser_mul(ys, ys, mod, T))):
+                part = ser_mul(taylor_shift(P[b], x0, mod), yb, mod, T)
+                for k, c in enumerate(part):
+                    num[k] = (num[k] + c) % mod
+            Finv = ser_inv(_poly_of_series(f, [x0, 1], mod, T), mod, T)
+            shift, arr = 0, ser_mul(num, Finv, mod, T)
+        elif disk.kind == "bad_finite":
+            # x^a y^b dx / f = t^(b-3) P_b(x(t)) x'(t) dt
+            T = eng.T_bad
+            xt = local_expansion(eng.curve, disk, ctx, T).x_coeffs
+            shift, arr = -2, [0] * (T + 1)
+            for b in (1, 2):
+                part = ser_mul(_poly_of_series(P[b], xt, mod, T), poly_deriv(xt), mod, T)
+                for k, c in enumerate(part):
+                    if k + b - 1 <= T:
+                        arr[k + b - 1] = (arr[k + b - 1] + c) % mod
+        else:
+            # x^a y^b dx / f = -3 t^(8-3a-4b) u(t)^b / Ft(t) dt
+            T = eng.T_bad
+            u = local_expansion(eng.curve, disk, ctx, T).y_coeffs
+            Ft = [0] * (T + 1)
+            for k, c in zip((0, 3, 6, 9, 12), (1, f[3], f[2], f[1], f[0])):
+                Ft[k] = c % mod
+            Finv = ser_inv(Ft, mod, T)
+            g = {1: ser_mul(u, Finv, mod, T), 2: ser_mul(ser_mul(u, u, mod, T), Finv, mod, T)}
+            shift, arr = -6, [0] * (T + 1)
+            for ci, (a, b) in zip(ints, BASIS):
+                off = 14 - 3 * a - 4 * b
+                for k, c in enumerate(g[b][:T + 1 - off]):
+                    arr[off + k] = (arr[off + k] + (-3 * ci % mod) * c) % mod
+        terms = [(shift + i + 1, c, shift + i + 1) for i, c in enumerate(arr) if c]
+        if any(j == 0 for j, _, _ in terms):
+            raise PoleInDisk("nonzero residue: logarithmic term")
+        rows.append((terms, floor))
+    return rows
+
+
+_INT = st.integers(0, 10 ** 40)
+
+
+@pytest.mark.parametrize("e", [10, 40])
+@settings(max_examples=15, deadline=None)
+@given(ints=st.lists(_INT, min_size=6, max_size=6),
+       elems=st.lists(st.one_of(st.none(), st.tuples(_INT, st.integers(0, 30))),
+                      min_size=3, max_size=3))
+def test_rows_combine_the_basis_pullbacks(e, ints, elems):
+    # integer 6-vectors mod p^W, and 3-vectors of PadicElements with exact
+    # zeros (None) and reduced precision (n known mod p^k)
+    eng = _engine(tuple(EX1), 5, 10, e)
+    ctx, W = eng.ctx, eng.W
+    padics = [ctx.zero() if x is None else
+              _int_to_padic(ctx, x[0] % ctx.pk(min(x[1], W)), 0, min(x[1], W))
+              for x in elems]
+    omegas = [[n % ctx.pk(W) for n in ints], padics]
+    good = next(d for d in eng.disks if d.kind == "good")
+    cases = [(d, eng.center(d) if d.kind == "good" else None) for d in eng.disks]
+    cases.append((good, _good_point(eng, good, good.reduction[0] + eng.p)))
+    for disk, center in cases:
+        assert (eng.antiderivative_rows(disk, omegas, center)
+                == _reference_rows(eng, disk, omegas, center)), disk
+
+
+def test_rows_make_no_series_products_after_disk_data(monkeypatch):
+    # per-form pullbacks made 24 products a finite disk and 15 a good disk
+    eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 10), N=10, e=50)
+    ctx = eng.ctx
+    omegas = [unit(i) for i in range(6)] + [[ctx.one(), ctx.from_int(-7), ctx.from_int(30)]]
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return series.ser_mul(*args, **kwargs)
+
+    for disk in eng.disks:
+        center = eng.center(disk)
+        eng._disk_data(disk, center)
+        with monkeypatch.context() as m:
+            for module in (coleman, curve):
+                m.setattr(module, "ser_mul", spy)
+            assert len(eng.antiderivative_rows(disk, omegas, center)) == 7
+        assert not calls, disk
+
+
+def _reference_center(eng, disk):
+    if disk.kind != "good":
+        return disk.very_bad_point
+    return _good_point(eng, disk, disk.reduction[0])
+
+
+def _reference_point(eng, disk, center, t, Np):
+    """The point at t as the Chabauty solver rebuilt a root: the cube-root
+    lift on a good disk, Newton on f(x) = t^3 from the center on a finite
+    disk, and at infinity the cube root of f(t^-3) nearest u(t) t^-4 with u
+    cut after Np + 2 terms."""
+    ctx, crv = eng.ctx, eng.curve
+    if disk.kind == "good":
+        x = center.x + t
+        ys = [y for y in cube_roots(crv.f_eval(x)) if y.residue(1) == disk.reduction[1]]
+        return CurvePoint(x, ys[0])
+    if disk.kind == "bad_finite":
+        target, df, x = t * t * t, poly_deriv(crv.f), center.x
+        for _ in range(Np.bit_length() + 3):
+            num = crv.f_eval(x) - target
+            if num.is_zero:
+                break
+            x = x - num / poly_at(df, x)
+        return CurvePoint(x, t)
+    x = ctx.from_int(1) / (t * t * t)
+    u = local_expansion(crv, disk, ctx, eng.T_bad).y_coeffs
+    y_ser = poly_at([c % ctx.pk(ctx.N) for c in u[:Np + 2]], t) / (t * t * t * t)
+    best, bestv = None, None
+    for y in cube_roots(crv.f_eval(x)):
+        d = y - y_ser
+        v = d.valuation() if not d.is_zero else INF
+        if best is None or v > bestv:
+            best, bestv = y, v
+    return CurvePoint(x, best)
+
+
+def _digits(el):
+    return el.v, el.unit, el.rel
+
+
+@pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 10), (EX4, 11, 8)], ids=["ex1@5", "ex4@11"])
+@settings(max_examples=25, deadline=None)
+@given(r=st.integers(0, 10 ** 12), Np=st.integers(1, 10))
+def test_point_at_matches_reference_lift(coeffs, p, N, r, Np):
+    # t = p*r mod p^(Np+1), the representative the Chabauty solver passes
+    eng = _engine(tuple(coeffs), p, N, 40)
+    t_int = p * r % p ** (Np + 1)
+    assume(t_int)
+    t = eng.ctx.from_int(t_int)
+    for disk in eng.disks:
+        center, want_center = eng.center(disk), _reference_center(eng, disk)
+        if disk.kind == "good":
+            assert _digits(center.x) == _digits(want_center.x)
+            assert _digits(center.y) == _digits(want_center.y)
+        else:
+            assert center is want_center
+        got = eng.point_at(disk, t, center)
+        want = _reference_point(eng, disk, center, t, Np)
+        assert (_digits(got.x), _digits(got.y)) == (_digits(want.x), _digits(want.y)), disk
+        assert (got.y ** 3).is_congruent(eng.curve.f_eval(got.x))
+
+
+def test_point_at_without_matching_cube_root_is_typed(ex1_p5, monkeypatch):
+    # a good-disk point whose f(x) has no cube root over the disk's y
+    eng = ex1_p5
+    disk = next(d for d in eng.disks if d.kind == "good")
+    center, t = eng.center(disk), eng.ctx.from_int(eng.p)
+    assert eng.point_at(disk, t, center).y.residue(1) == disk.reduction[1]
+    monkeypatch.setattr(coleman, "cube_roots", lambda a: [])
+    with pytest.raises(ComputationFailure):
+        eng.point_at(disk, t, center)
