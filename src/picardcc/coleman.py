@@ -20,7 +20,6 @@ from .curve import (
     CurvePoint,
     PicardCurve,
     classify_disks,
-    local_expansion,
     reduce_point,
     split_roots,
 )
@@ -50,7 +49,7 @@ from .padic import (
     poly_eval_mod,
     taylor_shift,
 )
-from .series import ser_inv, ser_mul
+from .series import ser_add, ser_inverse_root, ser_mul
 
 
 # --- input records --------------------------------------------------------
@@ -140,6 +139,15 @@ def _add_shifted(ctx, acc, base, c, k, vec):
     acc[r:] = [x + lo * a for x, a in zip(acc[r:], vec)]
 
 
+def _poly_of_series(poly, s, mod, T):
+    """An integer polynomial evaluated on the series s, cut at t^T."""
+    acc = [poly[-1] % mod]
+    for c in reversed(poly[:-1]):
+        acc = ser_mul(acc, s, mod, T) or [0]
+        acc[0] = (acc[0] + c) % mod
+    return acc + [0] * (T + 1 - len(acc))
+
+
 class ColemanIntegrator:
     """Coleman integrals on one curve at one good prime.
 
@@ -186,59 +194,68 @@ class ColemanIntegrator:
         return disk.reduction, center.x.residue(self.W)
 
     def _disk_data(self, disk, center=None):
-        """The disk's six basis differentials pulled back once, cached per
-        disk and, on a good disk, per center.
+        """The disk's local expansion and its six basis differentials pulled
+        back once, cached per disk and, on a good disk, per center.
 
         forms[i] = (k0, coeffs) with omega_i = sum(coeffs[j] t^(k0+j)) dt,
         coefficients mod p^W; every other form is their combination
         (`antiderivative_rows`).  Form (a, b) = x^a y^b dx / f is
-        (x0 + t)^a g_b cut at t^T on a good disk (t = x - x0, g_b = y^b/f);
-        t^(b-3) x^a x' cut at t^(T-2) on a finite bad disk (t = y); and
-        -3 t^(8-3a-4b) g_b cut at t^(T-6) at infinity (x = t^-3,
-        y = t^-4 u, g_b = u^b/Ft, Ft = t^12 f(t^-3)).  Bad disks also keep
-        x(t) as "xt", or u(t) as "u" and Ft as "Ft".
+        (x0 + t)^a g_b cut at t^T on a good disk (t = x - x0); t^(b-3) x^a x'
+        cut at t^(T-2) on a finite bad disk (t = y, x(t) from f(x) = t^3 by
+        Newton); and -3 t^(8-3a-4b) g_b cut at t^(T-6) at infinity
+        (x = t^-3, y = t^-4 u, Ft = t^12 f(t^-3)).  As y^3 = f, g_b = y^b/f
+        is y^(b-3): g_2 = r and g_1 = r^2 for r = F^(-1/3), F = f(x0 + t)
+        from r(0) = 1/y0 or F = Ft from r(0) = 1, and u = Ft r^2.  Bad disks
+        also keep x(t) as "xt", or u(t) as "u" and Ft as "Ft".
         """
         key = self._center_key(disk, center)
         got = self._disk_data_cache.get(key)
         if got is not None:
             return got
-        ctx, f = self.ctx, self.curve.f
-        mod = ctx.pk(self.W)
+        W, f = self.W, self.curve.f
+        mod = self.ctx.pk(W)
         if disk.kind == GOOD:
-            T = self.T_good
-            exp = local_expansion(self.curve, disk, ctx, T, center=center)
-            x0, ys = exp.x_coeffs[0], exp.y_coeffs
-            Finv = ser_inv(taylor_shift(f, x0, mod), mod, T)
+            if center is None:
+                raise WrongDisk("good-disk expansion needs a center point")
+            if reduce_point(center, self.p) != disk.reduction:
+                raise WrongDisk(f"center {center!r} is not in disk {disk!r}")
+            T, x0 = self.T_good, center.x.residue(W)
+            r = ser_inverse_root(taylor_shift(f, x0, mod), 3,
+                                 pow(center.y.residue(W), -1, mod), mod, T)
             xg = {}
-            for b, yb in ((1, ys), (2, ser_mul(ys, ys, mod, T))):
-                g = ser_mul(yb, Finv, mod, T)
+            for b, g in ((1, ser_mul(r, r, mod, T)), (2, r)):
                 for a in range(3):
                     xg[a, b] = g
                     g = [(x0 * c + d) % mod for c, d in zip(g, [0] + g)]  # times x0 + t
             dd = {"forms": [(0, xg[ab]) for ab in BASIS]}
         elif disk.kind == BAD_FINITE:
-            T = self.T_bad
-            xt = local_expansion(self.curve, disk, ctx, T).x_coeffs
+            # x = sum(xs[k] s^k), s = t^3, solves f(x) = s: Newton in Z_p[[s]]
+            T, Ts, df = self.T_bad, self.T_bad // 3, poly_deriv(f)
+            xs, prec = [disk.very_bad_point.x.residue(W)], 1
+            while prec <= Ts:
+                prec = min(2 * prec, Ts + 1)
+                num = [-c % mod for c in _poly_of_series(f, xs, mod, prec - 1)]
+                num[1] = (num[1] + 1) % mod  # s - f(x)
+                dfx = _poly_of_series(df, xs, mod, prec - 1)
+                dfinv = ser_inverse_root(dfx, 1, pow(dfx[0], -1, mod), mod, prec - 1)
+                xs = ser_add(xs, ser_mul(num, dfinv, mod, prec - 1), mod)
+            xt = [0] * (T + 1)
+            xt[::3] = xs
             dx = [c % mod for c in poly_deriv(xt)]
             xdx = [dx, ser_mul(xt, dx, mod, T)]
             xdx.append(ser_mul(xt, xdx[1], mod, T))
             dd = {"xt": xt, "forms": [(b - 3, xdx[a][:T + 2 - b]) for a, b in BASIS]}
         else:
             T = self.T_bad
-            u = local_expansion(self.curve, disk, ctx, T).y_coeffs
-            c0, c1, c2, c3, _ = f
             Ft = [0] * (T + 1)
-            for k, c in zip((0, 3, 6, 9, 12), (1, c3, c2, c1, c0)):
-                if k <= T:
-                    Ft[k] = c % mod
-            Finv = ser_inv(Ft, mod, T)
-            g = {1: ser_mul(u, Finv, mod, T),
-                 2: ser_mul(ser_mul(u, u, mod, T), Finv, mod, T)}
+            Ft[:13:3] = [c % mod for c in reversed(f)]
+            r = ser_inverse_root(Ft[:13], 3, 1, mod, T)
+            g = {1: ser_mul(r, r, mod, T), 2: r}
             forms = []
             for a, b in BASIS:
                 k0 = 8 - 3 * a - 4 * b
                 forms.append((k0, [-3 * c % mod for c in g[b][:T - 5 - k0]]))
-            dd = {"u": u, "Ft": Ft, "forms": forms}
+            dd = {"u": ser_mul(Ft[:13], g[1], mod, T), "Ft": Ft, "forms": forms}
         self._disk_data_cache[key] = dd
         return dd
 

@@ -1,8 +1,9 @@
-"""Picard curve model: validation, prime selection, residue disks, local
-coordinates, point lifting, and rational point search.
+"""Picard curve model: validation, prime selection, residue disks, point
+lifting, and rational point search.
 
 A curve is y^3 = f(x) with f monic, quartic, squarefree.  A point is
-(x, y), or the point at infinity.
+(x, y), or the point at infinity.  The local expansion of a residue disk
+belongs to the integrator that uses it (`ColemanIntegrator._disk_data`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .errors import (
     NotMonic,
     NotSquarefree,
     WrongDegree,
-    WrongDisk,
 )
 from .padic import (
     PadicContext,
@@ -27,12 +27,10 @@ from .padic import (
     cube_roots,
     hensel_lift_root,
     poly_at,
-    poly_deriv,
     poly_eval_mod,
     sympy_poly,
-    taylor_shift,
 )
-from .series import ser_cuberoot, ser_inv, ser_mul, ser_trim
+from .series import ser_trim
 
 
 class PicardCurve:
@@ -189,93 +187,6 @@ def reduce_point(point: CurvePoint, p: int):
     xv = x.residue(1)
     yv = 0 if (y.is_zero or y.valuation() > 0) else y.residue(1)
     return (xv, yv)
-
-
-# --- local coordinates ---------------------------------------------------
-
-
-@dataclass
-class LocalExpansion:
-    """x(t), y(t) as integer Laurent series modulo p^W to t-order T.
-
-    A pair (shift, coeffs) encodes t^shift * sum(coeffs[i] t^i).  Coefficient
-    arithmetic is exact modulo p^W, W the N of the caller's context, which
-    carries the guard digits.
-    """
-
-    x_shift: int
-    x_coeffs: list
-    y_shift: int
-    y_coeffs: list
-
-
-def local_expansion(curve: PicardCurve, disk: ResidueDisk, ctx: PadicContext,
-                    T: int, center: CurvePoint = None) -> LocalExpansion:
-    """Expand (x(t), y(t)) in the disk's uniformizer.
-
-    Good disk: t = x - x(center), any Q_p-point of the disk as center.
-    Bad finite disk: t = y; x(t) from f(x) = t^3 by series Newton.
-    Infinite disk: x = t^(-3), y = t^(-4) u(t) with u(0) = 1.
-    """
-    W, p = ctx.N, ctx.p
-    mod = p ** W
-
-    if disk.kind == GOOD:
-        if center is None:
-            raise WrongDisk("good-disk expansion needs a center point")
-        if reduce_point(center, p) != disk.reduction:
-            raise WrongDisk(f"center {center!r} is not in disk {disk!r}")
-        x0 = center.x.residue(W)
-        y0 = center.y.residue(W)
-        fx = taylor_shift(curve.f, x0, mod)  # f(x0 + t)
-        y = ser_cuberoot(fx + [0] * max(0, T + 1 - len(fx)), mod, T, y0)
-        return LocalExpansion(0, [x0, 1], 0, y)
-
-    if disk.kind == BAD_FINITE:
-        if center is not None and reduce_point(center, p) != disk.reduction:
-            raise WrongDisk(f"center {center!r} is not in disk {disk!r}")
-        a = disk.very_bad_point.x.residue(W)
-        # solve f(x) = s (s = t^3) for x = a + ...: Newton in Z_p[[s]]
-        Ts = T // 3 + 1
-        xs = [a]  # series in s
-        prec = 1
-        while prec <= Ts:
-            prec = min(2 * prec, Ts + 1)
-            fxs = _poly_of_series(curve.f, xs, mod, prec - 1)
-            # numerator: s - f(x_k)
-            num = [(-c) % mod for c in fxs] + [0] * max(0, 2 - len(fxs))
-            num[1] = (num[1] + 1) % mod
-            dfxs = _poly_of_series(poly_deriv(curve.f), xs, mod, prec - 1)
-            corr = ser_mul(num, ser_inv(dfxs, mod, prec - 1), mod, prec - 1)
-            xs = [(xs[i] if i < len(xs) else 0) + (corr[i] if i < len(corr) else 0)
-                  for i in range(max(len(xs), len(corr)))]
-            xs = [c % mod for c in xs][:prec]
-        # expand in t: x(t) = sum xs[k] t^(3k)
-        xt = [0] * (T + 1)
-        for k, c in enumerate(xs):
-            if 3 * k <= T:
-                xt[3 * k] = c
-        return LocalExpansion(0, xt, 0, [0, 1] + [0] * (T - 1))
-
-    # infinite disk: u^3 = t^12 f(t^-3) = 1 + c3 t^3 + c2 t^6 + c1 t^9 + c0 t^12
-    c0, c1, c2, c3, _ = curve.f
-    rhs = [0] * (T + 1)
-    for k, c in zip((0, 3, 6, 9, 12), (1, c3, c2, c1, c0)):
-        if k <= T:
-            rhs[k] = c % mod
-    u = ser_cuberoot(rhs, mod, T, 1)
-    return LocalExpansion(-3, [1] + [0] * T, -4, u)
-
-
-def _poly_of_series(poly, s, mod, T):
-    """Evaluate an integer polynomial on a series s, truncated to degree T."""
-    acc = [poly[-1] % mod]
-    for c in reversed(poly[:-1]):
-        acc = ser_mul(acc, s, mod, T)
-        if not acc:
-            acc = [0]
-        acc[0] = (acc[0] + c) % mod
-    return acc + [0] * (T + 1 - len(acc))
 
 
 # --- rational point search ----------------------------------------------

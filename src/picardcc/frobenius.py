@@ -46,7 +46,7 @@ import sympy
 
 from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
 from .padic import INF, PadicContext, _int_to_padic, _pval, poly_deriv, sympy_poly
-from .series import ser_add, ser_inv, ser_mul, ser_trim
+from .series import ser_add, ser_inverse_root, ser_mul, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
 
@@ -350,10 +350,11 @@ def _pullback_terms(p, a, b, powers, mod):
 
 
 def _fpow_table(f, levels, mod):
-    """[(f^(2^i), 1/rev(f^(2^i)) to 4 * 2^i terms) for i < levels]."""
+    """[(f^(2^i), 1/rev(f^(2^i)) to 4 * 2^i terms) for i < levels]; f is
+    monic, so each reversal has constant term 1."""
     table = []
     for _ in range(levels):
-        table.append((f, ser_inv(f[::-1], mod, len(f) - 2)))
+        table.append((f, ser_inverse_root(f[::-1], 1, 1, mod, len(f) - 2)))
         f = ser_mul(f, f, mod)
     return table
 

@@ -631,13 +631,14 @@ def hensel_lift_root(g, r0: int, ctx: PadicContext) -> PadicElement:
     """Unique root of the integer polynomial g in Z_p congruent to r0 mod p.
 
     Requires g(r0) = 0 and g'(r0) != 0 mod p (a simple root); Newton
-    iteration then converges quadratically to N digits.
+    iteration then converges quadratically to N digits.  The root is known
+    modulo p^N, so a root divisible by p keeps absolute precision N.
     """
     p, N = ctx.p, ctx.N
     if poly_eval_mod(g, r0, p) != 0 or poly_eval_mod(poly_deriv(g), r0, p) == 0:
         raise NotSimpleRoot(f"r0={r0} is not a simple root of g mod {p}")
     r = newton_lift(g, r0 % p, p, N)
-    return ctx.from_int(r) if r else ctx.zero(N)
+    return _int_to_padic(ctx, r, 0, N)
 
 
 def cube_roots(a: PadicElement):

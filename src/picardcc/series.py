@@ -1,10 +1,12 @@
 """Power series for the p-adic pipeline, with plain integer coefficients.
 
-The `ser_*` helpers multiply, invert and take cube roots of series truncated
-at t^(T+1) with coefficients modulo p^W; the curve and Frobenius machinery
-build local expansions and pullbacks with them.  `solve_zeros_in_disk` reads
-one row of `ColemanIntegrator.antiderivative_rows` (integer terms c t^j / d
-known modulo p^prec) and isolates the zeros of that antiderivative on pZ_p:
+The `ser_*` helpers add and multiply series truncated at t^(T+1) with
+coefficients modulo p^W, and one Newton, `ser_inverse_root`, gives a^(-1/k):
+k = 1 for inverses, k = 3 for the residue-disk expansions of
+`ColemanIntegrator._disk_data`.  Frobenius and the integrator build
+pullbacks with them.  `solve_zeros_in_disk` reads one row of
+`ColemanIntegrator.antiderivative_rows` (integer terms c t^j / d known
+modulo p^prec) and isolates the zeros of that antiderivative on pZ_p:
 precision accounting, the scaling F(x) = f(px)/p^lambda, the truncation
 bound and a Hensel search for the roots of F.
 """
@@ -49,43 +51,25 @@ def ser_add(a, b, mod):
             for i in range(n)]
 
 
-def ser_scalar(c, a, mod):
-    return [(c * x) % mod for x in a]
-
-
-def ser_inv(a, mod, T):
-    """1/a mod (p^W, t^(T+1)); requires a[0] invertible mod `mod`."""
-    z = [pow(a[0], -1, mod)]
+def ser_inverse_root(a, k, r0, mod, T):
+    """a^(-1/k) mod (p^W, t^(T+1)) from r0 = a[0]^(-1/k) mod p^W, by the
+    division-free Newton step r <- r((k + 1) - a r^k)/k, the t-adic precision
+    doubling per step; the series form of `padic._inverse_root`
+    (Brent-Zimmermann, Modern Computer Arithmetic, 4.2).  k = 1 inverts a;
+    k = 3 gives the inverse cube root, a r^2 being the cube root.  k must
+    be a unit mod p."""
+    kinv = pow(k, -1, mod)
+    r = [r0 % mod]
     prec = 1
     while prec <= T:
         prec = min(2 * prec, T + 1)
-        az = ser_mul(a[:prec], z, mod, prec - 1)
-        # z <- z*(2 - a z)
-        two_minus = [(-x) % mod for x in az]
-        two_minus[0] = (2 - az[0]) % mod
-        z = ser_mul(z, two_minus, mod, prec - 1)
-    return z + [0] * (T + 1 - len(z))
-
-
-def ser_cuberoot(a, mod, T, c0_root):
-    """Cube root of a mod (p^W, t^(T+1)) with constant term c0_root.
-
-    Requires c0_root^3 = a[0] mod `mod` and c0_root invertible.  Iterates on
-    the inverse cube root r <- r(4 - a r^3)/3, which needs no divisions.
-    """
-    inv3 = pow(3, -1, mod)
-    r = [pow(c0_root, -1, mod)]
-    prec = 1
-    while prec <= T:
-        prec = min(2 * prec, T + 1)
-        ar3 = ser_mul(ser_mul(ser_mul(r, r, mod, prec - 1), r, mod, prec - 1),
-                      a[:prec], mod, prec - 1)
-        corr = [(-x) % mod for x in ar3]
-        corr[0] = (4 - ar3[0]) % mod
-        r = ser_mul(r, ser_scalar(inv3, corr, mod), mod, prec - 1)
-    # a * r^2 is the cube root
-    out = ser_mul(ser_mul(r, r, mod, T), a[:T + 1], mod, T)
-    return out + [0] * (T + 1 - len(out))
+        ark = a[:prec]
+        for _ in range(k):
+            ark = ser_mul(ark, r, mod, prec - 1)
+        corr = [-kinv * c % mod for c in ark]
+        corr[0] = (k + 1 - ark[0]) * kinv % mod
+        r = ser_mul(r, corr, mod, prec - 1)
+    return r + [0] * (T + 1 - len(r))
 
 
 # --- zeros of an antiderivative in a residue disk -------------------------

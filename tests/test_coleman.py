@@ -8,20 +8,14 @@ from functools import lru_cache
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from picardcc import coleman, curve, frobenius, series
+from picardcc import coleman, frobenius, series
 from picardcc.coleman import (
     ColemanIntegrator,
     DivisorSpec,
     NumberFieldPointSpec,
     realize_nf_points,
 )
-from picardcc.curve import (
-    CurvePoint,
-    PicardCurve,
-    _poly_of_series,
-    lift_point,
-    local_expansion,
-)
+from picardcc.curve import CurvePoint, PicardCurve, lift_point
 from picardcc.errors import (
     BadYRule,
     ComputationFailure,
@@ -43,7 +37,7 @@ from picardcc.padic import (
     poly_deriv,
     taylor_shift,
 )
-from picardcc.series import ser_inv, ser_mul
+from picardcc.series import ser_mul
 
 EX1 = [-64, -48, 0, 6, 1]
 EX2 = [-24, 76, -78, 25, 1]
@@ -622,6 +616,78 @@ def _engine(coeffs, p, N, e):
     return ColemanIntegrator(_frobenius(coeffs, p, N), N=N, e=e)
 
 
+def _ref_inv(a, mod, T):
+    """1/a mod (p^W, t^(T+1)) by z <- z(2 - a z)."""
+    z = [pow(a[0], -1, mod)]
+    prec = 1
+    while prec <= T:
+        prec = min(2 * prec, T + 1)
+        az = ser_mul(a[:prec], z, mod, prec - 1)
+        two_minus = [(-x) % mod for x in az]
+        two_minus[0] = (2 - az[0]) % mod
+        z = ser_mul(z, two_minus, mod, prec - 1)
+    return z + [0] * (T + 1 - len(z))
+
+
+def _ref_cuberoot(a, mod, T, c0_root):
+    """The cube root of a with constant term c0_root, as a r^2 for
+    r <- r(4 - a r^3)/3."""
+    inv3 = pow(3, -1, mod)
+    r = [pow(c0_root, -1, mod)]
+    prec = 1
+    while prec <= T:
+        prec = min(2 * prec, T + 1)
+        ar3 = ser_mul(ser_mul(ser_mul(r, r, mod, prec - 1), r, mod, prec - 1),
+                      a[:prec], mod, prec - 1)
+        corr = [(-x) % mod for x in ar3]
+        corr[0] = (4 - ar3[0]) % mod
+        r = ser_mul(r, [inv3 * c % mod for c in corr], mod, prec - 1)
+    out = ser_mul(ser_mul(r, r, mod, T), a[:T + 1], mod, T)
+    return out + [0] * (T + 1 - len(out))
+
+
+def _poly_of_series(poly, s, mod, T):
+    """An integer polynomial evaluated on the series s, cut at t^T."""
+    acc = [poly[-1] % mod]
+    for c in reversed(poly[:-1]):
+        acc = ser_mul(acc, s, mod, T) or [0]
+        acc[0] = (acc[0] + c) % mod
+    return acc + [0] * (T + 1 - len(acc))
+
+
+def _reference_expansion(crv, disk, ctx, T, center=None):
+    """(x(t), y(t)) built apart from the integrator: ([x0, 1], cube root of
+    f(x0 + t)) on a good disk, (x(t), t) with x(t) from f(x) = t^3 by Newton
+    with an inverse per step on a finite bad disk, and (None, u) at
+    infinity, x = t^-3 and y = t^-4 u with u the cube root of Ft."""
+    mod = ctx.pk(ctx.N)
+    if disk.kind == "good":
+        x0, y0 = center.x.residue(ctx.N), center.y.residue(ctx.N)
+        fx = taylor_shift(crv.f, x0, mod)
+        return [x0, 1], _ref_cuberoot(fx + [0] * max(0, T + 1 - len(fx)), mod, T, y0)
+    if disk.kind == "bad_finite":
+        Ts = T // 3 + 1
+        xs, prec = [disk.very_bad_point.x.residue(ctx.N)], 1
+        while prec <= Ts:
+            prec = min(2 * prec, Ts + 1)
+            fxs = _poly_of_series(crv.f, xs, mod, prec - 1)
+            num = [(-c) % mod for c in fxs]
+            num[1] = (num[1] + 1) % mod
+            dfxs = _poly_of_series(poly_deriv(crv.f), xs, mod, prec - 1)
+            corr = ser_mul(num, _ref_inv(dfxs, mod, prec - 1), mod, prec - 1)
+            xs = [(a + b) % mod for a, b in zip(xs + [0] * prec, corr)]
+        xt = [0] * (T + 1)
+        for k, c in enumerate(xs):
+            if 3 * k <= T:
+                xt[3 * k] = c
+        return xt, [0, 1] + [0] * (T - 1)
+    c0, c1, c2, c3, _ = crv.f
+    rhs = [0] * (T + 1)
+    for k, c in zip((0, 3, 6, 9, 12), (1, c3, c2, c1, c0)):
+        rhs[k] = c % mod
+    return None, _ref_cuberoot(rhs, mod, T, 1)
+
+
 def _reference_rows(eng, disk, omegas, center=None):
     """Each omega pulled back on its own, its x^a y^b parts multiplied out
     with the disk's expansion, then integrated termwise."""
@@ -635,19 +701,18 @@ def _reference_rows(eng, disk, omegas, center=None):
             P[b][a] = (P[b][a] + ci) % mod
         if disk.kind == "good":
             T = eng.T_good
-            exp = local_expansion(eng.curve, disk, ctx, T, center=center)
-            x0, ys = exp.x_coeffs[0], exp.y_coeffs
+            (x0, _), ys = _reference_expansion(eng.curve, disk, ctx, T, center)
             num = [0] * (T + 1)
             for b, yb in ((1, ys), (2, ser_mul(ys, ys, mod, T))):
                 part = ser_mul(taylor_shift(P[b], x0, mod), yb, mod, T)
                 for k, c in enumerate(part):
                     num[k] = (num[k] + c) % mod
-            Finv = ser_inv(_poly_of_series(f, [x0, 1], mod, T), mod, T)
+            Finv = _ref_inv(_poly_of_series(f, [x0, 1], mod, T), mod, T)
             shift, arr = 0, ser_mul(num, Finv, mod, T)
         elif disk.kind == "bad_finite":
             # x^a y^b dx / f = t^(b-3) P_b(x(t)) x'(t) dt
             T = eng.T_bad
-            xt = local_expansion(eng.curve, disk, ctx, T).x_coeffs
+            xt, _ = _reference_expansion(eng.curve, disk, ctx, T)
             shift, arr = -2, [0] * (T + 1)
             for b in (1, 2):
                 part = ser_mul(_poly_of_series(P[b], xt, mod, T), poly_deriv(xt), mod, T)
@@ -657,11 +722,11 @@ def _reference_rows(eng, disk, omegas, center=None):
         else:
             # x^a y^b dx / f = -3 t^(8-3a-4b) u(t)^b / Ft(t) dt
             T = eng.T_bad
-            u = local_expansion(eng.curve, disk, ctx, T).y_coeffs
+            _, u = _reference_expansion(eng.curve, disk, ctx, T)
             Ft = [0] * (T + 1)
             for k, c in zip((0, 3, 6, 9, 12), (1, f[3], f[2], f[1], f[0])):
                 Ft[k] = c % mod
-            Finv = ser_inv(Ft, mod, T)
+            Finv = _ref_inv(Ft, mod, T)
             g = {1: ser_mul(u, Finv, mod, T), 2: ser_mul(ser_mul(u, u, mod, T), Finv, mod, T)}
             shift, arr = -6, [0] * (T + 1)
             for ci, (a, b) in zip(ints, BASIS):
@@ -715,10 +780,33 @@ def test_rows_make_no_series_products_after_disk_data(monkeypatch):
         center = eng.center(disk)
         eng._disk_data(disk, center)
         with monkeypatch.context() as m:
-            for module in (coleman, curve):
-                m.setattr(module, "ser_mul", spy)
+            m.setattr(coleman, "ser_mul", spy)
             assert len(eng.antiderivative_rows(disk, omegas, center)) == 7
         assert not calls, disk
+
+
+@pytest.mark.parametrize("kind,most", [("good", 1), ("bad_infinite", 2)])
+def test_disk_data_reads_g_off_the_inverse_cube_root(monkeypatch, kind, most):
+    # g_2 = F^(-1/3), g_1 = g_2^2 and, at infinity, u = Ft g_1: no inverse
+    # of F, where y/f and y^2/f took one and three (good) or five products
+    eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 10), N=10, e=50)
+    disk = next(d for d in eng.disks if d.kind == kind)
+    center = eng.center(disk)
+    roots, products = [], []
+
+    def root_spy(a, k, *args):
+        roots.append(k)
+        return series.ser_inverse_root(a, k, *args)
+
+    def mul_spy(*args, **kwargs):
+        products.append(1)
+        return series.ser_mul(*args, **kwargs)
+
+    monkeypatch.setattr(coleman, "ser_inverse_root", root_spy)
+    monkeypatch.setattr(coleman, "ser_mul", mul_spy)
+    eng._disk_data(disk, center)
+    assert roots == [3]
+    assert len(products) <= most
 
 
 def _reference_center(eng, disk):
@@ -746,7 +834,7 @@ def _reference_point(eng, disk, center, t, Np):
             x = x - num / poly_at(df, x)
         return CurvePoint(x, t)
     x = ctx.from_int(1) / (t * t * t)
-    u = local_expansion(crv, disk, ctx, eng.T_bad).y_coeffs
+    _, u = _reference_expansion(crv, disk, ctx, eng.T_bad)
     y_ser = poly_at([c % ctx.pk(ctx.N) for c in u[:Np + 2]], t) / (t * t * t * t)
     best, bestv = None, None
     for y in cube_roots(crv.f_eval(x)):

@@ -1,4 +1,5 @@
-"""Tests for the Picard curve model, disks, local coordinates, point search."""
+"""Tests for the Picard curve model, disks, point search, and the local
+expansion of each residue disk that the integrator builds."""
 
 import math
 from fractions import Fraction
@@ -16,15 +17,23 @@ from picardcc.curve import (
     classify_disks,
     good_prime,
     lift_point,
-    local_expansion,
     points_over_Fp,
     prime_rejection,
     rational_point_search,
     reduce_point,
     _icbrt,
 )
+from picardcc.coleman import ColemanIntegrator
 from picardcc.errors import NotMonic, NotSquarefree, WrongDegree
-from picardcc.padic import PadicContext, poly_at, poly_deriv, poly_eval_mod
+from picardcc.frobenius import BASIS, frobenius_matrix
+from picardcc.padic import (
+    PadicContext,
+    poly_at,
+    poly_deriv,
+    poly_eval_mod,
+    taylor_shift,
+)
+from picardcc.series import ser_mul
 
 
 EX1 = [-64, -48, 0, 6, 1]      # y^3 = x^4 + 6x^3 - 48x - 64
@@ -174,90 +183,103 @@ def test_lift_point_examples():
     assert len(root) == 1 and root[0].y.is_zero
 
 
-def check_expansion(curve, exp, mod, T):
-    """y(t)^3 = f(x(t)) as Laurent series, exactly mod (p^W, t^(T+1))."""
-    from picardcc.series import ser_mul
-    y3 = ser_mul(ser_mul(exp.y_coeffs, exp.y_coeffs, mod, T),
-                 exp.y_coeffs, mod, T)
-    y3_shift = 3 * exp.y_shift
-    # f(x(t)): x = t^x_shift * X(t)
-    if exp.x_shift == 0:
-        from picardcc.curve import _poly_of_series
-        fx = _poly_of_series(curve.f, exp.x_coeffs, mod, T)
-        fx_shift = 0
-    else:
-        # x = t^-3: f(x) = t^-12 (t^12 f(t^-3)) with X = [1]
-        assert exp.x_shift == -3 and exp.x_coeffs[0] == 1
-        c0, c1, c2, c3, _ = curve.f
-        fx = [0] * (T + 1)
-        for k, c in zip((0, 3, 6, 9, 12), (1, c3, c2, c1, c0)):
-            if k <= T:
-                fx[k] = c % mod
-        fx_shift = -12
-    assert y3_shift == fx_shift
-    for i in range(min(len(y3), len(fx), T + 1)):
-        assert y3[i] % mod == fx[i] % mod, f"coefficient {i}"
+# --- local expansions of the residue disks (`ColemanIntegrator._disk_data`) --
+
+
+def _integrator(coeffs, p, N=8):
+    """An integrator at N digits; e = 1 cuts the bad-disk expansions near
+    t^(N + 26)."""
+    return ColemanIntegrator(frobenius_matrix(PicardCurve(coeffs), p, N), N=N, e=1)
+
+
+def _power(s, n, mod, T):
+    out = [1]
+    for _ in range(n):
+        out = ser_mul(out, s, mod, T)
+    return out + [0] * (T + 1 - len(out))
+
+
+def _g(eng, dd, b, T):
+    """g_b = y^b/f (u^b/Ft at infinity) to t^T, read off the form dx y^b/f,
+    which is -3 t^(8-4b) g_b dt at infinity."""
+    mod = eng.ctx.pk(eng.W)
+    _, cf = dd["forms"][BASIS.index((0, b))]
+    scale = 1 if "u" not in dd else pow(-3, -1, mod)
+    return [scale * c % mod for c in cf[:T + 1]]
+
+
+def _good_disk_data(eng):
+    good = next(d for d in eng.disks if d.kind == GOOD)
+    x0, y0 = good.reduction
+    center = [P for P in lift_point(eng.curve, x0, eng.ctx)
+              if P.y.residue(1) == y0][0]
+    return center, eng._disk_data(good, center)
 
 
 def test_local_expansion_good_disk():
-    c = PicardCurve(EX1)
-    ctx = PadicContext(5, 8)
-    disks = classify_disks(c, 5, ctx)
-    good = [d for d in disks if d.kind == GOOD][0]
-    x0, y0 = good.reduction
-    center = [P for P in lift_point(c, x0, ctx) if P.y.residue(1) == y0][0]
-    exp = local_expansion(c, good, ctx, T=30, center=center)
-    check_expansion(c, exp, 5 ** 8, 30)
-    # t = 0 recovers the center
-    assert exp.x_coeffs[0] == center.x.residue(8)
-    assert exp.y_coeffs[0] == center.y.residue(8)
+    eng = _integrator(EX1, 5)
+    W, T = eng.W, eng.T_good
+    mod = 5 ** W
+    center, dd = _good_disk_data(eng)
+    x0 = center.x.residue(W)
+    F = taylor_shift(eng.curve.f, x0, mod)  # f(x(t)), x(t) = x0 + t
+    g1, g2 = _g(eng, dd, 1, T), _g(eng, dd, 2, T)
+    assert _power(g2, 2, mod, T) == g1
+    assert ser_mul(_power(g2, 3, mod, T), F, mod, T) == [1] + [0] * T
+    # y = F g_1 = 1/g_2: y^3 = f(x(t)), and t = 0 recovers the center
+    y = ser_mul(F, g1, mod, T)
+    assert _power(y, 3, mod, T) == F + [0] * (T + 1 - len(F))
+    assert y[0] == center.y.residue(W)
 
 
 def test_local_expansion_bad_finite():
-    c = PicardCurve(EX3)
-    ctx = PadicContext(5, 8)  # f = x^4 - 2 has roots mod 5? f(x)=x^4-2: 2 is 4th power mod 5? 1,16=1,81=1,256=1 -> x^4 in {0,1}; no roots mod 5
-    c17 = PicardCurve(EX1)
-    ctx17 = PadicContext(17, 8)
-    disks = classify_disks(c17, 17, ctx17)
-    bad = [d for d in disks if d.kind == BAD_FINITE][0]
-    exp = local_expansion(c17, bad, ctx17, T=30)
-    check_expansion(c17, exp, 17 ** 8, 30)
-    # x(t) = a + t^3/f'(a) + O(t^6)
-    a = bad.very_bad_point.x.residue(8)
-    mod = 17 ** 8
-    fprime_a = poly_eval_mod(poly_deriv(c17.f), a, mod)
-    assert exp.x_coeffs[3] == pow(fprime_a, -1, mod)
-    assert exp.x_coeffs[1] == 0 and exp.x_coeffs[2] == 0
+    eng = _integrator(EX1, 17)
+    W, T = eng.W, eng.T_bad
+    mod = 17 ** W
+    bad = next(d for d in eng.disks if d.kind == BAD_FINITE)
+    xt = eng._disk_data(bad)["xt"]
+    # y = t, so f(x(t)) = t^3
+    fx = [0]
+    for c in reversed(eng.curve.f):
+        fx = ser_mul(fx, xt, mod, T)
+        fx[0] = (fx[0] + c) % mod
+    assert fx == [0, 0, 0, 1] + [0] * (T - 3)
+    # x(t) = a + t^3/f'(a) + O(t^6), a the very bad point at t = 0
+    a = bad.very_bad_point.x.residue(W)
+    fprime_a = poly_eval_mod(poly_deriv(eng.curve.f), a, mod)
+    assert xt[0] == a
+    assert xt[3] == pow(fprime_a, -1, mod)
+    assert xt[1] == 0 and xt[2] == 0
 
 
 def test_local_expansion_infinite():
-    c = PicardCurve(EX1)
-    ctx = PadicContext(5, 8)
-    disks = classify_disks(c, 5, ctx)
-    inf_disk = [d for d in disks if d.kind == BAD_INFINITE][0]
-    exp = local_expansion(c, inf_disk, ctx, T=30)
-    check_expansion(c, exp, 5 ** 8, 30)
+    eng = _integrator(EX1, 5)
+    W, T = eng.W, eng.T_bad
+    mod = 5 ** W
+    dd = eng._disk_data(next(d for d in eng.disks if d.kind == BAD_INFINITE))
+    u, Ft = dd["u"], dd["Ft"]
+    # y = t^-4 u, x = t^-3: y^3 = f(x) is u^3 = Ft = t^12 f(t^-3)
+    assert _power(u, 3, mod, T) == Ft
+    # g_2 = Ft^(-1/3) and g_1 = g_2^2, the forms being cut at t^(T - 10)
+    Tg = T - 10
+    g1, g2 = _g(eng, dd, 1, Tg), _g(eng, dd, 2, Tg)
+    assert _power(g2, 2, mod, Tg) == g1
+    assert ser_mul(_power(g2, 3, mod, Tg), Ft, mod, Tg) == [1] + [0] * Tg
     # u(t) = 1 + (c3/3) t^3 + O(t^6)
-    mod = 5 ** 8
-    c3 = c.f[3]
-    assert exp.y_coeffs[0] == 1
-    assert exp.y_coeffs[3] == (c3 * pow(3, -1, mod)) % mod
-    assert exp.y_coeffs[1] == 0 and exp.y_coeffs[2] == 0
+    c3 = eng.curve.f[3]
+    assert u[0] == 1
+    assert u[3] == (c3 * pow(3, -1, mod)) % mod
+    assert u[1] == 0 and u[2] == 0
 
 
 def test_laurent_eval_matches_point():
     # evaluating the good-disk expansion at t in pZ_p gives a curve point
-    c = PicardCurve(EX1)
-    ctx = PadicContext(7, 8)
-    disks = classify_disks(c, 7, ctx)
-    good = [d for d in disks if d.kind == GOOD][0]
-    x0, y0 = good.reduction
-    center = [P for P in lift_point(c, x0, ctx) if P.y.residue(1) == y0][0]
-    exp = local_expansion(c, good, ctx, T=12, center=center)
-    t = ctx.from_int(7)
-    xv = poly_at(exp.x_coeffs, t) * t ** exp.x_shift
-    yv = poly_at(exp.y_coeffs, t) * t ** exp.y_shift
-    assert (yv ** 3).is_congruent(c.f_eval(xv), 7)
+    eng = _integrator(EX1, 7)
+    center, dd = _good_disk_data(eng)
+    t = eng.ctx.from_int(7)
+    xv = center.x + t
+    yv = poly_at(_g(eng, dd, 2, eng.T_good), t).inverse()  # y = 1/g_2
+    assert (yv ** 3).is_congruent(eng.curve.f_eval(xv), 7)
 
 
 def test_rational_point_search_ex1():

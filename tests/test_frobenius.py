@@ -8,7 +8,6 @@ from picardcc.curve import (
     PicardCurve,
     classify_disks,
     lift_point,
-    local_expansion,
     points_over_Fp,
 )
 from picardcc.frobenius import (
@@ -25,8 +24,8 @@ from picardcc.frobenius import (
     frobenius_matrix,
     zeta_consistency_check,
 )
-from picardcc.padic import PadicContext, _int_to_padic
-from picardcc.series import ser_add, ser_cuberoot, ser_inv, ser_mul, ser_trim
+from picardcc.padic import PadicContext, _int_to_padic, taylor_shift
+from picardcc.series import ser_add, ser_inverse_root, ser_mul, ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
 EX3 = [-2, 0, 0, 0, 1]
@@ -84,13 +83,14 @@ def check_identity(coeffs, p, N, L=36):
     good = [d for d in disks if d.kind == GOOD][0]
     x0, y0 = good.reduction
     center = [P for P in lift_point(c, x0, ctx) if P.y.residue(1) == y0][0]
-    exp = local_expansion(c, good, ctx, T=L, center=center)
-    xs = (list(exp.x_coeffs) + [0] * (L + 1))[:L + 1]
-    ys = (list(exp.y_coeffs) + [0] * (L + 1))[:L + 1]
+    # x = x0 + t, y = F r^2 and 1/y = r for r = F^(-1/3), F = f(x0 + t)
+    x0 = center.x.residue(W + S)
+    xs = [x0, 1] + [0] * (L - 1)
     dx = [(i + 1) * xc % mod for i, xc in enumerate(xs[1:], 0)]
-    F = _poly_of_series(c.f, xs, mod, L)
-    Finv = ser_inv(F, mod, L)
-    yinv = ser_inv(ys, mod, L)
+    F = taylor_shift(c.f, x0, mod)
+    yinv = ser_inverse_root(F, 3, pow(center.y.residue(W + S), -1, mod), mod, L)
+    ys = ser_mul(F, ser_mul(yinv, yinv, mod, L), mod, L)
+    Finv = ser_inverse_root(F, 1, pow(F[0], -1, mod), mod, L)
 
     Fp = [1]
     base, n = F, p
@@ -100,13 +100,12 @@ def check_identity(coeffs, p, N, L=36):
         n >>= 1
         if n:
             base = ser_mul(base, base, mod, L)
-    Fpinv = ser_inv(Fp, mod, L)
+    Fpinv = ser_inverse_root(Fp, 1, pow(Fp[0], -1, mod), mod, L)
     Aser = _poly_of_series([q % mod for q in fd.A_poly], xs, mod, L)
     one_u = ser_mul([p], ser_mul(Aser, Fpinv, mod, L), mod, L)
     one_u = (one_u + [0])[:L + 1]
     one_u[0] = (one_u[0] + 1) % mod
-    w = ser_cuberoot(one_u, mod, L, 1)
-    winv = ser_inv(w, mod, L)
+    winv = ser_inverse_root(one_u, 3, 1, mod, L)  # (1 + u)^(-1/3)
     pw = {1: ser_mul(winv, winv, mod, L), 2: winv}
 
     cache = {}

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from picardcc.padic import (
     INF,
@@ -180,6 +180,21 @@ def test_hensel_matches_exhaustion():
             for r0 in simple:
                 lifted = hensel_lift_root(g, r0, ctx).residue(N)
                 assert lifted in brute
+
+
+@settings(max_examples=100, deadline=None)
+@example(g=[1, 1, 0, 0, 1], p=5, N=24)  # x^4 + x + 5: root 5 * unit
+@given(g=st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=6),
+       p=st.sampled_from([5, 7, 11, 13]), N=st.integers(1, 30))
+def test_hensel_root_divisible_by_p_keeps_absolute_precision(g, p, N):
+    # g(0) = 0 and g'(0) != 0 mod p: the root lifting 0 is divisible by p
+    # and known modulo p^N whatever its valuation
+    g = [p * g[0]] + g[1:]
+    assume(g[1] % p)
+    r = hensel_lift_root(g, 0, PadicContext(p, N))
+    deep = hensel_lift_root(g, 0, PadicContext(p, 2 * N))
+    assert r.abs_prec <= N
+    assert r.residue(r.abs_prec) == deep.residue(2 * N) % p ** r.abs_prec
 
 
 # --- integer polynomial helpers ------------------------------------------

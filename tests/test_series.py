@@ -5,13 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from picardcc.errors import PicardCCError, PrecisionExhausted
 from picardcc.padic import PadicContext, poly_eval_mod
 from picardcc.series import (
     hensel_system_of_roots,
-    ser_cuberoot,
-    ser_inv,
+    ser_inverse_root,
     ser_mul,
     solve_zeros_in_disk,
     truncation_bound,
@@ -273,18 +273,23 @@ def test_solve_zeros_oracle_random():
         assert all(poly_eval_mod(F, r.residue, p ** Np) == 0 for r in recs)
 
 
-def test_ser_engine_inverse():
-    mod = 5 ** 8
-    a = [1, 3, 2, 7, 1, 4]
-    z = ser_inv(a, mod, 9)
-    prod = ser_mul(a, z, mod, 9)
-    assert prod[0] == 1 and all(c == 0 for c in prod[1:])
-
-
-def test_ser_engine_cuberoot():
-    mod = 7 ** 8
-    a = [8, 7, 3, 2, 0, 1]
-    r = ser_cuberoot(a, mod, 9, 2)
-    cube = ser_mul(ser_mul(r, r, mod, 9), r, mod, 9)
-    expect = (a + [0] * 10)[:10]
-    assert cube == expect
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 3]), p=st.sampled_from([5, 7, 11, 13]),
+       W=st.integers(1, 30), T=st.integers(0, 64), data=st.data())
+def test_ser_inverse_root(k, p, W, T, data):
+    # a with a unit constant term; for k = 3, a[0] = r0^-3 for a unit r0
+    mod = p ** W
+    unit = st.integers(1, mod - 1).filter(lambda c: c % p)
+    a = data.draw(st.lists(st.integers(0, mod - 1), min_size=1, max_size=T + 3))
+    if k == 1:
+        a[0] = data.draw(unit)
+        r0 = pow(a[0], -1, mod)
+    else:
+        r0 = data.draw(unit)
+        a[0] = pow(r0, -3, mod)
+    r = ser_inverse_root(a, k, r0, mod, T)
+    assert len(r) == T + 1
+    ark = a
+    for _ in range(k):
+        ark = ser_mul(ark, r, mod, T)
+    assert ark + [0] * (T + 1 - len(ark)) == [1] + [0] * T
