@@ -273,6 +273,25 @@ def test_solve_zeros_oracle_random():
         assert all(poly_eval_mod(F, r.residue, p ** Np) == 0 for r in recs)
 
 
+def test_ser_engine_inverse():
+    mod = 5 ** 8
+    a = [1, 3, 2, 7, 1, 4]
+    z = ser_inverse_root(a, 1, 1, mod, 9)
+    prod = ser_mul(a, z, mod, 9)
+    assert prod[0] == 1 and all(c == 0 for c in prod[1:])
+
+
+def test_ser_engine_cuberoot():
+    # the cube root of a is a r^2 for r = a^(-1/3), seeded by 2^-1 as 8 = 2^3
+    mod = 7 ** 8
+    a = [8, 7, 3, 2, 0, 1]
+    r = ser_inverse_root(a, 3, pow(2, -1, mod), mod, 9)
+    root = ser_mul(ser_mul(a, r, mod, 9), r, mod, 9)
+    cube = ser_mul(ser_mul(root, root, mod, 9), root, mod, 9)
+    expect = (a + [0] * 10)[:10]
+    assert cube == expect
+
+
 @settings(max_examples=60, deadline=None)
 @given(k=st.sampled_from([1, 3]), p=st.sampled_from([5, 7, 11, 13]),
        W=st.integers(1, 30), T=st.integers(0, 64), data=st.data())
