@@ -8,7 +8,8 @@ only after substitution to full precision and an exact factorization check.
 import math
 from fractions import Fraction
 
-from .padic import PadicElement, poly_at, sympy_poly
+from .padic import PadicElement, poly_at
+from .series import ser_trim
 
 __all__ = ["algdep", "lll_reduce"]
 
@@ -67,15 +68,9 @@ def lll_reduce(basis):
     return b
 
 
-def _trim(poly):
-    while poly and poly[-1] == 0:
-        poly = poly[:-1]
-    return poly
-
-
 def _normalize(poly):
     """Primitive, positive leading coefficient, low-to-high."""
-    poly = _trim(list(poly))
+    poly = ser_trim(list(poly))
     g = math.gcd(*poly) or 1
     if poly and poly[-1] < 0:
         g = -g
@@ -88,8 +83,14 @@ def _vanishes(poly, alpha, k):
 
 
 def _irreducible_part(poly, alpha, k):
-    """poly itself if irreducible over Q, else the factor vanishing at alpha."""
-    _, factors = sympy_poly(poly).factor_list()
+    """poly itself if irreducible over Q, else the factor vanishing at alpha.
+    sympy factors a candidate of degree 2 or more; a linear one is
+    irreducible, so recognizing a rational number never imports sympy."""
+    if len(poly) == 2:
+        return _normalize(poly)
+    from sympy import Poly, Symbol
+
+    _, factors = Poly(poly[::-1], Symbol("x")).factor_list()
     if len(factors) == 1 and factors[0][1] == 1:
         return _normalize(poly)
     for fac, _mult in factors:
@@ -134,7 +135,7 @@ def algdep(alpha, degree_bound, height_bound=10 ** 8, prec=None):
              for i in range(1, d + 1)]
 
     for row in lll_reduce(rows):
-        cand = _trim(row)
+        cand = ser_trim(row)
         if len(cand) < 2:
             continue
         if max(abs(c) for c in cand) > height_bound:

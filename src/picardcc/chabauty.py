@@ -5,7 +5,6 @@ assembly of X(Q_p)_1, classification of its members, and the end-to-end
 pipeline with prime selection and e-escalation.
 """
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -38,8 +37,8 @@ from .errors import (
     PrecisionExhausted,
 )
 from .frobenius import frobenius_matrix, zeta_consistency_check
-from .padic import INF, _pval, poly_eval_mod, sympy_poly
-from .series import solve_zeros_in_disk
+from .padic import INF, _pval, disc_adj, poly_eval_mod
+from .series import ser_trim, solve_zeros_in_disk
 
 __all__ = [
     "VanishingBasis",
@@ -410,8 +409,9 @@ def _divisor_specs(record):
         y_rule = d.get("y_rule")
         if y_rule is not None:
             y_rule = _coefficients(y_rule, "y_rule")
-        poly = sympy_poly(g)
-        if poly.degree() < 1 or not poly.is_sqf:
+        monic = ser_trim(g)
+        monic = [c / monic[-1] for c in monic] if monic else []
+        if len(monic) < 2 or not disc_adj(monic)[0]:  # Res(g, g') = 0: not squarefree
             raise BadDivisor(f"g = {d['g']} is constant or has a repeated root")
         specs.append(NumberFieldPointSpec(g, y_rule))
     return specs
@@ -428,10 +428,13 @@ def _point_spec(record):
 
 
 def _split_product(specs):
-    if not specs:
-        return None
-    prod = math.prod(sympy_poly(_integerize(s.x_minpoly)) for s in specs)
-    return [int(c) for c in reversed(prod.all_coeffs())]
+    """The product of the divisors' x-polynomials; 1 when there are none."""
+    prod = [1]
+    for s in specs:
+        g = _integerize(s.x_minpoly)
+        prod = [sum(a * g[i - j] for j, a in enumerate(prod) if 0 <= i - j < len(g))
+                for i in range(len(prod) + len(g) - 1)]
+    return ser_trim(prod)
 
 
 def _realize_divisors(engine, specs, point, search):

@@ -12,15 +12,13 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-
-from sympy import isprime
 
 from .chabauty import (ChabautyReport, _divisor_specs, _point_spec, _split_product,
                        run_pipeline)
 from .curve import PicardCurve, good_prime, prime_rejection
 from .errors import BadDivisor, CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
+from .padic import is_prime
 from .series import hensel_system_of_roots
 
 SCHEMA_VERSION = 1
@@ -182,6 +180,7 @@ def cmd_batch(args):
                 "timings": {},
             }
     if args.jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 25 ms to import
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             done = pool.map(_run_one, [(r, params) for _, r in tasks])
             for (idx, _), rec in zip(tasks, done):
@@ -219,7 +218,7 @@ def cmd_batch(args):
 def cmd_roots(args):
     try:
         poly = [int(c) for c in args.poly.split(",")]
-        if not isprime(args.p):
+        if not is_prime(args.p):
             raise ValueError(f"p = {args.p} is not a prime")
         if args.n < 1:
             raise ValueError(f"n must be at least 1, got {args.n}")

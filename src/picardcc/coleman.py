@@ -49,7 +49,7 @@ from .padic import (
     poly_eval_mod,
     taylor_shift,
 )
-from .series import ser_add, ser_inverse_root, ser_mul
+from .series import ser_add, ser_inverse_root, ser_mul, ser_spread
 
 
 # --- input records --------------------------------------------------------
@@ -206,7 +206,8 @@ class ColemanIntegrator:
         (x = t^-3, y = t^-4 u, Ft = t^12 f(t^-3)).  As y^3 = f, g_b = y^b/f
         is y^(b-3): g_2 = r and g_1 = r^2 for r = F^(-1/3), F = f(x0 + t)
         from r(0) = 1/y0 or F = Ft from r(0) = 1, and u = Ft r^2.  Bad disks
-        also keep x(t) as "xt", or u(t) as "u" and Ft as "Ft".
+        also keep x(t) as "xt", or u(t) as "u" and Ft as "Ft".  x(t) and Ft
+        are series in s = t^3, so the bad disks form their products in s.
         """
         key = self._center_key(disk, center)
         got = self._disk_data_cache.get(key)
@@ -239,23 +240,26 @@ class ColemanIntegrator:
                 dfx = _poly_of_series(df, xs, mod, prec - 1)
                 dfinv = ser_inverse_root(dfx, 1, pow(dfx[0], -1, mod), mod, prec - 1)
                 xs = ser_add(xs, ser_mul(num, dfinv, mod, prec - 1), mod)
-            xt = [0] * (T + 1)
-            xt[::3] = xs
-            dx = [c % mod for c in poly_deriv(xt)]
-            xdx = [dx, ser_mul(xt, dx, mod, T)]
-            xdx.append(ser_mul(xt, xdx[1], mod, T))
-            dd = {"xt": xt, "forms": [(b - 3, xdx[a][:T + 2 - b]) for a, b in BASIS]}
+            # x^a x' = 3 t^2 X^a dX/ds: cut at t^(T-1) for a = 0, else t^T
+            xdx = [poly_deriv(xs)]
+            xdx.append(ser_mul(xs, xdx[0], mod, Ts))
+            xdx.append(ser_mul(xs, xdx[1], mod, Ts))
+            xdx = [ser_spread([3 * c % mod for c in xa], 3, n, 2)
+                   for xa, n in zip(xdx, (T, T + 1, T + 1))]
+            dd = {"xt": ser_spread(xs, 3, T + 1),
+                  "forms": [(b - 3, xdx[a][:T + 2 - b]) for a, b in BASIS]}
         else:
-            T = self.T_bad
-            Ft = [0] * (T + 1)
-            Ft[:13:3] = [c % mod for c in reversed(f)]
-            r = ser_inverse_root(Ft[:13], 3, 1, mod, T)
-            g = {1: ser_mul(r, r, mod, T), 2: r}
+            # Ft, r and u = Ft r^2 are series in s = t^3
+            T, Ts = self.T_bad, self.T_bad // 3
+            Fs = [c % mod for c in reversed(f)]
+            r = ser_inverse_root(Fs, 3, 1, mod, Ts)
+            g = {1: ser_mul(r, r, mod, Ts), 2: r}
             forms = []
             for a, b in BASIS:
                 k0 = 8 - 3 * a - 4 * b
-                forms.append((k0, [-3 * c % mod for c in g[b][:T - 5 - k0]]))
-            dd = {"u": ser_mul(Ft[:13], g[1], mod, T), "Ft": Ft, "forms": forms}
+                forms.append((k0, [-3 * c % mod for c in ser_spread(g[b], 3, T - 5 - k0)]))
+            dd = {"u": ser_spread(ser_mul(Fs, g[1], mod, Ts), 3, T + 1),
+                  "Ft": ser_spread(Fs, 3, T + 1), "forms": forms}
         self._disk_data_cache[key] = dd
         return dd
 

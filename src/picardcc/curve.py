@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .errors import (
     ComputationFailure,
     CurveValidationError,
@@ -25,10 +23,11 @@ from .padic import (
     PadicContext,
     RamifiedElement,
     cube_roots,
+    disc_adj,
     hensel_lift_root,
+    is_prime,
     poly_at,
     poly_eval_mod,
-    sympy_poly,
 )
 from .series import ser_trim
 
@@ -45,7 +44,7 @@ class PicardCurve:
         if any(c.denominator != 1 for c in f):
             raise NotMonic("f must have integer coefficients")
         self.f = [int(c) for c in f]
-        self.disc_f = int(sympy_poly(self.f).discriminant())
+        self.disc_f = disc_adj(self.f)[0]  # Res(f, f') = disc(f), f a monic quartic
         if self.disc_f == 0:
             raise NotSquarefree("f has a repeated root")
         d = None if discriminant is None else Fraction(discriminant)
@@ -103,7 +102,7 @@ def prime_rejection(curve: PicardCurve, p: int, split_poly=None):
     p must be a prime > 3 dividing neither disc(f) nor the supplied curve
     discriminant; when split_poly g is given, g must split completely mod p.
     """
-    if p <= 3 or not sympy.isprime(p):
+    if p <= 3 or not is_prime(p):
         return f"p = {p} is not a prime > 3"
     if curve.disc_f % p == 0 or (
             curve.discriminant and curve.discriminant % p == 0):
@@ -116,9 +115,9 @@ def prime_rejection(curve: PicardCurve, p: int, split_poly=None):
 
 def good_prime(curve: PicardCurve, min_prime: int = 5, split_poly=None):
     """Smallest p >= min_prime that prime_rejection accepts."""
-    p = int(sympy.nextprime(max(min_prime, 5) - 1))
+    p = max(min_prime, 5)
     while prime_rejection(curve, p, split_poly):
-        p = int(sympy.nextprime(p))
+        p += 1
     return p
 
 

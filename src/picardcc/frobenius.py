@@ -42,11 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import sympy
-
-from .errors import ComputationFailure, NotSquarefree, PrecisionExhausted
-from .padic import INF, PadicContext, _int_to_padic, _pval, poly_deriv, sympy_poly
-from .series import ser_add, ser_inverse_root, ser_mul, ser_trim
+from .errors import ComputationFailure, PrecisionExhausted
+from .padic import INF, PadicContext, _int_to_padic, _pval, charpoly_adj, disc_adj, poly_deriv
+from .series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
 
@@ -92,27 +90,13 @@ def _poly_pow(a, n, mod):
     return result
 
 
-def _subst_xp(a, p):
-    """a(x^p) from a(x)."""
-    out = [0] * ((len(a) - 1) * p + 1) if a else []
-    for i, c in enumerate(a):
-        out[i * p] = c
-    return out
-
-
 def _bezout_unit(curve: PicardCurve, p, mod):
-    """beta mod p^W with alpha f + beta f' = 1 for a polynomial alpha
-    (denominators are p-units)."""
-    fpoly = sympy_poly(curve.f)
-    _, beta, h = fpoly.gcdex(fpoly.diff())  # h is the monic gcd
-    if h.degree() != 0:
-        raise NotSquarefree("f is not squarefree")
-    out = []
-    for c in beta.all_coeffs()[::-1]:
-        if c.q % p == 0:
-            raise PrecisionExhausted("Bezout denominators not p-integral (bad p?)")
-        out.append(int(c.p) * pow(int(c.q), -1, mod) % mod)
-    return out
+    """beta mod p^W with alpha f + beta f' = 1 for a polynomial alpha:
+    beta = f'^-1 mod f is column 0 of adj / disc(f) (`disc_adj`)."""
+    disc, adj = disc_adj(curve.f)
+    if disc % p == 0:
+        raise PrecisionExhausted(f"p = {p} divides disc(f): Bezout denominators not p-integral")
+    return [row[0] * pow(disc, -1, mod) % mod for row in adj]
 
 
 # --- the reduction -------------------------------------------------------
@@ -382,7 +366,7 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
 
     # pA = f(x^p) - f(x)^p, computed mod p^(W+1) so A is exact mod p^W
     mod1 = mod * p
-    fxp = _subst_xp([c % mod1 for c in curve.f], p)
+    fxp = ser_spread([c % mod1 for c in curve.f], p)  # f(x^p)
     fp = _poly_pow([c % mod1 for c in curve.f], p, mod1)
     diff = _poly_sub(fxp, fp, mod1)
     if any(c % p for c in diff):
@@ -470,25 +454,18 @@ def zeta_consistency_check(fd: FrobeniusData) -> ZetaReport:
         for e in row:
             if not e.is_zero and e.valuation() < -s:
                 s = -int(e.valuation())
-    ints = []
-    for row in fd.M:
-        r = []
-        for e in row:
-            if e.is_zero:
-                r.append(0)
-            else:
-                scaled = e * e.ctx.from_int(p ** s)
-                r.append(scaled.residue(min(Wp, int(scaled.abs_prec))))
-        ints.append(r)
-    m = sympy.Matrix(ints)
-    lam = sympy.Symbol("T")
-    chi = m.charpoly(lam).all_coeffs()  # degree 6 monic, over ZZ (huge ints)
+    def scaled(e):  # p^s e as an integer, to the digits it has
+        x = e * e.ctx.from_int(p ** s)
+        return 0 if x.is_zero else x.residue(min(Wp, int(x.abs_prec)))
+
+    # degree 6 monic, over Z (huge ints)
+    chi = charpoly_adj([[scaled(e) for e in row] for row in fd.M])[0]
     # Weil bounds: |c_{6-i}| for chi = prod (T - alpha_i), |alpha_i| = sqrt(p)
     bounds = [math.comb(6, i) * (p ** 0.5) ** i * 1.000001 for i in range(7)]
     integrality = True
     coeffs = []
     for i in range(7):  # c0..c6 of chi(T) for M itself
-        d = int(chi[6 - i]) % modp
+        d = chi[i] % modp
         scale = p ** (s * (6 - i))
         if d % scale:
             integrality = False

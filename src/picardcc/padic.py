@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import sympy
-
 from .errors import (
     ContextMismatch,
     DivisionByZeroPrecision,
@@ -23,6 +21,21 @@ from .errors import (
 )
 
 INF = math.inf
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin with the prime bases up to 41: exact below 3.3 * 10^24, a
+    probable-prime test above (Sorenson-Webster 2015; the bases up to 37
+    alone pass the composite 318665857834031151167461)."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    for a in bases:
+        powers = [pow(a, (n - 1) >> (s - i), n) for i in range(s)]  # a^(d 2^i)
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
 
 
 def _pval(n: int, p: int) -> int:
@@ -40,7 +53,7 @@ class PadicContext:
     __slots__ = ("p", "N", "_pk")
 
     def __init__(self, p: int, N: int):
-        if p <= 3 or not sympy.isprime(p):
+        if p <= 3 or not is_prime(p):
             raise ValueError(f"p must be a prime > 3, got {p}")
         if N < 1:
             raise ValueError(f"N must be >= 1, got {N}")
@@ -599,9 +612,31 @@ def poly_deriv(poly):
     return [i * c for i, c in enumerate(poly)][1:]
 
 
-def sympy_poly(poly):
-    """The coefficient list (ints or Fractions) as a sympy Poly in x."""
-    return sympy.Poly([sympy.Rational(c) for c in reversed(poly)], sympy.Symbol("x"))
+def charpoly_adj(A):
+    """(c, adj): det(T I - A) = sum(c[i] T^i) and the adjugate of A, by
+    Faddeev-LeVerrier over Z or Q (ints or Fractions): its exact divisions by
+    k = 1..n would fail mod p^W at k = p.  det(A) = (-1)^n c[0]."""
+    n = len(A)
+    c = [0] * n + [1]
+    M = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        M = [[sum(a * M[l][j] for l, a in enumerate(row)) + (c[n - k + 1] if i == j else 0)
+              for j in range(n)] for i, row in enumerate(A)]
+        tr = -sum(a * M[l][i] for i, row in enumerate(A) for l, a in enumerate(row))
+        c[n - k] = tr // k if isinstance(tr, int) else tr / k
+    return c, [[(-1) ** (n - 1) * x for x in row] for row in M]
+
+
+def disc_adj(g):
+    """(D, adj) for g monic of degree d: D = Res(g, g') = (-1)^(d(d-1)/2)
+    disc(g) is the determinant of q -> g' q on Q[x]/(g), basis 1, ..., x^(d-1),
+    and adj its adjugate, so g'^-1 mod g is column 0 of adj / D."""
+    col, cols = poly_deriv(g), []
+    for _ in range(len(g) - 1):
+        cols.append(col)  # x^j g' mod g; x^d = -(g_0 + ... + g_(d-1) x^(d-1))
+        col = [c - col[-1] * gi for c, gi in zip([0] + col[:-1], g)]
+    c, adj = charpoly_adj([list(row) for row in zip(*cols)])
+    return (-1) ** len(cols) * c[0], adj
 
 
 def taylor_shift(poly, a, mod):
@@ -642,7 +677,8 @@ def hensel_lift_root(g, r0: int, ctx: PadicContext) -> PadicElement:
 
 
 def cube_roots(a: PadicElement):
-    """All cube roots of a in Q_p, each to the precision of a.
+    """All cube roots of a in Q_p, each to the precision of a, in the
+    ascending order of their residues mod p.
 
     Returns 0, 1, or 3 roots (1 when p = 2 mod 3 and a is a unit times an
     exact cube of p).  Raises NoCubeRoot if v_p(a) is not divisible by 3.
@@ -654,12 +690,11 @@ def cube_roots(a: PadicElement):
         raise NoCubeRoot(f"valuation {a.v} not divisible by 3")
     p = ctx.p
     u0 = a.unit % p
-    roots_mod_p = sympy.ntheory.residue_ntheory.nthroot_mod(u0, 3, p, all_roots=True) or []
     out = []
     rel = a.rel
-    for r0 in roots_mod_p:
+    for r0 in (r for r in range(1, p) if r * r * r % p == u0):
         # Newton-lift r0 to a cube root of the unit part
-        r = newton_lift([-a.unit, 0, 0, 1], int(r0), p, rel)
+        r = newton_lift([-a.unit, 0, 0, 1], r0, p, rel)
         out.append(PadicElement(ctx, a.v // 3, r, rel, _raw=True))
     return out
 

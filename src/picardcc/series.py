@@ -37,6 +37,16 @@ def ser_trim(a):
     return a[:i]
 
 
+def ser_spread(a, m, n=None, k0=0):
+    """t^k0 a(t^m) as n coefficients (default: through its last term)."""
+    if n is None:
+        n = k0 + m * (len(a) - 1) + 1 if a else 0
+    a = a[:len(range(k0, n, m))]
+    out = [0] * n
+    out[k0:k0 + m * len(a):m] = a
+    return out
+
+
 def ser_mul(a, b, mod, T=None):
     """Product of coefficient lists modulo `mod`, truncated to degree T."""
     out = _polymul_mod(a, b, mod)
@@ -126,15 +136,10 @@ def hensel_system_of_roots(F, p: int, N: int):
 
     out = []
     for a, i in records:
-        dval = _pval_capped(poly_eval_mod(dF, a, pN), p, N)
+        d = poly_eval_mod(dF, a, pN)
+        dval = _pval(d, p) if d else N  # d < p^N
         out.append(RootRecord(a, i, 2 * dval < N, dval))
     return out
-
-
-def _pval_capped(n, p, cap):
-    if n == 0:
-        return cap
-    return min(_pval(n, p), cap)
 
 
 def solve_zeros_in_disk(terms, prec, const, N: int):

@@ -14,13 +14,14 @@ from picardcc.algdep import (
     _dot,
     _irreducible_part,
     _normalize,
-    _trim,
     _vanishes,
     algdep,
     lll_reduce,
 )
 import picardcc.chabauty as chabauty_mod
 from picardcc.chabauty import (
+    _divisor_specs,
+    _split_product,
     chabauty_set,
     classify_point,
     run_pipeline,
@@ -30,12 +31,14 @@ from picardcc.coleman import (
     ColemanIntegrator,
     DivisorSpec,
     NumberFieldPointSpec,
+    _integerize,
     realize_nf_points,
 )
 from picardcc.curve import CurvePoint, PicardCurve, lift_point
-from picardcc.errors import DegenerateDivisor
+from picardcc.errors import BadDivisor, DegenerateDivisor
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
 from picardcc.padic import INF, PadicContext
+from picardcc.series import ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
 EX4 = [2, 5, 6, 2, 1]
@@ -305,7 +308,7 @@ def _algdep_weighted(alpha, degree_bound, height_bound=10 ** 8, prec=None):
         rows.append(row)
     rows.append([0] * (d + 1) + [pk * pk])
     for row in _lll_recompute(rows):
-        cand = _trim(list(row[: d + 1]))
+        cand = ser_trim(list(row[: d + 1]))
         if len(cand) < 2 or max(abs(c) for c in cand) > height_bound:
             continue
         norm2 = sum(c * c for c in cand)
@@ -509,3 +512,48 @@ def test_failed_e_attempts_are_freed_without_the_cycle_collector():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+_fraction = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+def _qq_mul(a, b):
+    x = sympy.Symbol("x")
+    prod = sympy.Poly(a[::-1], x, domain="QQ") * sympy.Poly(b[::-1], x, domain="QQ")
+    return [Fraction(int(c.p), int(c.q)) for c in prod.all_coeffs()[::-1]]
+
+
+@st.composite
+def _rational_polys(draw):
+    """Non-monic g with Fraction coefficients, low-to-high; a square factor,
+    zero leading coefficients and constants are all drawn."""
+    g = draw(st.lists(_fraction, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        h = draw(st.lists(_fraction, min_size=2, max_size=3))
+        g = _qq_mul(_qq_mul(g, h), h)
+    return g + [Fraction(0)] * draw(st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_polys())
+def test_divisor_squarefree_check_matches_sympy(g):
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in g[::-1]],
+                      sympy.Symbol("x"))
+    record = {"divisors": [{"g": [str(c) for c in g]}]}
+    if poly.degree() >= 1 and poly.is_sqf:
+        assert _divisor_specs(record)[0].x_minpoly == g
+    else:
+        with pytest.raises(BadDivisor):
+            _divisor_specs(record)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_rational_polys(), min_size=1, max_size=3))
+def test_split_product_matches_sympy(gs):
+    assume(all(any(g[1:]) for g in gs))  # validated g are not constant
+    specs = [NumberFieldPointSpec(g) for g in gs]
+    x = sympy.Symbol("x")
+    prod = sympy.Poly(1, x)
+    for g in gs:
+        prod *= sympy.Poly(_integerize(g)[::-1], x)
+    assert _split_product(specs) == [int(c) for c in prod.all_coeffs()[::-1]]

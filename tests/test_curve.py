@@ -363,3 +363,37 @@ def test_rational_point_search_matches_brute_force(f, H):
 def test_icbrt_exact(k, j, sign):
     # floor(cbrt(k^3 + j)) is k - 1 for j = -1 and k otherwise (k >= 1)
     assert _icbrt(sign * (k ** 3 + j)) == sign * (k - 1 if j < 0 else k)
+
+
+# --- disc(f) and prime selection without sympy, with sympy as the oracle ----
+
+
+def _monic_quartic(draw_c):
+    return st.one_of(
+        st.lists(draw_c, min_size=4, max_size=4).map(lambda c: c + [1]),
+        # (x - a)^2 (x^2 + b x + c): a repeated root
+        st.tuples(draw_c, draw_c, draw_c).map(
+            lambda t: [t[0] ** 2 * t[2], t[0] ** 2 * t[1] - 2 * t[0] * t[2],
+                       t[0] ** 2 - 2 * t[0] * t[1] + t[2], t[1] - 2 * t[0], 1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_quartic(st.integers(-10 ** 4, 10 ** 4)))
+def test_disc_f_matches_sympy_discriminant(f):
+    disc = sympy.Poly(f[::-1], sympy.Symbol("x")).discriminant()
+    if disc == 0:
+        with pytest.raises(NotSquarefree):
+            PicardCurve(f)
+    else:
+        assert PicardCurve(f).disc_f == disc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_monic_quartic(st.integers(-50, 50)), st.integers(-3, 60))
+def test_good_prime_is_the_least_admissible_prime(f, min_prime):
+    assume(sympy.Poly(f[::-1], sympy.Symbol("x")).discriminant() != 0)
+    curve = PicardCurve(f)
+    p = sympy.nextprime(max(min_prime, 5) - 1)
+    while curve.disc_f % p == 0:
+        p = sympy.nextprime(p)
+    assert good_prime(curve, min_prime) == p

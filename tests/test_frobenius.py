@@ -1,7 +1,8 @@
 """Tests for the Frobenius action on cohomology and the zeta certificates."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import assume, given, settings, strategies as st
 
 from picardcc.curve import (
     GOOD,
@@ -15,6 +16,7 @@ from picardcc.frobenius import (
     REGULAR,
     ExactPart,
     FrobeniusData,
+    _bezout_unit,
     _binomial_cutoff,
     _entry_add,
     _f_adic_digits,
@@ -340,3 +342,19 @@ def test_sweep_numerators_stay_short(monkeypatch, coeffs, p, N):
     monkeypatch.setattr(_Reducer, "reduce", spy)
     frobenius_matrix(PicardCurve(coeffs), p, N)
     assert len(lengths) > 6 and max(lengths) <= 2 * p + 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=4, max_size=4),
+       st.sampled_from([5, 7, 11, 13, 17, 101]), st.integers(1, 40))
+def test_bezout_unit_matches_gcdex(c, p, W):
+    # beta = f'^-1 mod f from the adjugate, against sympy's extended gcd
+    f = c + [1]
+    x = sympy.Symbol("x")
+    fpoly = sympy.Poly(f[::-1], x)
+    assume(fpoly.discriminant() % p != 0)
+    _, beta, h = fpoly.gcdex(fpoly.diff())
+    assert h.degree() == 0
+    mod = p ** W
+    want = [int(q.p) * pow(int(q.q), -1, mod) % mod for q in beta.all_coeffs()[::-1]]
+    assert _bezout_unit(PicardCurve(f), p, mod) == want + [0] * (4 - len(want))

@@ -4,7 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings, strategies as st
+from sympy.ntheory.residue_ntheory import nthroot_mod
 
 from picardcc.padic import (
     INF,
@@ -13,9 +15,11 @@ from picardcc.padic import (
     RamifiedElement,
     _fold_mul,
     _polymul_mod,
+    charpoly_adj,
     cube_root_ramified,
     cube_roots,
     hensel_lift_root,
+    is_prime,
     newton_lift,
     poly_at,
     poly_deriv,
@@ -567,3 +571,74 @@ def test_fold_mul_matches_schoolbook_folded(data):
     c = _schoolbook(a, b) + [0]
     assert _fold_mul(a, b, e, p, mod) == [(c[i] + p * c[i + e]) % mod
                                           for i in range(e)]
+
+
+# --- exact integer code in place of sympy, with sympy as the oracle ---------
+
+
+def test_is_prime_below_10_5():
+    assert [n for n in range(-3, 10 ** 5) if is_prime(n)] == list(sympy.primerange(10 ** 5))
+
+
+def _chernick(k0, count):
+    """Carmichael numbers (6k + 1)(12k + 1)(18k + 1), all three factors prime."""
+    out, k = [], k0
+    while len(out) < count:
+        fs = [6 * k + 1, 12 * k + 1, 18 * k + 1]
+        if all(sympy.isprime(q) for q in fs):
+            out.append(math.prod(fs))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("n", [
+    # the least strong pseudoprimes to the first 4, 9 and 12 prime bases
+    3215031751, 3825123056546413051, 318665857834031151167461,
+    *_chernick(7, 4), *_chernick(10 ** 6, 3)])
+def test_is_prime_rejects_strong_pseudoprimes_and_carmichael_numbers(n):
+    assert not sympy.isprime(n)
+    assert not is_prime(n)
+
+
+@pytest.mark.parametrize("n", [10 ** 18 + 3, 10 ** 24 + 7, 3 * 10 ** 24 + 7,
+                               2 ** 61 - 1, 2 ** 89 - 1, 2 ** 127 - 1])
+def test_is_prime_large_primes(n):
+    assert sympy.isprime(n)
+    assert is_prime(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(10 ** 5, 3 * 10 ** 24), st.integers(0, 2))
+def test_is_prime_matches_sympy(n, kind):
+    # kind 1: a prime; kind 2: a product of two primes; kind 0: any n
+    if kind:
+        q = sympy.nextprime(n if kind == 1 else math.isqrt(n))
+        n = q if kind == 1 else q * sympy.nextprime(q + n % 1000)
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100).flatmap(lambda k: st.lists(
+    st.integers(-10 ** k, 10 ** k), min_size=36, max_size=36)))
+def test_charpoly_adj_matches_sympy(entries):
+    # the zeta certificate's char poly of a 6 x 6 integer matrix
+    A = [entries[6 * i:6 * i + 6] for i in range(6)]
+    c, adj = charpoly_adj(A)
+    assert all(isinstance(x, int) for x in c + sum(adj, []))
+    assert c[::-1] == sympy.Matrix(A).charpoly(sympy.Symbol("T")).all_coeffs()
+    det = c[0]  # n = 6 is even
+    assert _matmul(A, adj) == [[det * (i == j) for j in range(6)] for i in range(6)]
+
+
+@pytest.mark.parametrize("p", list(sympy.primerange(5, 104)) + [109, 211, 397])
+def test_cube_roots_residues_match_nthroot_mod(p):
+    # ascending residues: nthroot_mod's order, so every point list keeps it
+    ctx = PadicContext(p, 3)
+    for u in range(1, p):
+        roots = [r.residue(1) for r in cube_roots(ctx.from_int(u))]
+        assert roots == [int(r) for r in nthroot_mod(u, 3, p, all_roots=True) or []]
+        assert all(pow(r.unit, 3, p ** 3) == u for r in cube_roots(ctx.from_int(u)))

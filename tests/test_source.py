@@ -2,6 +2,8 @@
 
 import ast
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,11 +29,15 @@ def test_no_assert_statements():
 
 
 def test_src_imports_only_stdlib_and_sympy():
-    # the package's one third-party dependency is sympy
-    allowed = set(sys.stdlib_module_names) | {"sympy"}
+    # the package imports only the standard library, except for sympy's
+    # factorization, imported inside algdep's _irreducible_part for a
+    # candidate of degree 2 or more
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
+        local = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 if path.name == "algdep.py" and fn.name == "_irreducible_part"
+                 for node in ast.walk(fn)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -40,8 +46,41 @@ def test_src_imports_only_stdlib_and_sympy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] not in allowed]
+                      if name.split(".")[0] not in sys.stdlib_module_names
+                      and not (name == "sympy" and id(node) in local)]
     assert not found, found
+
+
+# Validate every record the benchmark workloads can draw and run the
+# pipeline on one survey record, in a fresh interpreter
+_NO_SYMPY_SNIPPET = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("bench_run", sys.argv[1])
+run = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(run)
+from picardcc import cli
+from picardcc.chabauty import run_pipeline
+records = [json.loads(line) for line in run.HERE.joinpath("survey_pool.jsonl").open()
+           if line.strip()]
+records += run.WORKLOADS["large-prime"]["records"] + run.WORKLOADS["escalation"]["records"]
+for i, record in enumerate(records):
+    cli.parse_record(json.dumps(record), line_no=i + 1)
+pool1_1 = next(r for r in records if r.get("label") == "pool1-1")
+report = run_pipeline(pool1_1, {"N": 10, "p": 5})
+print(len(records), report.status, "sympy" in sys.modules)
+"""
+
+
+def test_validation_and_a_survey_run_do_not_import_sympy():
+    # sympy's import was most of the start-up time of every picardcc process
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", _NO_SYMPY_SNIPPET,
+                          str(ROOT / "bench" / "run.py")],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    n, status, loaded = out.stdout.split()
+    assert int(n) > 3 and status == "Success"
+    assert loaded == "False"
 
 
 def test_bench_tracer_targets_exist():
