@@ -268,19 +268,213 @@ def test_valuation_properties(a, b):
     assert s.valuation() >= min(A.valuation(), B.valuation())
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_ints, small_ints)
-def test_ramified_e1_matches_padic(a, b):
-    ctx = PadicContext(7, 5)
-    A1 = RamifiedElement.from_padic(ctx.from_int(a), 1)
-    B1 = RamifiedElement.from_padic(ctx.from_int(b), 1)
-    for flat, plain in (
-        (A1 + B1, ctx.from_int(a + b)),
-        (A1 * B1, ctx.from_int(a * b)),
-        (A1 - B1, ctx.from_int(a - b)),
-    ):
-        got = flat.to_padic()
-        assert got.is_congruent(plain)
+# --- differential oracle: Q_p against a reference implementation ----------
+# _RefPadic is the capped-relative-precision Q_p type the library used before
+# Q_p became Q_p(pi) at e = 1, kept verbatim as a reference: p^v * unit with
+# a relative precision rel <= N, and a zero O(p^k) holding k in v.
+
+
+class _RefPadic:
+    __slots__ = ("ctx", "v", "unit", "rel")
+
+    def __init__(self, ctx, v, unit, rel):
+        self.ctx, self.v, self.unit, self.rel = ctx, v, unit, rel
+
+    @staticmethod
+    def zero(ctx, abs_prec=INF):
+        return _RefPadic(ctx, abs_prec, 0, 0)
+
+    @staticmethod
+    def from_rational(ctx, q):
+        q = Fraction(q)
+        if q == 0:
+            return _RefPadic.zero(ctx)
+        num, den = q.numerator, q.denominator
+        vn, vd = _ref_pval(num, ctx.p), _ref_pval(den, ctx.p)
+        pN = ctx.pk(ctx.N)
+        unit = (num // ctx.pk(vn)) * pow(den // ctx.pk(vd), -1, pN) % pN
+        return _RefPadic(ctx, vn - vd, unit, ctx.N)
+
+    @property
+    def abs_prec(self):
+        return self.v + self.rel if self.unit else self.v
+
+    def residue(self, k):
+        if self.unit == 0:
+            if self.v < k:
+                raise DivisionByZeroPrecision("zero has no residue")
+            return 0
+        if self.v < 0:
+            raise NegativeValuation("negative valuation")
+        if self.abs_prec < k:
+            raise PrecisionExhausted("insufficient precision")
+        return (self.unit * self.ctx.pk(self.v)) % self.ctx.pk(k)
+
+    def __repr__(self):
+        if self.unit == 0:
+            return f"O({self.ctx.p}^{self.v})"
+        return f"{self.unit}*{self.ctx.p}^{self.v} + O({self.ctx.p}^{self.v + self.rel})"
+
+    def _make(self, v, s, a):
+        ctx = self.ctx
+        if a <= v:
+            return _RefPadic.zero(ctx, a)
+        if a == INF:
+            cap = ctx.N + (max(0, _ref_pval(s, ctx.p)) if s else 0)
+        else:
+            cap = min(a - v, ctx.N + (max(0, _ref_pval(s, ctx.p)) if s else 0))
+        s %= ctx.pk(cap)
+        if s == 0:
+            return _RefPadic.zero(ctx, min(a, v + cap))
+        w = _ref_pval(s, ctx.p)
+        if w >= cap:
+            return _RefPadic.zero(ctx, min(a, v + cap))
+        rel = min((a - v - w) if a != INF else ctx.N, ctx.N)
+        return _RefPadic(ctx, v + w, (s // ctx.pk(w)) % ctx.pk(rel), rel)
+
+    def __add__(self, other):
+        if self.unit == 0 and other.unit == 0:
+            return _RefPadic.zero(self.ctx, min(self.v, other.v))
+        if self.unit == 0:
+            return other._add_zero(self.v)
+        if other.unit == 0:
+            return self._add_zero(other.v)
+        a = min(self.abs_prec, other.abs_prec)
+        m = min(self.v, other.v)
+        s = self.unit * self.ctx.pk(self.v - m) + other.unit * self.ctx.pk(other.v - m)
+        return self._make(m, s, a)
+
+    def _add_zero(self, zero_absprec):
+        a = min(self.abs_prec, zero_absprec)
+        if a <= self.v:
+            return _RefPadic.zero(self.ctx, a)
+        rel = min(a - self.v, self.ctx.N)
+        return _RefPadic(self.ctx, self.v, self.unit % self.ctx.pk(rel), rel)
+
+    def __neg__(self):
+        if self.unit == 0:
+            return self
+        return _RefPadic(self.ctx, self.v, self.ctx.pk(self.rel) - self.unit, self.rel)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.unit == 0 or other.unit == 0:
+            return _RefPadic.zero(self.ctx, self.v + other.v)
+        rel = min(self.rel, other.rel, self.ctx.N)
+        return _RefPadic(self.ctx, self.v + other.v,
+                         (self.unit * other.unit) % self.ctx.pk(rel), rel)
+
+    def inverse(self):
+        if self.unit == 0:
+            raise DivisionByZeroPrecision("cannot invert zero")
+        return _RefPadic(self.ctx, -self.v, pow(self.unit, -1, self.ctx.pk(self.rel)), self.rel)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __pow__(self, n):
+        if n == 0:
+            return _RefPadic.from_rational(self.ctx, 1)
+        if n < 0:
+            return self.inverse() ** (-n)
+        if self.unit == 0:
+            return _RefPadic.zero(self.ctx, INF if self.v == INF else self.v * n)
+        return _RefPadic(self.ctx, self.v * n, pow(self.unit, n, self.ctx.pk(self.rel)), self.rel)
+
+
+def _ref_pval(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _ref_cube_roots(a):
+    ctx, p = a.ctx, a.ctx.p
+    if a.unit == 0:
+        return [_RefPadic.zero(ctx, INF if a.v == INF else -(-a.v // 3))]
+    if a.v % 3 != 0:
+        raise NoCubeRoot("valuation not divisible by 3")
+    return [_RefPadic(ctx, a.v // 3, newton_lift([-a.unit, 0, 0, 1], r0, p, a.rel), a.rel)
+            for r0 in range(1, p) if r0 ** 3 % p == a.unit % p]
+
+
+def _ref_hensel_lift_root(g, r0, ctx):
+    r = newton_lift(g, r0 % ctx.p, ctx.p, ctx.N)
+    return _RefPadic.zero(ctx)._make(0, r, ctx.N)
+
+
+@st.composite
+def _qp_operand(draw, p, N):
+    """(kind, value, precision) of a Q_p operand: p^v * u to abs precision k,
+    zero to precision O(p^k), or an exact zero."""
+    kind = draw(st.sampled_from(["unit", "unit", "unit", "zero", "exact"]))
+    if kind == "exact":
+        return kind, 0, INF
+    if kind == "zero":
+        return kind, 0, draw(st.integers(-3, 5 + N))
+    v = draw(st.integers(-3, 5))
+    u = draw(st.integers(1, p ** N - 1).filter(lambda n: n % p))
+    return kind, Fraction(u) * Fraction(p) ** v, v + draw(st.integers(1, N))
+
+
+def _build(ctx, op, zero, from_rational):
+    """The operand through the public constructors: from_rational, capped by
+    adding a zero O(p^k)."""
+    kind, value, k = op
+    if kind == "exact":
+        return zero(ctx)
+    if kind == "zero":
+        return zero(ctx, k)
+    return from_rational(ctx, value) + zero(ctx, k)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), or the type of the error it raises."""
+    try:
+        out = f(*args)
+    except (DivisionByZeroPrecision, NegativeValuation, PrecisionExhausted, NoCubeRoot) as exc:
+        return type(exc).__name__
+    return [repr(x) for x in out] if isinstance(out, list) else repr(out)
+
+
+_P_N = st.sampled_from([5, 7, 13]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(1, 15)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_P_N.flatmap(lambda pN: st.tuples(
+    st.just(pN), _qp_operand(*pN), _qp_operand(*pN),
+    st.integers(-3, 4), st.integers(1, 20))))
+def test_qp_matches_reference_implementation(data):
+    # Q_p against _RefPadic on +, -, *, /, **, inverse, residue, cube roots
+    # and repr, zeros to precision included
+    (p, N), op_a, op_b, n, k = data
+    ctx = PadicContext(p, N)
+    a = _build(ctx, op_a, lambda c, k=INF: c.zero(k), lambda c, q: c.from_rational(q))
+    b = _build(ctx, op_b, lambda c, k=INF: c.zero(k), lambda c, q: c.from_rational(q))
+    ra = _build(ctx, op_a, _RefPadic.zero, _RefPadic.from_rational)
+    rb = _build(ctx, op_b, _RefPadic.zero, _RefPadic.from_rational)
+    for f in (repr, lambda x: x.inverse(), lambda x: x ** n, lambda x: x.residue(k),
+              lambda x: str(x.abs_prec)):
+        assert _outcome(f, a) == _outcome(f, ra)
+    assert _outcome(cube_roots, a) == _outcome(_ref_cube_roots, ra)
+    for f in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+              lambda x, y: x / y):
+        assert _outcome(f, a, b) == _outcome(f, ra, rb)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-50, 50), min_size=2, max_size=5), st.sampled_from([5, 7, 13]),
+       st.integers(1, 15), st.integers(0, 12))
+def test_hensel_lift_root_matches_reference_implementation(g, p, N, r0):
+    ctx = PadicContext(p, N)
+    g = [g[0] - poly_eval_mod(g, r0, p)] + g[1:]  # r0 is a root mod p
+    assume(poly_eval_mod(poly_deriv(g), r0, p) != 0)
+    assert repr(hensel_lift_root(g, r0, ctx)) == repr(_ref_hensel_lift_root(g, r0, ctx))
 
 
 def _ram(ctx, e, coeffs):
