@@ -8,7 +8,7 @@ only after substitution to full precision and an exact factorization check.
 import math
 from fractions import Fraction
 
-from .padic import PadicElement, poly_at
+from .padic import poly_at
 from .series import ser_trim
 
 __all__ = ["algdep", "lll_reduce"]
@@ -112,15 +112,16 @@ def algdep(alpha, degree_bound, height_bound=10 ** 8, prec=None):
     alpha actually trusted (for representatives of a certified residue
     class known to fewer digits than they carry).
     """
-    if not isinstance(alpha, PadicElement):
+    if alpha.e != 1:
         raise TypeError("algdep recognizes unramified p-adic numbers")
     ctx = alpha.ctx
     if alpha.is_zero:
         return [0, 1]
     if alpha.valuation() < 0:
-        rev = algdep(ctx.from_int(1) / alpha, degree_bound, height_bound,
-                     prec=prec)
-        return _normalize(list(reversed(rev))) if rev else None
+        # a relation for 1/alpha with no constant term says 1/alpha = 0 to
+        # precision: alpha is infinity, and reversing would leave degree 0
+        rev = algdep(alpha.inverse(), degree_bound, height_bound, prec=prec)
+        return _normalize(rev[::-1]) if rev and rev[0] else None
 
     k = min(int(alpha.abs_prec), ctx.N)
     if prec is not None:

@@ -260,7 +260,8 @@ def _find_relation(I, J, bound, tol):
     """Least (n, m), n in 1..bound, then m in -bound..bound, m != 0, with
     n I = m J to valuation tol in every component, or None.  With b = J_j of
     least valuation and a = n I_j, every such m has m b = a mod p^k for
-    k = min(tol, prec(a), prec(b)), fixing m mod p^(k - v(b)) if v(b) < k.
+    k = min(tol, prec(a), prec(b)), fixing m = a/b mod p^(k - v(b)) if
+    v(b) < k.
     """
     j = min(range(len(J)), key=lambda i: J[i].valuation())
     b, p = J[j], J[j].ctx.p
@@ -272,9 +273,9 @@ def _find_relation(I, J, bound, tol):
         if b.valuation() < k:
             if a.valuation() < b.valuation():
                 continue
-            mod = p ** (k - b.v)
-            r = 0 if a.is_zero else (
-                a.unit * p ** (a.v - b.v) * pow(b.unit, -1, mod)) % mod
+            digits = int(k - b.valuation())
+            mod = p ** digits
+            r = (a / b).residue(digits)
             ms = range(-bound + (r + bound) % mod, bound + 1, mod)
         for m in ms:
             if m and all(d.is_zero or d.valuation() >= tol

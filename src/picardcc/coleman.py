@@ -36,10 +36,8 @@ from .frobenius import BASIS, REGULAR, FrobeniusData
 from .padic import (
     INF,
     PadicContext,
-    PadicElement,
     RamifiedElement,
     _fold_mul,
-    _int_to_padic,
     _pval,
     cube_root_ramified,
     cube_roots,
@@ -117,16 +115,6 @@ def realize_nf_points(curve: PicardCurve, spec: NumberFieldPointSpec,
             y = roots[0]
         points.append(CurvePoint(x, y))
     return points
-
-
-def _pure_form(t: RamifiedElement):
-    """(r, mu, U, k) with t = p^mu U pi^r, U a unit known modulo p^k, when t
-    has a single nonzero coefficient."""
-    nz = [i for i, c in enumerate(t.a) if c]
-    if len(nz) != 1:
-        return None
-    r = nz[0]
-    return r, t.m, t.a[r], -((r - t.A) // t.e) - t.m
 
 
 def _add_shifted(ctx, acc, base, c, k, vec):
@@ -277,10 +265,10 @@ class ColemanIntegrator:
             el = self.ctx.element(c)
             if el.is_zero:
                 out.append(0)
-                if el.v < self.W:
-                    floor = min(floor, int(el.v))
+                if el.abs_prec < self.W:
+                    floor = min(floor, int(el.abs_prec))
                 continue
-            if el.v < 0:
+            if el.valuation() < 0:
                 raise ValueError("differential coefficients must be p-integral")
             k = min(self.W, int(el.abs_prec))
             floor = min(floor, k)
@@ -322,55 +310,52 @@ class ColemanIntegrator:
 
     def _eval_terms(self, rows, t):
         """[sum(c/d * t^j for (j, c, d) in terms) for (terms, prec) in rows]
-        at the uniformizer value t.  A non-pure ramified t has its powers
-        made once for all rows; the table is dropped when the call returns."""
-        ctx, p, e = self.ctx, self.p, self.e
+        at the uniformizer value t.  A monomial t (every t in Q_p) is read
+        termwise; any other t has its powers made once for all rows, and the
+        table is dropped when the call returns."""
+        ctx, p = self.ctx, self.p
         if t is None or t.is_zero:
             if any(j < 0 for terms, _ in rows for j, _, _ in terms):
                 raise PoleInDisk("pole at the disk center")
             consts = [(sum(c * pow(d, -1, ctx.pk(prec)) for j, c, d in terms if j == 0), prec)
                       for terms, prec in rows]
-            return [_int_to_padic(ctx, c % ctx.pk(prec), 0, prec) for c, prec in consts]
-        v, scale = ((t.valuation(), 1) if isinstance(t, PadicElement)
-                    else (t.pi_valuation(), e))
+            return [RamifiedElement(ctx, 1, 0, [c], prec) for c, prec in consts]
+        e, v = t.e, t.pi_valuation()
         if v < 1:
             raise WrongDisk("evaluation point lies outside the open disk")
         # terms past the precision are dropped
-        rows = [([tm for tm in terms if tm[0] <= (scale * prec) // v + 4], prec)
+        rows = [([tm for tm in terms if tm[0] <= (e * prec) // v + 4], prec)
                 for terms, prec in rows]
-
-        def scalar(c, d, prec):
-            el = _int_to_padic(ctx, c % ctx.pk(prec), 0, prec)
-            return el if d == 1 else el * ctx.from_int(d).inverse()
-
-        if isinstance(t, PadicElement):
-            vals = [[scalar(c, d, prec) * t ** j for j, c, d in terms] for terms, prec in rows]
-            return [sum(vs[1:], vs[0]) if vs else ctx.zero(prec)
-                    for vs, (_, prec) in zip(vals, rows)]
-        pure = _pure_form(t)
-        if pure is not None:
-            # (c/d) t^j = p^(mu j - v_p(d)) (c/d') U^j pi^(rj), d = p^v_p(d) d'
-            r, mu, U, known = pure
+        mono = t.monomial()
+        if mono is not None:
+            # (c/d) t^j = p^(mu j - v_p(d)) (c/d') U^j pi^(rj), d = p^v_p(d) d',
+            # known to the relative precision of c or of U^j
+            r, mu, U, known = mono
             out = []
             for terms, prec in rows:
-                k = min(prec, known)
-                mod = ctx.pk(k)
                 vals = []
                 for j, c, d in terms:
                     vd = _pval(d, p)
+                    k = min(prec, _pval(c, p) + known)
+                    mod = ctx.pk(k)
                     n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
                     vals.append((r * j + e * (mu * j - vd), n, k))
                 out.append(RamifiedElement.from_terms(ctx, e, vals))
             return out
         exps = {j for terms, _ in rows for j, _, _ in terms}
-        powers = {0: RamifiedElement.from_padic(ctx.one(), e)}
+        powers = {0: ctx.one()}
         for j in range(1, max(exps, default=0) + 1):
             powers[j] = powers[j - 1] * t
         if min(exps, default=0) < 0:
             tinv = t.inverse()
             powers.update((j, tinv ** (-j)) for j in exps if j < 0)
-        return [sum((powers[j].scalar_mul(scalar(c, d, prec)) for j, c, d in terms),
-                    RamifiedElement.zero(ctx, e)) for terms, prec in rows]
+
+        def scalar(c, d, prec):
+            el = RamifiedElement(ctx, 1, 0, [c], prec)
+            return el if d == 1 else el * ctx.from_int(d).inverse()
+
+        return [sum((powers[j] * scalar(c, d, prec) for j, c, d in terms), ctx.zero())
+                for terms, prec in rows]
 
     def _eval_series(self, coeffs, t):
         """sum(coeffs[k] t^k) at t, each coefficient known modulo p^W."""
@@ -481,7 +466,7 @@ class ColemanIntegrator:
             for m, (sig, poly) in part.levels.items():
                 pv = poly_eval_mod(poly, xr, mod)
                 acc = (acc + pv * yp(m) * pow(p, smax - sig, mod)) % mod
-            out.append(_int_to_padic(ctx, acc, -smax, kprec - smax))
+            out.append(RamifiedElement(ctx, 1, -smax, [acc], kprec - smax))
         return out
 
     def _exact_at_boundary(self, disk, S):
@@ -503,7 +488,7 @@ class ColemanIntegrator:
         if finite:
             max_deg = max((len(poly) for part in self.fd.exact_parts
                            for _, poly in part.levels.values()), default=1)
-            xflat = [c * ctx.pk(S.x.m) % mod for c in S.x.a]
+            xflat = [c % mod for c in S.x.integers()]
             xpows = [[1] + [0] * (e - 1)]
             for _ in range(max_deg - 1):
                 xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
@@ -543,7 +528,8 @@ class ColemanIntegrator:
                         fold[r] = fold.get(r, 0) + c * ctx.pk(q)
                     wt = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
                     # times u^m (valuation 0), then times pi^shift
-                    A = min(e * W - top, (uval if m > 0 else uinv).A + min(wt, e * W - top))
+                    uA = int(e * (uval if m > 0 else uinv).abs_prec)
+                    A = min(e * W - top, uA + min(wt, e * W - top))
                     shift = -4 * m - e * sig
                     if wt < A:
                         A = min(A, wt + e * W)
@@ -567,8 +553,9 @@ class ColemanIntegrator:
                         upow[s * k] = upow[s * (k - 3)] * upow[3 * s]
             for base, acc, _, kept in forms:
                 for m, terms, shift in kept:
+                    vec = upow[m].integers()
                     for j, c in terms:
-                        _add_shifted(ctx, acc, base, c, shift - 3 * j, upow[m].a)
+                        _add_shifted(ctx, acc, base, c, shift - 3 * j, vec)
         return [RamifiedElement(ctx, e, base, acc, prec) for base, acc, prec, _ in forms]
 
     def _check_convergence(self, diags, precs):
@@ -619,16 +606,16 @@ class ColemanIntegrator:
         if u_el.pi_valuation() < 1:
             raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
                             "increase e")
-        w = cube_root_ramified(RamifiedElement.from_padic(ctx.one(), e) + u_el)
+        w = cube_root_ramified(u_el + 1)
         if disk.kind == BAD_FINITE:
             return w.shift_pi(p)
         y_phi = S.y ** p * w
         pi_p = RamifiedElement.pi(ctx, e, p)
 
         def gap(c):  # y at t = c pi^p is u(t) c^-4 pi^(-4p)
-            ut = self._eval_series(dd["u"], pi_p.scalar_mul(c))
-            return (ut.scalar_mul(c.inverse() ** 4).shift_pi(-4 * p) - y_phi).valuation()
-        return pi_p.scalar_mul(max(cube_roots(ctx.one()), key=gap))
+            ut = self._eval_series(dd["u"], pi_p * c)
+            return ((ut * c.inverse() ** 4).shift_pi(-4 * p) - y_phi).valuation()
+        return pi_p * max(cube_roots(ctx.one()), key=gap)
 
     # -- endpoints of the linear system ------------------------------------
 
@@ -642,7 +629,7 @@ class ColemanIntegrator:
         disk = self.disk_of(R)
         omegas = [_unit(i) for i in range(6)]
         if disk.kind == GOOD:
-            if not isinstance(R.x, PadicElement):
+            if R.x.e != 1:
                 raise WrongDisk("good-disk system endpoints must be Q_p points")
             fvals = self._exact_at_unramified(R.x, R.y)
             tiny = self._eval_terms(self.antiderivative_rows(disk, omegas, R),
@@ -669,7 +656,7 @@ class ColemanIntegrator:
         return self._tiny(dP, P, Q, [omega])[0]
 
     def _is_unramified(self, P):
-        return P.inf or isinstance(P.x, PadicElement)
+        return P.inf or P.x.e == 1
 
     def _tiny(self, disk, P, Q, omegas):
         """[int_P^Q omega for omega in omegas], P and Q in `disk`."""
@@ -696,9 +683,6 @@ class ColemanIntegrator:
         """
         hP, hQ = self._endpoint(P), self._endpoint(Q)
         c = [q - r for q, r in zip(hQ, hP)]
-        if any(isinstance(x, RamifiedElement) for x in c):
-            c = [x if isinstance(x, RamifiedElement)
-                 else RamifiedElement.from_padic(x, self.e) for x in c]
         out = []
         for row in self.system_inverse:
             acc = c[0] * row[0]
@@ -740,8 +724,6 @@ class ColemanIntegrator:
 
     def _project(self, value):
         """Project a Q_p-rational answer computed through Q_p(pi) back to Q_p."""
-        if not isinstance(value, RamifiedElement):
-            return value
         try:
             return value.to_padic(noise_floor=max(1, self.N + 2))
         except ValueError as exc:

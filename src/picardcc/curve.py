@@ -21,7 +21,6 @@ from .errors import (
 )
 from .padic import (
     PadicContext,
-    RamifiedElement,
     cube_roots,
     disc_adj,
     hensel_lift_root,
@@ -177,15 +176,10 @@ def reduce_point(point: CurvePoint, p: int):
     if point.inf:
         return "inf"
     x, y = point.x, point.y
-    if isinstance(x, RamifiedElement):
-        if x.valuation() < 0:
-            return "inf"
-        return (x.reduce_residue(), y.reduce_residue())
     if x.valuation() < 0:
         return "inf"
-    xv = x.residue(1)
     yv = 0 if (y.is_zero or y.valuation() > 0) else y.residue(1)
-    return (xv, yv)
+    return (x.residue(1), yv)
 
 
 # --- rational point search ----------------------------------------------

@@ -43,7 +43,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ComputationFailure, PrecisionExhausted
-from .padic import INF, PadicContext, _int_to_padic, _pval, charpoly_adj, disc_adj, poly_deriv
+from .padic import (INF, PadicContext, RamifiedElement, _pval, charpoly_adj, disc_adj,
+                    poly_deriv)
 from .series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
@@ -248,7 +249,7 @@ class FrobeniusData:
     p: int
     N_work: int
     ctx: PadicContext           # working context (N = N_work)
-    M: list                     # 6x6 PadicElement
+    M: list                     # 6x6, entries in Q_p
     exact_parts: list           # 6 ExactPart
     sigma_max: int
     A_poly: list = None         # pA = f(x^p) - f(x)^p support data
@@ -268,8 +269,8 @@ class FrobeniusData:
 def _solve_linear(rows, rhs):
     """Solve A X = B over Q_p by Gauss-Jordan with minimal-valuation pivoting.
 
-    rows is the n x n matrix A and rhs the n x k matrix B, both of
-    PadicElement.  Returns (X, ord_p det A).
+    rows is the n x n matrix A and rhs the n x k matrix B, both over Q_p.
+    Returns (X, ord_p det A).
     """
     n = len(rows)
     aug = [list(rows[i]) + list(rhs[i]) for i in range(n)]
@@ -283,7 +284,7 @@ def _solve_linear(rows, rhs):
         if piv is None or piv_val == INF:
             raise PrecisionExhausted("matrix is singular to working precision")
         aug[col], aug[piv] = aug[piv], aug[col]
-        det_ord += piv_val
+        det_ord += int(piv_val)
         inv = aug[col][col].inverse()
         aug[col] = [x * inv for x in aug[col]]
         for r in range(n):
@@ -407,8 +408,8 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
         sigma_max = max(sigma_max, sigma,
                         max((e[0] for e in exact.values()), default=0))
 
-    # build the matrix of PadicElements: entry = p^-sigma * int, known mod p^(W - sigma)
-    M = [[_int_to_padic(ctx, c, -sigma, W - sigma) for c in coeffs]
+    # the matrix over Q_p: entry = p^-sigma * int, known mod p^(W - sigma)
+    M = [[RamifiedElement(ctx, 1, -sigma, [c], W - sigma) for c in coeffs]
          for sigma, coeffs in rows]
     if W - sigma_max < N:
         raise PrecisionExhausted(

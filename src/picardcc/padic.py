@@ -1,11 +1,12 @@
-"""Capped-precision arithmetic in Q_p and in totally ramified extensions Q_p(p^(1/e)).
+"""Capped-precision arithmetic in the totally ramified extensions
+Q_p(pi), pi^e = p, of which Q_p is the case e = 1.
 
-Elements are immutable.  A nonzero element stores (valuation v, unit, relative
-precision r) and represents p^v * (unit + O(p^r)); the relative precision is
-capped by the context's N.  Zero is a dedicated sentinel "O(p^k)" so that
-precision exhaustion is distinguishable from a true zero.
+Elements are immutable and flat: p^m * sum(a[i] pi^i) + O(pi^A), e integers
+and one absolute precision A in pi-units, with the relative precision capped
+by e times the context's N.  At e = 1 this is p^v * (unit + O(p^r)), r <= N.
+Zero to precision O(pi^A) keeps its precision, so that precision exhaustion
+is distinguishable from a true zero (A = inf).
 """
-
 from __future__ import annotations
 
 import math
@@ -76,232 +77,44 @@ class PadicContext:
     def __repr__(self):
         return f"PadicContext(p={self.p}, N={self.N})"
 
-    # constructors -------------------------------------------------------
+    # constructors: elements of Q_p, the case e = 1 --------------------------
 
-    def zero(self, abs_prec=INF) -> "PadicElement":
-        return PadicElement(self, abs_prec, 0, 0, _raw=True)
+    def zero(self, abs_prec=INF) -> "RamifiedElement":
+        return RamifiedElement(self, 1, 0, [0], abs_prec)
 
-    def one(self) -> "PadicElement":
+    def one(self) -> "RamifiedElement":
         return self.from_int(1)
 
-    def from_int(self, n: int) -> "PadicElement":
-        if n == 0:
-            return self.zero()
-        v = _pval(n, self.p)
-        unit = (n // self.pk(v)) % self.pk(self.N)
-        return PadicElement(self, v, unit, self.N, _raw=True)
+    def from_int(self, n: int) -> "RamifiedElement":
+        return RamifiedElement(self, 1, 0, [n], INF)
 
-    def from_rational(self, q) -> "PadicElement":
+    def from_rational(self, q) -> "RamifiedElement":
         q = Fraction(q)
-        if q == 0:
-            return self.zero()
-        num, den = q.numerator, q.denominator
-        vn, vd = _pval(num, self.p), _pval(den, self.p)
-        v = vn - vd
-        pN = self.pk(self.N)
-        unit = (num // self.pk(vn)) * pow(den // self.pk(vd), -1, pN) % pN
-        return PadicElement(self, v, unit, self.N, _raw=True)
+        vd = _pval(q.denominator, self.p)
+        unit = pow(q.denominator // self.pk(vd), -1, self.pk(self.N))
+        return RamifiedElement(self, 1, -vd, [q.numerator * unit], INF)
 
-    def element(self, x) -> "PadicElement":
-        if isinstance(x, PadicElement):
-            if x.ctx != self:
-                raise ContextMismatch("element from a different context")
-            return x
+    def element(self, x) -> "RamifiedElement":
+        """x in this context: an element of it, or an int or Fraction read in Q_p."""
         if isinstance(x, int):
             return self.from_int(x)
-        return self.from_rational(x)
-
-
-class PadicElement:
-    """An element of Q_p to capped relative precision.
-
-    Nonzero: value = p^v * unit with unit a p-unit in [1, p^rel).
-    Zero sentinel: unit == 0, rel == 0, and v holds the absolute precision k,
-    meaning the element is O(p^k) (k = +inf for an exact zero).
-    """
-
-    __slots__ = ("ctx", "v", "unit", "rel")
-
-    def __init__(self, ctx, v, unit, rel, _raw=False):
-        if not _raw:
-            raise TypeError("use PadicContext constructors")
-        self.ctx = ctx
-        self.v = v
-        self.unit = unit
-        self.rel = rel
-
-    # predicates and accessors ------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        """True when the element is zero to its precision."""
-        return self.unit == 0
-
-    @property
-    def abs_prec(self):
-        """Absolute precision: the element is known modulo p^abs_prec."""
-        return self.v + self.rel if self.unit else self.v
-
-    def valuation(self):
-        """v_p; +inf for any element that is zero to precision."""
-        return INF if self.unit == 0 else self.v
-
-    def residue(self, k: int) -> int:
-        """Integer representative modulo p^k (requires v >= 0 and abs_prec >= k)."""
-        if self.unit == 0:
-            if self.v < k:
-                raise DivisionByZeroPrecision(f"zero to O(p^{self.v}) has no residue mod p^{k}")
-            return 0
-        if self.v < 0:
-            raise NegativeValuation("negative valuation element has no integer residue")
-        if self.abs_prec < k:
-            raise PrecisionExhausted(f"insufficient precision ({self.abs_prec} < {k})")
-        return (self.unit * self.ctx.pk(self.v)) % self.ctx.pk(k)
-
-    def __repr__(self):
-        if self.unit == 0:
-            return f"O({self.ctx.p}^{self.v})"
-        return f"{self.unit}*{self.ctx.p}^{self.v} + O({self.ctx.p}^{self.v + self.rel})"
-
-    # arithmetic ---------------------------------------------------------
-
-    def _check(self, other) -> "PadicElement":
-        if isinstance(other, (int, Fraction)):
-            return self.ctx.element(other)
-        if not isinstance(other, PadicElement):
-            return NotImplemented
-        if other.ctx != self.ctx:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
-        return other
-
-    def _make(self, v, s, a):
-        """Build an element from p^v * s known modulo p^(a - v); s an integer."""
-        ctx = self.ctx
-        if a <= v:
-            return ctx.zero(a if a != INF else INF)
-        if a == INF:
-            cap = ctx.N + (max(0, _pval(s, ctx.p)) if s else 0)
-        else:
-            cap = min(a - v, ctx.N + (max(0, _pval(s, ctx.p)) if s else 0))
-        s %= ctx.pk(cap)
-        if s == 0:
-            return ctx.zero(min(a, v + cap))
-        w = _pval(s, ctx.p)
-        if w >= cap:
-            return ctx.zero(min(a, v + cap))
-        rel = min((a - v - w) if a != INF else ctx.N, ctx.N)
-        unit = (s // ctx.pk(w)) % ctx.pk(rel)
-        return PadicElement(ctx, v + w, unit, rel, _raw=True)
-
-    def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.unit == 0 and other.unit == 0:
-            return self.ctx.zero(min(self.v, other.v))
-        if self.unit == 0:
-            return other._add_zero(self.v)
-        if other.unit == 0:
-            return self._add_zero(other.v)
-        a = min(self.abs_prec, other.abs_prec)
-        m = min(self.v, other.v)
-        s = self.unit * self.ctx.pk(self.v - m) + other.unit * self.ctx.pk(other.v - m)
-        return self._make(m, s, a)
-
-    def _add_zero(self, zero_absprec):
-        """Add a zero-to-precision O(p^k) to a nonzero element."""
-        a = min(self.abs_prec, zero_absprec)
-        if a <= self.v:
-            return self.ctx.zero(a)
-        rel = min(a - self.v, self.ctx.N)
-        return PadicElement(self.ctx, self.v, self.unit % self.ctx.pk(rel), rel, _raw=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.unit == 0:
-            return self
-        return PadicElement(self.ctx, self.v, self.ctx.pk(self.rel) - self.unit, self.rel, _raw=True)
-
-    def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.unit == 0 or other.unit == 0:
-            # O(p^a) * (p^v unit) = O(p^(a+v)); O(p^a) * O(p^b) = O(p^(a+b))
-            return self.ctx.zero(self.v + other.v)
-        rel = min(self.rel, other.rel, self.ctx.N)
-        unit = (self.unit * other.unit) % self.ctx.pk(rel)
-        return PadicElement(self.ctx, self.v + other.v, unit, rel, _raw=True)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "PadicElement":
-        if self.unit == 0:
-            raise DivisionByZeroPrecision(f"cannot invert {self!r}")
-        unit = pow(self.unit, -1, self.ctx.pk(self.rel))
-        return PadicElement(self.ctx, -self.v, unit, self.rel, _raw=True)
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __pow__(self, n: int):
-        if n == 0:
-            return self.ctx.one()
-        if n < 0:
-            return self.inverse() ** (-n)
-        if self.unit == 0:
-            return self.ctx.zero(INF if self.v == INF else self.v * n)
-        unit = pow(self.unit, n, self.ctx.pk(self.rel))
-        return PadicElement(self.ctx, self.v * n, unit, self.rel, _raw=True)
-
-    # comparisons --------------------------------------------------------
-
-    def is_congruent(self, other, k=None) -> bool:
-        """Equality modulo p^k (default: the joint available precision)."""
-        other = self._check(other)
-        d = self - other
-        if k is None:
-            return d.is_zero
-        return d.is_zero or d.v >= k
-
-    def __eq__(self, other):
-        try:
-            other = self._check(other)
-        except ContextMismatch:
-            return False
-        if other is NotImplemented:
-            return NotImplemented
-        return self.is_congruent(other)
-
-    def __hash__(self):
-        raise TypeError("PadicElement equality is to-precision; not hashable")
-
-
-# --- ramified extension --------------------------------------------------
+        if isinstance(x, Fraction):
+            return self.from_rational(x)
+        if x.ctx != self:
+            raise ContextMismatch("element from a different context")
+        return x
 
 
 class RamifiedElement:
-    """Element p^m * sum(a[i] pi^i) + O(pi^A) of Q_p(pi), pi^e = p.
+    """Element p^m * sum(a[i] pi^i) + O(pi^A) of Q_p(pi), pi^e = p; Q_p is e = 1.
 
     `a` is a list of e integers and A the absolute precision in pi-units
     (INF only for an exact zero).  The constructor normalizes: every a[i] is
     reduced modulo the digits it is known to, some a[i] is a p-unit unless
     the element is zero to precision (then a is all zero and m = 0), and the
     relative precision A - w is capped at e*N, w being the pi-adic valuation.
-    With e = 1 the arithmetic agrees with PadicElement.
+    At e = 1 a nonzero element is p^v * (unit + O(p^r)), r <= N, with
+    v = m and unit = a[0].
     """
 
     __slots__ = ("ctx", "e", "m", "a", "A", "w")
@@ -313,6 +126,22 @@ class RamifiedElement:
             raise ValueError(f"need exactly e={e} coefficients, got {len(a)}")
         self.ctx, self.e = ctx, e
         p = ctx.p
+        if e == 1:  # Q_p: one integer to reduce and strip of its p-power
+            s = a[0]
+            if A != INF:
+                s %= ctx.pk(A - m) if A > m else 1
+            if not s:
+                self.m, self.a, self.A, self.w = 0, [0], A, INF
+                return
+            v = _pval(s, p)
+            if v:
+                s //= ctx.pk(v)
+                m += v
+            if A > m + ctx.N:
+                A = m + ctx.N
+                s %= ctx.pk(ctx.N)
+            self.m, self.a, self.A, self.w = m, [s], A, m
+            return
         a = _reduce_flat(ctx, e, m, a, A)
         g = math.gcd(*a)
         if g == 0:
@@ -332,26 +161,16 @@ class RamifiedElement:
     # constructors -------------------------------------------------------
 
     @classmethod
-    def from_padic(cls, x: PadicElement, e: int) -> "RamifiedElement":
-        if x.unit == 0:
-            return cls(x.ctx, e, 0, [0] * e, e * x.v)
-        return cls(x.ctx, e, x.v, [x.unit] + [0] * (e - 1), e * x.abs_prec)
-
-    @classmethod
     def pi(cls, ctx: PadicContext, e: int, power: int = 1) -> "RamifiedElement":
         """pi^power for any integer power (pi^e = p)."""
-        return cls.from_padic(ctx.one(), e).shift_pi(power)
-
-    @classmethod
-    def zero(cls, ctx: PadicContext, e: int) -> "RamifiedElement":
-        return cls(ctx, e, 0, [0] * e, INF)
+        return cls(ctx, e, 0, [1] + [0] * (e - 1), e * ctx.N).shift_pi(power)
 
     @classmethod
     def from_terms(cls, ctx: PadicContext, e: int, terms) -> "RamifiedElement":
         """sum(n * pi^k) over (k, n, prec), each integer n known modulo p^prec."""
         terms = [(divmod(k, e), n, k + e * prec) for k, n, prec in terms]
         if not terms:
-            return cls.zero(ctx, e)
+            return cls(ctx, e, 0, [0] * e, INF)
         m = min(q for (q, _), _, _ in terms)
         a = [0] * e
         for (q, s), n, _ in terms:
@@ -362,22 +181,66 @@ class RamifiedElement:
 
     @property
     def is_zero(self) -> bool:
+        """True when the element is zero to its precision."""
         return self.w == INF
 
     def valuation(self):
-        """pi-adic valuation as a Fraction with denominator dividing e (inf if zero)."""
+        """p-adic valuation as a Fraction with denominator dividing e (inf if zero)."""
         return INF if self.w == INF else Fraction(self.w, self.e)
 
     def pi_valuation(self):
         """Valuation in pi-units (integer, or inf)."""
         return self.w
 
-    def coefficient(self, i: int) -> PadicElement:
+    @property
+    def abs_prec(self):
+        """Absolute precision: the element is known modulo p^abs_prec, a
+        Fraction with denominator dividing e (inf for an exact zero)."""
+        return INF if self.A == INF else Fraction(self.A, self.e)
+
+    # the e = 1 reading p^v * unit of a nonzero element, as bench/checks.py
+    # reads the Frobenius matrix
+    v = property(lambda self: self.m)
+    unit = property(lambda self: self.a[0])
+
+    def residue(self, k: int) -> int:
+        """Integer representative modulo p^k of the pi^0 part, which is the
+        element itself at e = 1; for e > 1, k = 1 gives the image in the
+        residue field F_p.  Requires valuation >= 0 and the element known
+        past pi^(e(k - 1))."""
+        if self.w == INF:
+            if self.A <= self.e * (k - 1):
+                raise DivisionByZeroPrecision(
+                    f"zero to O(p^{self.abs_prec}) has no residue mod p^{k}")
+            return 0
+        if self.w < 0:
+            raise NegativeValuation("negative valuation element has no integer residue")
+        if self.A <= self.e * (k - 1):
+            raise PrecisionExhausted(f"insufficient precision ({self.abs_prec} < {k})")
+        return self.a[0] * self.ctx.pk(self.m) % self.ctx.pk(k)
+
+    def integers(self) -> list:
+        """The e integers c[i] with self = sum(c[i] pi^i) + O(pi^A), for an
+        element of valuation >= 0."""
+        pm = self.ctx.pk(self.m)
+        return [c * pm for c in self.a]
+
+    def monomial(self):
+        """(r, mu, U, k) with self = p^mu U pi^r, U an integer unit known
+        modulo p^k, when self has a single nonzero coefficient (as every
+        nonzero element of Q_p has), else None."""
+        nz = [i for i, c in enumerate(self.a) if c]
+        if len(nz) != 1:
+            return None
+        r = nz[0]
+        return r, self.m, self.a[r], -((r - self.A) // self.e) - self.m
+
+    def coefficient(self, i: int) -> "RamifiedElement":
         """The coefficient of pi^i, an element of Q_p."""
         prec = INF if self.A == INF else -((i - self.A) // self.e)
-        return _int_to_padic(self.ctx, self.a[i], self.m, prec)
+        return RamifiedElement(self.ctx, 1, self.m, [self.a[i]], prec)
 
-    def to_padic(self, noise_floor=None) -> PadicElement:
+    def to_padic(self, noise_floor=None) -> "RamifiedElement":
         """Project to Q_p, requiring the pi^i (i>0) parts to vanish to precision.
 
         noise_floor: minimal p-adic valuation demanded of the junk coefficients
@@ -388,40 +251,47 @@ class RamifiedElement:
             if not self.a[i]:
                 continue
             c = self.coefficient(i)
-            if noise_floor is None or c.v < noise_floor:
+            if noise_floor is None or c.w < noise_floor:
                 raise ValueError(f"pi^{i} coefficient {c!r} is not zero to precision")
-            junk = min(junk, c.v)
-        c0 = self.coefficient(0)
-        if junk == INF:
-            return c0
-        return c0._add_zero(junk)  # cap the precision by the observed noise level
+            junk = min(junk, c.w)
+        # cap the precision by the observed noise level
+        return self.coefficient(0) + self.ctx.zero(junk)
 
     def __repr__(self):
-        return f"Ramified(e={self.e}, {self.ctx.p}^{self.m}*{self.a} + O(pi^{self.A}))"
+        p = self.ctx.p
+        if self.e > 1:
+            return f"Ramified(e={self.e}, {p}^{self.m}*{self.a} + O(pi^{self.A}))"
+        if self.w == INF:
+            return f"O({p}^{self.A})"
+        return f"{self.a[0]}*{p}^{self.m} + O({p}^{self.A})"
 
     # arithmetic ---------------------------------------------------------
 
-    def _check(self, other):
-        if isinstance(other, (int, Fraction, PadicElement)):
-            return RamifiedElement.from_padic(self.ctx.element(other), self.e)
-        if not isinstance(other, RamifiedElement):
-            return NotImplemented
-        if other.ctx != self.ctx or other.e != self.e:
-            raise ContextMismatch("ramified elements from different rings")
-        return other
+    def _embedded(self, e: int) -> "RamifiedElement":
+        """An element of Q_p as an element of Q_p(pi), pi^e = p."""
+        return RamifiedElement(self.ctx, e, self.m, self.a + [0] * (e - 1), e * self.A)
+
+    def _pair(self, other):
+        """(self, other) in one ring: ints and Fractions are read in Q_p, and
+        an element of Q_p meeting a ramified one is embedded in its ring."""
+        other = self.ctx.element(other)
+        if other.e == self.e:
+            return self, other
+        if other.e == 1:
+            return self, other._embedded(self.e)
+        if self.e == 1:
+            return self._embedded(other.e), other
+        raise ContextMismatch("ramified elements from different rings")
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        A = min(self.A, other.A)
-        if self.w == INF or other.w == INF:
-            x = self if other.w == INF else other
-            return x if x.A <= A else RamifiedElement(x.ctx, x.e, x.m, x.a, A)
-        m = min(self.m, other.m)
-        s1, s2 = self.ctx.pk(self.m - m), self.ctx.pk(other.m - m)
-        return RamifiedElement(self.ctx, self.e, m,
-                               [x * s1 + y * s2 for x, y in zip(self.a, other.a)], A)
+        x, y = self._pair(other)
+        A = min(x.A, y.A)
+        if x.w == INF or y.w == INF:
+            z = x if y.w == INF else y
+            return z if z.A <= A else RamifiedElement(z.ctx, z.e, z.m, z.a, A)
+        m = min(x.m, y.m)
+        s1, s2 = x.ctx.pk(x.m - m), x.ctx.pk(y.m - m)
+        return RamifiedElement(x.ctx, x.e, m, [c * s1 + d * s2 for c, d in zip(x.a, y.a)], A)
 
     __radd__ = __add__
 
@@ -429,36 +299,34 @@ class RamifiedElement:
         return RamifiedElement(self.ctx, self.e, self.m, [-c for c in self.a], self.A)
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        x, y = self._pair(other)
+        return x + (-y)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def scalar_mul(self, s: PadicElement) -> "RamifiedElement":
-        # O(pi^A1) * y + x * O(pi^A2), a zero's valuation being its precision
-        e = self.e
-        A = min(self.A + e * s.v, e * s.abs_prec + min(self.w, self.A))
-        if s.unit == 0 or self.w == INF:
-            return RamifiedElement(self.ctx, e, 0, [0] * e, A)
-        return RamifiedElement(self.ctx, e, self.m + s.v, [c * s.unit for c in self.a], A)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PadicElement)):
-            return self.scalar_mul(self.ctx.element(other))
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        ctx, e = self.ctx, self.e
-        A = min(self.A + min(other.w, other.A), other.A + min(self.w, self.A))
-        if self.w == INF or other.w == INF:
+        if isinstance(other, (int, Fraction)):
+            other = self.ctx.element(other)
+        elif other.ctx is not self.ctx and other.ctx != self.ctx:
+            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
+        x, y = (other, self) if self.e == 1 else (self, other)
+        ctx, e = x.ctx, x.e
+        if y.e != 1 and y.e != e:
+            raise ContextMismatch("ramified elements from different rings")
+        # O(pi^A1) * y + x * O(pi^A2), a zero's valuation being its
+        # precision; s converts y's pi-units to x's
+        s = e // y.e
+        A = min(x.A + s * min(y.w, y.A), s * y.A + min(x.w, x.A))
+        if x.w == INF or y.w == INF:
             return RamifiedElement(ctx, e, 0, [0] * e, A)
-        m = self.m + other.m
+        m = x.m + y.m
+        if s == e:  # y in Q_p scales each coefficient: at e = 1 one product
+            u = y.a[0]
+            return RamifiedElement(ctx, e, m, [c * u for c in x.a], A)
         # A is finite here; the pi^0 coefficient needs the most digits
         mod = ctx.pk(-(-A // e) - m)
-        return RamifiedElement(ctx, e, m, _fold_mul(self.a, other.a, e, ctx.p, mod), A)
+        return RamifiedElement(ctx, e, m, _fold_mul(x.a, y.a, e, ctx.p, mod), A)
 
     __rmul__ = __mul__
 
@@ -472,17 +340,24 @@ class RamifiedElement:
         return RamifiedElement(self.ctx, self.e, self.m, self.a, INF)
 
     def inverse(self) -> "RamifiedElement":
-        """1/x by the Newton step of `_inverse_root` with k = 1; requires x
-        nonzero to precision."""
+        """1/x to the relative precision of x, which must be nonzero to
+        precision: a monomial p^mu U pi^r (every element of Q_p) by one
+        modular inverse, any other x by the Newton step of `_inverse_root`
+        with k = 1."""
         if self.is_zero:
-            raise DivisionByZeroPrecision("cannot invert ramified zero")
-        w = self.w
+            raise DivisionByZeroPrecision(f"cannot invert {self!r}")
+        ctx, e, w = self.ctx, self.e, self.w
+        mono = self.monomial()
+        if mono is not None:
+            # p^-mu U^-1 pi^-r, with pi^-r = p^-1 pi^(e - r) for r > 0
+            r, mu, U, k = mono
+            a = [0] * e
+            a[-r % e] = pow(U, -1, ctx.pk(k))
+            return RamifiedElement(ctx, e, -mu - (r > 0), a, self.A - 2 * w)
         a = self.shift_pi(-w)._refreshed()  # unit: pi-valuation 0, a[0] a p-unit
-        ctx, e = self.ctx, self.e
-        z = _inverse_root(a, 1, RamifiedElement.from_padic(a.coefficient(0).inverse(), e))
+        z = _inverse_root(a, 1, ctx.from_int(pow(a.a[0], -1, ctx.pk(ctx.N))))
         # the relative-precision cap limits the certifiable error to ~p^(N-1)
-        err = a * z - RamifiedElement.from_padic(ctx.one(), e)
-        if err.w < e * (ctx.N - 2):
+        if (a * z - 1).w < e * (ctx.N - 2):
             raise DivisionByZeroPrecision("ramified inverse failed to converge")
         # 1/x is known to the relative precision A - w of x
         z = z.shift_pi(-w)
@@ -498,7 +373,7 @@ class RamifiedElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = RamifiedElement.from_padic(self.ctx.one(), self.e)
+        result = self.ctx.one()
         base = self
         while n:
             if n & 1:
@@ -508,20 +383,23 @@ class RamifiedElement:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, PadicElement)):
-            return self.scalar_mul(self.ctx.element(other).inverse())
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
+        return self * self.ctx.element(other).inverse()
 
-    def reduce_residue(self) -> int:
-        """Image in the residue field F_p (requires pi-valuation >= 0)."""
-        if self.is_zero:
-            return 0
-        if self.w < 0:
-            raise NegativeValuation("negative valuation: no residue")
-        return self.a[0] % self.ctx.p if self.m == 0 else 0
+    # comparisons --------------------------------------------------------
+
+    def is_congruent(self, other, k=None) -> bool:
+        """Equality modulo p^k (default: the joint available precision)."""
+        d = self - other
+        return d.is_zero or (k is not None and d.valuation() >= k)
+
+    def __eq__(self, other):
+        try:
+            return self.is_congruent(other)
+        except ContextMismatch:
+            return False
+
+    def __hash__(self):
+        raise TypeError("p-adic equality is to-precision; not hashable")
 
 
 def _reduce_flat(ctx, e, m, a, A):
@@ -532,14 +410,6 @@ def _reduce_flat(ctx, e, m, a, A):
     q, r = divmod(A - e * m, e)
     hi, lo = ctx.pk(max(q + 1, 0)), ctx.pk(max(q, 0))
     return [c % hi for c in a[:r]] + [c % lo for c in a[r:]]
-
-
-def _int_to_padic(ctx: PadicContext, s: int, shift_v: int, abs_prec) -> PadicElement:
-    """p^shift_v * s with the given absolute p-adic precision bound."""
-    if s == 0:
-        return ctx.zero(abs_prec)
-    probe = PadicElement(ctx, 0, 1, ctx.N, _raw=True)
-    return probe._make(shift_v, s, abs_prec)
 
 
 def _fold_mul(a, b, e, p, mod):
@@ -662,7 +532,7 @@ def newton_lift(poly, r: int, p: int, N: int) -> int:
     return r
 
 
-def hensel_lift_root(g, r0: int, ctx: PadicContext) -> PadicElement:
+def hensel_lift_root(g, r0: int, ctx: PadicContext) -> RamifiedElement:
     """Unique root of the integer polynomial g in Z_p congruent to r0 mod p.
 
     Requires g(r0) = 0 and g'(r0) != 0 mod p (a simple root); Newton
@@ -672,11 +542,10 @@ def hensel_lift_root(g, r0: int, ctx: PadicContext) -> PadicElement:
     p, N = ctx.p, ctx.N
     if poly_eval_mod(g, r0, p) != 0 or poly_eval_mod(poly_deriv(g), r0, p) == 0:
         raise NotSimpleRoot(f"r0={r0} is not a simple root of g mod {p}")
-    r = newton_lift(g, r0 % p, p, N)
-    return _int_to_padic(ctx, r, 0, N)
+    return RamifiedElement(ctx, 1, 0, [newton_lift(g, r0 % p, p, N)], N)
 
 
-def cube_roots(a: PadicElement):
+def cube_roots(a: RamifiedElement):
     """All cube roots of a in Q_p, each to the precision of a, in the
     ascending order of their residues mod p.
 
@@ -685,18 +554,14 @@ def cube_roots(a: PadicElement):
     """
     ctx = a.ctx
     if a.is_zero:
-        return [ctx.zero(INF if a.v == INF else -(-a.v // 3))]
-    if a.v % 3 != 0:
-        raise NoCubeRoot(f"valuation {a.v} not divisible by 3")
-    p = ctx.p
-    u0 = a.unit % p
-    out = []
-    rel = a.rel
-    for r0 in (r for r in range(1, p) if r * r * r % p == u0):
-        # Newton-lift r0 to a cube root of the unit part
-        r = newton_lift([-a.unit, 0, 0, 1], r0, p, rel)
-        out.append(PadicElement(ctx, a.v // 3, r, rel, _raw=True))
-    return out
+        return [ctx.zero(INF if a.A == INF else -(-a.A // 3))]
+    if a.m % 3 != 0:
+        raise NoCubeRoot(f"valuation {a.m} not divisible by 3")
+    p, unit, rel = ctx.p, a.a[0], a.A - a.m
+    # Newton-lift each cube root of the unit part mod p
+    return [RamifiedElement(ctx, 1, a.m // 3, [newton_lift([-unit, 0, 0, 1], r0, p, rel)],
+                            a.m // 3 + rel)
+            for r0 in range(1, p) if r0 * r0 * r0 % p == unit % p]
 
 
 def _inverse_root(a: RamifiedElement, k: int, r: RamifiedElement) -> RamifiedElement:
@@ -707,19 +572,17 @@ def _inverse_root(a: RamifiedElement, k: int, r: RamifiedElement) -> RamifiedEle
     at full nominal precision (`_refreshed`)."""
     ctx, e = a.ctx, a.e
     steps = max(1, math.ceil(math.log2(max(2, e * ctx.N)))) + 1
-    k1 = RamifiedElement.from_padic(ctx.from_int(k + 1), e)
-    kinv = ctx.from_int(k).inverse()
+    kinv = ctx.from_int(pow(k, -1, ctx.pk(ctx.N)))
     for _ in range(steps):
         rk = r
         for _ in range(k - 1):
             rk = rk * r
-        r = (r * (k1 - a * rk)).scalar_mul(kinv)._refreshed()
+        r = (r * ((k + 1) - a * rk) * kinv)._refreshed()
     return r
 
 
 def cube_root_ramified(a: RamifiedElement) -> RamifiedElement:
     """The cube root of a = 1 mod pi in Q_p(pi) that is 1 mod pi: a r^2 for
     r = a^(-1/3), stated at full nominal precision like the Newton iterates."""
-    one = RamifiedElement.from_padic(a.ctx.one(), a.e)
-    r = _inverse_root(a, 3, one)
+    r = _inverse_root(a, 3, a.ctx.one())
     return (a * r * r)._refreshed()

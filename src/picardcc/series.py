@@ -147,7 +147,7 @@ def solve_zeros_in_disk(terms, prec, const, N: int):
 
     `terms` and `prec` are one row of `ColemanIntegrator.antiderivative_rows`:
     each c is an integer known modulo p^prec, and a power with no term is
-    zero to that precision.  `const` is a PadicElement and N the precision
+    zero to that precision.  `const` is an element of Q_p and N the precision
     of the vanishing differentials.  Returns (records, Nprime, lam, F): N'
     is N less delta, the worst v_p(d) of a nonzero term; F(x) =
     f(px)/p^lam is the normalized series truncated at `truncation_bound`,
@@ -159,10 +159,15 @@ def solve_zeros_in_disk(terms, prec, const, N: int):
     """
     ctx = const.ctx
     p, pN = ctx.p, ctx.pk(N)
-    # coefficient of t^j as (v, unit, rel): p^v * unit known to rel digits
-    # or, as in PadicElement, unit 0 for zero to O(p^v).  F needs at most N
-    # digits, so units are kept mod p^N and rel is not capped
-    coeffs = {0: (const.v, const.unit, const.rel)}
+    # coefficient of t^j as (v, unit, rel): p^v * unit known to rel digits,
+    # or unit 0 for zero to O(p^v).  F needs at most N digits, so units are
+    # kept mod p^N and rel is not capped
+    if const.is_zero:
+        coeffs = {0: (const.abs_prec, 0, 0)}
+    else:
+        v0 = int(const.valuation())
+        rel0 = int(const.abs_prec) - v0
+        coeffs = {0: (v0, const.shift_pi(-v0).residue(rel0), rel0)}
     delta = 0
     for j, c, d in terms:
         if j <= 0:

@@ -244,6 +244,21 @@ def test_algdep_negative_valuation():
     assert algdep(alpha, 1) == [-2, 5]
 
 
+def test_algdep_refuses_infinity_to_precision():
+    # 5^-9 + O(5^-1) at N = 8: 1/alpha = 5^9 is 0 mod 5^8, a root of x, and
+    # reversing that relation would leave the constant "minimal polynomial" [1]
+    ctx = PadicContext(5, 8)
+    alpha = ctx.from_rational(Fraction(1, 5 ** 9)) + ctx.zero(-1)
+    assert [algdep(alpha, d) for d in range(1, 5)] == [None] * 4
+    # on ex1 at p = 5 and N = 8 such a member of the infinite disk was
+    # tagged RecognizedAlgebraic with minpoly_x = minpoly_y = [1]
+    rec = {"f": [-64, -48, 0, 6, 1], "point": [-3, -1], "p": 5}
+    members = run_pipeline(rec, {"N": 8}).to_dict()["T"]
+    assert not [m for m in members if [1] in (m.get("minpoly_x"), m.get("minpoly_y"))]
+    assert any(m.get("x", "").endswith("*5^-3 + O(5^21)") and m["tag"] == "Unrecognized"
+               for m in members)
+
+
 # The previous recognition code, kept as references for the differential
 # tests: the weighted (d+2)-column lattice reduced by an LLL that recomputes
 # its Gram-Schmidt data after every change, and the (n, m) pair scan.

@@ -28,10 +28,8 @@ from picardcc.frobenius import BASIS, frobenius_matrix
 from picardcc.padic import (
     INF,
     PadicContext,
-    PadicElement,
     RamifiedElement,
     _fold_mul,
-    _int_to_padic,
     cube_roots,
     poly_at,
     poly_deriv,
@@ -276,13 +274,13 @@ def test_antiderivatives_share_one_power_table(ex1_p5, monkeypatch):
     calls = []
     mul = RamifiedElement.__mul__
 
-    def spy(self, other):
-        calls.append(1)
+    def spy(self, other):  # counts the full products, both factors ramified
+        calls.append(self.e > 1 and getattr(other, "e", 1) > 1)
         return mul(self, other)
 
     monkeypatch.setattr(RamifiedElement, "__mul__", spy)
     got = eng._eval_terms(rows, t)
-    assert len(calls) <= max(used)
+    assert sum(calls) <= max(used)
     for a, b in zip(got, each):
         assert (a.m, a.a, a.A) == (b.m, b.a, b.A)
 
@@ -310,7 +308,7 @@ def test_ramification_classes_are_torsion(ex1_p5):
             continue
         R = disk.very_bad_point
         for i, v in enumerate(eng.integral(inf, R)):
-            assert isinstance(v, PadicElement)
+            assert v.e == 1
             assert v.is_zero or v.valuation() >= eng.N, (disk, i)
 
 
@@ -354,7 +352,7 @@ def test_projected_result_is_padic(x40_p13):
     eng = x40_p13
     P = lift_point(eng.curve, 4, eng.ctx)[0]
     for v in eng.integral(eng.infinite_disk.very_bad_point, P):
-        assert isinstance(v, PadicElement)
+        assert v.e == 1
         assert int(v.abs_prec) >= eng.N
 
 
@@ -389,7 +387,7 @@ def test_system_factored_once_over_qp(monkeypatch):
     solve = frobenius._solve_linear
 
     def spy(rows, rhs):
-        assert all(isinstance(x, PadicElement) for row in rows + rhs for x in row)
+        assert all(x.e == 1 for row in rows + rhs for x in row)
         calls.append(len(rows))
         return solve(rows, rhs)
 
@@ -408,7 +406,8 @@ def test_system_factored_once_over_qp(monkeypatch):
 def _ramified_gauss_jordan(eng, c):
     """(I - M) v = c solved directly over Q_p(pi), minimal-valuation pivots."""
     n = len(c)
-    aug = [[RamifiedElement.from_padic((1 if i == j else 0) - eng.fd.M[i][j], eng.e)
+    one = RamifiedElement.pi(eng.ctx, eng.e, 0)
+    aug = [[one * ((1 if i == j else 0) - eng.fd.M[i][j])
             for j in range(n)] + [c[i]] for i in range(n)]
     for col in range(n):
         piv = min(range(col, n), key=lambda r: aug[r][col].pi_valuation())
@@ -436,12 +435,11 @@ def test_basis_integrals_match_ramified_gauss_jordan(coeffs, p, N, e, other):
     else:
         Q = eng.boundary_point(disk)
     c = [q - r for q, r in zip(eng._endpoint(Q), eng._endpoint(P))]
-    c = [x if isinstance(x, RamifiedElement) else RamifiedElement.from_padic(x, e)
-         for x in c]
+    c = [RamifiedElement.pi(eng.ctx, e, 0) * x for x in c]
     want = _ramified_gauss_jordan(eng, c)
     got = eng.basis_integrals(P, Q)
     for g, w in zip(got, want):
-        assert isinstance(g, RamifiedElement)
+        assert g.e == e
         assert min(g.A, w.A) >= e * N
         assert (g - w).is_zero  # agreement to the smaller stated precision
 
@@ -462,7 +460,7 @@ def test_stated_digits_hold_at_higher_precision():
         k = min(a.abs_prec, b.abs_prec)
         lo = min(a.v, b.v, 0)
         diff = a.unit * p ** (a.v - lo) - b.unit * p ** (b.v - lo)
-        assert diff % p ** (k - lo) == 0, (a, b)
+        assert diff % p ** int(k - lo) == 0, (a, b)
 
 
 # --- exact parts at the boundary points of bad disks -----------------------
@@ -487,7 +485,7 @@ def _reference_exact_at_infinity(eng, S):
     mod = eng.ctx.pk(eng.W)
     out, diags = [], []
     for part in eng.fd.exact_parts:
-        acc = RamifiedElement.zero(eng.ctx, e)
+        acc = eng.ctx.zero()
         for m, (sig, poly) in sorted(part.levels.items()):
             # poly(pi^-3), each coefficient known modulo p^W
             at_x = RamifiedElement.from_terms(
@@ -514,7 +512,7 @@ def _reference_exact_at_finite(eng, S):
         xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
     out, diags = [], []
     for part in eng.fd.exact_parts:
-        acc = RamifiedElement.zero(ctx, e)
+        acc = ctx.zero()
         for m, (sig, poly) in sorted(part.levels.items()):
             buckets = [0] * e
             for j, c in enumerate(poly):
@@ -749,12 +747,12 @@ _INT = st.integers(0, 10 ** 40)
        elems=st.lists(st.one_of(st.none(), st.tuples(_INT, st.integers(0, 30))),
                       min_size=3, max_size=3))
 def test_rows_combine_the_basis_pullbacks(e, ints, elems):
-    # integer 6-vectors mod p^W, and 3-vectors of PadicElements with exact
+    # integer 6-vectors mod p^W, and 3-vectors over Q_p with exact
     # zeros (None) and reduced precision (n known mod p^k)
     eng = _engine(tuple(EX1), 5, 10, e)
     ctx, W = eng.ctx, eng.W
     padics = [ctx.zero() if x is None else
-              _int_to_padic(ctx, x[0] % ctx.pk(min(x[1], W)), 0, min(x[1], W))
+              RamifiedElement(ctx, 1, 0, [x[0]], min(x[1], W))
               for x in elems]
     omegas = [[n % ctx.pk(W) for n in ints], padics]
     good = next(d for d in eng.disks if d.kind == "good")
@@ -846,7 +844,7 @@ def _reference_point(eng, disk, center, t, Np):
 
 
 def _digits(el):
-    return el.v, el.unit, el.rel
+    return repr(el)
 
 
 @pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 10), (EX4, 11, 8)], ids=["ex1@5", "ex4@11"])

@@ -26,7 +26,7 @@ from picardcc.frobenius import (
     frobenius_matrix,
     zeta_consistency_check,
 )
-from picardcc.padic import PadicContext, _int_to_padic, taylor_shift
+from picardcc.padic import PadicContext, RamifiedElement, taylor_shift
 from picardcc.series import ser_add, ser_inverse_root, ser_mul, ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -304,7 +304,7 @@ def _reference_frobenius(fd):
         parts.append(exact)
     sigma_max = max(max(s for s, _ in rows),
                     max(e[0] for ex in parts for e in ex.values()))
-    M = [[_int_to_padic(ctx, c, -s, W - s) for c in coeffs]
+    M = [[RamifiedElement(ctx, 1, -s, [c], W - s) for c in coeffs]
          for s, coeffs in rows]
     return parts, FrobeniusData(curve, p, W, ctx, M,
                                 [ExactPart(ex) for ex in parts], sigma_max,

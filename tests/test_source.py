@@ -51,6 +51,27 @@ def test_src_imports_only_stdlib_and_sympy():
     assert not found, found
 
 
+def test_padic_defines_one_element_class():
+    # Q_p is Q_p(pi) at e = 1: beside the context, one class of elements
+    tree = ast.parse((SRC / "padic.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    assert classes == ["PadicContext", "RamifiedElement"]
+
+
+def test_only_padic_reads_stored_element_fields():
+    # the data layout of an element stays behind picardcc.padic; the other
+    # modules go through valuation(), abs_prec, residue(k) and the like
+    fields = {"m", "a", "A", "w", "unit", "rel"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "padic.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}: .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in fields]
+    assert not found, found
+
+
 # Validate every record the benchmark workloads can draw and run the
 # pipeline on one survey record, in a fresh interpreter
 _NO_SYMPY_SNIPPET = """
