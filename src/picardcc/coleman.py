@@ -336,7 +336,7 @@ class ColemanIntegrator:
                 vals = []
                 for j, c, d in terms:
                     vd = _pval(d, p)
-                    k = min(prec, _pval(c, p) + known)
+                    k = prec if known >= prec else min(prec, _pval(c, p) + known)
                     mod = ctx.pk(k)
                     n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
                     vals.append((r * j + e * (mu * j - vd), n, k))
