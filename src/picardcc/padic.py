@@ -100,7 +100,7 @@ class PadicContext:
             return self.from_int(x)
         if isinstance(x, Fraction):
             return self.from_rational(x)
-        if x.ctx != self:
+        if x.ctx is not self and x.ctx != self:
             raise ContextMismatch("element from a different context")
         return x
 
@@ -306,10 +306,7 @@ class RamifiedElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ctx.element(other)
-        elif other.ctx is not self.ctx and other.ctx != self.ctx:
-            raise ContextMismatch(f"{self.ctx} vs {other.ctx}")
+        other = self.ctx.element(other)
         x, y = (other, self) if self.e == 1 else (self, other)
         ctx, e = x.ctx, x.e
         if y.e != 1 and y.e != e:
