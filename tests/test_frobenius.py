@@ -23,10 +23,11 @@ from picardcc.frobenius import (
     _fpow_table,
     _pullback_terms,
     _Reducer,
+    _strip,
     frobenius_matrix,
     zeta_consistency_check,
 )
-from picardcc.padic import PadicContext, RamifiedElement, taylor_shift
+from picardcc.padic import PadicContext, RamifiedElement, _pval, poly_deriv, taylor_shift
 from picardcc.series import ser_add, ser_inverse_root, ser_mul, ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -288,15 +289,114 @@ def test_f_adic_digits_reassemble(p, W, n, rng):
     assert ser_trim(acc) == ser_trim(h)
 
 
+# --- the polynomial pole step, kept as the reference for the sweep --------
+
+
+def _poly_sub(a, b, mod):
+    n = max(len(a), len(b))
+    return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % mod
+            for i in range(n)]
+
+
+def _poly_divmod_monic(a, f, mod):
+    """Divide by the monic polynomial f: a = q*f + r, deg r < deg f."""
+    a = list(a)
+    d = len(f) - 1
+    q = [0] * max(len(a) - d, 0)
+    for i in range(len(a) - 1, d - 1, -1):
+        c = a[i] % mod
+        if c:
+            q[i - d] = c
+            for j, fj in enumerate(f[:d]):
+                a[i - d + j] -= c * fj
+    return q, ser_trim([c % mod for c in a[:d]])
+
+
+class _ReferenceReducer:
+    """The sweep with the polynomial pole step: a numerator g of any degree
+    is split as g = u f + v f' by division with remainder by f, then
+    g <- u - 3/(3 - t) v' and the exact level is 3/(3 - t) v.  The degree
+    steps at t <= 2 are the same as the library's."""
+
+    def __init__(self, curve, p, W):
+        self.p = p
+        self.mod = p ** W
+        self.f = [c % self.mod for c in curve.f]
+        self.df = [c % self.mod for c in poly_deriv(curve.f)]
+        self.beta = _bezout_unit(curve, p, self.mod)
+        self.inv3 = pow(3, -1, self.mod)
+
+    def _inv_tracked(self, n):
+        v = _pval(n, self.p)
+        return pow(n // self.p ** v, -1, self.mod), v
+
+    def pole_step(self, sigma, g, t):
+        """(sigma, g, exact level 3 - t) after the pole step at t > 2."""
+        mod, p, f = self.mod, self.p, self.f
+        q, gbar = _poly_divmod_monic(g, f, mod)
+        v = _poly_divmod_monic(ser_mul(gbar, self.beta, mod), f, mod)[1]
+        u = ser_add(q, _poly_divmod_monic(
+            _poly_sub(gbar, ser_mul(v, self.df, mod), mod), f, mod)[0], mod)
+        dv = poly_deriv(v)
+        inv, extra = self._inv_tracked(3 - t)
+        sigma += extra
+        if extra:
+            u = [c * p ** extra % mod for c in u]
+        coef = 3 * inv % mod
+        g = _poly_sub(u, [c * coef % mod for c in dv], mod)
+        level = _strip(sigma, [c * coef % mod for c in v], p)
+        sigma, g = _strip(sigma, g, p)
+        return sigma, g, level
+
+    def reduce(self, terms):
+        """((sigma, coeffs[6]), exact) for sum_t g_t dx/y^t, as
+        `_Reducer.reduce` returns them."""
+        mod, p = self.mod, self.p
+        sigma, g, exact = 0, [], {}
+        t = max(terms)
+        while True:
+            if t in terms:
+                g = ser_add(g, [c * p ** sigma for c in terms[t]], mod)
+            if t <= 2:
+                break
+            sigma, g, exact[3 - t] = self.pole_step(sigma, g, t)
+            t -= 3
+        while len(g) > 3:
+            d = len(g) - 1
+            m = d - 3
+            inv, extra = self._inv_tracked(3 * m + 12 - 4 * t)
+            lead = g[-1]
+            sigma += extra
+            if extra:
+                g = [c * p ** extra % mod for c in g]
+            c = lead * 3 % mod * inv % mod
+            sub = [0] * (d + 1)
+            for j, fc in enumerate(self.f):
+                if m >= 1:
+                    sub[m - 1 + j] = (sub[m - 1 + j] + c * m % mod * fc) % mod
+            coef2 = c * (3 - t) % mod * self.inv3 % mod
+            for j, fc in enumerate(self.df):
+                sub[m + j] = (sub[m + j] + coef2 * fc) % mod
+            g = _poly_sub(g, sub, mod)
+            exact[3 - t] = _entry_add(exact.get(3 - t, (0, [])),
+                                      (sigma, [0] * m + [c]), p, mod)
+            sigma, g = _strip(sigma, g, p)
+        coeffs = [0] * 6
+        for d, c in enumerate(g):
+            coeffs[((0, 1, 3) if t == 2 else (2, 4, 5))[d]] = c % mod
+        return (sigma, coeffs), exact
+
+
 def _reference_frobenius(fd):
     """Exact parts and FrobeniusData at fd's precision from the raw pullback
-    of each form, one sweep over its binomial terms (no f-adic expansion)."""
+    of each form, one sweep of polynomial pole steps over its binomial terms
+    (no f-adic expansion)."""
     curve, p, W = fd.curve, fd.p, fd.N_work
     mod, ctx = p ** W, PadicContext(p, W)
     powers = [[1]]
     for _ in range(_binomial_cutoff(p, W)):
         powers.append(ser_mul(powers[-1], fd.A_poly, mod))
-    red = _Reducer(curve, p, W)
+    red = _ReferenceReducer(curve, p, W)
     rows, parts = [], []
     for a, b in BASIS:
         row, exact = red.reduce(_pullback_terms(p, a, b, powers, mod))
