@@ -451,21 +451,21 @@ class ColemanIntegrator:
                 kprec = min(kprec, int(el.abs_prec))
         mod = ctx.pk(kprec)
         xr, yr = x.residue(kprec), y.residue(kprec)
-        yinv = pow(yr, -1, mod)
-        ypow = {}
-
-        def yp(m):
-            if m not in ypow:
-                ypow[m] = pow(yr, m, mod) if m >= 0 else pow(yinv, -m, mod)
-            return ypow[m]
-
+        z = pow(yr, -3, mod)
         out = []
         for part in self.fd.exact_parts:
-            smax = max((sig for sig, _ in part.levels.values()), default=0)
-            acc = 0
-            for m, (sig, poly) in part.levels.items():
-                pv = poly_eval_mod(poly, xr, mod)
-                acc = (acc + pv * yp(m) * pow(p, smax - sig, mod)) % mod
+            levels = part.levels
+            smax = max((sig for sig, _ in levels.values()), default=0)
+            # the levels of a form are congruent mod 3: Horner in z = y^-3
+            # from the lowest level up, then one power of y; a missing level
+            # is zero
+            acc, top = 0, max(levels, default=0)
+            for m in range(min(levels, default=0), top + 1, 3):
+                acc = acc * z % mod
+                if m in levels:
+                    sig, poly = levels[m]
+                    acc += poly_eval_mod(poly, xr, mod) * p ** (smax - sig)
+            acc = acc * pow(yr, top, mod) % mod
             out.append(RamifiedElement(ctx, 1, -smax, [acc], kprec - smax))
         return out
 

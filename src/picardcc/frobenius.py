@@ -15,7 +15,9 @@ Kedlaya-style reduction): start at the largest t_k, lower t by 3 with pole
 steps, add g_k into the running numerator when t reaches t_k, and finish
 with degree steps once t <= 2.
 
-  pole step (t > 2):   write g = u f + v f' (Bezout mod f); then
+  pole step (t > 2), g of degree < 4: g = u f + v f' with v = V g and
+      u = U g, where column k of V is x^k beta mod f (beta f' = 1 mod f) and
+      column k of U is (x^k - v_k f')/f, of degree <= 2; then
       g dx/y^t = [u - 3/(3-t) v'] dx/y^(t-3) + d(3/(3-t) v y^(3-t))
   degree step (t <= 2): d(x^m y^(3-t)) = [m x^(m-1) f + (3-t)/3 x^m f'] dx/y^t
       kills the top x-degree (leading coefficient (3m + 12 - 4t)/3 != 0).
@@ -24,7 +26,12 @@ Before the sweep the pullback is put over one denominator, H/y^t_max with
 H = sum_t g_t f^((t_max - t)/3), and H is expanded once in f-adic digits
 H = sum_j r_j f^j (deg r_j < 4); r_j is the term at pole order t_max - 3j.
 Form (a, b) pulls back to x^(pa) times the (0, b) pullback, so only b = 1, 2
-are expanded and every pole step divides a numerator of degree below 2p + 4.
+are expanded.  The digits of x^(pa) H come from those of H by pa passes of
+x r_j = (x r_j - c_j f) + c_j f, c_j the x^3 coefficient of r_j, the c_j f
+carried into r_(j+1).  So every pole step acts on a numerator of degree < 4
+and is one step of the fixed 4x4 integer matrices U and V (Harvey, Kedlaya's
+algorithm in larger characteristic, 2007; Tuitman, Counting points on curves
+using a map to P^1, 2016).
 
 All polynomial arithmetic is on integer coefficients modulo p^W.  Divisions
 by p-divisible integers are tracked by a global shift sigma (values are
@@ -63,22 +70,6 @@ def _poly_sub(a, b, mod):
             for i in range(n)]
 
 
-def _poly_divmod_monic(a, f, mod):
-    """Divide by the monic polynomial f: a = q*f + r, deg r < deg f."""
-    a = list(a)
-    d = len(f) - 1
-    low = list(enumerate(f[:d]))
-    q = [0] * max(len(a) - d, 0)
-    # each slot takes at most d unreduced updates before it is read mod p^W
-    for i in range(len(a) - 1, d - 1, -1):
-        c = a[i] % mod
-        if c:
-            q[i - d] = c
-            for j, fj in low:
-                a[i - d + j] -= c * fj
-    return q, ser_trim([c % mod for c in a[:d]])
-
-
 def _poly_pow(a, n, mod):
     result = [1]
     base = a
@@ -92,12 +83,14 @@ def _poly_pow(a, n, mod):
 
 
 def _bezout_unit(curve: PicardCurve, p, mod):
-    """beta mod p^W with alpha f + beta f' = 1 for a polynomial alpha:
-    beta = f'^-1 mod f is column 0 of adj / disc(f) (`disc_adj`)."""
+    """The rows of V mod p^W, column k of V being x^k beta mod f, where
+    alpha f + beta f' = 1: V = adj / disc(f) inverts q -> f' q on Q[x]/(f)
+    (`disc_adj`), so beta = f'^-1 mod f is its column 0."""
     disc, adj = disc_adj(curve.f)
     if disc % p == 0:
         raise PrecisionExhausted(f"p = {p} divides disc(f): Bezout denominators not p-integral")
-    return [row[0] * pow(disc, -1, mod) % mod for row in adj]
+    dinv = pow(disc, -1, mod)
+    return [[c * dinv % mod for c in row] for row in adj]
 
 
 # --- the reduction -------------------------------------------------------
@@ -144,26 +137,52 @@ class _Reducer:
 
     def __init__(self, curve, p, W):
         self.p = p
-        self.mod = p ** W
-        self.f = [c % self.mod for c in curve.f]
-        self.df = [c % self.mod for c in poly_deriv(curve.f)]
-        self.beta = _bezout_unit(curve, p, self.mod)
-        self.inv3 = pow(3, -1, self.mod)
+        self.mod = mod = p ** W
+        self.f = [c % mod for c in curve.f]
+        self.df = [c % mod for c in poly_deriv(curve.f)]
+        self.inv3 = pow(3, -1, mod)
+        self.V = _bezout_unit(curve, p, mod)
+        # column k of U is the quotient (x^k - v f')/f, v column k of V
+        table = _fpow_table(self.f, 1, mod)
+        cols = []
+        for k in range(4):
+            h = _poly_sub([0] * k + [1], ser_mul([r[k] for r in self.V], self.df, mod), mod)
+            cols.append(_f_adic_digits(h, 0, table, mod)[1] + [0] * 3)
+        self.U = [[c[i] for c in cols] for i in range(3)]
 
     def _inv_tracked(self, n):
         """(inverse of unit part, p-valuation) of the integer n != 0."""
         v = _pval(n, self.p)
         return pow(n // self.p ** v, -1, self.mod), v
 
+    def _pole_step(self, sigma, g, t):
+        """(sigma, g, exact level 3 - t) after the pole step at t > 2 on the
+        numerator g of degree < 4: g = u f + v f' with v = V g, u = U g."""
+        mod, p = self.mod, self.p
+        g0, g1, g2, g3 = g + [0] * (4 - len(g))
+        v = [(a * g0 + b * g1 + c * g2 + d * g3) % mod for a, b, c, d in self.V]
+        u = [a * g0 + b * g1 + c * g2 + d * g3 for a, b, c, d in self.U]
+        inv, extra = self._inv_tracked(3 - t)
+        # the division by (3 - t) raises sigma by extra; v and v' sit inside
+        # that division so they stay at the old scale, while u must be
+        # rescaled to the new one
+        sigma += extra
+        scale = p ** extra
+        coef = 3 * inv % mod  # 3/(3-t) with the p-part moved into sigma
+        g = [(scale * u[i] - (i + 1) * coef * v[i + 1]) % mod for i in range(3)]
+        level = _strip(sigma, [c * coef % mod for c in v], p)
+        return (*_strip(sigma, g, p), level)
+
     def reduce(self, terms):
         """Reduce sum_t g_t dx/y^t, terms a dict t -> g_t with all t
-        congruent mod 3, in one sweep of pole steps from the largest t down;
-        each g_t joins the running numerator when the sweep reaches t.
+        congruent mod 3 and deg g_t < 4 for t > 2 (f-adic digits), in one
+        sweep of pole steps from the largest t down; each g_t joins the
+        running numerator when the sweep reaches t.
 
         Returns ((sigma, coeffs[6]), exact) with
         sum = p^-sigma sum coeffs_i omega_i + d(sum of exact entries),
         exact a dict y_exp -> (sigma_e, poly)."""
-        mod, p, f = self.mod, self.p, self.f
+        mod, p = self.mod, self.p
         sigma = 0
         g = []
         exact = {}
@@ -175,26 +194,8 @@ class _Reducer:
                 g = ser_add(g, [c * scale for c in terms[t]], mod)
             if t <= 2:
                 break
-            # g = u f + v f' with v = (g mod f) beta mod f; the second
-            # dividend gbar - v f' has degree <= 6 and is divisible by f
-            q, gbar = _poly_divmod_monic(g, f, mod)
-            v = _poly_divmod_monic(ser_mul(gbar, self.beta, mod), f, mod)[1]
-            u = ser_add(q, _poly_divmod_monic(
-                _poly_sub(gbar, ser_mul(v, self.df, mod), mod), f, mod)[0], mod)
-            dv = poly_deriv(v)
-            inv, extra = self._inv_tracked(3 - t)
-            # the division by (3 - t) raises sigma by extra; v and dv sit
-            # inside that division so they stay at the old scale, while u
-            # must be rescaled to the new one
-            sigma += extra
-            if extra:
-                scale = p ** extra
-                u = [c * scale % mod for c in u]
-            coef = 3 * inv % mod  # 3/(3-t) with the p-part moved into sigma
-            g = _poly_sub(u, [c * coef % mod for c in dv], mod)
-            exact[3 - t] = _strip(sigma, [c * coef % mod for c in v], p)
+            sigma, g, exact[3 - t] = self._pole_step(sigma, g, t)
             t -= 3
-            sigma, g = _strip(sigma, g, p)
 
         # degree reduction at t in {1, 2}
         while len(g) > 3:
@@ -315,11 +316,11 @@ def _binomial_cutoff(p: int, W: int) -> int:
         k += 1
 
 
-def _pullback_terms(p, a, b, powers, mod):
-    """phi^*(x^a y^b dx/f) as a dict t -> g: term k is
-    p^(k+1) C((b-3)/3, k) x^(pa+p-1) A^k dx/y^t with t = 3p(k+1) - pb,
+def _pullback_terms(p, b, powers, mod):
+    """phi^*(y^b dx/f) as a dict t -> g: term k is
+    p^(k+1) C((b-3)/3, k) x^(p-1) A^k dx/y^t with t = 3p(k+1) - pb,
     for the powers A^k given; terms that vanish mod p^W are left out."""
-    shift = [0] * (p * a + p - 1)
+    shift = [0] * (p - 1)
     alpha = Fraction(b - 3, 3)
     binom = Fraction(1)  # C(alpha, k)
     terms = {}
@@ -359,6 +360,23 @@ def _f_adic_digits(h, level, table, mod):
             + _f_adic_digits(q, level - 1, table, mod))
 
 
+def _times_x(r, n, f, mod):
+    """The f-adic digits of x^n sum_j r_j f^j for the monic quartic f, given
+    its digits r_j (deg r_j < 4 except the last, which is kept whole).  Each
+    of n passes maps r_j to x r_j - c_j f + c_(j-1), c_j the x^3 coefficient
+    of r_j, whose c_j f is carried into r_(j+1); the last digit becomes
+    x r_j + c_(j-1)."""
+    r = [d + [0] * (4 - len(d)) for d in r[:-1]] + [r[-1]]
+    f0, f1, f2, f3 = f[:4]
+    for _ in range(n):
+        c = 0
+        for j, (r0, r1, r2, r3) in enumerate(r[:-1]):
+            r[j], c = [(c - r3 * f0) % mod, (r0 - r3 * f1) % mod,
+                       (r1 - r3 * f2) % mod, (r2 - r3 * f3) % mod], r3
+        r[-1] = [c] + r[-1]
+    return r[:-1] + [ser_trim(r[-1])]
+
+
 def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     """M and exact parts f_i with phi^* omega_i = d f_i + sum_j M_ij omega_j."""
     W = working_precision(p, N)
@@ -382,9 +400,9 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     # deg A < 4p, so a numerator H below has at most p + 4p k_max coefficients
     top = ((p + 4 * p * k_max - 1) // 8).bit_length()
     table = _fpow_table(reducer.f, top + 1, mod)
-    digits = {}
+    digits = {}  # (a, b) -> t -> the digit of x^(pa) H_b at pole order t
     for b in (1, 2):
-        terms = _pullback_terms(p, 0, b, powers, mod)
+        terms = _pullback_terms(p, b, powers, mod)
         t_max = max(terms)
         H = []  # sum_t g_t f^((t_max - t)/3), by Horner in f^p
         for t in range(min(terms), t_max + 1, 3 * p):
@@ -392,16 +410,17 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
         # digit r_j sits at pole order t_max - 3j; deg H < 4 (t_max // 3 + 1),
         # so the last, at t_max mod 3, is the whole quotient H // f^(t_max // 3)
         r = _f_adic_digits(H, top, table, mod)
-        digits[b] = {t_max - 3 * j: r[j] if j < len(r) else []
-                     for j in range(t_max // 3 + 1)}
+        r = [r[j] if j < len(r) else [] for j in range(t_max // 3 + 1)]
+        for a in (0, 1, 2):  # form (a, b) pulls back to x^(pa) H_b dx/y^t_max
+            if a:
+                r = _times_x(r, p, curve.f, mod)
+            digits[a, b] = {t_max - 3 * j: d for j, d in enumerate(r)}
 
     rows = []
     parts = []
     sigma_max = 0
     for (a, b) in BASIS:
-        shift = [0] * (p * a)
-        (sigma, coeffs), exact = reducer.reduce(
-            {t: shift + g for t, g in digits[b].items()})
+        (sigma, coeffs), exact = reducer.reduce(digits[a, b])
         rows.append((sigma, coeffs))
         parts.append(ExactPart({m: entry for m, entry in exact.items()
                                 if entry[1]}))

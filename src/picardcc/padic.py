@@ -419,16 +419,18 @@ def _fold_mul(a, b, e, p, mod):
     return _unpack((prod & ((1 << shift) - 1)) + p * (prod >> shift), e, Bb, mod)
 
 
-def _polymul_mod(a, b, mod):
-    """Product of two integer coefficient lists, coefficients reduced mod `mod`.
+def _polymul_mod(a, b, mod, n=None):
+    """The first n coefficients (default: all) of the product of two integer
+    coefficient lists, reduced mod `mod`.
 
     Uses Kronecker substitution so that CPython's big-integer multiplication
-    does the heavy lifting.
+    does the heavy lifting; only the n kept blocks are unpacked.
     """
     if not a or not b:
         return []
     prod, Bb = _kronecker(a, b, mod, 1)
-    return _unpack(prod, len(a) + len(b) - 1, Bb, mod)
+    n = len(a) + len(b) - 1 if n is None else max(min(n, len(a) + len(b) - 1), 0)
+    return _unpack(prod & ((1 << 8 * Bb * n) - 1), n, Bb, mod)
 
 
 def _kronecker(a, b, mod, spread):

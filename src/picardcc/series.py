@@ -49,10 +49,7 @@ def ser_spread(a, m, n=None, k0=0):
 
 def ser_mul(a, b, mod, T=None):
     """Product of coefficient lists modulo `mod`, truncated to degree T."""
-    out = _polymul_mod(a, b, mod)
-    if T is not None:
-        out = out[:T + 1]
-    return out
+    return _polymul_mod(a, b, mod, None if T is None else T + 1)
 
 
 def ser_add(a, b, mod):

@@ -574,6 +574,28 @@ def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, mon
             assert [(g.m, g.a, g.A) for g in got] == [(w.m, w.a, w.A) for w in want]
 
 
+@pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 10), (EX4, 11, 8), (X40, 13, 10)],
+                         ids=["ex1@5", "ex4@11", "x40@13"])
+def test_exact_at_unramified_matches_level_by_level_sum(coeffs, p, N):
+    # one power of y per level, summed mod p^k, as the Horner in y^-3 replaces
+    eng = ColemanIntegrator(_frobenius(tuple(coeffs), p, N), N=N, e=40)
+    ctx, W = eng.ctx, eng.W
+    points = [P for x0 in range(p) if poly_at(coeffs, x0) % p
+              for P in lift_point(eng.curve, x0, ctx)]
+    assert points
+    for P in points:
+        k = min([W] + [int(a) for a in (P.x.abs_prec, P.y.abs_prec) if a != INF])
+        mod = ctx.pk(k)
+        xr, yr = P.x.residue(k), P.y.residue(k)
+        want = []
+        for part in eng.fd.exact_parts:
+            smax = max(sig for sig, _ in part.levels.values())
+            acc = sum(poly_at(poly, xr) * pow(yr, m, mod) * p ** (smax - sig)
+                      for m, (sig, poly) in part.levels.items()) % mod
+            want.append(repr(RamifiedElement(ctx, 1, -smax, [acc], k - smax)))
+        assert [repr(v) for v in eng._exact_at_unramified(P.x, P.y)] == want
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     method = getattr(RamifiedElement, name)

@@ -24,10 +24,12 @@ from picardcc.frobenius import (
     _pullback_terms,
     _Reducer,
     _strip,
+    _times_x,
     frobenius_matrix,
     zeta_consistency_check,
 )
-from picardcc.padic import PadicContext, RamifiedElement, _pval, poly_deriv, taylor_shift
+from picardcc.padic import (PadicContext, RamifiedElement, _pval, disc_adj, poly_deriv,
+                            taylor_shift)
 from picardcc.series import ser_add, ser_inverse_root, ser_mul, ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -215,22 +217,43 @@ def _agree_mod(e1, e2, p, n):
                for a, b in zip(c1, c2))
 
 
-def _check_linear(red, terms, N):
-    """One sweep over all terms equals the sum of the sweeps over each term
-    alone, to N digits."""
-    p, mod = red.p, red.mod
-    whole, whole_exact = red.reduce(terms)
+def _digit_terms(terms, f, mod):
+    """The raw terms {t: g} in digit form: g = sum_j r_j f^j with deg r_j < 4
+    is sum_j r_j dx/y^(t - 3j) since f = y^3; the digit that reaches t <= 2
+    keeps the rest of g whole."""
+    out = {}
+    for t, g in terms.items():
+        level = ((max(len(g), 1) - 1) // 8).bit_length()
+        r = _f_adic_digits(g, level, _fpow_table(f, level + 1, mod), mod)
+        cut = max((t - 1) // 3, 0)  # the digit at pole order t - 3 cut <= 2
+        rest = []
+        for d in reversed(r[cut:]):
+            rest = ser_add(ser_mul(rest, f, mod), d, mod)
+        for j, d in enumerate(r[:cut] + [ser_trim(rest)]):
+            out[t - 3 * j] = ser_add(out.get(t - 3 * j, []), d, mod)
+    return out
+
+
+def _check_linear(curve, p, W, terms, N):
+    """The sweep of all raw terms in digit form equals the sum of the sweeps
+    of each term's digits alone, and the polynomial sweep of the raw terms,
+    to N digits."""
+    red, mod = _Reducer(curve, p, W), p ** W
+    whole, whole_exact = red.reduce(_digit_terms(terms, red.f, mod))
     total, total_exact = (0, [0] * 6), {}
     for t, g in terms.items():
-        one, one_exact = red.reduce({t: g})
+        one, one_exact = red.reduce(_digit_terms({t: g}, red.f, mod))
         total = _entry_add(total, one, p, mod)
         for m, entry in one_exact.items():
             total_exact[m] = _entry_add(total_exact.get(m, (0, [])), entry,
                                         p, mod)
+    ref, ref_exact = _ReferenceReducer(curve, p, W).reduce(terms)
     assert _agree_mod(whole, total, p, N)
-    assert set(whole_exact) == set(total_exact)
-    for m in whole_exact:
-        assert _agree_mod(whole_exact[m], total_exact[m], p, N), m
+    assert _agree_mod(whole, ref, p, N)
+    for m in set(whole_exact) | set(total_exact) | set(ref_exact):
+        entry = whole_exact.get(m, (0, []))
+        assert _agree_mod(entry, total_exact.get(m, (0, [])), p, N), m
+        assert _agree_mod(entry, ref_exact.get(m, (0, [])), p, N), m
 
 
 @pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 10), (EX4, 11, 8)])
@@ -242,17 +265,18 @@ def test_sweep_is_linear_in_terms(coeffs, p, N):
     for _ in range(_binomial_cutoff(p, fd.N_work)):
         powers.append(ser_mul(powers[-1], fd.A_poly, mod))
     a, b = BASIS[-1]
-    terms = _pullback_terms(p, a, b, powers, mod)
+    terms = {t: [0] * (p * a) + g
+             for t, g in _pullback_terms(p, b, powers, mod).items()}
     assert len(terms) > 1
-    _check_linear(_Reducer(c, p, fd.N_work), terms, N)
+    _check_linear(c, p, fd.N_work, terms, N)
 
 
 def test_sweep_rescales_terms_joining_at_positive_sigma():
-    # the pole step at t = p + 3 divides by 3 - t = -p, so the term at t = p
-    # joins a numerator stored at sigma = 1
+    # the pole step at t = p + 3 divides by 3 - t = -p, so the digits at
+    # t = p join a numerator stored at sigma = 1
     p = 5
     terms = {p + 3: [1, 2, 3, 4, 5, 6, 7], p: [1, 1, 1]}
-    _check_linear(_Reducer(PicardCurve(EX1), p, 12), terms, 8)
+    _check_linear(PicardCurve(EX1), p, 12, terms, 8)
 
 
 def test_trace_to_N_digits_p7():
@@ -323,7 +347,7 @@ class _ReferenceReducer:
         self.mod = p ** W
         self.f = [c % self.mod for c in curve.f]
         self.df = [c % self.mod for c in poly_deriv(curve.f)]
-        self.beta = _bezout_unit(curve, p, self.mod)
+        self.beta = [row[0] for row in _bezout_unit(curve, p, self.mod)]
         self.inv3 = pow(3, -1, self.mod)
 
     def _inv_tracked(self, n):
@@ -399,7 +423,8 @@ def _reference_frobenius(fd):
     red = _ReferenceReducer(curve, p, W)
     rows, parts = [], []
     for a, b in BASIS:
-        row, exact = red.reduce(_pullback_terms(p, a, b, powers, mod))
+        row, exact = red.reduce({t: [0] * (p * a) + g for t, g in
+                                 _pullback_terms(p, b, powers, mod).items()})
         rows.append(row)
         parts.append(exact)
     sigma_max = max(max(s for s, _ in rows),
@@ -431,24 +456,69 @@ def test_digit_sweep_matches_raw_pullback(coeffs, p, N):
 
 @pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 15), (EX4, 11, 8)])
 def test_sweep_numerators_stay_short(monkeypatch, coeffs, p, N):
-    # the sweep sees x^(pa) times an f-adic digit, never the whole pullback
-    lengths = []
-    reduce = _Reducer.reduce
+    # every term at t > 2 is an f-adic digit and every pole step acts on a
+    # numerator of degree < 4, for the forms with a > 0 too
+    terms, steps = [], []
+    reduce, pole_step = _Reducer.reduce, _Reducer._pole_step
 
-    def spy(self, terms):
-        lengths.extend(len(g) for g in terms.values())
-        return reduce(self, terms)
+    def spy(self, ts):
+        terms.extend(len(g) for t, g in ts.items() if t > 2)
+        return reduce(self, ts)
+
+    def step_spy(self, sigma, g, t):
+        steps.append(len(g))
+        return pole_step(self, sigma, g, t)
 
     monkeypatch.setattr(_Reducer, "reduce", spy)
+    monkeypatch.setattr(_Reducer, "_pole_step", step_spy)
     frobenius_matrix(PicardCurve(coeffs), p, N)
-    assert len(lengths) > 6 and max(lengths) <= 2 * p + 4
+    assert len(terms) > 6 and max(terms) <= 4
+    assert len(steps) >= len(terms) and max(steps) <= 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 30),
+       st.integers(0, 4), st.integers(1, 60), st.integers(1, 2),
+       st.integers(0, 4), st.randoms(use_true_random=False))
+def test_pole_step_matches_polynomial_step(p, W, sigma, k, j, n, rng):
+    # the 4x4 step equals the polynomial step bit for bit: numerator, sigma
+    # and exact level, at t = 3 + k p^j where p | 3 - t
+    f = [rng.randrange(-50, 51) for _ in range(4)] + [1]
+    assume(disc_adj(f)[0] % p != 0)
+    curve, mod, t = PicardCurve(f), p ** W, 3 + k * p ** j
+    g = [rng.randrange(mod) * p ** rng.choice([0, 0, 1, 2]) % mod
+         for _ in range(n)]
+    assert (_Reducer(curve, p, W)._pole_step(sigma, g, t)
+            == _ReferenceReducer(curve, p, W).pole_step(sigma, g, t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 30),
+       st.integers(1, 12), st.integers(0, 40), st.integers(0, 8),
+       st.randoms(use_true_random=False))
+def test_carried_digits_reassemble(p, W, J, n, last, rng):
+    # the digits of x^n H from those of H reassemble x^n H mod p^W
+    mod = p ** W
+    f = [rng.randrange(-50, 51) for _ in range(4)] + [1]
+    r = [[rng.randrange(mod) for _ in range(rng.randrange(5))]
+         for _ in range(J - 1)] + [[rng.randrange(mod) for _ in range(last)]]
+
+    def assemble(digits):
+        acc = []
+        for d in reversed(digits):
+            acc = ser_add(ser_mul(acc, [c % mod for c in f], mod), d, mod)
+        return ser_trim(acc)
+
+    out = _times_x(r, n, f, mod)
+    assert len(out) == J and all(len(d) <= 4 for d in out[:-1])
+    assert assemble(out) == ser_trim(ser_mul([0] * n + [1], assemble(r), mod))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(-10 ** 3, 10 ** 3), min_size=4, max_size=4),
        st.sampled_from([5, 7, 11, 13, 17, 101]), st.integers(1, 40))
 def test_bezout_unit_matches_gcdex(c, p, W):
-    # beta = f'^-1 mod f from the adjugate, against sympy's extended gcd
+    # V = (x^k f'^-1 mod f)_k from the adjugate, against sympy's extended gcd
     f = c + [1]
     x = sympy.Symbol("x")
     fpoly = sympy.Poly(f[::-1], x)
@@ -456,5 +526,8 @@ def test_bezout_unit_matches_gcdex(c, p, W):
     _, beta, h = fpoly.gcdex(fpoly.diff())
     assert h.degree() == 0
     mod = p ** W
-    want = [int(q.p) * pow(int(q.q), -1, mod) % mod for q in beta.all_coeffs()[::-1]]
-    assert _bezout_unit(PicardCurve(f), p, mod) == want + [0] * (4 - len(want))
+    V = _bezout_unit(PicardCurve(f), p, mod)
+    for k in range(4):  # column k is x^k beta mod f
+        col = (sympy.Poly(x ** k, x) * beta).rem(fpoly)
+        want = [int(q.p) * pow(int(q.q), -1, mod) % mod for q in col.all_coeffs()[::-1]]
+        assert [row[k] for row in V] == want + [0] * (4 - len(want))

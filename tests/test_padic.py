@@ -754,6 +754,16 @@ def test_polymul_mod_matches_schoolbook(data):
 
 
 @settings(max_examples=200, deadline=None)
+@given(_kernel_operands(equal_lengths=False), st.integers(-1, 130))
+@example((17, 17 ** 20, [17 ** 20 - 1] * 3, [-1, 2 * 17 ** 20]), 2)
+def test_polymul_mod_keeps_the_first_n_blocks(data, n):
+    # the blocks past n are masked off before unpacking, not sliced after
+    _, mod, a, b = data
+    want = [c % mod for c in _schoolbook(a, b)][:max(n, 0)]
+    assert _polymul_mod(a, b, mod, n) == want
+
+
+@settings(max_examples=200, deadline=None)
 @given(_kernel_operands(equal_lengths=True))
 @example((5, 5, [4] * 4, [4] * 4))
 @example((17, 17 ** 20, [17 ** 20 - 1] * 64, [17 ** 20 - 1] * 64))
