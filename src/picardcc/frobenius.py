@@ -400,7 +400,8 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     # deg A < 4p, so a numerator H below has at most p + 4p k_max coefficients
     top = ((p + 4 * p * k_max - 1) // 8).bit_length()
     table = _fpow_table(reducer.f, top + 1, mod)
-    digits = {}  # (a, b) -> t -> the digit of x^(pa) H_b at pole order t
+    rows, parts = [None] * 6, [None] * 6
+    sigma_max = 0
     for b in (1, 2):
         terms = _pullback_terms(p, b, powers, mod)
         t_max = max(terms)
@@ -414,18 +415,13 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
         for a in (0, 1, 2):  # form (a, b) pulls back to x^(pa) H_b dx/y^t_max
             if a:
                 r = _times_x(r, p, curve.f, mod)
-            digits[a, b] = {t_max - 3 * j: d for j, d in enumerate(r)}
-
-    rows = []
-    parts = []
-    sigma_max = 0
-    for (a, b) in BASIS:
-        (sigma, coeffs), exact = reducer.reduce(digits[a, b])
-        rows.append((sigma, coeffs))
-        parts.append(ExactPart({m: entry for m, entry in exact.items()
-                                if entry[1]}))
-        sigma_max = max(sigma_max, sigma,
-                        max((e[0] for e in exact.values()), default=0))
+            (sigma, coeffs), exact = reducer.reduce(
+                {t_max - 3 * j: d for j, d in enumerate(r)})
+            i = BASIS.index((a, b))
+            rows[i] = (sigma, coeffs)
+            parts[i] = ExactPart({m: entry for m, entry in exact.items() if entry[1]})
+            sigma_max = max(sigma_max, sigma,
+                            max((e[0] for e in exact.values()), default=0))
 
     # the matrix over Q_p: entry = p^-sigma * int, known mod p^(W - sigma)
     M = [[RamifiedElement(ctx, 1, -sigma, [c], W - sigma) for c in coeffs]

@@ -250,7 +250,8 @@ def _check_linear(curve, p, W, terms, N):
     ref, ref_exact = _ReferenceReducer(curve, p, W).reduce(terms)
     assert _agree_mod(whole, total, p, N)
     assert _agree_mod(whole, ref, p, N)
-    for m in set(whole_exact) | set(total_exact) | set(ref_exact):
+    assert set(whole_exact) == set(total_exact)
+    for m in set(whole_exact) | set(ref_exact):
         entry = whole_exact.get(m, (0, []))
         assert _agree_mod(entry, total_exact.get(m, (0, [])), p, N), m
         assert _agree_mod(entry, ref_exact.get(m, (0, [])), p, N), m
