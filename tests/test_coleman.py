@@ -4,6 +4,7 @@ boundary points, divisor integrals, and number-field point realization."""
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -285,6 +286,58 @@ def test_antiderivatives_share_one_power_table(ex1_p5, monkeypatch):
         assert (a.m, a.a, a.A) == (b.m, b.a, b.A)
 
 
+def _termwise_eval_terms(ctx, rows, t):
+    """The termwise evaluation at a ramified t that is not a monomial: one
+    full product per power t^1..t^J, shared by the rows, then one scalar
+    product and one sum per term."""
+    e, v = t.e, t.pi_valuation()
+    rows = [([tm for tm in terms if tm[0] <= (e * prec) // v + 4], prec)
+            for terms, prec in rows]
+    exps = {j for terms, _ in rows for j, _, _ in terms}
+    powers = {0: ctx.one()}
+    for j in range(1, max(exps, default=0) + 1):
+        powers[j] = powers[j - 1] * t
+    if min(exps, default=0) < 0:
+        tinv = t.inverse()
+        powers.update((j, tinv ** (-j)) for j in exps if j < 0)
+
+    def scalar(c, d, prec):
+        el = RamifiedElement(ctx, 1, 0, [c], prec)
+        return el if d == 1 else el * ctx.from_int(d).inverse()
+
+    return [sum((powers[j] * scalar(c, d, prec) for j, c, d in terms), ctx.zero())
+            for terms, prec in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from([5, 7, 11, 13]), e=st.integers(2, 60), W=st.integers(2, 12),
+       v=st.integers(1, 15), unit=st.lists(st.integers(0, 10 ** 30), min_size=60, max_size=60),
+       data=st.data())
+def test_eval_terms_matches_termwise_sum(p, e, W, v, unit, data):
+    # t = pi^v times a unit with several nonzero pi-digits, stated to its full
+    # relative precision like phi(S); the rows run from t^-6 up past the
+    # precision cut, with divisors that p divides
+    ctx = PadicContext(p, W)
+    t = RamifiedElement(ctx, e, 0, [unit[0] * p + 1] + unit[1:e], INF).shift_pi(v)
+    assume(t.monomial() is None)
+    J = min(150, e * W // v + 6)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        prec = data.draw(st.integers(1, W))
+        lo, hi = data.draw(st.integers(-6, J)), data.draw(st.integers(-6, J))
+        terms = []
+        for j in range(min(lo, hi), max(lo, hi) + 1):
+            c = data.draw(st.integers(0, ctx.pk(W) - 1))
+            d = data.draw(st.sampled_from([1, j or 1, p, -p, 2 * p * p, p ** 3 + p]))
+            if c:
+                terms.append((j, c, d))
+        rows.append((terms, prec))
+    stand_in = SimpleNamespace(ctx=ctx, p=p)
+    got = ColemanIntegrator._eval_terms(stand_in, rows, t)
+    want = _termwise_eval_terms(ctx, rows, t)
+    assert [(g.e, g.m, g.a, g.A, g.w) for g in got] == [(w.e, w.m, w.a, w.A, w.w) for w in want]
+
+
 # --- boundary points and bad-disk routing ---------------------------------
 
 
@@ -532,11 +585,13 @@ def _reference_exact_at_finite(eng, S):
     (POOL1_5, 7, 10, 7, "inf"), (POOL1_5, 7, 10, 40, "inf"),
     (EX1, 5, 15, 10, "finite"), (EX1, 5, 15, 30, "finite"), (EX1, 5, 15, 50, "finite"),
     (EX1, 5, 8, 40, "finite"),
+    (EX1, 5, 15, 3, "finite"), (EX1, 5, 15, 6, "finite"), (EX1, 5, 15, 9, "finite"),
     pytest.param(X40, 13, 15, 40, "finite", marks=pytest.mark.slow),
     pytest.param(X40, 13, 15, 120, "finite", marks=pytest.mark.slow),
 ], ids=["ex1@5-e10", "ex1@5-e30", "ex1@5-e50", "ex4@11-e3", "ex4@11-e40",
         "pool1-5@7-e7", "pool1-5@7-e40",
         "ex1@5-e10-finite", "ex1@5-e30-finite", "ex1@5-e50-finite", "ex1@5-N8-e40-finite",
+        "ex1@5-e3-finite", "ex1@5-e6-finite", "ex1@5-e9-finite",
         "x40@13-e40-finite", "x40@13-e120-finite"])
 def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, monkeypatch):
     eng = ColemanIntegrator(_frobenius(tuple(coeffs), p, N), N=N, e=e)
