@@ -311,8 +311,11 @@ class ColemanIntegrator:
     def _eval_terms(self, rows, t):
         """[sum(c/d * t^j for (j, c, d) in terms) for (terms, prec) in rows]
         at the uniformizer value t.  A monomial t (every t in Q_p) is read
-        termwise; any other t has its powers made once for all rows, and the
-        table is dropped when the call returns."""
+        termwise.  Any other t goes by rectangular splitting: the powers
+        t^0..t^(k-1), k ~ sqrt(6J) for J the top exponent, serve every row, and
+        a row is a Horner in t^k over its blocks of k terms, each block one
+        `RamifiedElement.combine`.  For t known to its full relative precision
+        e N, as phi(S) is, the sums are stated to the termwise precision."""
         ctx, p = self.ctx, self.p
         if t is None or t.is_zero:
             if any(j < 0 for terms, _ in rows for j, _, _ in terms):
@@ -343,19 +346,25 @@ class ColemanIntegrator:
                 out.append(RamifiedElement.from_terms(ctx, e, vals))
             return out
         exps = {j for terms, _ in rows for j, _, _ in terms}
-        powers = {0: ctx.one()}
-        for j in range(1, max(exps, default=0) + 1):
-            powers[j] = powers[j - 1] * t
-        if min(exps, default=0) < 0:
-            tinv = t.inverse()
-            powers.update((j, tinv ** (-j)) for j in exps if j < 0)
-
-        def scalar(c, d, prec):
-            el = RamifiedElement(ctx, 1, 0, [c], prec)
-            return el if d == 1 else el * ctx.from_int(d).inverse()
-
-        return [sum((powers[j] * scalar(c, d, prec) for j, c, d in terms), ctx.zero())
-                for terms, prec in rows]
+        k = max(2, math.isqrt(6 * max(exps | {0})))
+        baby = [RamifiedElement.pi(ctx, e, 0), t]
+        while len(baby) <= k:
+            baby.append(baby[-1] * t)
+        tk = baby.pop()
+        tinv = t.inverse() if min(exps, default=0) < 0 else None
+        baby += [tinv ** n for n in range(-min(exps | {0}), 0, -1)]  # baby[j] = t^j, j < 0
+        out = []
+        for terms, prec in rows:
+            blocks = {}
+            for j, c, d in terms:
+                vd = _pval(d, p)  # c/d is known modulo p^(prec - vd)
+                s = RamifiedElement(ctx, 1, -vd, [c * pow(d // p ** vd, -1, p ** prec)], prec - vd)
+                blocks.setdefault(max(j, 0) // k, []).append((s, baby[j % k if j >= 0 else j]))
+            acc = ctx.zero()
+            for b in range(max(blocks, default=-1), -1, -1):
+                acc = RamifiedElement.combine(blocks.get(b, []) + [(ctx.one(), acc * tk)])
+            out.append(acc)
+        return out
 
     def _eval_series(self, coeffs, t):
         """sum(coeffs[k] t^k) at t, each coefficient known modulo p^W."""
@@ -474,24 +483,26 @@ class ColemanIntegrator:
 
         Level m of a form is p^-sigma poly(x) y^m; the product rule gives its
         valuation and precision.  A form is known to the least precision of
-        its levels; the levels at or past it are skipped and the rest are
+        its levels; the levels at or past it add nothing, and the rest are
         added into e integer buckets at one base exponent.  On a finite disk
-        y = pi: level m is V pi^(m - e sigma), V = poly(x(pi)) from the
-        x-power table, known to pi^(eW), added as soon as its valuation is
-        read.  At infinity x = pi^-3, y = pi^-4 u with u a unit: the valuation
-        folds from poly(pi^-3) alone, and u^m is made after the convergence
-        check for the kept levels only, chained by u^(+-3) per class mod 3.
+        y = pi and x(pi) = x0 + X, X = pi^3 / f'(x0) + ... with f'(x0) a unit.
+        For b_i the Taylor coefficients of poly at x0, mod p^W, level m is
+        pi^(m - e sigma) sum(b_i X^i).  Its valuation is e k + 3 i0 for k the
+        least v_p(b_i) and i0 the first i with it, unless 3 i0 >= e, when a
+        tie is possible and the level is evaluated.  Each b_i joins an integer
+        column of X^i, and a form is a Horner in X over its columns.  At
+        infinity x = pi^-3, y = pi^-4 u with u a unit: the valuation folds
+        from poly(pi^-3) alone, and u^m is made after the convergence check
+        for the kept levels only, chained by u^(+-3) per class mod 3.
         """
         ctx, p, e, W = self.ctx, self.p, self.e, self.W
         mod = ctx.pk(W)
         finite = disk.kind == BAD_FINITE
         if finite:
-            max_deg = max((len(poly) for part in self.fd.exact_parts
-                           for _, poly in part.levels.values()), default=1)
-            xflat = [c % mod for c in S.x.integers()]
-            xpows = [[1] + [0] * (e - 1)]
-            for _ in range(max_deg - 1):
-                xpows.append(_fold_mul(xpows[-1], xflat, e, p, mod))
+            x0 = disk.very_bad_point.x.residue(W)
+            X = [c % mod for c in S.x.integers()]
+            X[0] = (X[0] - x0) % mod
+            x_el = RamifiedElement(ctx, e, 0, X, e * W)
         else:
             uval = S._u_value
             uinv = uval.inverse()
@@ -502,20 +513,17 @@ class ColemanIntegrator:
                 levels = [(m, m - e * sig, poly) for m, (sig, poly) in part.levels.items()]
                 prec = min((e * W + shift for _, shift, _ in levels), default=INF)
                 base = min((shift // e for _, shift, _ in levels), default=0)
+                acc = [[0] * e for _ in range(max((len(poly) for *_, poly in levels), default=1))]
                 for m, shift, poly in levels:
-                    V = [0] * e
-                    for j, c in enumerate(poly):
-                        if c:
-                            V = [x + c * y for x, y in zip(V, xpows[j])]
-                    V = [x % mod for x in V]
-                    g = math.gcd(*V)
-                    if not g:
-                        continue
-                    k = _pval(g, p)
-                    v = e * k + next(i for i, x in enumerate(V) if x % ctx.pk(k + 1)) + shift
-                    diags.append((m, v))
-                    if v < prec:
-                        _add_shifted(ctx, acc, base, 1, shift, V)
+                    b = taylor_shift(poly, x0, mod)
+                    k = _pval(math.gcd(*b), p) if any(b) else W
+                    i0 = next((i for i, c in enumerate(b) if c % ctx.pk(k + 1)), 0)
+                    v = e * k + 3 * i0 if 3 * i0 < e else poly_at(b, x_el).pi_valuation()
+                    if v < e * W:
+                        diags.append((m, v + shift))
+                    q, r = divmod(shift, e)  # b_i pi^shift joins the column of X^i
+                    for col, c in zip(acc, b):
+                        col[r] += c * ctx.pk(q - base)
             else:
                 levels, prec = [], INF
                 for m, (sig, poly) in part.levels.items():
@@ -541,7 +549,13 @@ class ColemanIntegrator:
             forms.append((base, acc, prec, kept))
         self._check_convergence(diags, [prec for _, _, prec, _ in forms])
 
-        if not finite:
+        if finite:  # each form is a Horner in X over its columns, left in cols[0]
+            for base, cols, prec, _ in forms:
+                mod_k = ctx.pk(-(-prec // e) - base) if prec != INF else 1
+                while len(cols) > 1:
+                    top = _fold_mul(cols.pop(), X, e, p, mod_k)
+                    cols[-1] = [a + c for a, c in zip(top, cols[-1])]
+        else:
             need = {m for _, _, _, kept in forms for m, _, _ in kept}
             upow = {}
             for s, b in ((1, uval), (-1, uinv)):
@@ -556,7 +570,8 @@ class ColemanIntegrator:
                     vec = upow[m].integers()
                     for j, c in terms:
                         _add_shifted(ctx, acc, base, c, shift - 3 * j, vec)
-        return [RamifiedElement(ctx, e, base, acc, prec) for base, acc, prec, _ in forms]
+        return [RamifiedElement(ctx, e, base, acc[0] if finite else acc, prec)
+                for base, acc, prec, _ in forms]
 
     def _check_convergence(self, diags, precs):
         """Flag evaluations whose deep pole terms dominate (the boundary is

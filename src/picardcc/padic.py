@@ -177,6 +177,21 @@ class RamifiedElement:
             a[s] += n * ctx.pk(q - m)
         return cls(ctx, e, m, a, min(A for _, _, A in terms))
 
+    @staticmethod
+    def combine(terms) -> "RamifiedElement":
+        """sum(s * x for s, x in terms), each s in Q_p and every x in one ring,
+        normalized once: the products p^(m_s + m_x) u_s a_x are added into e
+        integer buckets at one base, and the sum is known to the least of the
+        terms' precisions by the product rule of `__mul__`."""
+        ctx, e = terms[0][1].ctx, terms[0][1].e
+        base = min(s.m + x.m for s, x in terms)  # a zero has m = 0 and a = 0
+        acc = [0] * e
+        for s, x in terms:
+            c = s.a[0] * ctx.pk(s.m + x.m - base)
+            acc = [y + c * z for y, z in zip(acc, x.a)]
+        A = min(min(x.A + e * min(s.w, s.A), e * s.A + min(x.w, x.A)) for s, x in terms)
+        return RamifiedElement(ctx, e, base, acc, A)
+
     # accessors ----------------------------------------------------------
 
     @property
