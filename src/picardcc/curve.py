@@ -198,6 +198,9 @@ def _icbrt(n: int) -> int:
     return r if n > 0 else -r
 
 
+_CUBES = {m: {pow(r, 3, m) for r in range(m)} for m in (63, 13, 19, 37)}  # 63 = 7 * 9
+
+
 def rational_point_search(curve: PicardCurve, height_bound: int = 1000):
     """All (a/b, y) in X(Q) with gcd(a, b) = 1, max(|a|, b) <= H, plus infinity.
 
@@ -205,17 +208,19 @@ def rational_point_search(curve: PicardCurve, height_bound: int = 1000):
     terms.  f is monic, so gcd(F(a, b), b) = gcd(a^4, b) = 1, and
     r^3 b^4 = F(a, b) s^3 forces s^3 = b^4.  Hence b = d^3, s = d^4 and
     r^3 = F(a, d^3): only cube denominators are searched, and a point is
-    kept exactly when F(a, d^3) is a perfect cube.
+    kept exactly when F(a, d^3) is a perfect cube.  A cube is a cube modulo
+    every m, so a sieve loses no point: only the a where F(a, d^3) is a cube
+    modulo 63, 13, 19 and 37 (about 1%) get the exact test.
     """
     H = height_bound
     found = []
     for d in range(1, _icbrt(H) + 1):
         b = d ** 3
-        # F(a, b) = b^4 f(a/b) as a polynomial in a
+        # F(a, b) = b^4 f(a/b) as a polynomial in a; ok[m][a % m]: a cube mod m
         F = [c * b ** (4 - i) for i, c in enumerate(curve.f)]
-        for a in range(-H, H + 1):
-            if math.gcd(a, d) != 1:
-                continue
+        ok = {m: [poly_eval_mod(F, a, m) in _CUBES[m] for a in range(m)] for m in _CUBES}
+        for a in [a for c in range(63) if ok[63][c] for a in range((c + H) % 63 - H, H + 1, 63)
+                  if ok[13][a % 13] and ok[19][a % 19] and ok[37][a % 37] and math.gcd(a, d) == 1]:
             n = poly_at(F, a)
             r = _icbrt(n)
             if r ** 3 == n:

@@ -23,7 +23,8 @@ with degree steps once t <= 2.
       kills the top x-degree (leading coefficient (3m + 12 - 4t)/3 != 0).
 
 Before the sweep the pullback is put over one denominator, H/y^t_max with
-H = sum_t g_t f^((t_max - t)/3), and H is expanded once in f-adic digits
+H = x^(p-1) sum_k c_k A^k F^(K-k), F = f^p, built by a product tree that
+splits the range of k in halves, and H is expanded once in f-adic digits
 H = sum_j r_j f^j (deg r_j < 4); r_j is the term at pole order t_max - 3j.
 Form (a, b) pulls back to x^(pa) times the (0, b) pullback, so only b = 1, 2
 are expanded.  The digits of x^(pa) H come from those of H by pa passes of
@@ -70,16 +71,13 @@ def _poly_sub(a, b, mod):
             for i in range(n)]
 
 
-def _poly_pow(a, n, mod):
-    result = [1]
-    base = a
-    while n:
-        if n & 1:
-            result = ser_mul(result, base, mod)
-        n >>= 1
-        if n:
-            base = ser_mul(base, base, mod)
-    return result
+def _power(cache, n, mod):
+    """cache[n] = cache[1]^n mod `mod`, by squaring through cache[n // 2]."""
+    if n not in cache:
+        h = _power(cache, n // 2, mod)
+        h = ser_mul(h, h, mod)
+        cache[n] = ser_mul(h, cache[1], mod) if n % 2 else h
+    return cache[n]
 
 
 def _bezout_unit(curve: PicardCurve, p, mod):
@@ -132,18 +130,17 @@ class _Reducer:
     """Reduces sums of g(x) dx / y^t into basis coordinates plus an exact part.
 
     All values are (sigma, integer data) pairs meaning p^-sigma times the
-    stored integers, coefficients modulo p^W.
+    stored integers, coefficients modulo p^W; table: `_fpow_table` of f.
     """
 
-    def __init__(self, curve, p, W):
+    def __init__(self, curve, p, W, table):
         self.p = p
         self.mod = mod = p ** W
-        self.f = [c % mod for c in curve.f]
+        self.f = table[0][0]
         self.df = [c % mod for c in poly_deriv(curve.f)]
         self.inv3 = pow(3, -1, mod)
         self.V = _bezout_unit(curve, p, mod)
         # column k of U is the quotient (x^k - v f')/f, v column k of V
-        table = _fpow_table(self.f, 1, mod)
         cols = []
         for k in range(4):
             h = _poly_sub([0] * k + [1], ser_mul([r[k] for r in self.V], self.df, mod), mod)
@@ -316,23 +313,23 @@ def _binomial_cutoff(p: int, W: int) -> int:
         k += 1
 
 
-def _pullback_terms(p, b, powers, mod):
-    """phi^*(y^b dx/f) as a dict t -> g: term k is
-    p^(k+1) C((b-3)/3, k) x^(p-1) A^k dx/y^t with t = 3p(k+1) - pb,
-    for the powers A^k given; terms that vanish mod p^W are left out."""
-    shift = [0] * (p - 1)
-    alpha = Fraction(b - 3, 3)
-    binom = Fraction(1)  # C(alpha, k)
-    terms = {}
-    for k, Ak in enumerate(powers):
-        if k > 0:
-            binom = binom * (alpha - (k - 1)) / k
-        ck = Fraction(p) ** (k + 1) * binom  # p-integral, unit denominator
-        ck_int = ck.numerator * pow(ck.denominator, -1, mod) % mod
-        if ck_int:
-            terms[3 * p * (k + 1) - p * b] = shift + [ck_int * c % mod
-                                                      for c in Ak]
-    return terms
+def _tree(c, lo, hi, A, F, mod):
+    """S(lo, hi) = sum_{k=lo..hi} c_k A^(k-lo) F^(hi-k) by the product tree
+    S(lo, m) F^(hi-m) + A^(m+1-lo) S(m+1, hi), m the midpoint (von zur
+    Gathen-Gerhard, Modern Computer Algebra, 10.1); A, F: `_power` caches."""
+    if lo == hi:
+        return [c[lo]]
+    m = (lo + hi) // 2
+    return ser_add(ser_mul(_tree(c, lo, m, A, F, mod), _power(F, hi - m, mod), mod),
+                   ser_mul(_power(A, m + 1 - lo, mod), _tree(c, m + 1, hi, A, F, mod), mod), mod)
+
+
+def _numerator(p, b, c, A, F, mod):
+    """(H, t_max) with sum_k c_k x^(p-1) A^k dx/y^(3p(k+1) - pb) = H dx/y^t_max:
+    t_max = 3p(K'+1) - pb, K' the last k with c_k != 0, and term k gains
+    f^(p(K'-k)), so H = x^(p-1) S(0, K') with F = f^p (`_tree`)."""
+    c = ser_trim(c)
+    return [0] * (p - 1) + _tree(c, 0, len(c) - 1, A, F, mod), 3 * p * len(c) - p * b
 
 
 def _fpow_table(f, levels, mod):
@@ -386,28 +383,26 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     # pA = f(x^p) - f(x)^p, computed mod p^(W+1) so A is exact mod p^W
     mod1 = mod * p
     fxp = ser_spread([c % mod1 for c in curve.f], p)  # f(x^p)
-    fp = _poly_pow([c % mod1 for c in curve.f], p, mod1)
+    fp = _power({1: [c % mod1 for c in curve.f]}, p, mod1)
     diff = _poly_sub(fxp, fp, mod1)
     if any(c % p for c in diff):
         raise ComputationFailure(f"f(x^p) != f(x)^p mod p at p = {p}")
     A = ser_trim([(c // p) % mod for c in diff])
 
-    reducer = _Reducer(curve, p, W)
     k_max = _binomial_cutoff(p, W)
-    powers = [[1]]  # A^k, shared by both pullbacks
-    for _ in range(k_max):
-        powers.append(ser_mul(powers[-1], A, mod))
     # deg A < 4p, so a numerator H below has at most p + 4p k_max coefficients
     top = ((p + 4 * p * k_max - 1) // 8).bit_length()
-    table = _fpow_table(reducer.f, top + 1, mod)
+    table = _fpow_table([c % mod for c in curve.f], top + 1, mod)
+    reducer = _Reducer(curve, p, W, table)
+    powA, powF = {1: A}, {1: [c % mod for c in fp]}  # shared by b = 1, 2
     rows, parts = [None] * 6, [None] * 6
     sigma_max = 0
     for b in (1, 2):
-        terms = _pullback_terms(p, b, powers, mod)
-        t_max = max(terms)
-        H = []  # sum_t g_t f^((t_max - t)/3), by Horner in f^p
-        for t in range(min(terms), t_max + 1, 3 * p):
-            H = ser_add(ser_mul(H, fp, mod), terms.get(t, []), mod)
+        c = [Fraction(p)]  # c_k = p^(k+1) C((b-3)/3, k) = c_(k-1) p (b - 3k)/(3k)
+        for k in range(1, k_max + 1):
+            c.append(c[-1] * p * (b - 3 * k) / (3 * k))  # unit denominators
+        c = [q.numerator * pow(q.denominator, -1, mod) % mod for q in c]
+        H, t_max = _numerator(p, b, c, powA, powF, mod)
         # digit r_j sits at pole order t_max - 3j; deg H < 4 (t_max // 3 + 1),
         # so the last, at t_max mod 3, is the whole quotient H // f^(t_max // 3)
         r = _f_adic_digits(H, top, table, mod)

@@ -356,6 +356,51 @@ def test_rational_point_search_matches_brute_force(f, H):
     assert {(P.exact_x, P.exact_y) for P in pts[1:]} == _brute_force_points(c.f, H)
 
 
+def _unsieved_search(f, H):
+    """The search without the sieve: for each cube denominator d^3 <= H,
+    every a with |a| <= H and gcd(a, d) = 1 gets the exact cube test."""
+    out = []
+    for d in range(1, _icbrt(H) + 1):
+        b = d ** 3
+        F = [c * b ** (4 - i) for i, c in enumerate(f)]
+        for a in range(-H, H + 1):
+            if math.gcd(a, d) != 1:
+                continue
+            n = poly_at(F, a)
+            r = _icbrt(n)
+            if r ** 3 == n:
+                out.append((Fraction(a, b), Fraction(r, d ** 4)))
+    return sorted(out)
+
+
+POOL = [[-5, -2, -5, 1, 1], [-1, -6, -6, -6, 1], [1, 1, 2, -3, 1],
+        [4, -4, -1, 2, 1], [2, -4, 4, -2, 1], [-5, 5, -5, -6, 1]]
+
+
+@pytest.mark.parametrize("f", [EX1, EX2, EX3, EX4, [-40, 0, 0, 0, 1]] + POOL)
+def test_rational_point_search_matches_unsieved(f):
+    # the cube-residue sieve keeps every point the full loop finds, in order
+    # (H < 63 is covered by the brute-force property above)
+    pts = rational_point_search(PicardCurve(f), 1000)
+    assert [(P.exact_x, P.exact_y) for P in pts[1:]] == _unsieved_search(f, 1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=3, max_size=3),
+       st.integers(-1000, 1000), st.integers(0, 1000), st.integers(-60, 60),
+       st.sampled_from([1, 21, 13, 19, 37, 63 * 13 * 19 * 37]))
+def test_rational_point_search_finds_planted_point(c, a, s, k, m):
+    # c0 = r^3 - sum_(i >= 1) c_i a^i puts (a, r) on the curve, H >= |a|; r
+    # is a multiple of m, so f(a) = r^3 is 0 modulo the sieve moduli dividing m^3
+    H, r = min(1000, max(1, abs(a) + s)), k * m
+    try:
+        curve = PicardCurve([r ** 3 - poly_at([0] + c + [1], a)] + c + [1])
+    except NotSquarefree:
+        assume(False)
+    coords = {(P.exact_x, P.exact_y) for P in rational_point_search(curve, H) if not P.inf}
+    assert (Fraction(a), Fraction(r)) in coords
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 10, 2 ** 53 + 1, 10 ** 20 + 7,
                                3 ** 150, 10 ** 100, 10 ** 200])
 @pytest.mark.parametrize("j", [-1, 0, 1])

@@ -1,5 +1,7 @@
 """Tests for the Frobenius action on cohomology and the zeta certificates."""
 
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
@@ -21,16 +23,17 @@ from picardcc.frobenius import (
     _entry_add,
     _f_adic_digits,
     _fpow_table,
-    _pullback_terms,
+    _numerator,
     _Reducer,
     _strip,
     _times_x,
     frobenius_matrix,
+    working_precision,
     zeta_consistency_check,
 )
 from picardcc.padic import (PadicContext, RamifiedElement, _pval, disc_adj, poly_deriv,
                             taylor_shift)
-from picardcc.series import ser_add, ser_inverse_root, ser_mul, ser_trim
+from picardcc.series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
 EX3 = [-2, 0, 0, 0, 1]
@@ -206,6 +209,12 @@ def test_trace_zero_for_p_2_mod_3():
     assert z.trace == 0 and z.trace_ok
 
 
+def _reducer(curve, p, W):
+    """A _Reducer on the level-0 table of f mod p^W."""
+    mod = p ** W
+    return _Reducer(curve, p, W, _fpow_table([c % mod for c in curve.f], 1, mod))
+
+
 def _agree_mod(e1, e2, p, n):
     """The (sigma, ints) values p^-sigma ints agree modulo p^n."""
     (s1, c1), (s2, c2) = e1, e2
@@ -238,7 +247,7 @@ def _check_linear(curve, p, W, terms, N):
     """The sweep of all raw terms in digit form equals the sum of the sweeps
     of each term's digits alone, and the polynomial sweep of the raw terms,
     to N digits."""
-    red, mod = _Reducer(curve, p, W), p ** W
+    red, mod = _reducer(curve, p, W), p ** W
     whole, whole_exact = red.reduce(_digit_terms(terms, red.f, mod))
     total, total_exact = (0, [0] * 6), {}
     for t, g in terms.items():
@@ -262,9 +271,7 @@ def test_sweep_is_linear_in_terms(coeffs, p, N):
     c = PicardCurve(coeffs)
     fd = frobenius_matrix(c, p, N)
     mod = p ** fd.N_work
-    powers = [[1]]
-    for _ in range(_binomial_cutoff(p, fd.N_work)):
-        powers.append(ser_mul(powers[-1], fd.A_poly, mod))
+    powers = _a_powers(fd.A_poly, _binomial_cutoff(p, fd.N_work), mod)
     a, b = BASIS[-1]
     terms = {t: [0] * (p * a) + g
              for t, g in _pullback_terms(p, b, powers, mod).items()}
@@ -412,15 +419,130 @@ class _ReferenceReducer:
         return (sigma, coeffs), exact
 
 
+# --- the Horner numerator, kept as the reference for the product tree -----
+
+
+def _a_powers(A, K, mod):
+    """[A^0, ..., A^K] mod p^W, every power the Horner numerator reads."""
+    powers = [[1]]
+    for _ in range(K):
+        powers.append(ser_mul(powers[-1], A, mod))
+    return powers
+
+
+def _binomial_coefficients(p, b, K, mod):
+    """[c_0..c_K] with c_k = p^(k+1) C((b-3)/3, k) mod p^W."""
+    alpha = Fraction(b - 3, 3)
+    binom = Fraction(1)  # C(alpha, k)
+    out = []
+    for k in range(K + 1):
+        if k > 0:
+            binom = binom * (alpha - (k - 1)) / k
+        ck = Fraction(p) ** (k + 1) * binom  # p-integral, unit denominator
+        out.append(ck.numerator * pow(ck.denominator, -1, mod) % mod)
+    return out
+
+
+def _pullback_terms(p, b, powers, mod, coeffs=None):
+    """phi^*(y^b dx/f) as a dict t -> g: term k is c_k x^(p-1) A^k dx/y^t
+    with t = 3p(k+1) - pb, for the powers A^k given; c_k = p^(k+1)
+    C((b-3)/3, k) unless coeffs gives them; terms that vanish mod p^W are
+    left out."""
+    if coeffs is None:
+        coeffs = _binomial_coefficients(p, b, len(powers) - 1, mod)
+    shift = [0] * (p - 1)
+    return {3 * p * (k + 1) - p * b: shift + [ck * c % mod for c in Ak]
+            for k, (ck, Ak) in enumerate(zip(coeffs, powers)) if ck % mod}
+
+
+def _horner_numerator(p, terms, F, mod):
+    """(H, t_max) with sum_t g_t dx/y^t = H dx/y^t_max: H is
+    sum_t g_t F^((t_max - t)/3p), F = f^p, by Horner in F over increasing t."""
+    t_max = max(terms)
+    H = []
+    for t in range(min(terms), t_max + 1, 3 * p):
+        H = ser_add(ser_mul(H, F, mod), terms.get(t, []), mod)
+    return H, t_max
+
+
+def _lift_polys(f, p, W):
+    """(A, f^p mod p^(W+1)) with pA = f(x^p) - f^p, A mod p^W."""
+    mod1 = p ** (W + 1)
+    fp = [1]
+    for _ in range(p):
+        fp = ser_mul(fp, [c % mod1 for c in f], mod1)
+    diff = ser_add(ser_spread([c % mod1 for c in f], p), [-c for c in fp], mod1)
+    assert all(c % p == 0 for c in diff)
+    return ser_trim([c // p % p ** W for c in diff]), fp
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 15),
+       st.sampled_from(["binomial", "interior", "top", "interior+top", "random"]),
+       st.randoms(use_true_random=False))
+def test_tree_numerator_matches_horner(p, N, shape, rng):
+    # the product tree's H and t_max equal the Horner in f^p bit for bit, for
+    # b = 1 and 2 on one pair of power caches, with the binomial c_k and with
+    # lists that have zero interior or top entries
+    f = [rng.randrange(-50, 51) for _ in range(4)] + [1]
+    W = working_precision(p, N)
+    mod = p ** W
+    A, fp = _lift_polys(f, p, W)
+    K = _binomial_cutoff(p, W)
+    powers = _a_powers(A, K, mod)
+    powA, powF = {1: A}, {1: [c % mod for c in fp]}
+    for b in (1, 2):
+        c = _binomial_coefficients(p, b, K, mod)
+        if shape == "random":
+            c = [rng.randrange(mod) for _ in c]
+        if "interior" in shape:
+            for k in rng.sample(range(1, K), rng.randrange(1, K)):
+                c[k] = 0
+        if "top" in shape:  # zero the last n entries, so K' < K
+            n = rng.randrange(1, K + 1)
+            c[K + 1 - n:] = [0] * n
+        assume(any(c))
+        H, t_max = _numerator(p, b, list(c), powA, powF, mod)
+        ref_H, ref_t = _horner_numerator(p, _pullback_terms(p, b, powers, mod, c),
+                                         fp, mod)
+        assert t_max == ref_t
+        assert ser_trim(H) == ser_trim(ref_H)
+
+
+@pytest.mark.parametrize("coeffs,p,N", [(EX4, 11, 8), (EX1, 5, 15),
+                                        ([-5, 5, -5, -6, 1], 7, 10),
+                                        ([-1, -6, -6, -6, 1], 5, 10),
+                                        ([-40, 0, 0, 0, 1], 13, 15)])
+def test_matrix_numerators_match_horner(monkeypatch, coeffs, p, N):
+    # frobenius_matrix passes the binomial c_k, and its H and t_max for
+    # b = 1, 2 are the Horner numerator's, bit for bit
+    import picardcc.frobenius as frob
+    seen = []
+
+    def spy(p_, b, c, A, F, mod):
+        seen.append((b, c, _numerator(p_, b, c, A, F, mod)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(frob, "_numerator", spy)
+    fd = frobenius_matrix(PicardCurve(coeffs), p, N)
+    W, mod = fd.N_work, p ** fd.N_work
+    A, fp = _lift_polys(coeffs, p, W)
+    assert A == fd.A_poly
+    powers = _a_powers(A, _binomial_cutoff(p, W), mod)
+    assert [b for b, _, _ in seen] == [1, 2]
+    for b, c, (H, t_max) in seen:
+        assert c == _binomial_coefficients(p, b, len(powers) - 1, mod)
+        ref_H, ref_t = _horner_numerator(p, _pullback_terms(p, b, powers, mod), fp, mod)
+        assert (ser_trim(H), t_max) == (ser_trim(ref_H), ref_t)
+
+
 def _reference_frobenius(fd):
     """Exact parts and FrobeniusData at fd's precision from the raw pullback
     of each form, one sweep of polynomial pole steps over its binomial terms
     (no f-adic expansion)."""
     curve, p, W = fd.curve, fd.p, fd.N_work
     mod, ctx = p ** W, PadicContext(p, W)
-    powers = [[1]]
-    for _ in range(_binomial_cutoff(p, W)):
-        powers.append(ser_mul(powers[-1], fd.A_poly, mod))
+    powers = _a_powers(fd.A_poly, _binomial_cutoff(p, W), mod)
     red = _ReferenceReducer(curve, p, W)
     rows, parts = [], []
     for a, b in BASIS:
@@ -489,7 +611,7 @@ def test_pole_step_matches_polynomial_step(p, W, sigma, k, j, n, rng):
     curve, mod, t = PicardCurve(f), p ** W, 3 + k * p ** j
     g = [rng.randrange(mod) * p ** rng.choice([0, 0, 1, 2]) % mod
          for _ in range(n)]
-    assert (_Reducer(curve, p, W)._pole_step(sigma, g, t)
+    assert (_reducer(curve, p, W)._pole_step(sigma, g, t)
             == _ReferenceReducer(curve, p, W).pole_step(sigma, g, t))
 
 
