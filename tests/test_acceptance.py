@@ -1,9 +1,11 @@
 """End-to-end acceptance runs: the four worked curves, prime selection,
 solver oracles, Coleman/zeta property suites, and normalization checks."""
 
+import json
 import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,40 +64,66 @@ def _val_from_str(s, p):
 
 # --- pipeline fixtures (one run each, shared across criteria) --------------
 
+# name -> (record, params) of the five acceptance runs
+RUNS = {
+    "ex1_p5": ({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}, {"N": 15}),
+    "ex1_p17": ({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 17}, {"N": 15}),
+    "ex2_p11": ({"label": "ex2", "f": EX2, "divisors": [{"g": [4, -6, 1]}],
+                 "p": 11}, {"N": 15}),
+    "ex4_p11": ({"label": "ex4", "f": EX4, "divisors": [{"g": [-1, 1, 1]}],
+                 "p": 11}, {"N": 12}),
+    "x40_p13": ({"label": "x4-40", "f": X40,
+                 "divisors": [{"g": [-4, 1], "y_rule": [6]},
+                              {"g": [4, 1], "y_rule": [6]}],
+                 "p": 13}, {"N": 15}),
+}
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "acceptance_reports.json"
+
+
+def _run(name):
+    return run_pipeline(*RUNS[name]).to_dict()
+
+
+def _untimed(report):
+    return {k: v for k, v in report.items() if k != "timings"}
+
 
 @pytest.fixture(scope="module")
 def ex1_p5():
-    rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
-    return run_pipeline(rec, {"N": 15}).to_dict()
+    return _run("ex1_p5")
 
 
 @pytest.fixture(scope="module")
 def ex1_p17():
-    rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 17}
-    return run_pipeline(rec, {"N": 15}).to_dict()
+    return _run("ex1_p17")
 
 
 @pytest.fixture(scope="module")
 def ex2_p11():
-    rec = {"label": "ex2", "f": EX2, "divisors": [{"g": [4, -6, 1]}],
-           "p": 11}
-    return run_pipeline(rec, {"N": 15}).to_dict()
+    return _run("ex2_p11")
 
 
 @pytest.fixture(scope="module")
 def ex4_p11():
-    rec = {"label": "ex4", "f": EX4, "divisors": [{"g": [-1, 1, 1]}],
-           "p": 11}
-    return run_pipeline(rec, {"N": 12}).to_dict()
+    return _run("ex4_p11")
 
 
 @pytest.fixture(scope="module")
 def x40_p13():
-    rec = {"label": "x4-40", "f": X40,
-           "divisors": [{"g": [-4, 1], "y_rule": [6]},
-                        {"g": [4, 1], "y_rule": [6]}],
-           "p": 13}
-    return run_pipeline(rec, {"N": 15}).to_dict()
+    return _run("x40_p13")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(RUNS))
+def test_acceptance_reports_match_fixture(name, request):
+    """Each acceptance report outside its timings equals the pinned one in
+    tests/fixtures/acceptance_reports.json.  A change meant to alter them
+    regenerates the fixture with
+
+        PYTHONPATH=src python tests/test_acceptance.py
+    """
+    expected = json.loads(FIXTURE.read_text())[name]
+    assert _untimed(request.getfixturevalue(name)) == expected
 
 
 # --- criterion 1: Example 1 at p = 5 and p = 17 ---------------------------
@@ -466,3 +494,9 @@ def test_normalize_bijection_brute_force():
             got = poly_eval_mod(F, u, mod)
             assert got == want, (nums, u)
         checked += 1
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps({name: _untimed(_run(name)) for name in RUNS},
+                                  indent=1) + "\n")
