@@ -158,9 +158,9 @@ def _dot(vec, integrals):
 
 def _disk_points(engine, disk, vanishing, base):
     p = engine.p
-    center = engine.center(disk)
+    center = disk.center
     integrals = None if center.inf else engine.integral(base, center)
-    rows = engine.antiderivative_rows(disk, vanishing.vectors, center)
+    rows = engine.antiderivative_rows(disk, vanishing.vectors)
     solved = []
     for vec, (terms, prec) in zip(vanishing.vectors, rows):
         const = engine.ctx.zero() if center.inf else _dot(vec, integrals)
@@ -208,7 +208,7 @@ def _disk_points(engine, disk, vanishing, base):
 
     out = []
     for (r, Np, rec) in accepted:
-        Q = _point_from_root(engine, disk, center, r, Np)
+        Q = _point_from_root(engine, disk, r, Np)
         Q._certificate = {
             "disk": list(disk.reduction) if disk.reduction != "inf" else "inf",
             "root_residue": int(r),
@@ -219,15 +219,16 @@ def _disk_points(engine, disk, vanishing, base):
     return out
 
 
-def _point_from_root(engine, disk, center, r, Np):
+def _point_from_root(engine, disk, r, Np):
     """Rebuild the curve point with uniformizer value t = p*r in its disk."""
     t_int = (engine.p * r) % engine.p ** (Np + 1)
     if t_int == 0:
+        center = disk.center
         return CurvePoint(center.x, center.y, inf=center.inf,
                           exact_x=center.exact_x, exact_y=center.exact_y)
     # full-precision representative of the certified class t = p*r mod p^(Np+1);
     # the certificate records how many digits are actually determined
-    return engine.point_at(disk, engine.ctx.from_int(t_int), center)
+    return engine.point_at(disk, engine.ctx.from_int(t_int))
 
 
 def chabauty_set(engine, vanishing):
@@ -236,7 +237,7 @@ def chabauty_set(engine, vanishing):
     Scans every residue disk; a root is accepted when it is a certified
     simple root of at least one basis series and annihilates all of them.
     """
-    base = engine.infinite_disk.very_bad_point
+    base = engine.infinite_disk.center
     found = []
     for disk in engine.disks:  # one per point of X(F_p): see classify_disks
         found.extend(_disk_points(engine, disk, vanishing, base))
@@ -315,7 +316,7 @@ def classify_point(Q, engine, vanishing, relation_bound=50):
         return PointClassification("Ramification", mx,
                                    evidence={"f_of_x": str(fx)})
 
-    base = engine.infinite_disk.very_bad_point
+    base = engine.infinite_disk.center
     Ivec = engine.integral(base, Q)
     ev = {"integrals": [str(v) for v in Ivec]}
 
@@ -523,7 +524,7 @@ def run_pipeline(record, params=None):
         specs = _divisor_specs(record)
         point = _point_spec(record)
         split = _split_product(specs)
-        p = int(p_override or good_prime(curve, 5, split_poly=split))
+        report.p = p = int(p_override or good_prime(curve, 5, split_poly=split))
         rejection = prime_rejection(curve, p, split)
         if rejection:
             raise BadPrime(rejection)
@@ -545,9 +546,9 @@ def run_pipeline(record, params=None):
                 if retried or p_override:
                     raise
                 retried = True
-                p = good_prime(curve, p + 1, split_poly=split)
+                report.p = p = good_prime(curve, p + 1, split_poly=split)
 
-        report.p, report.e = p, e_used
+        report.e = e_used
         report.precision = van.precision
         report.det_ord = van.det_ord
         report.kernel_dim = len(van.vectors)

@@ -2,12 +2,15 @@
 
 `integral(P, Q)` is the vector of the regular integrals int_P^Q omega_i,
 i = 1..3, for any two points.  Tiny integrals integrate the disk expansion
-termwise; between disks, `basis_integrals` solves the Frobenius-equivariant
-system (I - M) v = c for all six basis forms, M being Frobenius on the
-cohomology basis and c the exact parts and endpoint corrections.  (I - M) is
-inverted once over Q_p (`FrobeniusData.system`).  `integral` routes points
-inside bad disks through boundary points over Q_p(pi), pi^e = p, whose values
-are flat RamifiedElements, and projects to Q_p when P and Q are Q_p points.
+around the disk's center termwise; between disks, `basis_integrals` solves
+the Frobenius-equivariant system (I - M) v = c for all six basis forms, M
+being Frobenius on the cohomology basis and c the exact parts and endpoint
+corrections.  (I - M) is inverted once over Q_p (`FrobeniusData.system`).
+Each disk has one endpoint of the system, which `integral` joins to any
+point of the disk by a tiny integral: the center of a good disk, and the
+boundary point of a bad disk over Q_p(pi), pi^e = p, whose values are flat
+RamifiedElements.  The result is projected to Q_p when P and Q are Q_p
+points.
 """
 
 import math
@@ -19,13 +22,13 @@ from .curve import (
     GOOD,
     CurvePoint,
     PicardCurve,
+    branch_point,
     classify_disks,
     reduce_point,
     split_roots,
 )
 from .errors import (
     BadYRule,
-    ComputationFailure,
     IncreaseE,
     NotSameDisk,
     NotSplit,
@@ -174,16 +177,9 @@ class ColemanIntegrator:
             raise WrongDisk(f"point {P!r} reduces outside X(F_{self.p})")
         return disk
 
-    def _center_key(self, disk, center):
-        """Cache key of a disk expansion: a good disk's expansion depends on
-        its center only through x0 mod p^W (y0 is the unique lift)."""
-        if disk.kind != GOOD or center is None:
-            return disk.reduction, None
-        return disk.reduction, center.x.residue(self.W)
-
-    def _disk_data(self, disk, center=None):
-        """The disk's local expansion and its six basis differentials pulled
-        back once, cached per disk and, on a good disk, per center.
+    def _disk_data(self, disk):
+        """The disk's local expansion around its center and its six basis
+        differentials pulled back once, cached per disk.
 
         forms[i] = (k0, coeffs) with omega_i = sum(coeffs[j] t^(k0+j)) dt,
         coefficients mod p^W; every other form is their combination
@@ -197,20 +193,15 @@ class ColemanIntegrator:
         also keep x(t) as "xt", or u(t) as "u" and Ft as "Ft".  x(t) and Ft
         are series in s = t^3, so the bad disks form their products in s.
         """
-        key = self._center_key(disk, center)
-        got = self._disk_data_cache.get(key)
+        got = self._disk_data_cache.get(disk.reduction)
         if got is not None:
             return got
         W, f = self.W, self.curve.f
         mod = self.ctx.pk(W)
         if disk.kind == GOOD:
-            if center is None:
-                raise WrongDisk("good-disk expansion needs a center point")
-            if reduce_point(center, self.p) != disk.reduction:
-                raise WrongDisk(f"center {center!r} is not in disk {disk!r}")
-            T, x0 = self.T_good, center.x.residue(W)
+            T, x0 = self.T_good, disk.center.x.residue(W)
             r = ser_inverse_root(taylor_shift(f, x0, mod), 3,
-                                 pow(center.y.residue(W), -1, mod), mod, T)
+                                 pow(disk.center.y.residue(W), -1, mod), mod, T)
             xg = {}
             for b, g in ((1, ser_mul(r, r, mod, T)), (2, r)):
                 for a in range(3):
@@ -220,7 +211,7 @@ class ColemanIntegrator:
         elif disk.kind == BAD_FINITE:
             # x = sum(xs[k] s^k), s = t^3, solves f(x) = s: Newton in Z_p[[s]]
             T, Ts, df = self.T_bad, self.T_bad // 3, poly_deriv(f)
-            xs, prec = [disk.very_bad_point.x.residue(W)], 1
+            xs, prec = [disk.center.x.residue(W)], 1
             while prec <= Ts:
                 prec = min(2 * prec, Ts + 1)
                 num = [-c % mod for c in _poly_of_series(f, xs, mod, prec - 1)]
@@ -248,7 +239,7 @@ class ColemanIntegrator:
                 forms.append((k0, [-3 * c % mod for c in ser_spread(g[b], 3, T - 5 - k0)]))
             dd = {"u": ser_spread(ser_mul(Fs, g[1], mod, Ts), 3, T + 1),
                   "Ft": ser_spread(Fs, 3, T + 1), "forms": forms}
-        self._disk_data_cache[key] = dd
+        self._disk_data_cache[disk.reduction] = dd
         return dd
 
     # -- differentials as Laurent series in the uniformizer ---------------
@@ -275,15 +266,15 @@ class ColemanIntegrator:
             out.append(el.residue(k))
         return tuple(out), floor
 
-    def antiderivative_rows(self, disk, omegas, center=None):
+    def antiderivative_rows(self, disk, omegas):
         """(terms, prec) for each omega: its termwise antiderivative in the
-        disk, fixed at 0, as [(power, coeff, divisor)] by increasing power,
-        each coeff an integer known modulo p^prec.  The pullback of omega is
-        the combination of the disk's six basis pullbacks (`_disk_data`)
-        with the integers of `_lift_omega`, reduced mod p^W once; a good
-        disk expands around `center`.  Tiny integrals evaluate these rows
-        and the Chabauty solver finds their zeros."""
-        forms = self._disk_data(disk, center)["forms"]
+        disk, fixed at 0 at the disk's center, as [(power, coeff, divisor)]
+        by increasing power, each coeff an integer known modulo p^prec.  The
+        pullback of omega is the combination of the disk's six basis
+        pullbacks (`_disk_data`) with the integers of `_lift_omega`, reduced
+        mod p^W once.  Tiny integrals evaluate these rows and the Chabauty
+        solver finds their zeros."""
+        forms = self._disk_data(disk)["forms"]
         mod = self.ctx.pk(self.W)
         lo = min(k0 for k0, _ in forms)
         width = max(k0 + len(cf) for k0, cf in forms) - lo
@@ -373,16 +364,18 @@ class ColemanIntegrator:
     # -- uniformizer values of points -------------------------------------
 
     def _param(self, disk, P):
-        """The uniformizer value of P in its disk (None for the center)."""
+        """The uniformizer value of P in its disk: x - x(center) on a good
+        disk, y on a finite bad disk and the cube root of 1/x on the branch
+        of y at infinity (None for the center of a bad disk)."""
         t = getattr(P, "_disk_t", None)
         if t is not None:
             return t
+        if disk.kind == GOOD:
+            return P.x - disk.center.x
         if disk.kind == BAD_FINITE:
             if P.inf:
                 raise WrongDisk(f"{P!r} is not in {disk!r}")
             return None if P.y.is_zero else P.y
-        if disk.kind == GOOD:
-            raise WrongDisk("good disks have no canonical uniformizer value")
         # infinite disk: t^-3 = x, branch fixed by y = t^-4 u(t)
         if P.inf:
             return None
@@ -396,34 +389,18 @@ class ColemanIntegrator:
 
     # -- points of a disk ----------------------------------------------------
 
-    def center(self, disk) -> CurvePoint:
-        """The point at t = 0: the very bad point of a bad disk, or the Q_p
-        point of a good disk above the integer x of its reduction."""
-        if disk.kind != GOOD:
-            return disk.very_bad_point
-        return self._good_point(disk, self.ctx.element(disk.reduction[0]))
-
-    def point_at(self, disk, t, center) -> CurvePoint:
-        """The point with uniformizer value t != 0 in `disk`, a good disk
-        expanded around `center`.  A bad disk reads it off its expansion,
-        exact to W digits since T_bad >= W - 1: (x(t), t) on a finite disk,
-        (t^-3, u(t) t^-4) at infinity.  T_good can fall below W - 1, so on a
-        good disk x(center) + t is lifted to the disk's cube-root branch."""
+    def point_at(self, disk, t) -> CurvePoint:
+        """The point with uniformizer value t != 0 in `disk`.  A bad disk
+        reads it off its expansion, exact to W digits since T_bad >= W - 1:
+        (x(t), t) on a finite disk, (t^-3, u(t) t^-4) at infinity.  T_good
+        can fall below W - 1, so on a good disk x(center) + t is lifted to
+        the disk's cube-root branch."""
         if disk.kind == GOOD:
-            return self._good_point(disk, center.x + t)
+            return branch_point(self.curve, disk.center.x + t, disk.reduction[1])
         dd = self._disk_data(disk)
         if disk.kind == BAD_FINITE:
             return CurvePoint(self._eval_series(dd["xt"], t), t)
         return CurvePoint(t ** -3, self._eval_series(dd["u"], t) * t ** -4)
-
-    def _good_point(self, disk, x):
-        """(x, y) on a good disk, y the cube root of f(x) that reduces to
-        the disk's y."""
-        y0 = disk.reduction[1]
-        for y in cube_roots(self.curve.f_eval(x)):
-            if y.residue(1) == y0:
-                return CurvePoint(x, y)
-        raise ComputationFailure(f"no cube root of f({x!r}) reduces to {y0} mod {self.p}")
 
     # -- boundary points ---------------------------------------------------
 
@@ -499,7 +476,7 @@ class ColemanIntegrator:
         mod = ctx.pk(W)
         finite = disk.kind == BAD_FINITE
         if finite:
-            x0 = disk.very_bad_point.x.residue(W)
+            x0 = disk.center.x.residue(W)
             X = [c % mod for c in S.x.integers()]
             X[0] = (X[0] - x0) % mod
             x_el = RamifiedElement(ctx, e, 0, X, e * W)
@@ -575,7 +552,7 @@ class ColemanIntegrator:
 
     def _check_convergence(self, diags, precs):
         """Flag evaluations whose deep pole terms dominate (the boundary is
-        too close to the very bad point) or whose values, known modulo
+        too close to the disk's center) or whose values, known modulo
         pi^prec for prec in precs, fall short of the target: e must grow."""
         vmin = min((v for _, v in diags), default=INF)
         if vmin < -4 * self.e:
@@ -637,26 +614,27 @@ class ColemanIntegrator:
     def _endpoint(self, R):
         """h with h[i] = f_i(R) - int_R^phi(R) omega_i for an endpoint R of
         the linear system, whose right-hand side for (P, Q) is h(Q) - h(P).
+        The tiny integral runs from t(R) to t(phi(R)): from R.x - x0 to
+        R.x^p - x0 on a good disk with center (x0, y0), from pi to t(phi(S))
+        at a boundary point S.
         The cache holds R too, so no other point can reuse its id()."""
         got = self._endpoint_cache.get(id(R))
         if got is not None:
             return got[1]
         disk = self.disk_of(R)
-        omegas = [_unit(i) for i in range(6)]
         if disk.kind == GOOD:
             if R.x.e != 1:
                 raise WrongDisk("good-disk system endpoints must be Q_p points")
             fvals = self._exact_at_unramified(R.x, R.y)
-            tiny = self._eval_terms(self.antiderivative_rows(disk, omegas, R),
-                                    R.x ** self.p - R.x)
+            tphi = R.x ** self.p - disk.center.x
         else:
             if getattr(R, "_disk_t", None) is None:
                 raise WrongDisk("bad-disk system endpoints must be boundary points")
             fvals = self._exact_at_boundary(disk, R)
             tphi = self._phi_param(disk, R)
-            rows = self.antiderivative_rows(disk, omegas)
-            tiny = [a - b for a, b in zip(self._eval_terms(rows, tphi),
-                                          self._eval_terms(rows, R._disk_t))]
+        rows = self.antiderivative_rows(disk, [_unit(i) for i in range(6)])
+        tiny = [a - b for a, b in zip(self._eval_terms(rows, tphi),
+                                      self._eval_terms(rows, self._param(disk, R)))]
         h = [f - v for f, v in zip(fvals, tiny)]
         self._endpoint_cache[id(R)] = (R, h)
         return h
@@ -670,21 +648,8 @@ class ColemanIntegrator:
             raise NotSameDisk(f"{P!r} and {Q!r} lie in different disks")
         return self._tiny(dP, P, Q, [omega])[0]
 
-    def _is_unramified(self, P):
-        return P.inf or P.x.e == 1
-
     def _tiny(self, disk, P, Q, omegas):
         """[int_P^Q omega for omega in omegas], P and Q in `disk`."""
-        if disk.kind == GOOD:
-            if self._is_unramified(P):
-                center, other, sign = P, Q, 1
-            elif self._is_unramified(Q):
-                center, other, sign = Q, P, -1
-            else:
-                raise WrongDisk("tiny integral in a good disk needs a Q_p endpoint")
-            vals = self._eval_terms(self.antiderivative_rows(disk, omegas, center),
-                                    other.x - center.x)
-            return vals if sign == 1 else [-v for v in vals]
         rows = self.antiderivative_rows(disk, omegas)
         vQ = self._eval_terms(rows, self._param(disk, Q))
         vP = self._eval_terms(rows, self._param(disk, P))
@@ -693,8 +658,8 @@ class ColemanIntegrator:
     def basis_integrals(self, P, Q):
         """The vector (int_P^Q omega_i) for the six basis differentials.
 
-        P and Q must be endpoints of the linear system: good-disk Q_p points
-        or boundary points of bad disks.
+        P and Q must be Q_p points of good disks or boundary points of bad
+        disks; `integral` passes the endpoint of each disk.
         """
         hP, hQ = self._endpoint(P), self._endpoint(Q)
         c = [q - r for q, r in zip(hQ, hP)]
@@ -707,19 +672,22 @@ class ColemanIntegrator:
         return out
 
     def _system_endpoint(self, disk, P):
-        """P itself when it can be an endpoint of the linear system, else
-        the boundary point of its bad disk."""
-        if disk.kind == GOOD or getattr(P, "_disk_t", None) is not None:
+        """The endpoint of the linear system in P's disk: the center of a
+        good disk, and on a bad disk P itself when it is a boundary point,
+        else the disk's boundary point."""
+        if disk.kind == GOOD:
+            return disk.center
+        if getattr(P, "_disk_t", None) is not None:
             return P
         return self.boundary_point(disk)
 
     def integral(self, P, Q):
         """[int_P^Q omega_i for the regular omega_1, omega_2, omega_3].
 
-        P and Q may lie anywhere; interior points of bad disks (away from
-        the very bad point of a finite one) are routed through the disk's
-        boundary point.  The values are projected to Q_p when P and Q are
-        both Q_p points.
+        P and Q may lie anywhere.  In different disks, each is joined by a
+        tiny integral to its disk's endpoint of the linear system: the
+        center of a good disk, the boundary point of a bad one.  The values
+        are projected to Q_p when P and Q are both Q_p points.
         """
         dP, dQ = self.disk_of(P), self.disk_of(Q)
         regular = [_unit(i) for i in REGULAR]
@@ -733,7 +701,7 @@ class ColemanIntegrator:
                 vals = [a + b for a, b in zip(vals, self._tiny(dP, P, P2, regular))]
             if Q2 is not Q:
                 vals = [a + b for a, b in zip(vals, self._tiny(dQ, Q2, Q, regular))]
-        if self._is_unramified(P) and self._is_unramified(Q):
+        if all(X.inf or X.x.e == 1 for X in (P, Q)):
             vals = [self._project(v) for v in vals]
         return vals
 
@@ -750,6 +718,6 @@ class ColemanIntegrator:
         pts = divisor.points
         if divisor.base_multiple is not None and divisor.base_multiple != len(pts):
             raise ValueError("divisor must have degree zero against infinity")
-        base = self.infinite_disk.very_bad_point
+        base = self.infinite_disk.center
         rows = [self.integral(base, P) for P in pts]
         return [sum(col[1:], col[0]) for col in zip(*rows)]

@@ -1,9 +1,10 @@
-"""Picard curve model: validation, prime selection, residue disks, point
-lifting, and rational point search.
+"""Picard curve model: validation, prime selection, residue disks with
+their centers, and rational point search.
 
 A curve is y^3 = f(x) with f monic, quartic, squarefree.  A point is
 (x, y), or the point at infinity.  The local expansion of a residue disk
-belongs to the integrator that uses it (`ColemanIntegrator._disk_data`).
+around its center belongs to the integrator that uses it
+(`ColemanIntegrator._disk_data`).
 """
 
 from __future__ import annotations
@@ -87,9 +88,14 @@ BAD_INFINITE = "bad_infinite"
 
 @dataclass
 class ResidueDisk:
+    """The points of X(Q_p) reducing to one F_p-point.  The center is the
+    point at t = 0 of the disk's uniformizer: the lifted root of f on a
+    finite bad disk, infinity on the infinite one, and on a good disk the
+    point above the integer x of the reduction on the branch of its y."""
+
     reduction: object  # (x mod p, y mod p) or "inf"
     kind: str
-    very_bad_point: object = None
+    center: CurvePoint
 
     def __repr__(self):
         return f"Disk({self.reduction}, {self.kind})"
@@ -147,7 +153,7 @@ def points_over_Fp(curve: PicardCurve, p: int):
 
 
 def classify_disks(curve: PicardCurve, p: int, ctx: PadicContext = None):
-    """One ResidueDisk per F_p-point; bad disks get Hensel-lifted centers."""
+    """One ResidueDisk per F_p-point, each with its center lifted to Q_p."""
     if ctx is None:
         ctx = PadicContext(p, 12)
     disks = []
@@ -160,15 +166,16 @@ def classify_disks(curve: PicardCurve, p: int, ctx: PadicContext = None):
             center = CurvePoint(xr, ctx.zero())
             disks.append(ResidueDisk(pt, BAD_FINITE, center))
         else:
-            disks.append(ResidueDisk(pt, GOOD))
+            disks.append(ResidueDisk(pt, GOOD, branch_point(curve, ctx.element(pt[0]), pt[1])))
     return disks
 
 
-def lift_point(curve: PicardCurve, x0, ctx: PadicContext):
-    """All points of X(Q_p) with the given x-coordinate."""
-    x0 = ctx.element(x0)
-    fx = curve.f_eval(x0)
-    return [CurvePoint(x0, y) for y in cube_roots(fx)]
+def branch_point(curve: PicardCurve, x, y0):
+    """(x, y) with y the cube root of f(x) that reduces to y0 != 0 mod p."""
+    for y in cube_roots(curve.f_eval(x)):
+        if y.residue(1) == y0:
+            return CurvePoint(x, y)
+    raise ComputationFailure(f"no cube root of f({x!r}) reduces to {y0} mod {x.ctx.p}")
 
 
 def reduce_point(point: CurvePoint, p: int):

@@ -34,10 +34,10 @@ from picardcc.coleman import (
     _integerize,
     realize_nf_points,
 )
-from picardcc.curve import CurvePoint, PicardCurve, lift_point
-from picardcc.errors import BadDivisor, DegenerateDivisor
+from picardcc.curve import CurvePoint, PicardCurve, branch_point
+from picardcc.errors import BadDivisor, DegenerateDivisor, DoubleRoot, IncreaseE
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
-from picardcc.padic import INF, PadicContext
+from picardcc.padic import INF, PadicContext, cube_roots
 from picardcc.series import ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -84,8 +84,7 @@ def test_kernel_dimension_rank2(x40_p13):
     curve, eng = x40_p13
     divs = []
     for x0 in (4, -4):
-        P = [Q for Q in lift_point(curve, x0, eng.ctx)
-             if Q.y.residue(1) == 6 % 13][0]
+        P = branch_point(curve, eng.ctx.element(x0), 6)
         divs.append(DivisorSpec([P]))
     van = vanishing_differentials(eng, divs)
     assert len(van.vectors) == 1
@@ -93,7 +92,7 @@ def test_kernel_dimension_rank2(x40_p13):
 
 def test_vanishing_one_system_solve_per_point(x40_p13, monkeypatch):
     curve, eng = x40_p13
-    P = [Q for Q in lift_point(curve, 4, eng.ctx) if Q.y.residue(1) == 6][0]
+    P = branch_point(curve, eng.ctx.element(4), 6)
     calls = []
     solve = ColemanIntegrator.basis_integrals
 
@@ -109,7 +108,8 @@ def test_vanishing_one_system_solve_per_point(x40_p13, monkeypatch):
 def test_degenerate_divisor_rejected(x40_p13):
     curve, eng = x40_p13
     # div(x - 4) - 3*inf is principal: its integral vector vanishes
-    pts = lift_point(curve, 4, eng.ctx)
+    x = eng.ctx.element(4)
+    pts = [CurvePoint(x, y) for y in cube_roots(curve.f_eval(x))]
     with pytest.raises(DegenerateDivisor):
         vanishing_differentials(eng, [DivisorSpec(pts)])
 
@@ -152,7 +152,7 @@ def test_classify_ramification(x40_p13):
         precision = 12
         divisor_integrals = []
 
-    Q = disk.very_bad_point
+    Q = disk.center
     cls = classify_point(Q, eng, FakeVan())
     assert cls.tag == "Ramification"
 
@@ -487,6 +487,24 @@ def test_pipeline_composite_prime_is_failure():
     d = run_pipeline({"f": [-48, -24, 0, 0, 1]}, {"p": 25, "N": 8}).to_dict()
     assert d["status"] == "Failure"
     assert d["failure_reason"] == "bad-prime: p = 25 is not a prime > 3"
+
+
+def test_pipeline_failure_names_the_prime_it_ran_at(monkeypatch):
+    rec = {"label": "ex1", "f": EX1, "point": [-3, -1]}
+    d = run_pipeline(rec, {"N": 15, "e0": 10, "e_cap": 10}).to_dict()
+    assert d["failure_reason"].startswith("increase-e: ")
+    assert d["p"] == 5
+    # a double root at p = 5 moves the run to the next admissible prime
+    primes = []
+
+    def attempt(report, curve, p, *args):
+        primes.append(p)
+        raise (DoubleRoot if len(primes) == 1 else IncreaseE)("stub")
+
+    monkeypatch.setattr(chabauty_mod, "_attempt", attempt)
+    d = run_pipeline(rec, {"N": 15}).to_dict()
+    assert d["failure_reason"] == "increase-e: stub"
+    assert primes == [5, 7] and d["p"] == 7
 
 
 def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):

@@ -17,7 +17,7 @@ from picardcc.coleman import (
     NumberFieldPointSpec,
     realize_nf_points,
 )
-from picardcc.curve import CurvePoint, PicardCurve, lift_point
+from picardcc.curve import CurvePoint, PicardCurve, branch_point
 from picardcc.errors import (
     BadYRule,
     ComputationFailure,
@@ -26,7 +26,7 @@ from picardcc.errors import (
     NotSplit,
     PoleInDisk,
 )
-from picardcc.frobenius import BASIS, frobenius_matrix
+from picardcc.frobenius import BASIS, REGULAR, frobenius_matrix
 from picardcc.padic import (
     INF,
     PadicContext,
@@ -67,6 +67,12 @@ def unit(i):
 def dot(omega, integrals):
     """int omega from the integrals of the basis forms."""
     return sum(v * c for c, v in zip(omega, integrals))
+
+
+def _lifts(curve, x, ctx):
+    """All points of X(Q_p) with x-coordinate x."""
+    x = ctx.element(x)
+    return [CurvePoint(x, y) for y in cube_roots(curve.f_eval(x))]
 
 
 # --- realize_nf_points ----------------------------------------------------
@@ -117,8 +123,8 @@ def test_realize_bad_y_rule():
 def test_tiny_not_same_disk(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 2, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 2, ctx)[0]
     assert eng.disk_of(P) is not eng.disk_of(Q)
     with pytest.raises(NotSameDisk):
         eng.tiny_integral(P, Q, unit(0))
@@ -126,7 +132,7 @@ def test_tiny_not_same_disk(ex1_p5):
 
 def test_tiny_same_endpoint_zero(ex1_p5):
     eng = ex1_p5
-    P = lift_point(eng.curve, 0, eng.ctx)[0]
+    P = _lifts(eng.curve, 0, eng.ctx)[0]
     v = eng.tiny_integral(P, P, unit(1))
     assert v.is_zero
 
@@ -134,8 +140,8 @@ def test_tiny_same_endpoint_zero(ex1_p5):
 def test_tiny_linearity(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 5, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 5, ctx)[0]
     a, b = 3, 7
     om = [a, b, 0, 0, 0, 0]
     lhs = eng.tiny_integral(P, Q, om)
@@ -146,9 +152,9 @@ def test_tiny_linearity(ex1_p5):
 def test_tiny_additivity_same_disk(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 5, ctx)[0]
-    R = lift_point(eng.curve, 10, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 5, ctx)[0]
+    R = _lifts(eng.curve, 10, ctx)[0]
     for i in (0, 2, 4):
         d = (eng.tiny_integral(P, R, unit(i))
              - eng.tiny_integral(P, Q, unit(i)) - eng.tiny_integral(Q, R, unit(i)))
@@ -157,7 +163,7 @@ def test_tiny_additivity_same_disk(ex1_p5):
 
 def test_pole_in_disk_at_infinity(ex1_p5):
     eng = ex1_p5
-    inf = eng.infinite_disk.very_bad_point
+    inf = eng.infinite_disk.center
     S = eng.boundary_point(eng.infinite_disk)
     # omega_6 = x^2 y^2 dx/f has a pole of order 6 at infinity
     with pytest.raises(PoleInDisk):
@@ -183,8 +189,8 @@ def test_infinite_disk_no_residues(ex1_p5):
 def test_system_matches_tiny_in_shared_disk(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 5, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 5, ctx)[0]
     v = eng.basis_integrals(P, Q)
     for i in range(6):
         t = eng.tiny_integral(P, Q, unit(i))
@@ -195,9 +201,9 @@ def test_system_matches_tiny_in_shared_disk(ex1_p5):
 def test_cross_disk_additivity(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 2, ctx)[0]
-    R = lift_point(eng.curve, 4, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 2, ctx)[0]
+    R = _lifts(eng.curve, 4, ctx)[0]
     PR, PQ, QR = eng.integral(P, R), eng.integral(P, Q), eng.integral(Q, R)
     for om in ([1, 0, 0], [0, 0, 1], [1, 2, 3]):
         d = dot(om, PR) - dot(om, PQ) - dot(om, QR)
@@ -207,9 +213,9 @@ def test_cross_disk_additivity(ex1_p5):
 def test_cross_disk_additivity_through_bad_disk(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    R = [d for d in eng.disks if d.kind == "bad_finite"][0].very_bad_point
-    inf = eng.infinite_disk.very_bad_point
+    P = _lifts(eng.curve, 0, ctx)[0]
+    R = [d for d in eng.disks if d.kind == "bad_finite"][0].center
+    inf = eng.infinite_disk.center
     for a, b, c in zip(eng.integral(P, R), eng.integral(P, inf),
                        eng.integral(inf, R)):
         d = a - b - c
@@ -219,8 +225,8 @@ def test_cross_disk_additivity_through_bad_disk(ex1_p5):
 def test_integral_reverses_sign(ex1_p5):
     eng = ex1_p5
     ctx = eng.ctx
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 2, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 2, ctx)[0]
     for a, b in zip(eng.integral(P, Q), eng.integral(Q, P)):
         s = a + b
         assert s.is_zero or s.valuation() >= eng.N
@@ -243,8 +249,8 @@ def test_fundamental_theorem_on_exact_form(ex1_p5):
         om[slot] = Fraction(fp[a], 3)
     for j in range(6):
         om[j] += Fraction(4, 3) * coeffs[j]
-    P = lift_point(eng.curve, 0, ctx)[0]
-    Q = lift_point(eng.curve, 2, ctx)[0]
+    P = _lifts(eng.curve, 0, ctx)[0]
+    Q = _lifts(eng.curve, 2, ctx)[0]
 
     def correction(S):
         acc = ctx.zero()
@@ -359,11 +365,11 @@ def test_boundary_point_on_curve(ex1_p5):
 def test_ramification_classes_are_torsion(ex1_p5):
     # [R - inf] is 3-torsion for a ramification point R: regular integrals vanish
     eng = ex1_p5
-    inf = eng.infinite_disk.very_bad_point
+    inf = eng.infinite_disk.center
     for disk in eng.disks:
         if disk.kind != "bad_finite":
             continue
-        R = disk.very_bad_point
+        R = disk.center
         for i, v in enumerate(eng.integral(inf, R)):
             assert v.e == 1
             assert v.is_zero or v.valuation() >= eng.N, (disk, i)
@@ -372,9 +378,9 @@ def test_ramification_classes_are_torsion(ex1_p5):
 def test_principal_divisor_vanishes(x40_p13):
     # div(x - 4) - 3*inf is principal: f(4) = 216 has three 13-adic cube roots
     eng = x40_p13
-    pts = lift_point(eng.curve, 4, eng.ctx)
+    pts = _lifts(eng.curve, 4, eng.ctx)
     assert len(pts) == 3
-    rows = [eng.integral(eng.infinite_disk.very_bad_point, P) for P in pts]
+    rows = [eng.integral(eng.infinite_disk.center, P) for P in pts]
     for i, vals in enumerate(zip(*rows)):
         assert any(not v.is_zero for v in vals)
         s = vals[0] + vals[1] + vals[2]
@@ -383,14 +389,14 @@ def test_principal_divisor_vanishes(x40_p13):
 
 def test_divisor_integral_principal(x40_p13):
     eng = x40_p13
-    pts = lift_point(eng.curve, 4, eng.ctx)
+    pts = _lifts(eng.curve, 4, eng.ctx)
     for v in eng.divisor_integral(DivisorSpec(pts)):
         assert v.is_zero or v.valuation() >= eng.N
 
 
 def test_divisor_integral_degree_check(x40_p13):
     eng = x40_p13
-    pts = lift_point(eng.curve, 4, eng.ctx)
+    pts = _lifts(eng.curve, 4, eng.ctx)
     with pytest.raises(ValueError):
         eng.divisor_integral(DivisorSpec(pts, base_multiple=2))
 
@@ -398,8 +404,8 @@ def test_divisor_integral_degree_check(x40_p13):
 def test_e_stability(ex1_p5):
     eng = ex1_p5
     eng80 = ColemanIntegrator(eng.fd, N=eng.N, e=80)
-    inf = eng.infinite_disk.very_bad_point
-    P = lift_point(eng.curve, 0, eng.ctx)[0]
+    inf = eng.infinite_disk.center
+    P = _lifts(eng.curve, 0, eng.ctx)[0]
     for i, (a, b) in enumerate(zip(eng.integral(inf, P), eng80.integral(inf, P))):
         d = a - b
         assert d.is_zero or d.valuation() >= eng.N, i
@@ -407,8 +413,8 @@ def test_e_stability(ex1_p5):
 
 def test_projected_result_is_padic(x40_p13):
     eng = x40_p13
-    P = lift_point(eng.curve, 4, eng.ctx)[0]
-    for v in eng.integral(eng.infinite_disk.very_bad_point, P):
+    P = _lifts(eng.curve, 4, eng.ctx)[0]
+    for v in eng.integral(eng.infinite_disk.center, P):
         assert v.e == 1
         assert int(v.abs_prec) >= eng.N
 
@@ -418,25 +424,22 @@ def test_projected_result_is_padic(x40_p13):
 
 def _good_point(eng, disk, x):
     """The Q_p point of `disk` with x-coordinate x."""
-    y0 = disk.reduction[1]
-    return [P for P in lift_point(eng.curve, x, eng.ctx)
-            if P.y.residue(1) == y0][0]
+    return branch_point(eng.curve, eng.ctx.element(x), disk.reduction[1])
 
 
-def test_disk_caches_key_on_center_value(ex1_p5):
+def test_good_disk_points_share_one_disk_data(ex1_p5):
+    # tiny integrals, system endpoints and Chabauty rows of any number of
+    # points of a good disk all read the one expansion around its center
     eng = ColemanIntegrator(ex1_p5.fd, N=ex1_p5.N, e=ex1_p5.e)
     disk = next(d for d in eng.disks if d.kind == "good")
-    x0 = disk.reduction[0]
-    P1, P2 = _good_point(eng, disk, x0), _good_point(eng, disk, x0)
-    assert P1 is not P2
-    s1 = eng.antiderivative_rows(disk, [unit(0)], P1)
-    s2 = eng.antiderivative_rows(disk, [unit(0)], P2)
-    assert s1 == s2
-    assert len(eng._disk_data_cache) == 1
-    Q = _good_point(eng, disk, x0 + eng.p)
-    s3 = eng.antiderivative_rows(disk, [unit(0)], Q)
-    assert s3 != s1
-    assert len(eng._disk_data_cache) == 2
+    x0, p = disk.reduction[0], eng.p
+    pts = [_good_point(eng, disk, x0 + k * p) for k in (0, 1, 2, 7, 25)]
+    for P, Q in zip(pts, pts[1:]):
+        eng.tiny_integral(P, Q, unit(2))
+        eng.integral(P, Q)
+        eng.basis_integrals(P, Q)
+    eng.antiderivative_rows(disk, [unit(0)])
+    assert list(eng._disk_data_cache) == [disk.reduction]
 
 
 def test_system_factored_once_over_qp(monkeypatch):
@@ -456,7 +459,7 @@ def test_system_factored_once_over_qp(monkeypatch):
     eng = engines[0]
     disk = next(d for d in eng.disks if d.kind == "good")
     P = _good_point(eng, disk, disk.reduction[0])
-    eng.integral(eng.infinite_disk.very_bad_point, P)
+    eng.integral(eng.infinite_disk.center, P)
     assert calls == [6]
 
 
@@ -509,8 +512,8 @@ def test_stated_digits_hold_at_higher_precision():
     vals = []
     for N, e in ((10, 40), (14, 50)):
         eng = ColemanIntegrator(frobenius_matrix(curve, p, N), N=N, e=e)
-        P = [Q for Q in lift_point(curve, -3, eng.ctx) if Q.y.residue(1) == 4][0]
-        inf = eng.infinite_disk.very_bad_point
+        P = [Q for Q in _lifts(curve, -3, eng.ctx) if Q.y.residue(1) == 4][0]
+        inf = eng.infinite_disk.center
         vals.append(eng.integral(inf, P))
     for a, b in zip(*vals):
         assert a.abs_prec >= 10
@@ -649,7 +652,7 @@ def test_exact_at_unramified_matches_level_by_level_sum(coeffs, p, N):
     eng = ColemanIntegrator(_frobenius(tuple(coeffs), p, N), N=N, e=40)
     ctx, W = eng.ctx, eng.W
     points = [P for x0 in range(p) if poly_at(coeffs, x0) % p
-              for P in lift_point(eng.curve, x0, ctx)]
+              for P in _lifts(eng.curve, x0, ctx)]
     assert points
     for P in points:
         k = min([W] + [int(a) for a in (P.x.abs_prec, P.y.abs_prec) if a != INF])
@@ -755,7 +758,7 @@ def _reference_expansion(crv, disk, ctx, T, center=None):
         return [x0, 1], _ref_cuberoot(fx + [0] * max(0, T + 1 - len(fx)), mod, T, y0)
     if disk.kind == "bad_finite":
         Ts = T // 3 + 1
-        xs, prec = [disk.very_bad_point.x.residue(ctx.N)], 1
+        xs, prec = [disk.center.x.residue(ctx.N)], 1
         while prec <= Ts:
             prec = min(2 * prec, Ts + 1)
             fxs = _poly_of_series(crv.f, xs, mod, prec - 1)
@@ -846,11 +849,34 @@ def test_rows_combine_the_basis_pullbacks(e, ints, elems):
               for x in elems]
     omegas = [[n % ctx.pk(W) for n in ints], padics]
     good = next(d for d in eng.disks if d.kind == "good")
-    cases = [(d, eng.center(d) if d.kind == "good" else None) for d in eng.disks]
-    cases.append((good, _good_point(eng, good, good.reduction[0] + eng.p)))
-    for disk, center in cases:
-        assert (eng.antiderivative_rows(disk, omegas, center)
-                == _reference_rows(eng, disk, omegas, center)), disk
+    for disk in eng.disks:
+        assert (eng.antiderivative_rows(disk, omegas)
+                == _reference_rows(eng, disk, omegas, disk.center)), disk
+
+
+@pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 10), (EX4, 11, 8)], ids=["ex1@5", "ex4@11"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), r=st.integers(0, 10 ** 12))
+def test_integral_through_center_matches_per_point_endpoint(coeffs, p, N, data, r):
+    # the route that makes Q its own endpoint of the linear system, with
+    # f(Q) - int_Q^phi(Q) from the expansion around Q itself, agrees with
+    # the tiny integral from the center of Q's disk to every stated digit
+    eng = _engine(tuple(coeffs), p, N, 40)
+    disk = data.draw(st.sampled_from([d for d in eng.disks if d.kind == "good"]))
+    Q = _good_point(eng, disk, disk.reduction[0] + p * r)
+    inf, S = eng.infinite_disk.center, eng.boundary_point(eng.infinite_disk)
+    rows = _reference_rows(eng, disk, [unit(i) for i in range(6)], Q)
+    tiny = eng._eval_terms(rows, Q.x ** p - Q.x)
+    hQ = [f - v for f, v in zip(eng._exact_at_unramified(Q.x, Q.y), tiny)]
+    c = [q - s for q, s in zip(hQ, eng._endpoint(S))]
+    v = [sum((x * y for x, y in zip(c[1:], row[1:])), c[0] * row[0])
+         for row in eng.system_inverse]
+    to_S = eng._tiny(eng.infinite_disk, inf, S, [unit(i) for i in REGULAR])
+    want = [eng._project(v[i] + t) for i, t in zip(REGULAR, to_S)]
+    for g, w in zip(eng.integral(inf, Q), want):
+        assert g.e == w.e == 1
+        assert min(g.abs_prec, w.abs_prec) >= N
+        assert (g - w).is_zero
 
 
 def test_rows_make_no_series_products_after_disk_data(monkeypatch):
@@ -865,11 +891,10 @@ def test_rows_make_no_series_products_after_disk_data(monkeypatch):
         return series.ser_mul(*args, **kwargs)
 
     for disk in eng.disks:
-        center = eng.center(disk)
-        eng._disk_data(disk, center)
+        eng._disk_data(disk)
         with monkeypatch.context() as m:
             m.setattr(coleman, "ser_mul", spy)
-            assert len(eng.antiderivative_rows(disk, omegas, center)) == 7
+            assert len(eng.antiderivative_rows(disk, omegas)) == 7
         assert not calls, disk
 
 
@@ -879,7 +904,6 @@ def test_disk_data_reads_g_off_the_inverse_cube_root(monkeypatch, kind, most):
     # of F, where y/f and y^2/f took one and three (good) or five products
     eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 10), N=10, e=50)
     disk = next(d for d in eng.disks if d.kind == kind)
-    center = eng.center(disk)
     roots, products = [], []
 
     def root_spy(a, k, *args):
@@ -892,15 +916,16 @@ def test_disk_data_reads_g_off_the_inverse_cube_root(monkeypatch, kind, most):
 
     monkeypatch.setattr(coleman, "ser_inverse_root", root_spy)
     monkeypatch.setattr(coleman, "ser_mul", mul_spy)
-    eng._disk_data(disk, center)
+    eng._disk_data(disk)
     assert roots == [3]
     assert len(products) <= most
 
 
 def _reference_center(eng, disk):
-    if disk.kind != "good":
-        return disk.very_bad_point
-    return _good_point(eng, disk, disk.reduction[0])
+    """The point above the integer x of a good disk's reduction whose y
+    reduces to the disk's y."""
+    x = eng.ctx.element(disk.reduction[0])
+    return next(P for P in _lifts(eng.curve, x, eng.ctx) if P.y.residue(1) == disk.reduction[1])
 
 
 def _reference_point(eng, disk, center, t, Np):
@@ -947,13 +972,12 @@ def test_point_at_matches_reference_lift(coeffs, p, N, r, Np):
     assume(t_int)
     t = eng.ctx.from_int(t_int)
     for disk in eng.disks:
-        center, want_center = eng.center(disk), _reference_center(eng, disk)
+        center = disk.center
         if disk.kind == "good":
+            want_center = _reference_center(eng, disk)
             assert _digits(center.x) == _digits(want_center.x)
             assert _digits(center.y) == _digits(want_center.y)
-        else:
-            assert center is want_center
-        got = eng.point_at(disk, t, center)
+        got = eng.point_at(disk, t)
         want = _reference_point(eng, disk, center, t, Np)
         assert (_digits(got.x), _digits(got.y)) == (_digits(want.x), _digits(want.y)), disk
         assert (got.y ** 3).is_congruent(eng.curve.f_eval(got.x))
@@ -963,8 +987,8 @@ def test_point_at_without_matching_cube_root_is_typed(ex1_p5, monkeypatch):
     # a good-disk point whose f(x) has no cube root over the disk's y
     eng = ex1_p5
     disk = next(d for d in eng.disks if d.kind == "good")
-    center, t = eng.center(disk), eng.ctx.from_int(eng.p)
-    assert eng.point_at(disk, t, center).y.residue(1) == disk.reduction[1]
-    monkeypatch.setattr(coleman, "cube_roots", lambda a: [])
+    t = eng.ctx.from_int(eng.p)
+    assert eng.point_at(disk, t).y.residue(1) == disk.reduction[1]
+    monkeypatch.setattr("picardcc.curve.cube_roots", lambda a: [])
     with pytest.raises(ComputationFailure):
-        eng.point_at(disk, t, center)
+        eng.point_at(disk, t)

@@ -16,7 +16,6 @@ from picardcc.curve import (
     PicardCurve,
     classify_disks,
     good_prime,
-    lift_point,
     points_over_Fp,
     prime_rejection,
     rational_point_search,
@@ -162,25 +161,25 @@ def test_classify_disks_example1():
 
 
 def test_bad_center_reduces_correctly():
+    # a finite bad center is a root of f; a good center lies above the
+    # integer x of its reduction, on the branch of its y (f(x) has three
+    # cube roots mod 13, one mod 17)
     c = PicardCurve(EX1)
-    ctx = PadicContext(17, 8)
-    for d in classify_disks(c, 17, ctx):
-        if d.kind == BAD_FINITE:
-            assert reduce_point(d.very_bad_point, 17) == d.reduction
-            fx = c.f_eval(d.very_bad_point.x)
-            assert fx.is_zero
-
-
-def test_lift_point_examples():
-    ctx = PadicContext(11, 5)
-    c2 = PicardCurve(EX2)
-    pts = lift_point(c2, 2, ctx)   # f(2) = 32
-    assert len(pts) == 1
-    assert pts[0].y.residue(1) == 10
-
-    c1 = PicardCurve(EX1)
-    root = [P for P in lift_point(c1, -4, ctx)]  # f(-4) = 0
-    assert len(root) == 1 and root[0].y.is_zero
+    for p in (13, 17):
+        ctx = PadicContext(p, 8)
+        disks = classify_disks(c, p, ctx)
+        assert {d.kind for d in disks} == {GOOD, BAD_FINITE, BAD_INFINITE}
+        for d in disks:
+            if d.kind == BAD_INFINITE:
+                assert d.center.inf
+                continue
+            assert reduce_point(d.center, p) == d.reduction
+            fx = c.f_eval(d.center.x)
+            if d.kind == BAD_FINITE:
+                assert d.center.y.is_zero and fx.is_zero
+            else:
+                assert d.center.x.residue(8) == d.reduction[0]
+                assert (d.center.y ** 3 - fx).is_zero
 
 
 # --- local expansions of the residue disks (`ColemanIntegrator._disk_data`) --
@@ -210,10 +209,7 @@ def _g(eng, dd, b, T):
 
 def _good_disk_data(eng):
     good = next(d for d in eng.disks if d.kind == GOOD)
-    x0, y0 = good.reduction
-    center = [P for P in lift_point(eng.curve, x0, eng.ctx)
-              if P.y.residue(1) == y0][0]
-    return center, eng._disk_data(good, center)
+    return good.center, eng._disk_data(good)
 
 
 def test_local_expansion_good_disk():
@@ -245,7 +241,7 @@ def test_local_expansion_bad_finite():
         fx[0] = (fx[0] + c) % mod
     assert fx == [0, 0, 0, 1] + [0] * (T - 3)
     # x(t) = a + t^3/f'(a) + O(t^6), a the very bad point at t = 0
-    a = bad.very_bad_point.x.residue(W)
+    a = bad.center.x.residue(W)
     fprime_a = poly_eval_mod(poly_deriv(eng.curve.f), a, mod)
     assert xt[0] == a
     assert xt[3] == pow(fprime_a, -1, mod)

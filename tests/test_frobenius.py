@@ -10,7 +10,6 @@ from picardcc.curve import (
     GOOD,
     PicardCurve,
     classify_disks,
-    lift_point,
     points_over_Fp,
 )
 from picardcc.frobenius import (
@@ -89,8 +88,7 @@ def check_identity(coeffs, p, N, L=36):
     ctx = PadicContext(p, W + S)
     disks = classify_disks(c, p, ctx)
     good = [d for d in disks if d.kind == GOOD][0]
-    x0, y0 = good.reduction
-    center = [P for P in lift_point(c, x0, ctx) if P.y.residue(1) == y0][0]
+    center = good.center
     # x = x0 + t, y = F r^2 and 1/y = r for r = F^(-1/3), F = f(x0 + t)
     x0 = center.x.residue(W + S)
     xs = [x0, 1] + [0] * (L - 1)
