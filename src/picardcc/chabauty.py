@@ -209,7 +209,7 @@ def _disk_points(engine, disk, vanishing, base):
     out = []
     for (r, Np, rec) in accepted:
         Q = _point_from_root(engine, disk, r, Np)
-        Q._certificate = {
+        Q.certificate = {
             "disk": list(disk.reduction) if disk.reduction != "inf" else "inf",
             "root_residue": int(r),
             "digits": int(rec.known_digits),
@@ -304,9 +304,7 @@ def classify_point(Q, engine, vanishing, relation_bound=50):
     tol = max(5, min(8, vanishing.precision))
     # coordinates are full-precision representatives; only the certified
     # digits of the underlying residue class are trusted for recognition
-    kp = None
-    if hasattr(Q, "_certificate"):
-        kp = int(Q._certificate["precision"]) + 1
+    kp = None if Q.certificate is None else int(Q.certificate["precision"]) + 1
     if Q.inf:
         return PointClassification("Rational", evidence={"point": "inf"})
 
@@ -383,8 +381,8 @@ def _point_record(Q, cls):
     if cls.relation:
         rec["relation"] = list(cls.relation)
     rec["evidence"] = cls.evidence
-    if hasattr(Q, "_certificate"):
-        rec["certificate"] = Q._certificate
+    if Q.certificate is not None:
+        rec["certificate"] = Q.certificate
     return rec
 
 

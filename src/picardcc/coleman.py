@@ -2,19 +2,22 @@
 
 `integral(P, Q)` is the vector of the regular integrals int_P^Q omega_i,
 i = 1..3, for any two points.  Tiny integrals integrate the disk expansion
-around the disk's center termwise; between disks, `basis_integrals` solves
-the Frobenius-equivariant system (I - M) v = c for all six basis forms, M
-being Frobenius on the cohomology basis and c the exact parts and endpoint
-corrections.  (I - M) is inverted once over Q_p (`FrobeniusData.system`).
-Each disk has one endpoint of the system, which `integral` joins to any
-point of the disk by a tiny integral: the center of a good disk, and the
-boundary point of a bad disk over Q_p(pi), pi^e = p, whose values are flat
-RamifiedElements.  The result is projected to Q_p when P and Q are Q_p
-points.
+around the disk's center termwise.  Between disks every integral goes
+through the one base point infinity, as in Balakrishnan--Tuitman: each disk
+D has one endpoint E_D of the Frobenius-equivariant system, the center of a
+good disk or the boundary point of a bad disk over Q_p(pi), pi^e = p, whose
+values are flat RamifiedElements.  `basis_integrals(D)` solves
+(I - M) v = h(E_D) - h(S_inf) once per disk for the six basis forms, M
+being Frobenius on the cohomology basis, h the exact parts and endpoint
+corrections and S_inf the boundary point of the infinite disk; (I - M) is
+inverted once over Q_p (`FrobeniusData.system`).  With int_inf^S_inf, also
+made once, that gives int_inf^E_D, which a tiny integral joins to any point
+of D.  The result is projected to Q_p when P and Q are Q_p points.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .curve import (
@@ -30,7 +33,6 @@ from .curve import (
 from .errors import (
     BadYRule,
     IncreaseE,
-    NotSameDisk,
     NotSplit,
     PoleInDisk,
     WrongDisk,
@@ -77,11 +79,10 @@ class DivisorSpec:
     base_multiple: int = None
 
 
-def _unit(i):
-    """The basis differential omega_(i+1) as a coefficient vector."""
-    v = [0] * 6
-    v[i] = 1
-    return v
+# the basis differentials omega_1..omega_6, and the regular ones, as
+# coefficient vectors
+_BASIS_UNITS = [[int(i == j) for j in range(6)] for i in range(6)]
+_REGULAR_UNITS = [_BASIS_UNITS[i] for i in REGULAR]
 
 
 def _integerize(poly):
@@ -156,7 +157,7 @@ class ColemanIntegrator:
         if e < 1:
             raise ValueError(f"ramification index e must be >= 1, got {e}")
         self.e = e
-        self.disks = classify_disks(self.curve, self.p, self.ctx)
+        self.disks = classify_disks(self.curve, self.ctx)
         self._disk_by_key = {d.reduction: d for d in self.disks}
         self.infinite_disk = self._disk_by_key["inf"]
         self.system_inverse, self.det_ord = fd.system
@@ -165,14 +166,12 @@ class ColemanIntegrator:
         self._disk_data_cache = {}
         self._endpoint_cache = {}
         self._boundary_cache = {}
+        self._to_endpoint_cache = {}
 
     # -- disks and local data ---------------------------------------------
 
     def disk_of(self, P: CurvePoint):
-        key = getattr(P, "_disk_key", None)
-        if key is None:
-            key = reduce_point(P, self.p)
-        disk = self._disk_by_key.get(key)
+        disk = self._disk_by_key.get(reduce_point(P, self.p))
         if disk is None:
             raise WrongDisk(f"point {P!r} reduces outside X(F_{self.p})")
         return disk
@@ -367,9 +366,6 @@ class ColemanIntegrator:
         """The uniformizer value of P in its disk: x - x(center) on a good
         disk, y on a finite bad disk and the cube root of 1/x on the branch
         of y at infinity (None for the center of a bad disk)."""
-        t = getattr(P, "_disk_t", None)
-        if t is not None:
-            return t
         if disk.kind == GOOD:
             return P.x - disk.center.x
         if disk.kind == BAD_FINITE:
@@ -415,14 +411,10 @@ class ColemanIntegrator:
         pi1 = RamifiedElement.pi(ctx, e, 1)
         dd = self._disk_data(disk)
         if disk.kind == BAD_FINITE:
-            xS = self._eval_series(dd["xt"], pi1)
-            S = CurvePoint(xS, pi1)
+            S = CurvePoint(self._eval_series(dd["xt"], pi1), pi1)
         else:
             uS = self._eval_series(dd["u"], pi1)
             S = CurvePoint(RamifiedElement.pi(ctx, e, -3), uS.shift_pi(-4))
-            S._u_value = uS
-        S._disk_t = pi1
-        S._disk_key = disk.reduction
         self._boundary_cache[disk.reduction] = S
         return S
 
@@ -481,7 +473,7 @@ class ColemanIntegrator:
             X[0] = (X[0] - x0) % mod
             x_el = RamifiedElement(ctx, e, 0, X, e * W)
         else:
-            uval = S._u_value
+            uval = S.y.shift_pi(4)
             uinv = uval.inverse()
         forms, diags = [], []
         for part in self.fd.exact_parts:
@@ -611,96 +603,90 @@ class ColemanIntegrator:
 
     # -- endpoints of the linear system ------------------------------------
 
-    def _endpoint(self, R):
-        """h with h[i] = f_i(R) - int_R^phi(R) omega_i for an endpoint R of
-        the linear system, whose right-hand side for (P, Q) is h(Q) - h(P).
-        The tiny integral runs from t(R) to t(phi(R)): from R.x - x0 to
-        R.x^p - x0 on a good disk with center (x0, y0), from pi to t(phi(S))
-        at a boundary point S.
-        The cache holds R too, so no other point can reuse its id()."""
-        got = self._endpoint_cache.get(id(R))
-        if got is not None:
-            return got[1]
-        disk = self.disk_of(R)
+    def _system_endpoint(self, disk):
+        """(E, t(E)) for the disk's endpoint E of the linear system: the
+        center of a good disk, at t = 0, and the boundary point of a bad
+        disk, at t = pi."""
         if disk.kind == GOOD:
-            if R.x.e != 1:
-                raise WrongDisk("good-disk system endpoints must be Q_p points")
-            fvals = self._exact_at_unramified(R.x, R.y)
-            tphi = R.x ** self.p - disk.center.x
-        else:
-            if getattr(R, "_disk_t", None) is None:
-                raise WrongDisk("bad-disk system endpoints must be boundary points")
-            fvals = self._exact_at_boundary(disk, R)
-            tphi = self._phi_param(disk, R)
-        rows = self.antiderivative_rows(disk, [_unit(i) for i in range(6)])
-        tiny = [a - b for a, b in zip(self._eval_terms(rows, tphi),
-                                      self._eval_terms(rows, self._param(disk, R)))]
-        h = [f - v for f, v in zip(fvals, tiny)]
-        self._endpoint_cache[id(R)] = (R, h)
+            return disk.center, None
+        return self.boundary_point(disk), RamifiedElement.pi(self.ctx, self.e, 1)
+
+    def _endpoint(self, disk):
+        """h with h[i] = f_i(E) - int_E^phi(E) omega_i at the disk's endpoint
+        E of the linear system, made once per disk.  The tiny integral runs
+        from t(E) to t(phi(E)): from 0 to x0^p - x0 on a good disk with
+        center (x0, y0), from pi to t(phi(S)) at a boundary point S."""
+        h = self._endpoint_cache.get(disk.reduction)
+        if h is None:
+            E, tE = self._system_endpoint(disk)
+            if disk.kind == GOOD:
+                fvals, tphi = self._exact_at_unramified(E.x, E.y), E.x ** self.p - E.x
+            else:
+                fvals, tphi = self._exact_at_boundary(disk, E), self._phi_param(disk, E)
+            tiny = self._tiny(disk, tE, tphi, _BASIS_UNITS)
+            h = self._endpoint_cache[disk.reduction] = [f - v for f, v in zip(fvals, tiny)]
         return h
 
     # -- public integrals ---------------------------------------------------
 
-    def tiny_integral(self, P, Q, omega):
-        """int_P^Q omega for P, Q in one residue disk."""
-        dP, dQ = self.disk_of(P), self.disk_of(Q)
-        if dP is not dQ:
-            raise NotSameDisk(f"{P!r} and {Q!r} lie in different disks")
-        return self._tiny(dP, P, Q, [omega])[0]
-
-    def _tiny(self, disk, P, Q, omegas):
-        """[int_P^Q omega for omega in omegas], P and Q in `disk`."""
+    def _tiny(self, disk, tP, tQ, omegas):
+        """[int_P^Q omega for omega in omegas] for the points P and Q of
+        `disk` at the uniformizer values tP and tQ (None at the center)."""
         rows = self.antiderivative_rows(disk, omegas)
-        vQ = self._eval_terms(rows, self._param(disk, Q))
-        vP = self._eval_terms(rows, self._param(disk, P))
+        vQ = self._eval_terms(rows, tQ)
+        vP = self._eval_terms(rows, tP)
         return [q - r for q, r in zip(vQ, vP)]
 
-    def basis_integrals(self, P, Q):
-        """The vector (int_P^Q omega_i) for the six basis differentials.
-
-        P and Q must be Q_p points of good disks or boundary points of bad
-        disks; `integral` passes the endpoint of each disk.
+    def basis_integrals(self, disk):
+        """The vector (int_S^E omega_i) for the six basis differentials, from
+        the boundary point S of the infinite disk to the endpoint E of
+        `disk`: (I - M)^-1 (h(E) - h(S)).  `integral` calls it once per disk.
         """
-        hP, hQ = self._endpoint(P), self._endpoint(Q)
-        c = [q - r for q, r in zip(hQ, hP)]
-        out = []
-        for row in self.system_inverse:
-            acc = c[0] * row[0]
-            for x, y in zip(c[1:], row[1:]):
-                acc = acc + x * y
-            out.append(acc)
-        return out
+        hS, hE = self._endpoint(self.infinite_disk), self._endpoint(disk)
+        c = [q - r for q, r in zip(hE, hS)]
+        return [sum((x * y for x, y in zip(c[1:], row[1:])), c[0] * row[0])
+                for row in self.system_inverse]
 
-    def _system_endpoint(self, disk, P):
-        """The endpoint of the linear system in P's disk: the center of a
-        good disk, and on a bad disk P itself when it is a boundary point,
-        else the disk's boundary point."""
-        if disk.kind == GOOD:
-            return disk.center
-        if getattr(P, "_disk_t", None) is not None:
-            return P
-        return self.boundary_point(disk)
+    @cached_property
+    def _to_boundary(self):
+        """int_inf^S omega_i for the regular forms, S the boundary point of
+        the infinite disk."""
+        inf = self.infinite_disk
+        return self._tiny(inf, None, self._system_endpoint(inf)[1], _REGULAR_UNITS)
+
+    def _from_infinity(self, disk, Q):
+        """int_inf^Q omega_i for the regular forms, Q a point of `disk`: a
+        tiny integral on the infinite disk.  Elsewhere int_inf^E to the
+        disk's endpoint E, basis_integrals(disk) plus int_inf^S, is made once
+        per disk, and a tiny integral joins E to Q."""
+        if disk is self.infinite_disk:
+            return self._tiny(disk, None, self._param(disk, Q), _REGULAR_UNITS)
+        vals = self._to_endpoint_cache.get(disk.reduction)
+        if vals is None:
+            v = self.basis_integrals(disk)
+            vals = [v[i] + s for i, s in zip(REGULAR, self._to_boundary)]
+            self._to_endpoint_cache[disk.reduction] = vals
+        E, tE = self._system_endpoint(disk)
+        if Q is E:
+            return list(vals)
+        tiny = self._tiny(disk, tE, self._param(disk, Q), _REGULAR_UNITS)
+        return [a + b for a, b in zip(vals, tiny)]
 
     def integral(self, P, Q):
         """[int_P^Q omega_i for the regular omega_1, omega_2, omega_3].
 
-        P and Q may lie anywhere.  In different disks, each is joined by a
-        tiny integral to its disk's endpoint of the linear system: the
-        center of a good disk, the boundary point of a bad one.  The values
-        are projected to Q_p when P and Q are both Q_p points.
+        P and Q may lie anywhere, and infinity is the one base point: in one
+        disk this is a tiny integral, and otherwise int_inf^Q, less int_inf^P
+        unless P is infinity (`_from_infinity`).  The values are projected to
+        Q_p when P and Q are both Q_p points.
         """
         dP, dQ = self.disk_of(P), self.disk_of(Q)
-        regular = [_unit(i) for i in REGULAR]
         if dP is dQ:
-            vals = self._tiny(dP, P, Q, regular)
+            vals = self._tiny(dP, self._param(dP, P), self._param(dQ, Q), _REGULAR_UNITS)
         else:
-            P2, Q2 = self._system_endpoint(dP, P), self._system_endpoint(dQ, Q)
-            v = self.basis_integrals(P2, Q2)
-            vals = [v[i] for i in REGULAR]
-            if P2 is not P:
-                vals = [a + b for a, b in zip(vals, self._tiny(dP, P, P2, regular))]
-            if Q2 is not Q:
-                vals = [a + b for a, b in zip(vals, self._tiny(dQ, Q2, Q, regular))]
+            vals = self._from_infinity(dQ, Q)
+            if not P.inf:
+                vals = [q - r for q, r in zip(vals, self._from_infinity(dP, P))]
         if all(X.inf or X.x.e == 1 for X in (P, Q)):
             vals = [self._project(v) for v in vals]
         return vals

@@ -52,7 +52,6 @@ class PicardCurve:
             raise CurveValidationError(f"discriminant {discriminant!r} is not an integer")
         self.discriminant = None if d is None else int(d)
         self.label = label
-        self.genus = 3
 
     def f_eval(self, x):
         """f(x) on ints, Fractions, and ring elements."""
@@ -72,6 +71,7 @@ class CurvePoint:
     inf: bool = False
     exact_x: object = None  # Fraction, when the point is known exactly
     exact_y: object = None
+    certificate: dict = None  # how a Chabauty root was certified
 
     def __repr__(self):
         if self.inf:
@@ -152,12 +152,11 @@ def points_over_Fp(curve: PicardCurve, p: int):
     return pts
 
 
-def classify_disks(curve: PicardCurve, p: int, ctx: PadicContext = None):
-    """One ResidueDisk per F_p-point, each with its center lifted to Q_p."""
-    if ctx is None:
-        ctx = PadicContext(p, 12)
+def classify_disks(curve: PicardCurve, ctx: PadicContext):
+    """One ResidueDisk per F_p-point, p = ctx.p, each with its center lifted
+    to Q_p."""
     disks = []
-    for pt in points_over_Fp(curve, p):
+    for pt in points_over_Fp(curve, ctx.p):
         if pt == "inf":
             disks.append(ResidueDisk("inf", BAD_INFINITE, CurvePoint(inf=True)))
         elif pt[1] == 0:

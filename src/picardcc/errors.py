@@ -45,10 +45,6 @@ class WrongDisk(PicardCCError):
     pass
 
 
-class NotSameDisk(PicardCCError):
-    pass
-
-
 class PoleInDisk(PicardCCError):
     pass
 

@@ -90,19 +90,33 @@ def test_kernel_dimension_rank2(x40_p13):
     assert len(van.vectors) == 1
 
 
-def test_vanishing_one_system_solve_per_point(x40_p13, monkeypatch):
-    curve, eng = x40_p13
-    P = branch_point(curve, eng.ctx.element(4), 6)
-    calls = []
-    solve = ColemanIntegrator.basis_integrals
+def test_one_system_solve_per_disk(ex4_p11, monkeypatch):
+    # the divisor integrals, the Chabauty set and the classification of its
+    # members all go through infinity: (I - M) is solved once per disk they
+    # reach, and int_inf^S to the infinite disk's boundary point S is made
+    # once
+    _, fixture_eng, divs, _ = ex4_p11
+    eng = ColemanIntegrator(fixture_eng.fd, N=fixture_eng.N, e=fixture_eng.e)
+    solves, to_boundary = [], []
+    solve, tiny = ColemanIntegrator.basis_integrals, ColemanIntegrator._tiny
 
-    def spy(self, A, B):
-        calls.append((A, B))
-        return solve(self, A, B)
+    def solve_spy(self, disk):
+        solves.append(disk.reduction)
+        return solve(self, disk)
 
-    monkeypatch.setattr(ColemanIntegrator, "basis_integrals", spy)
-    vanishing_differentials(eng, [DivisorSpec([P])])
-    assert len(calls) == 1
+    def tiny_spy(self, disk, tP, tQ, omegas):
+        if disk is self.infinite_disk and tP is None:
+            to_boundary.append(tQ)
+        return tiny(self, disk, tP, tQ, omegas)
+
+    monkeypatch.setattr(ColemanIntegrator, "basis_integrals", solve_spy)
+    monkeypatch.setattr(ColemanIntegrator, "_tiny", tiny_spy)
+    van = vanishing_differentials(eng, divs)
+    pts = chabauty_set(eng, van)
+    for Q in pts:
+        classify_point(Q, eng, van)
+    assert sorted(solves) == sorted(d.reduction for d in eng.disks if d is not eng.infinite_disk)
+    assert len(to_boundary) == 1 and to_boundary[0].pi_valuation() == 1
 
 
 def test_degenerate_divisor_rejected(x40_p13):

@@ -22,7 +22,6 @@ from picardcc.errors import (
     BadYRule,
     ComputationFailure,
     IncreaseE,
-    NotSameDisk,
     NotSplit,
     PoleInDisk,
 )
@@ -75,6 +74,36 @@ def _lifts(curve, x, ctx):
     return [CurvePoint(x, y) for y in cube_roots(curve.f_eval(x))]
 
 
+def _tiny_integral(eng, P, Q, omega):
+    """int_P^Q omega for P and Q in one residue disk."""
+    disk = eng.disk_of(P)
+    assert eng.disk_of(Q) is disk
+    return eng._tiny(disk, eng._param(disk, P), eng._param(disk, Q), [omega])[0]
+
+
+def _point_endpoint(eng, R):
+    """h(R) = f_i(R) - int_R^phi(R) omega_i with the Q_p point R of a good
+    disk as its own endpoint of the linear system; the tiny integral runs
+    from t(R) to t(phi(R)) = x(R)^p - x(center)."""
+    disk = eng.disk_of(R)
+    tiny = eng._tiny(disk, eng._param(disk, R), R.x ** eng.p - disk.center.x,
+                     [unit(i) for i in range(6)])
+    return [f - v for f, v in zip(eng._exact_at_unramified(R.x, R.y), tiny)]
+
+
+def _solve_system(eng, c):
+    """(I - M)^-1 c."""
+    return [sum((x * y for x, y in zip(c[1:], row[1:])), c[0] * row[0])
+            for row in eng.system_inverse]
+
+
+def _system_integrals(eng, P, Q):
+    """The six basis integrals from P to Q by the Frobenius system, with the
+    good-disk Q_p points P and Q as their own endpoints."""
+    return _solve_system(eng, [q - r for q, r in zip(_point_endpoint(eng, Q),
+                                                     _point_endpoint(eng, P))])
+
+
 # --- realize_nf_points ----------------------------------------------------
 
 
@@ -120,20 +149,10 @@ def test_realize_bad_y_rule():
 # --- tiny integrals -------------------------------------------------------
 
 
-def test_tiny_not_same_disk(ex1_p5):
-    eng = ex1_p5
-    ctx = eng.ctx
-    P = _lifts(eng.curve, 0, ctx)[0]
-    Q = _lifts(eng.curve, 2, ctx)[0]
-    assert eng.disk_of(P) is not eng.disk_of(Q)
-    with pytest.raises(NotSameDisk):
-        eng.tiny_integral(P, Q, unit(0))
-
-
 def test_tiny_same_endpoint_zero(ex1_p5):
     eng = ex1_p5
     P = _lifts(eng.curve, 0, eng.ctx)[0]
-    v = eng.tiny_integral(P, P, unit(1))
+    v = _tiny_integral(eng, P, P, unit(1))
     assert v.is_zero
 
 
@@ -144,8 +163,8 @@ def test_tiny_linearity(ex1_p5):
     Q = _lifts(eng.curve, 5, ctx)[0]
     a, b = 3, 7
     om = [a, b, 0, 0, 0, 0]
-    lhs = eng.tiny_integral(P, Q, om)
-    rhs = eng.tiny_integral(P, Q, unit(0)) * a + eng.tiny_integral(P, Q, unit(1)) * b
+    lhs = _tiny_integral(eng, P, Q, om)
+    rhs = _tiny_integral(eng, P, Q, unit(0)) * a + _tiny_integral(eng, P, Q, unit(1)) * b
     assert (lhs - rhs).valuation() >= eng.N
 
 
@@ -156,21 +175,21 @@ def test_tiny_additivity_same_disk(ex1_p5):
     Q = _lifts(eng.curve, 5, ctx)[0]
     R = _lifts(eng.curve, 10, ctx)[0]
     for i in (0, 2, 4):
-        d = (eng.tiny_integral(P, R, unit(i))
-             - eng.tiny_integral(P, Q, unit(i)) - eng.tiny_integral(Q, R, unit(i)))
+        d = (_tiny_integral(eng, P, R, unit(i))
+             - _tiny_integral(eng, P, Q, unit(i)) - _tiny_integral(eng, Q, R, unit(i)))
         assert d.is_zero or d.valuation() >= eng.N
 
 
 def test_pole_in_disk_at_infinity(ex1_p5):
     eng = ex1_p5
-    inf = eng.infinite_disk.center
-    S = eng.boundary_point(eng.infinite_disk)
+    disk, pi = eng.infinite_disk, RamifiedElement.pi(eng.ctx, eng.e, 1)
     # omega_6 = x^2 y^2 dx/f has a pole of order 6 at infinity
     with pytest.raises(PoleInDisk):
-        eng.tiny_integral(inf, S, unit(5))
-    # the regular ones integrate fine from the center (the value lives at
-    # the boundary, so a bounded negative valuation is expected)
-    v = eng.tiny_integral(inf, S, unit(0))
+        eng._tiny(disk, None, pi, [unit(5)])
+    # the regular ones integrate fine from the center to the boundary point
+    # (the value lives at the boundary, so a bounded negative valuation is
+    # expected)
+    [v] = eng._tiny(disk, None, pi, [unit(0)])
     assert v.valuation() > -2
 
 
@@ -191,9 +210,9 @@ def test_system_matches_tiny_in_shared_disk(ex1_p5):
     ctx = eng.ctx
     P = _lifts(eng.curve, 0, ctx)[0]
     Q = _lifts(eng.curve, 5, ctx)[0]
-    v = eng.basis_integrals(P, Q)
+    v = _system_integrals(eng, P, Q)
     for i in range(6):
-        t = eng.tiny_integral(P, Q, unit(i))
+        t = _tiny_integral(eng, P, Q, unit(i))
         d = v[i] - t
         assert d.is_zero or d.valuation() >= eng.N, i
 
@@ -261,7 +280,7 @@ def test_fundamental_theorem_on_exact_form(ex1_p5):
             acc = acc + pv * S.y ** m * ctx.from_rational(Fraction(1, p ** sig))
         return acc * Fraction(4, 3)
 
-    lhs = dot(om, eng.basis_integrals(P, Q))
+    lhs = dot(om, _system_integrals(eng, P, Q))
     rhs = (Q.y - P.y) - (correction(Q) - correction(P))
     d = lhs - rhs
     assert d.is_zero or d.valuation() >= eng.N - 1
@@ -435,9 +454,9 @@ def test_good_disk_points_share_one_disk_data(ex1_p5):
     x0, p = disk.reduction[0], eng.p
     pts = [_good_point(eng, disk, x0 + k * p) for k in (0, 1, 2, 7, 25)]
     for P, Q in zip(pts, pts[1:]):
-        eng.tiny_integral(P, Q, unit(2))
+        _tiny_integral(eng, P, Q, unit(2))
         eng.integral(P, Q)
-        eng.basis_integrals(P, Q)
+        _system_integrals(eng, P, Q)
     eng.antiderivative_rows(disk, [unit(0)])
     assert list(eng._disk_data_cache) == [disk.reduction]
 
@@ -488,16 +507,11 @@ def _ramified_gauss_jordan(eng, c):
 ], ids=["ex1@5-e10", "ex1@5-e40", "ex4@11-e40"])
 def test_basis_integrals_match_ramified_gauss_jordan(coeffs, p, N, e, other):
     eng = ColemanIntegrator(frobenius_matrix(PicardCurve(coeffs), p, N), N=N, e=e)
-    P = eng.boundary_point(eng.infinite_disk)
     disk = next(d for d in eng.disks if d.kind == other)
-    if other == "good":
-        Q = _good_point(eng, disk, disk.reduction[0])
-    else:
-        Q = eng.boundary_point(disk)
-    c = [q - r for q, r in zip(eng._endpoint(Q), eng._endpoint(P))]
+    c = [q - r for q, r in zip(eng._endpoint(disk), eng._endpoint(eng.infinite_disk))]
     c = [RamifiedElement.pi(eng.ctx, e, 0) * x for x in c]
     want = _ramified_gauss_jordan(eng, c)
-    got = eng.basis_integrals(P, Q)
+    got = eng.basis_integrals(disk)
     for g, w in zip(got, want):
         assert g.e == e
         assert min(g.A, w.A) >= e * N
@@ -534,7 +548,7 @@ def _frobenius(coeffs, p, N):
 def _reference_exact_at_infinity(eng, S):
     """Every level in full: poly(pi^-3) times u^m, u^m by steps of u^(+-1),
     shifted by pi^(-4m) p^-sigma and summed; with the (m, v) of each level."""
-    e, uval = eng.e, S._u_value
+    e, uval = eng.e, S.y.shift_pi(4)
     uinv = uval.inverse()
     ms = [m for part in eng.fd.exact_parts for m in part.levels]
     upow = {1: uval, -1: uinv}
@@ -864,16 +878,15 @@ def test_integral_through_center_matches_per_point_endpoint(coeffs, p, N, data, 
     eng = _engine(tuple(coeffs), p, N, 40)
     disk = data.draw(st.sampled_from([d for d in eng.disks if d.kind == "good"]))
     Q = _good_point(eng, disk, disk.reduction[0] + p * r)
-    inf, S = eng.infinite_disk.center, eng.boundary_point(eng.infinite_disk)
+    inf = eng.infinite_disk
     rows = _reference_rows(eng, disk, [unit(i) for i in range(6)], Q)
     tiny = eng._eval_terms(rows, Q.x ** p - Q.x)
     hQ = [f - v for f, v in zip(eng._exact_at_unramified(Q.x, Q.y), tiny)]
-    c = [q - s for q, s in zip(hQ, eng._endpoint(S))]
-    v = [sum((x * y for x, y in zip(c[1:], row[1:])), c[0] * row[0])
-         for row in eng.system_inverse]
-    to_S = eng._tiny(eng.infinite_disk, inf, S, [unit(i) for i in REGULAR])
+    v = _solve_system(eng, [q - s for q, s in zip(hQ, eng._endpoint(inf))])
+    to_S = eng._tiny(inf, None, RamifiedElement.pi(eng.ctx, eng.e, 1),
+                     [unit(i) for i in REGULAR])
     want = [eng._project(v[i] + t) for i, t in zip(REGULAR, to_S)]
-    for g, w in zip(eng.integral(inf, Q), want):
+    for g, w in zip(eng.integral(inf.center, Q), want):
         assert g.e == w.e == 1
         assert min(g.abs_prec, w.abs_prec) >= N
         assert (g - w).is_zero

@@ -140,7 +140,7 @@ def test_points_over_Fp_oracle():
 def test_classify_disks_partition():
     c = PicardCurve(EX3)
     p = 13
-    disks = classify_disks(c, p)
+    disks = classify_disks(c, PadicContext(p, 12))
     assert len(disks) == len(points_over_Fp(c, p))
     n_inf = sum(1 for d in disks if d.kind == BAD_INFINITE)
     assert n_inf == 1
@@ -154,9 +154,9 @@ def test_classify_disks_partition():
 def test_classify_disks_example1():
     c = PicardCurve(EX1)
     # f = (x+2)(x+4)(x^2-8): 8 is a square mod 17 but not mod 5
-    disks17 = classify_disks(c, 17)
+    disks17 = classify_disks(c, PadicContext(17, 12))
     assert sum(1 for d in disks17 if d.kind == BAD_FINITE) == 4
-    disks5 = classify_disks(c, 5)
+    disks5 = classify_disks(c, PadicContext(5, 12))
     assert sum(1 for d in disks5 if d.kind == BAD_FINITE) == 2
 
 
@@ -167,7 +167,7 @@ def test_bad_center_reduces_correctly():
     c = PicardCurve(EX1)
     for p in (13, 17):
         ctx = PadicContext(p, 8)
-        disks = classify_disks(c, p, ctx)
+        disks = classify_disks(c, ctx)
         assert {d.kind for d in disks} == {GOOD, BAD_FINITE, BAD_INFINITE}
         for d in disks:
             if d.kind == BAD_INFINITE:

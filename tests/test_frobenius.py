@@ -86,7 +86,7 @@ def check_identity(coeffs, p, N, L=36):
              if not e.is_zero and e.valuation() < 0])
     mod = p ** (W + S)
     ctx = PadicContext(p, W + S)
-    disks = classify_disks(c, p, ctx)
+    disks = classify_disks(c, ctx)
     good = [d for d in disks if d.kind == GOOD][0]
     center = good.center
     # x = x0 + t, y = F r^2 and 1/y = r for r = F^(-1/3), F = f(x0 + t)

@@ -72,6 +72,26 @@ def test_only_padic_reads_stored_element_fields():
     assert not found, found
 
 
+def test_no_private_attributes_set_from_outside():
+    # a point or other object carries only its declared fields: no module
+    # sets an attribute whose name begins with "_" on anything but self
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: .{t.attr}"
+                      for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Attribute) and t.attr.startswith("_")
+                      and not (isinstance(t.value, ast.Name) and t.value.id == "self")]
+    assert not found, found
+
+
 # Validate every record the benchmark workloads can draw and run the
 # pipeline on one survey record, in a fresh interpreter
 _NO_SYMPY_SNIPPET = """
