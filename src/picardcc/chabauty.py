@@ -12,7 +12,6 @@ from fractions import Fraction
 from .algdep import algdep
 from .coleman import (
     ColemanIntegrator,
-    DivisorSpec,
     NumberFieldPointSpec,
     _integerize,
     realize_nf_points,
@@ -113,8 +112,8 @@ def _kernel_basis(rows, ctx):
 def vanishing_differentials(engine, divisors):
     """Basis of regular differentials whose integrals kill every divisor.
 
-    divisors: list of DivisorSpec (realized points, implicitly minus a
-    multiple of infinity).  Raises DegenerateDivisor on a zero integral
+    divisors: lists of realized points P, each standing for the divisor
+    sum(P) - len(P) * infinity.  Raises DegenerateDivisor on a zero integral
     vector and PrecisionExhausted when N - ord_p(det(M-I)) - delta <= 0.
     """
     rows = []
@@ -156,14 +155,13 @@ def _dot(vec, integrals):
     return sum(terms[1:], terms[0])
 
 
-def _disk_points(engine, disk, vanishing, base):
+def _disk_points(engine, disk, vanishing):
     p = engine.p
-    center = disk.center
-    integrals = None if center.inf else engine.integral(base, center)
+    integrals = engine.integral(disk.center)
     rows = engine.antiderivative_rows(disk, vanishing.vectors)
     solved = []
     for vec, (terms, prec) in zip(vanishing.vectors, rows):
-        const = engine.ctx.zero() if center.inf else _dot(vec, integrals)
+        const = _dot(vec, integrals)
         try:
             solved.append(solve_zeros_in_disk(terms, prec, const,
                                               vanishing.base_precision))
@@ -237,10 +235,9 @@ def chabauty_set(engine, vanishing):
     Scans every residue disk; a root is accepted when it is a certified
     simple root of at least one basis series and annihilates all of them.
     """
-    base = engine.infinite_disk.center
     found = []
     for disk in engine.disks:  # one per point of X(F_p): see classify_disks
-        found.extend(_disk_points(engine, disk, vanishing, base))
+        found.extend(_disk_points(engine, disk, vanishing))
     return found
 
 
@@ -314,8 +311,7 @@ def classify_point(Q, engine, vanishing, relation_bound=50):
         return PointClassification("Ramification", mx,
                                    evidence={"f_of_x": str(fx)})
 
-    base = engine.infinite_disk.center
-    Ivec = engine.integral(base, Q)
+    Ivec = engine.integral(Q)
     ev = {"integrals": [str(v) for v in Ivec]}
 
     # y is recognized once: here when x is rational, else where it is reported
@@ -437,14 +433,11 @@ def _split_product(specs):
     return ser_trim(prod)
 
 
-def _realize_divisors(engine, specs, point, search):
-    ctx = engine.ctx
+def _realize_divisors(curve, ctx, specs, point, search):
+    """The divisors as lists of points over ctx: those of the specs, else
+    [[the given point]] or [[the first search point with y != 0]]."""
     if specs:
-        out = []
-        for spec in specs:
-            pts = realize_nf_points(engine.curve, spec, ctx)
-            out.append(DivisorSpec(pts, base_multiple=len(pts)))
-        return out
+        return [realize_nf_points(curve, spec, ctx) for spec in specs]
     if point:
         xq, yq = point
     else:
@@ -453,11 +446,11 @@ def _realize_divisors(engine, specs, point, search):
             raise ComputationFailure(
                 "no non-torsion input point or divisor supplied")
         xq, yq = cand[0].exact_x, cand[0].exact_y
-    if yq ** 3 != engine.curve.f_eval(xq):
+    if yq ** 3 != curve.f_eval(xq):
         raise ComputationFailure(f"input point ({xq}, {yq}) is not on the curve")
     P = CurvePoint(ctx.from_rational(xq), ctx.from_rational(yq),
                    exact_x=xq, exact_y=yq)
-    return [DivisorSpec([P], base_multiple=1)]
+    return [[P]]
 
 
 def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
@@ -467,12 +460,12 @@ def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
     if not zeta.all_ok:
         raise FrobeniusUncertified(f"zeta certificate fails at p = {p}: "
                                    f"char poly {zeta.char_poly}")
+    divisors = _realize_divisors(curve, fd.ctx, specs, point, search)
     e = e0
     last = None
     while e <= e_cap:
         try:
             engine = ColemanIntegrator(fd, N=N, e=e)
-            divisors = _realize_divisors(engine, specs, point, search)
             van = vanishing_differentials(engine, divisors)
             pts = chabauty_set(engine, van)
             return engine, van, pts, e
@@ -507,7 +500,6 @@ def run_pipeline(record, params=None):
     e_inc = int(params.get("e_increment", 20))
     e_cap = int(params.get("e_cap", 200))
     bound = int(params.get("relation_bound", 50))
-    height = int(params.get("height", 1000))
     p_override = params.get("p") or record.get("p")
 
     report = ChabautyReport(label=record.get("label") or "", N=N, e=e0)
@@ -528,7 +520,7 @@ def run_pipeline(record, params=None):
             raise BadPrime(rejection)
 
         t1 = time.perf_counter()
-        search = rational_point_search(curve, height)
+        search = rational_point_search(curve)
         report.timings["search_s"] = round(time.perf_counter() - t1, 2)
 
         retried = False

@@ -1,18 +1,20 @@
 """Coleman integration on Picard curves y^3 = f(x).
 
-`integral(P, Q)` is the vector of the regular integrals int_P^Q omega_i,
-i = 1..3, for any two points.  Tiny integrals integrate the disk expansion
-around the disk's center termwise.  Between disks every integral goes
-through the one base point infinity, as in Balakrishnan--Tuitman: each disk
-D has one endpoint E_D of the Frobenius-equivariant system, the center of a
-good disk or the boundary point of a bad disk over Q_p(pi), pi^e = p, whose
-values are flat RamifiedElements.  `basis_integrals(D)` solves
-(I - M) v = h(E_D) - h(S_inf) once per disk for the six basis forms, M
-being Frobenius on the cohomology basis, h the exact parts and endpoint
-corrections and S_inf the boundary point of the infinite disk; (I - M) is
-inverted once over Q_p (`FrobeniusData.system`).  With int_inf^S_inf, also
-made once, that gives int_inf^E_D, which a tiny integral joins to any point
-of D.  The result is projected to Q_p when P and Q are Q_p points.
+`integral(Q)` is the Abel--Jacobi map with base point infinity: the vector
+of the regular integrals int_inf^Q omega_i, i = 1..3.  A divisor is a list
+of points, standing for sum(points) - len(points) * infinity, and
+`divisor_integral` sums `integral` over it.  Tiny integrals integrate the
+disk expansion around the disk's center termwise.  Between disks, as in
+Balakrishnan--Tuitman, each disk D has one endpoint E_D of the
+Frobenius-equivariant system, the center of a good disk or the boundary
+point of a bad disk over Q_p(pi), pi^e = p, whose values are flat
+RamifiedElements.  `basis_integrals(D)` solves (I - M) v = h(E_D) - h(S_inf)
+once per disk for the six basis forms, M being Frobenius on the cohomology
+basis, h the exact parts and endpoint corrections and S_inf the boundary
+point of the infinite disk; (I - M) is inverted once over Q_p
+(`FrobeniusData.system`).  With int_inf^S_inf, also made once, that gives
+int_inf^E_D, which a tiny integral joins to any point of D.  The result is
+projected to Q_p when Q is a Q_p point.
 """
 
 import math
@@ -69,14 +71,6 @@ class NumberFieldPointSpec:
 
     x_minpoly: list
     y_rule: list = None
-
-
-@dataclass
-class DivisorSpec:
-    """The degree-zero divisor sum(points) - base_multiple * infinity."""
-
-    points: list
-    base_multiple: int = None
 
 
 # the basis differentials omega_1..omega_6, and the regular ones, as
@@ -310,9 +304,7 @@ class ColemanIntegrator:
         if t is None or t.is_zero:
             if any(j < 0 for terms, _ in rows for j, _, _ in terms):
                 raise PoleInDisk("pole at the disk center")
-            consts = [(sum(c * pow(d, -1, ctx.pk(prec)) for j, c, d in terms if j == 0), prec)
-                      for terms, prec in rows]
-            return [RamifiedElement(ctx, 1, 0, [c], prec) for c, prec in consts]
+            return [ctx.zero(prec) for _, prec in rows]  # antiderivatives have no t^0 term
         e, v = t.e, t.pi_valuation()
         if v < 1:
             raise WrongDisk("evaluation point lies outside the open disk")
@@ -431,8 +423,7 @@ class ColemanIntegrator:
         xr, yr = x.residue(kprec), y.residue(kprec)
         z = pow(yr, -3, mod)
         out = []
-        for part in self.fd.exact_parts:
-            levels = part.levels
+        for levels in self.fd.exact_parts:
             smax = max((sig for sig, _ in levels.values()), default=0)
             # the levels of a form are congruent mod 3: Horner in z = y^-3
             # from the lowest level up, then one power of y; a missing level
@@ -479,7 +470,7 @@ class ColemanIntegrator:
         for part in self.fd.exact_parts:
             acc, kept = [0] * e, []
             if finite:
-                levels = [(m, m - e * sig, poly) for m, (sig, poly) in part.levels.items()]
+                levels = [(m, m - e * sig, poly) for m, (sig, poly) in part.items()]
                 prec = min((e * W + shift for _, shift, _ in levels), default=INF)
                 base = min((shift // e for _, shift, _ in levels), default=0)
                 acc = [[0] * e for _ in range(max((len(poly) for *_, poly in levels), default=1))]
@@ -495,7 +486,7 @@ class ColemanIntegrator:
                         col[r] += c * ctx.pk(q - base)
             else:
                 levels, prec = [], INF
-                for m, (sig, poly) in part.levels.items():
+                for m, (sig, poly) in part.items():
                     terms = [(j, c % mod) for j, c in enumerate(poly) if c]
                     top = 3 * terms[-1][0]
                     # w(poly(pi^-3)): pi^-top sum c_j pi^(top - 3j), pi^e = p folded
@@ -564,8 +555,8 @@ class ColemanIntegrator:
         need = self.N + 5
         lowest = min((prec // self.e for prec in precs if prec != INF), default=None)
         if lowest is not None and lowest < need:
-            deepest = max((-m for part in self.fd.exact_parts
-                           for m in part.levels), default=0)
+            deepest = max((-m for part in self.fd.exact_parts for m in part),
+                          default=0)
             raise IncreaseE(
                 f"boundary values precise only to O(p^{lowest}) at radius "
                 f"1/{self.e} (need {need} digits); increase e",
@@ -654,40 +645,34 @@ class ColemanIntegrator:
         inf = self.infinite_disk
         return self._tiny(inf, None, self._system_endpoint(inf)[1], _REGULAR_UNITS)
 
-    def _from_infinity(self, disk, Q):
-        """int_inf^Q omega_i for the regular forms, Q a point of `disk`: a
-        tiny integral on the infinite disk.  Elsewhere int_inf^E to the
-        disk's endpoint E, basis_integrals(disk) plus int_inf^S, is made once
-        per disk, and a tiny integral joins E to Q."""
-        if disk is self.infinite_disk:
-            return self._tiny(disk, None, self._param(disk, Q), _REGULAR_UNITS)
-        vals = self._to_endpoint_cache.get(disk.reduction)
-        if vals is None:
-            v = self.basis_integrals(disk)
-            vals = [v[i] + s for i, s in zip(REGULAR, self._to_boundary)]
-            self._to_endpoint_cache[disk.reduction] = vals
-        E, tE = self._system_endpoint(disk)
-        if Q is E:
-            return list(vals)
-        tiny = self._tiny(disk, tE, self._param(disk, Q), _REGULAR_UNITS)
-        return [a + b for a, b in zip(vals, tiny)]
+    def integral(self, Q):
+        """[int_inf^Q omega_i for the regular omega_1, omega_2, omega_3]: the
+        Abel--Jacobi map with base point infinity.
 
-    def integral(self, P, Q):
-        """[int_P^Q omega_i for the regular omega_1, omega_2, omega_3].
-
-        P and Q may lie anywhere, and infinity is the one base point: in one
-        disk this is a tiny integral, and otherwise int_inf^Q, less int_inf^P
-        unless P is infinity (`_from_infinity`).  The values are projected to
-        Q_p when P and Q are both Q_p points.
+        Exact zeros at infinity, and a tiny integral from the center on the
+        infinite disk.  Elsewhere int_inf^E to the disk's endpoint E,
+        basis_integrals(disk) plus int_inf^S, is made once per disk, and a
+        tiny integral joins E to Q.  The values are projected to Q_p when Q
+        is a Q_p point.
         """
-        dP, dQ = self.disk_of(P), self.disk_of(Q)
-        if dP is dQ:
-            vals = self._tiny(dP, self._param(dP, P), self._param(dQ, Q), _REGULAR_UNITS)
+        if Q.inf:
+            return [self.ctx.zero() for _ in REGULAR]
+        disk = self.disk_of(Q)
+        if disk is self.infinite_disk:
+            vals = self._tiny(disk, None, self._param(disk, Q), _REGULAR_UNITS)
         else:
-            vals = self._from_infinity(dQ, Q)
-            if not P.inf:
-                vals = [q - r for q, r in zip(vals, self._from_infinity(dP, P))]
-        if all(X.inf or X.x.e == 1 for X in (P, Q)):
+            vals = self._to_endpoint_cache.get(disk.reduction)
+            if vals is None:
+                v = self.basis_integrals(disk)
+                vals = [v[i] + s for i, s in zip(REGULAR, self._to_boundary)]
+                self._to_endpoint_cache[disk.reduction] = vals
+            E, tE = self._system_endpoint(disk)
+            if Q is E:
+                vals = list(vals)
+            else:
+                tiny = self._tiny(disk, tE, self._param(disk, Q), _REGULAR_UNITS)
+                vals = [a + b for a, b in zip(vals, tiny)]
+        if Q.x.e == 1:
             vals = [self._project(v) for v in vals]
         return vals
 
@@ -698,12 +683,8 @@ class ColemanIntegrator:
         except ValueError as exc:
             raise IncreaseE(f"ramified noise exceeds tolerance: {exc}")
 
-    def divisor_integral(self, divisor: DivisorSpec):
-        """integral(infinity, P) summed over the points P of the divisor
-        D = sum(points) - (number of points) * infinity."""
-        pts = divisor.points
-        if divisor.base_multiple is not None and divisor.base_multiple != len(pts):
-            raise ValueError("divisor must have degree zero against infinity")
-        base = self.infinite_disk.center
-        rows = [self.integral(base, P) for P in pts]
+    def divisor_integral(self, points):
+        """integral(P) summed over the points: the Abel--Jacobi image of the
+        divisor sum(points) - len(points) * infinity."""
+        rows = [self.integral(P) for P in points]
         return [sum(col[1:], col[0]) for col in zip(*rows)]

@@ -234,21 +234,14 @@ class _Reducer:
 
 
 @dataclass
-class ExactPart:
-    """f_i = sum over levels of p^-sigma_e poly(x) y^y_exp,
-    levels: dict y_exp -> (sigma_e, poly)."""
-
-    levels: dict
-
-
-@dataclass
 class FrobeniusData:
     curve: PicardCurve
     p: int
     N_work: int
     ctx: PadicContext           # working context (N = N_work)
     M: list                     # 6x6, entries in Q_p
-    exact_parts: list           # 6 ExactPart
+    exact_parts: list           # 6 dicts y_exp -> (sigma, poly), f_i being
+                                # sum p^-sigma poly(x) y^y_exp
     sigma_max: int
     A_poly: list = None         # pA = f(x^p) - f(x)^p support data
 
@@ -414,7 +407,7 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
                 {t_max - 3 * j: d for j, d in enumerate(r)})
             i = BASIS.index((a, b))
             rows[i] = (sigma, coeffs)
-            parts[i] = ExactPart({m: entry for m, entry in exact.items() if entry[1]})
+            parts[i] = {m: entry for m, entry in exact.items() if entry[1]}
             sigma_max = max(sigma_max, sigma,
                             max((e[0] for e in exact.values()), default=0))
 

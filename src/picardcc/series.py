@@ -89,7 +89,6 @@ class RootRecord:
     residue: int
     known_digits: int
     certified_simple: bool
-    derivative_valuation: int
 
 
 def truncation_bound(N: int, lam: int, ctx: PadicContext) -> int:
@@ -135,7 +134,7 @@ def hensel_system_of_roots(F, p: int, N: int):
     for a, i in records:
         d = poly_eval_mod(dF, a, pN)
         dval = _pval(d, p) if d else N  # d < p^N
-        out.append(RootRecord(a, i, 2 * dval < N, dval))
+        out.append(RootRecord(a, i, 2 * dval < N))
     return out
 
 

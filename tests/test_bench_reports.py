@@ -1,8 +1,9 @@
 """The benchmark's reports, pinned.
 
-Runs `picardcc batch` on the records of the survey (seed 1), large-prime
-and escalation workloads with the benchmark's flags, both read from
-bench/run.py, and compares every report outside its timings with
+Runs `picardcc batch` on the records of the survey (seeds 1, 2, 5 and 7,
+which between them draw all six pool curves), large-prime and escalation
+workloads with the benchmark's flags, both read from bench/run.py, and
+compares every report outside its timings with
 tests/fixtures/bench_reports.json.  A change meant to alter the reports
 regenerates the fixture with
 
@@ -19,7 +20,8 @@ from picardcc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "fixtures" / "bench_reports.json"
-CASES = [("survey", 1), ("large-prime", 1), ("escalation", 1)]
+CASES = [("survey", 1), ("survey", 2), ("survey", 5), ("survey", 7),
+         ("large-prime", 1), ("escalation", 1)]
 
 
 def _bench_run():

@@ -29,7 +29,6 @@ from picardcc.chabauty import (
 )
 from picardcc.coleman import (
     ColemanIntegrator,
-    DivisorSpec,
     NumberFieldPointSpec,
     _integerize,
     realize_nf_points,
@@ -50,8 +49,7 @@ def ex4_p11():
     curve = PicardCurve(EX4)
     fd = frobenius_matrix(curve, 11, 12)
     eng = ColemanIntegrator(fd, N=12, e=40)
-    divs = [DivisorSpec(realize_nf_points(
-        curve, NumberFieldPointSpec([-1, 1, 1]), eng.ctx), base_multiple=2)]
+    divs = [realize_nf_points(curve, NumberFieldPointSpec([-1, 1, 1]), eng.ctx)]
     van = vanishing_differentials(eng, divs)
     return curve, eng, divs, van
 
@@ -85,7 +83,7 @@ def test_kernel_dimension_rank2(x40_p13):
     divs = []
     for x0 in (4, -4):
         P = branch_point(curve, eng.ctx.element(x0), 6)
-        divs.append(DivisorSpec([P]))
+        divs.append([P])
     van = vanishing_differentials(eng, divs)
     assert len(van.vectors) == 1
 
@@ -125,7 +123,7 @@ def test_degenerate_divisor_rejected(x40_p13):
     x = eng.ctx.element(4)
     pts = [CurvePoint(x, y) for y in cube_roots(curve.f_eval(x))]
     with pytest.raises(DegenerateDivisor):
-        vanishing_differentials(eng, [DivisorSpec(pts)])
+        vanishing_differentials(eng, [pts])
 
 
 # --- chabauty_set and classification --------------------------------------
@@ -530,7 +528,7 @@ def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):
     monkeypatch.setattr(chabauty_mod, "zeta_consistency_check",
                         broken_certificate)
     rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
-    d = run_pipeline(rec, {"N": 8, "height": 10}).to_dict()
+    d = run_pipeline(rec, {"N": 8}).to_dict()
     assert d["status"] == "Failure"
     assert d["failure_reason"].startswith("frobenius-uncertified: ")
     assert d["frobenius_certified"] is False

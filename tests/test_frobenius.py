@@ -15,7 +15,6 @@ from picardcc.curve import (
 from picardcc.frobenius import (
     BASIS,
     REGULAR,
-    ExactPart,
     FrobeniusData,
     _bezout_unit,
     _binomial_cutoff,
@@ -139,7 +138,7 @@ def check_identity(coeffs, p, N, L=36):
         lhs = [p ** (S + 1) * q % mod for q in lhs]
 
         fi = [0] * (L + 1)
-        for m, (sig, poly) in fd.exact_parts[i].levels.items():
+        for m, (sig, poly) in fd.exact_parts[i].items():
             term = ser_mul(_poly_of_series([q % mod for q in poly], xs, mod, L),
                            y_m(m), mod, L)
             sc = p ** (S - sig)
@@ -553,7 +552,7 @@ def _reference_frobenius(fd):
     M = [[RamifiedElement(ctx, 1, -s, [c], W - s) for c in coeffs]
          for s, coeffs in rows]
     return parts, FrobeniusData(curve, p, W, ctx, M,
-                                [ExactPart(ex) for ex in parts], sigma_max,
+                                parts, sigma_max,
                                 fd.A_poly)
 
 
@@ -567,7 +566,7 @@ def test_digit_sweep_matches_raw_pullback(coeffs, p, N):
         for j in range(6):
             d = fd.M[i][j] - ref.M[i][j]
             assert d.valuation() >= N and d.abs_prec >= N, (i, j)
-        levels = fd.exact_parts[i].levels
+        levels = fd.exact_parts[i]
         for m in set(levels) | set(parts[i]):
             assert _agree_mod(levels.get(m, (0, [])), parts[i].get(m, (0, [])),
                               p, N), (i, m)
