@@ -466,6 +466,7 @@ def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
     while e <= e_cap:
         try:
             engine = ColemanIntegrator(fd, N=N, e=e)
+            engine.plan_bad_disks()
             van = vanishing_differentials(engine, divisors)
             pts = chabauty_set(engine, van)
             return engine, van, pts, e

@@ -6,15 +6,15 @@ of points, standing for sum(points) - len(points) * infinity, and
 `divisor_integral` sums `integral` over it.  Tiny integrals integrate the
 disk expansion around the disk's center termwise.  Between disks, as in
 Balakrishnan--Tuitman, each disk D has one endpoint E_D of the
-Frobenius-equivariant system, the center of a good disk or the boundary
-point of a bad disk over Q_p(pi), pi^e = p, whose values are flat
-RamifiedElements.  `basis_integrals(D)` solves (I - M) v = h(E_D) - h(S_inf)
-once per disk for the six basis forms, M being Frobenius on the cohomology
-basis, h the exact parts and endpoint corrections and S_inf the boundary
-point of the infinite disk; (I - M) is inverted once over Q_p
-(`FrobeniusData.system`).  With int_inf^S_inf, also made once, that gives
-int_inf^E_D, which a tiny integral joins to any point of D.  The result is
-projected to Q_p when Q is a Q_p point.
+Frobenius-equivariant system: the center of a good disk, or the boundary
+point over Q_p(pi), pi^e = p, of a bad one.  `basis_integrals(D)` solves
+(I - M) v = h(E_D) - h(S_inf) once per disk, M being Frobenius on H^1, h
+the exact parts and endpoint corrections and S_inf the boundary point at
+infinity; (I - M) is inverted once over Q_p (`FrobeniusData.system`).
+With int_inf^S_inf, made once, that gives int_inf^E_D, which a tiny
+integral joins to any point of D.  `plan_bad_disks` checks the exact parts
+of every bad disk from valuations first, so an e that is too small fails
+before any ramified arithmetic.  Results at Q_p points are projected to Q_p.
 """
 
 import math
@@ -160,6 +160,7 @@ class ColemanIntegrator:
         self._disk_data_cache = {}
         self._endpoint_cache = {}
         self._boundary_cache = {}
+        self._plan_cache = {}
         self._to_endpoint_cache = {}
 
     # -- disks and local data ---------------------------------------------
@@ -438,51 +439,39 @@ class ColemanIntegrator:
             out.append(RamifiedElement(ctx, 1, -smax, [acc], kprec - smax))
         return out
 
-    def _exact_at_boundary(self, disk, S):
-        """The six exact parts f_i(S) at the boundary point S of a bad disk.
+    def plan_bad_disks(self):
+        """Plan every bad disk, the finite ones in disk order and then infinity:
+        an e too small for one of them fails before any endpoint is made."""
+        for disk in [d for d in self.disks if d.kind == BAD_FINITE] + [self.infinite_disk]:
+            self._plan(disk)
 
-        Level m of a form is p^-sigma poly(x) y^m; the product rule gives its
-        valuation and precision.  A form is known to the least precision of
-        its levels; the levels at or past it add nothing, and the rest are
-        added into e integer buckets at one base exponent.  On a finite disk
-        y = pi and x(pi) = x0 + X, X = pi^3 / f'(x0) + ... with f'(x0) a unit.
-        For b_i the Taylor coefficients of poly at x0, mod p^W, level m is
-        pi^(m - e sigma) sum(b_i X^i).  Its valuation is e k + 3 i0 for k the
-        least v_p(b_i) and i0 the first i with it, unless 3 i0 >= e, when a
-        tie is possible and the level is evaluated.  Each b_i joins an integer
-        column of X^i, and a form is a Horner in X over its columns.  At
-        infinity x = pi^-3, y = pi^-4 u with u a unit: the valuation folds
-        from poly(pi^-3) alone, and u^m is made after the convergence check
-        for the kept levels only, chained by u^(+-3) per class mod 3.
-        """
+    def _plan(self, disk):
+        """(forms, u), the checked plan of `_exact_at_boundary`, kept per
+        disk.  On a finite disk forms[i] is (base, prec, X^i columns), level m
+        of valuation e k + 3 i0 (`FrobeniusData.taylor_columns`), or evaluated
+        when terms may tie (3 i0 >= e); at infinity it is (base, prec, kept),
+        valuations from poly(pi^-3) alone, and u = (u(pi), 1/u(pi))."""
         ctx, p, e, W = self.ctx, self.p, self.e, self.W
-        mod = ctx.pk(W)
-        finite = disk.kind == BAD_FINITE
-        if finite:
-            x0 = disk.center.x.residue(W)
-            X = [c % mod for c in S.x.integers()]
-            X[0] = (X[0] - x0) % mod
-            x_el = RamifiedElement(ctx, e, 0, X, e * W)
+        forms, diags, u, mod = [], [], None, ctx.pk(W)
+        if disk.kind == BAD_FINITE:
+            columns = self.fd.taylor_columns(disk.center.x.residue(W))
         else:
-            uval = S.y.shift_pi(4)
-            uinv = uval.inverse()
-        forms, diags = [], []
-        for part in self.fd.exact_parts:
-            acc, kept = [0] * e, []
-            if finite:
-                levels = [(m, m - e * sig, poly) for m, (sig, poly) in part.items()]
-                prec = min((e * W + shift for _, shift, _ in levels), default=INF)
-                base = min((shift // e for _, shift, _ in levels), default=0)
-                acc = [[0] * e for _ in range(max((len(poly) for *_, poly in levels), default=1))]
-                for m, shift, poly in levels:
-                    b = taylor_shift(poly, x0, mod)
-                    k = _pval(math.gcd(*b), p) if any(b) else W
-                    i0 = next((i for i, c in enumerate(b) if c % ctx.pk(k + 1)), 0)
-                    v = e * k + 3 * i0 if 3 * i0 < e else poly_at(b, x_el).pi_valuation()
+            uval = self.boundary_point(disk).y.shift_pi(4)
+            u = (uval, uval.inverse())
+            uA = [int(e * b.abs_prec) for b in u]  # for m > 0 and for m <= 0
+        for i, part in enumerate(self.fd.exact_parts):
+            if u is None:
+                levels = [(m, m - e * sig, b, k, i0) for m, sig, b, k, i0 in columns[i]]
+                prec = min((e * W + lv[1] for lv in levels), default=INF)
+                base = min((lv[1] // e for lv in levels), default=0)
+                cols = [[0] * e for _ in range(max((len(lv[2]) for lv in levels), default=1))]
+                for m, shift, b, k, i0 in levels:
+                    v = e * k + 3 * i0 if 3 * i0 < e else poly_at(  # terms may tie
+                        b, self._x_offset(disk, self.boundary_point(disk))).pi_valuation()
                     if v < e * W:
                         diags.append((m, v + shift))
                     q, r = divmod(shift, e)  # b_i pi^shift joins the column of X^i
-                    for col, c in zip(acc, b):
+                    for col, c in zip(cols, b):
                         col[r] += c * ctx.pk(q - base)
             else:
                 levels, prec = [], INF
@@ -496,8 +485,7 @@ class ColemanIntegrator:
                         fold[r] = fold.get(r, 0) + c * ctx.pk(q)
                     wt = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
                     # times u^m (valuation 0), then times pi^shift
-                    uA = int(e * (uval if m > 0 else uinv).abs_prec)
-                    A = min(e * W - top, uA + min(wt, e * W - top))
+                    A = min(e * W - top, uA[m <= 0] + min(wt, e * W - top))
                     shift = -4 * m - e * sig
                     if wt < A:
                         A = min(A, wt + e * W)
@@ -506,32 +494,57 @@ class ColemanIntegrator:
                     prec = min(prec, A + shift)
                 kept = [(m, t, s) for m, t, s, v in levels if v < prec]
                 base = min(((s - 3 * t[-1][0]) // e for _, t, s in kept), default=0)
-            forms.append((base, acc, prec, kept))
-        self._check_convergence(diags, [prec for _, _, prec, _ in forms])
+            forms.append((base, prec, kept if u else cols))
+        self._check_convergence(diags, [prec for _, prec, _ in forms])
+        return self._plan_cache.setdefault(disk.reduction, (forms, u))
 
-        if finite:  # each form is a Horner in X over its columns, left in cols[0]
-            for base, cols, prec, _ in forms:
-                mod_k = ctx.pk(-(-prec // e) - base) if prec != INF else 1
-                while len(cols) > 1:
-                    top = _fold_mul(cols.pop(), X, e, p, mod_k)
-                    cols[-1] = [a + c for a, c in zip(top, cols[-1])]
+    def _x_offset(self, disk, S):
+        """x(S) - x0, known to pi^(e W), for S in the finite disk of center x0."""
+        mod, x0 = self.ctx.pk(self.W), disk.center.x.residue(self.W)
+        X = [(c - x0 * (i == 0)) % mod for i, c in enumerate(S.x.integers())]
+        return RamifiedElement(self.ctx, self.e, 0, X, self.e * self.W)
+
+    def _exact_at_boundary(self, disk, S):
+        """The six exact parts f_i(S) at the boundary point S of a bad disk,
+        evaluated from the disk's plan (`_plan`).
+
+        Level m of a form is p^-sigma poly(x) y^m.  A form is known to the
+        least precision of its levels; the levels at or past it add nothing,
+        and the rest are added into e integer buckets at one base exponent.
+        On a finite disk y = pi and x(pi) = x0 + X, v(X) = 3: level m is
+        pi^(m - e sigma) sum(b_i X^i) for b_i the Taylor coefficients of poly
+        at x0, and a form is a Horner in X over its integer columns.  At
+        infinity x = pi^-3 and y = pi^-4 u with u a unit; u^m is made for the
+        kept levels only, chained by u^(+-3) per class mod 3.
+        """
+        ctx, p, e = self.ctx, self.p, self.e
+        forms, u = self._plan_cache.get(disk.reduction) or self._plan(disk)
+        if u is None:
+            X = self._x_offset(disk, S).integers()
         else:
-            need = {m for _, _, _, kept in forms for m, _, _ in kept}
-            upow = {}
-            for s, b in ((1, uval), (-1, uinv)):
+            need, upow = {m for _, _, kept in forms for m, _, _ in kept}, {}
+            for s, b in zip((1, -1), u):
                 deep = [max((m * s for m in need if m % 3 == r), default=0) for r in range(3)]
                 for k in range(1, max(deep) + 1):
                     if k <= 3:
                         upow[s * k] = b if k == 1 else upow[s * (k - 1)] * b
                     elif k <= deep[s * k % 3]:
                         upow[s * k] = upow[s * (k - 3)] * upow[3 * s]
-            for base, acc, _, kept in forms:
-                for m, terms, shift in kept:
+        out = []
+        for base, prec, terms in forms:
+            if u is None:  # a Horner in X over the columns
+                mod_k = ctx.pk(-(-prec // e) - base) if prec != INF else 1
+                acc = terms[-1]
+                for col in reversed(terms[:-1]):
+                    acc = [a + c for a, c in zip(_fold_mul(acc, X, e, p, mod_k), col)]
+            else:
+                acc = [0] * e
+                for m, tm, shift in terms:
                     vec = upow[m].integers()
-                    for j, c in terms:
+                    for j, c in tm:
                         _add_shifted(ctx, acc, base, c, shift - 3 * j, vec)
-        return [RamifiedElement(ctx, e, base, acc[0] if finite else acc, prec)
-                for base, acc, prec, _ in forms]
+            out.append(RamifiedElement(ctx, e, base, acc, prec))
+        return out
 
     def _check_convergence(self, diags, precs):
         """Flag evaluations whose deep pole terms dominate (the boundary is

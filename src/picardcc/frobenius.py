@@ -46,13 +46,13 @@ replaces the traditional x^3 dx/y^2, which is exact when f has no x^3 term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import ComputationFailure, PrecisionExhausted
 from .padic import (INF, PadicContext, RamifiedElement, _pval, charpoly_adj, disc_adj,
-                    poly_deriv)
+                    poly_deriv, taylor_shift)
 from .series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
 from .curve import PicardCurve, points_over_Fp
 
@@ -244,6 +244,7 @@ class FrobeniusData:
                                 # sum p^-sigma poly(x) y^y_exp
     sigma_max: int
     A_poly: list = None         # pA = f(x^p) - f(x)^p support data
+    _columns: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def system(self):
@@ -255,6 +256,21 @@ class FrobeniusData:
         eye = [[ctx.one() if i == j else ctx.zero() for j in range(n)]
                for i in range(n)]
         return _solve_linear(rows, eye)
+
+    def taylor_columns(self, x0):
+        """Per exact part, (m, sigma, b, k, i0) per level, b the Taylor
+        coefficients of its poly at the integer x0 mod p^W, k = min v_p(b_i),
+        i0 the first i with it; made once per x0, for every e."""
+        if x0 not in self._columns:
+            W, pk = self.N_work, self.ctx.pk
+            self._columns[x0] = [[] for _ in self.exact_parts]
+            for levels, part in zip(self._columns[x0], self.exact_parts):
+                for m, (sig, poly) in part.items():
+                    b = taylor_shift(poly, x0, pk(W))
+                    k = _pval(math.gcd(*b), self.p) if any(b) else W
+                    i0 = next((i for i, c in enumerate(b) if c % pk(k + 1)), 0)
+                    levels.append((m, sig, b, k, i0))
+        return self._columns[x0]
 
 
 def _solve_linear(rows, rhs):

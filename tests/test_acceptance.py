@@ -82,8 +82,21 @@ RUNS = {
 FIXTURE = Path(__file__).resolve().parent / "fixtures" / "acceptance_reports.json"
 
 
+# name -> the e of each integrator its run built, in order: reports keep only
+# the last one
+E_ATTEMPTS = {}
+
+
 def _run(name):
-    return run_pipeline(*RUNS[name]).to_dict()
+    attempts, init = E_ATTEMPTS.setdefault(name, []), ColemanIntegrator.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        attempts.append(self.e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ColemanIntegrator, "__init__", recording)
+        return run_pipeline(*RUNS[name]).to_dict()
 
 
 def _untimed(report):
@@ -277,6 +290,18 @@ def test_bad_prime_rejection():
 def test_e_escalation_ex1_p5(ex1_p5):
     assert ex1_p5["status"] == "Success"
     assert 40 <= ex1_p5["e"] <= 60
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,climb", [
+    ("ex1_p5", [40]), ("ex1_p17", [40, 60, 155]), ("ex2_p11", [40, 100]),
+    ("x40_p13", [40, 120]),
+])
+def test_e_climb_of_acceptance_runs(name, climb, request):
+    # every e tried, from e0 = 40 by max(e + 20, e_min): a check that fails
+    # in another order could change the climb and still end at the same e
+    request.getfixturevalue(name)
+    assert E_ATTEMPTS[name] == climb
 
 
 # --- criterion 6: root-solver oracle equivalence --------------------------

@@ -559,6 +559,21 @@ def test_failed_e_attempts_are_freed_without_the_cycle_collector():
             gc.enable()
 
 
+def test_e_climb_from_e10_ex1_p5(monkeypatch):
+    # the escalation benchmark's record; its report keeps only the last e
+    attempts, plan = [], ColemanIntegrator.plan_bad_disks
+
+    def recording(self):
+        attempts.append(self.e)
+        plan(self)
+
+    monkeypatch.setattr(ColemanIntegrator, "plan_bad_disks", recording)
+    rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
+    rep = run_pipeline(rec, {"N": 15, "e0": 10})
+    assert rep.status == "Success" and rep.e == 50
+    assert attempts == [10, 30, 50]
+
+
 _fraction = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
 
 

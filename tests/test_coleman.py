@@ -685,6 +685,39 @@ def test_exact_at_finite_boundary_adds_no_ramified_elements(monkeypatch):
     assert not calls
 
 
+def test_failed_attempt_makes_no_ramified_arithmetic(monkeypatch):
+    # ex1@5 at e = 10 fails on a finite bad disk; its plan refuses the attempt
+    # before any boundary point, product or Horner in X is made
+    eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 15), N=15, e=10)
+    products, built, folds = _count_calls(monkeypatch, "__mul__"), [], []
+    disk_data, fold = eng._disk_data, coleman._fold_mul
+    monkeypatch.setattr(eng, "_disk_data", lambda d: built.append(d.kind) or disk_data(d))
+    monkeypatch.setattr(coleman, "_fold_mul", lambda *a: folds.append(1) or fold(*a))
+    with pytest.raises(IncreaseE) as exc:
+        eng.plan_bad_disks()
+    assert str(exc.value) == "exact part blows up at radius 1/10 (term of size p^13.2)"
+    assert exc.value.e_min == 0
+    assert not products and not folds and "bad_finite" not in built
+
+
+def test_taylor_columns_made_once_per_run(monkeypatch):
+    # e = 10, 30 and 50 on one Frobenius matrix: each (finite root, level)
+    # is shifted once, and only e = 50 plans every disk
+    fd = frobenius_matrix(PicardCurve(EX1), 5, 15)
+    shifts, shift = [], frobenius.taylor_shift
+    monkeypatch.setattr(frobenius, "taylor_shift",
+                        lambda poly, a, mod: shifts.append((a, id(poly))) or shift(poly, a, mod))
+    for e in (10, 30, 50):
+        eng = ColemanIntegrator(fd, N=15, e=e)
+        try:
+            eng.plan_bad_disks()
+        except IncreaseE:
+            assert e < 50
+    roots = [d for d in eng.disks if d.kind == "bad_finite"]
+    levels = sum(len(part) for part in fd.exact_parts)
+    assert roots and len(shifts) == len(set(shifts)) == len(roots) * levels
+
+
 # --- basis pullbacks and the points of a disk ------------------------------
 
 
