@@ -2,7 +2,7 @@
 
 Vanishing differentials with precision accounting, per-disk zero solving,
 assembly of X(Q_p)_1, classification of its members, and the end-to-end
-pipeline with prime selection and e-escalation.
+pipeline with prime selection and the choice of e from the plans.
 """
 
 import time
@@ -14,6 +14,7 @@ from .coleman import (
     ColemanIntegrator,
     NumberFieldPointSpec,
     _integerize,
+    choose_e,
     realize_nf_points,
 )
 from .curve import (
@@ -168,7 +169,7 @@ def _disk_points(engine, disk, vanishing):
         except PrecisionExhausted as exc:
             # starved coefficients trace back to boundary routing noise,
             # which shrinks as e grows
-            raise IncreaseE(f"disk {disk.reduction}: {exc}")
+            raise IncreaseE(f"disk solver on disk {disk.reduction}: {exc}")
     if any(F is None for (_, _, _, F) in solved):
         # some basis series has no zeros on the disk at all
         return []
@@ -453,7 +454,7 @@ def _realize_divisors(curve, ctx, specs, point, search):
     return [[P]]
 
 
-def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
+def _attempt(report, curve, p, N, e_cap, specs, point, search):
     fd = frobenius_matrix(curve, p, N)
     zeta = zeta_consistency_check(fd)
     report.frobenius_certified = zeta.all_ok
@@ -461,20 +462,10 @@ def _attempt(report, curve, p, N, e0, e_inc, e_cap, specs, point, search):
         raise FrobeniusUncertified(f"zeta certificate fails at p = {p}: "
                                    f"char poly {zeta.char_poly}")
     divisors = _realize_divisors(curve, fd.ctx, specs, point, search)
-    e = e0
-    last = None
-    while e <= e_cap:
-        try:
-            engine = ColemanIntegrator(fd, N=N, e=e)
-            engine.plan_bad_disks()
-            van = vanishing_differentials(engine, divisors)
-            pts = chabauty_set(engine, van)
-            return engine, van, pts, e
-        except IncreaseE as exc:
-            # not exc: its traceback holds this frame, a cycle that pins the integrator
-            last = str(exc)
-            e = max(e + e_inc, exc.e_min)
-    raise IncreaseE(f"e escalation exhausted at cap {e_cap} ({last})")
+    report.e, plans = choose_e(fd, N, e_cap)
+    engine = ColemanIntegrator(fd, N=N, e=report.e, plans=plans)
+    van = vanishing_differentials(engine, divisors)
+    return engine, van, chabauty_set(engine, van)
 
 
 def _contains_point(pts, sp, ctx, tol):
@@ -497,19 +488,15 @@ def run_pipeline(record, params=None):
     t0 = time.perf_counter()
     params = dict(params or {})
     N = int(params.get("N", 15))
-    e0 = int(params.get("e0", 40))
-    e_inc = int(params.get("e_increment", 20))
     e_cap = int(params.get("e_cap", 200))
     bound = int(params.get("relation_bound", 50))
     p_override = params.get("p") or record.get("p")
 
-    report = ChabautyReport(label=record.get("label") or "", N=N, e=e0)
+    report = ChabautyReport(label=record.get("label") or "", N=N)
     try:
-        for name, value in (("N", N), ("e0", e0), ("e_increment", e_inc)):
+        for name, value in (("N", N), ("e_cap", e_cap)):
             if value < 1:
                 raise BadParameter(f"{name} must be at least 1, got {value}")
-        if e_cap < e0:
-            raise BadParameter(f"e_cap {e_cap} is below e0 {e0}")
         curve = PicardCurve(record["f"], discriminant=record.get("discriminant"),
                             label=record.get("label"))
         specs = _divisor_specs(record)
@@ -528,8 +515,8 @@ def run_pipeline(record, params=None):
         while True:
             try:
                 t1 = time.perf_counter()
-                engine, van, pts, e_used = _attempt(
-                    report, curve, p, N, e0, e_inc, e_cap, specs, point, search)
+                engine, van, pts = _attempt(
+                    report, curve, p, N, e_cap, specs, point, search)
                 report.timings["solve_s"] = round(time.perf_counter() - t1, 2)
                 break
             except DoubleRoot:
@@ -538,8 +525,8 @@ def run_pipeline(record, params=None):
                     raise
                 retried = True
                 report.p = p = good_prime(curve, p + 1, split_poly=split)
+                report.e = None
 
-        report.e = e_used
         report.precision = van.precision
         report.det_ord = van.det_ord
         report.kernel_dim = len(van.vectors)

@@ -90,8 +90,6 @@ def report_record(report, duration_s):
 def _params_from_args(args):
     params = {
         "N": args.precision,
-        "e0": args.e,
-        "e_increment": args.e_increment,
         "e_cap": args.e_cap,
         "relation_bound": args.relation_bound,
     }
@@ -150,7 +148,7 @@ def _run_one(task):
         report = run_pipeline(record, params)
     except Exception as exc:
         traceback.print_exc()
-        report = ChabautyReport(label=record.get("label") or "", N=params["N"], e=params["e0"],
+        report = ChabautyReport(label=record.get("label") or "", N=params["N"],
                                 failure_reason=f"internal: {type(exc).__name__}: {exc}")
     return report_record(report, time.perf_counter() - t0)
 
@@ -173,7 +171,7 @@ def cmd_batch(args):
             invalid += 1
             results[idx] = {
                 "schema_version": SCHEMA_VERSION, "p": None,
-                "N": params["N"], "e": params["e0"],
+                "N": params["N"], "e": None,
                 "report": {"label": None, "status": "Failure",
                            "failure_reason": f"validation: {exc}",
                            "S": [], "T": []},
@@ -270,10 +268,12 @@ def build_parser():
                         help="prime override (must be good and split)")
         sp.add_argument("--precision", type=int, default=15,
                         help="p-adic working digits N (default 15)")
-        sp.add_argument("--e", type=int, default=40,
-                        help="initial ramification parameter (default 40)")
-        sp.add_argument("--e-increment", type=int, default=20)
-        sp.add_argument("--e-cap", type=int, default=200)
+        # e is the least one the plans of the bad disks accept; --e and
+        # --e-increment are accepted for older command lines and unused
+        sp.add_argument("--e", type=int, help=argparse.SUPPRESS)
+        sp.add_argument("--e-increment", type=int, help=argparse.SUPPRESS)
+        sp.add_argument("--e-cap", type=int, default=200,
+                        help="largest ramification index e to accept (default 200)")
         sp.add_argument("--relation-bound", type=int, default=50)
 
     sp = sub.add_parser("analyze", help="run the pipeline on one curve")

@@ -12,9 +12,10 @@ point over Q_p(pi), pi^e = p, of a bad one.  `basis_integrals(D)` solves
 the exact parts and endpoint corrections and S_inf the boundary point at
 infinity; (I - M) is inverted once over Q_p (`FrobeniusData.system`).
 With int_inf^S_inf, made once, that gives int_inf^E_D, which a tiny
-integral joins to any point of D.  `plan_bad_disks` checks the exact parts
-of every bad disk from valuations first, so an e that is too small fails
-before any ramified arithmetic.  Results at Q_p points are projected to Q_p.
+integral joins to any point of D.  e is chosen once per Frobenius matrix,
+before any integrator is built, as the least e at which the plan of every
+bad disk, made from valuations alone, passes (`choose_e`).  Results at Q_p
+points are projected to Q_p.
 """
 
 import math
@@ -28,7 +29,6 @@ from .curve import (
     CurvePoint,
     PicardCurve,
     branch_point,
-    classify_disks,
     reduce_point,
     split_roots,
 )
@@ -37,6 +37,7 @@ from .errors import (
     IncreaseE,
     NotSplit,
     PoleInDisk,
+    PrecisionExhausted,
     WrongDisk,
 )
 from .frobenius import BASIS, REGULAR, FrobeniusData
@@ -138,10 +139,11 @@ class ColemanIntegrator:
     """Coleman integrals on one curve at one good prime.
 
     N is the number of p-adic digits aimed for in final answers; e is the
-    ramification index used for boundary points of bad disks.
+    ramification index used for boundary points of bad disks, and plans, if
+    given, are the bad disks' plans at e (`choose_e`).
     """
 
-    def __init__(self, fd: FrobeniusData, N: int, e: int = 40):
+    def __init__(self, fd: FrobeniusData, N: int, e: int = 40, plans=None):
         self.fd = fd
         self.curve = fd.curve
         self.p = fd.p
@@ -151,7 +153,7 @@ class ColemanIntegrator:
         if e < 1:
             raise ValueError(f"ramification index e must be >= 1, got {e}")
         self.e = e
-        self.disks = classify_disks(self.curve, self.ctx)
+        self.disks = fd.disks
         self._disk_by_key = {d.reduction: d for d in self.disks}
         self.infinite_disk = self._disk_by_key["inf"]
         self.system_inverse, self.det_ord = fd.system
@@ -160,7 +162,7 @@ class ColemanIntegrator:
         self._disk_data_cache = {}
         self._endpoint_cache = {}
         self._boundary_cache = {}
-        self._plan_cache = {}
+        self._plan_cache = dict(plans or {})
         self._to_endpoint_cache = {}
 
     # -- disks and local data ---------------------------------------------
@@ -439,65 +441,6 @@ class ColemanIntegrator:
             out.append(RamifiedElement(ctx, 1, -smax, [acc], kprec - smax))
         return out
 
-    def plan_bad_disks(self):
-        """Plan every bad disk, the finite ones in disk order and then infinity:
-        an e too small for one of them fails before any endpoint is made."""
-        for disk in [d for d in self.disks if d.kind == BAD_FINITE] + [self.infinite_disk]:
-            self._plan(disk)
-
-    def _plan(self, disk):
-        """(forms, u), the checked plan of `_exact_at_boundary`, kept per
-        disk.  On a finite disk forms[i] is (base, prec, X^i columns), level m
-        of valuation e k + 3 i0 (`FrobeniusData.taylor_columns`), or evaluated
-        when terms may tie (3 i0 >= e); at infinity it is (base, prec, kept),
-        valuations from poly(pi^-3) alone, and u = (u(pi), 1/u(pi))."""
-        ctx, p, e, W = self.ctx, self.p, self.e, self.W
-        forms, diags, u, mod = [], [], None, ctx.pk(W)
-        if disk.kind == BAD_FINITE:
-            columns = self.fd.taylor_columns(disk.center.x.residue(W))
-        else:
-            uval = self.boundary_point(disk).y.shift_pi(4)
-            u = (uval, uval.inverse())
-            uA = [int(e * b.abs_prec) for b in u]  # for m > 0 and for m <= 0
-        for i, part in enumerate(self.fd.exact_parts):
-            if u is None:
-                levels = [(m, m - e * sig, b, k, i0) for m, sig, b, k, i0 in columns[i]]
-                prec = min((e * W + lv[1] for lv in levels), default=INF)
-                base = min((lv[1] // e for lv in levels), default=0)
-                cols = [[0] * e for _ in range(max((len(lv[2]) for lv in levels), default=1))]
-                for m, shift, b, k, i0 in levels:
-                    v = e * k + 3 * i0 if 3 * i0 < e else poly_at(  # terms may tie
-                        b, self._x_offset(disk, self.boundary_point(disk))).pi_valuation()
-                    if v < e * W:
-                        diags.append((m, v + shift))
-                    q, r = divmod(shift, e)  # b_i pi^shift joins the column of X^i
-                    for col, c in zip(cols, b):
-                        col[r] += c * ctx.pk(q - base)
-            else:
-                levels, prec = [], INF
-                for m, (sig, poly) in part.items():
-                    terms = [(j, c % mod) for j, c in enumerate(poly) if c]
-                    top = 3 * terms[-1][0]
-                    # w(poly(pi^-3)): pi^-top sum c_j pi^(top - 3j), pi^e = p folded
-                    fold = {}
-                    for j, c in terms:
-                        q, r = divmod(top - 3 * j, e)
-                        fold[r] = fold.get(r, 0) + c * ctx.pk(q)
-                    wt = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
-                    # times u^m (valuation 0), then times pi^shift
-                    A = min(e * W - top, uA[m <= 0] + min(wt, e * W - top))
-                    shift = -4 * m - e * sig
-                    if wt < A:
-                        A = min(A, wt + e * W)
-                        diags.append((m, wt + shift))
-                        levels.append((m, terms, shift, wt + shift))
-                    prec = min(prec, A + shift)
-                kept = [(m, t, s) for m, t, s, v in levels if v < prec]
-                base = min(((s - 3 * t[-1][0]) // e for _, t, s in kept), default=0)
-            forms.append((base, prec, kept if u else cols))
-        self._check_convergence(diags, [prec for _, prec, _ in forms])
-        return self._plan_cache.setdefault(disk.reduction, (forms, u))
-
     def _x_offset(self, disk, S):
         """x(S) - x0, known to pi^(e W), for S in the finite disk of center x0."""
         mod, x0 = self.ctx.pk(self.W), disk.center.x.residue(self.W)
@@ -506,7 +449,7 @@ class ColemanIntegrator:
 
     def _exact_at_boundary(self, disk, S):
         """The six exact parts f_i(S) at the boundary point S of a bad disk,
-        evaluated from the disk's plan (`_plan`).
+        evaluated from the disk's plan (`plan_disk`).
 
         Level m of a form is p^-sigma poly(x) y^m.  A form is known to the
         least precision of its levels; the levels at or past it add nothing,
@@ -518,10 +461,18 @@ class ColemanIntegrator:
         kept levels only, chained by u^(+-3) per class mod 3.
         """
         ctx, p, e = self.ctx, self.p, self.e
-        forms, u = self._plan_cache.get(disk.reduction) or self._plan(disk)
-        if u is None:
+        forms = self._plan_cache.get(disk.reduction) or self._plan_cache.setdefault(
+            disk.reduction, plan_disk(self.fd, disk, e, self.N, self))
+        finite = disk.kind == BAD_FINITE
+        if finite:
             X = self._x_offset(disk, S).integers()
         else:
+            uval = S.y.shift_pi(4)
+            u = (uval, uval.inverse())
+            if any(b.abs_prec != self.W for b in u):
+                raise PrecisionExhausted(
+                    f"boundary point at infinity: u(pi) and 1/u(pi) are known to "
+                    f"O(p^{u[0].abs_prec}) and O(p^{u[1].abs_prec}), the plan took O(p^{self.W})")
             need, upow = {m for _, _, kept in forms for m, _, _ in kept}, {}
             for s, b in zip((1, -1), u):
                 deep = [max((m * s for m in need if m % 3 == r), default=0) for r in range(3)]
@@ -532,7 +483,7 @@ class ColemanIntegrator:
                         upow[s * k] = upow[s * (k - 3)] * upow[3 * s]
         out = []
         for base, prec, terms in forms:
-            if u is None:  # a Horner in X over the columns
+            if finite:  # a Horner in X over the columns
                 mod_k = ctx.pk(-(-prec // e) - base) if prec != INF else 1
                 acc = terms[-1]
                 for col in reversed(terms[:-1]):
@@ -541,39 +492,10 @@ class ColemanIntegrator:
                 acc = [0] * e
                 for m, tm, shift in terms:
                     vec = upow[m].integers()
-                    for j, c in tm:
+                    for j, c, _ in tm:
                         _add_shifted(ctx, acc, base, c, shift - 3 * j, vec)
             out.append(RamifiedElement(ctx, e, base, acc, prec))
         return out
-
-    def _check_convergence(self, diags, precs):
-        """Flag evaluations whose deep pole terms dominate (the boundary is
-        too close to the disk's center) or whose values, known modulo
-        pi^prec for prec in precs, fall short of the target: e must grow."""
-        vmin = min((v for _, v in diags), default=INF)
-        if vmin < -4 * self.e:
-            raise IncreaseE(f"exact part blows up at radius 1/{self.e} "
-                            f"(term of size p^{-vmin / self.e:.1f})")
-        ms = sorted({m for m, _ in diags})
-        if len(ms) >= 8:
-            deep_cut = ms[len(ms) // 4 - 1]
-            vdeep = min(v for m, v in diags if m <= deep_cut)
-            vrest = min(v for m, v in diags if m > deep_cut)
-            if vdeep < min(vrest, 0):
-                raise IncreaseE("exact-part terms are not decaying at radius "
-                                f"1/{self.e}; increase e")
-        # each wrap of pi^e = p in a deep y^m shift divides by p, so the
-        # values are only known modulo p^(W - depth/e); if that eats into the
-        # target digits, a larger e is required
-        need = self.N + 5
-        lowest = min((prec // self.e for prec in precs if prec != INF), default=None)
-        if lowest is not None and lowest < need:
-            deepest = max((-m for part in self.fd.exact_parts for m in part),
-                          default=0)
-            raise IncreaseE(
-                f"boundary values precise only to O(p^{lowest}) at radius "
-                f"1/{self.e} (need {need} digits); increase e",
-                e_min=-(-deepest // max(1, self.W - need)))
 
     # -- Frobenius images of endpoints -------------------------------------
 
@@ -592,8 +514,8 @@ class ColemanIntegrator:
             Fv = self._eval_series(dd["Ft"], RamifiedElement.pi(ctx, e, 1))
             u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
         if u_el.pi_valuation() < 1:
-            raise IncreaseE(f"Frobenius correction diverges at radius 1/{e}; "
-                            "increase e")
+            raise IncreaseE(f"Frobenius image of the boundary point of {disk!r}: "
+                            f"the correction diverges at radius 1/{e}")
         w = cube_root_ramified(u_el + 1)
         if disk.kind == BAD_FINITE:
             return w.shift_pi(p)
@@ -694,10 +616,168 @@ class ColemanIntegrator:
         try:
             return value.to_padic(noise_floor=max(1, self.N + 2))
         except ValueError as exc:
-            raise IncreaseE(f"ramified noise exceeds tolerance: {exc}")
+            raise IncreaseE(f"projection to Q_p: ramified noise exceeds tolerance: {exc}")
 
     def divisor_integral(self, points):
         """integral(P) summed over the points: the Abel--Jacobi image of the
         divisor sum(points) - len(points) * infinity."""
         rows = [self.integral(P) for P in points]
         return [sum(col[1:], col[0]) for col in zip(*rows)]
+
+
+# --- plans of the bad disks and the choice of e ----------------------------
+
+
+def plan_disk(fd: FrobeniusData, disk, e: int, N: int, engine=None):
+    """The checked plan of `_exact_at_boundary` on a bad disk at e, from
+    valuations alone (`FrobeniusData.levels`); IncreaseE when e is too small.
+    forms[i] is (base, prec, terms) per exact part.  On a finite disk terms
+    are the X^i columns, level m of valuation e k + 3 i0, or evaluated at the
+    boundary point of `engine` (an integrator at e, made here if None) when
+    terms may tie (3 i0 >= e).  At infinity terms are the kept levels,
+    valuations from poly(pi^-3) alone and u(pi), 1/u(pi) units known to
+    O(p^W), which `_exact_at_boundary` checks."""
+    ctx, p, W = fd.ctx, fd.p, fd.N_work
+    finite, forms, diags, X = disk.kind == BAD_FINITE, [], [], None
+    for levels in fd.levels(disk.center.x.residue(W) if finite else None):
+        if finite:
+            prec = min((e * (W - lv[1]) + lv[0] for lv in levels), default=INF)
+            base = min(((lv[0] - e * lv[1]) // e for lv in levels), default=0)
+            terms = [[0] * e for _ in range(max((len(lv[2]) for lv in levels), default=1))]
+            for m, sig, b, k, i0 in levels:
+                if 3 * i0 >= e:  # terms may tie: evaluate at the boundary point
+                    if X is None:
+                        engine = engine or ColemanIntegrator(fd, N, e)
+                        X = engine._x_offset(disk, engine.boundary_point(disk))
+                    v = poly_at(b, X).pi_valuation()
+                else:
+                    v = e * k + 3 * i0
+                shift = m - e * sig
+                if v < e * W:
+                    diags.append((m, v + shift))
+                q, r = divmod(shift, e)  # b_i pi^shift joins the column of X^i
+                scale = ctx.pk(q - base)
+                for col, c in zip(terms, b):
+                    col[r] += c * scale
+        else:
+            kept, prec = [], INF
+            for m, sig, b, top in levels:
+                # w(poly(pi^-3)) is the least e v_p(c_j) - 3j unless terms tie
+                # there: they share a pi-residue and may cancel, so they are
+                # folded, pi^-top sum c_j pi^(top - 3j) with pi^e = p
+                vals = [e * vj - 3 * j for j, _, vj in b]
+                v = min(vals)
+                if vals.count(v) > 1:
+                    fold = {}
+                    for j, c, _ in b:
+                        q, r = divmod(top - 3 * j, e)
+                        fold[r] = fold.get(r, 0) + c * ctx.pk(q)
+                    v = min((e * _pval(n, p) + r - top for r, n in fold.items() if n), default=INF)
+                # times the unit u^m known to pi^(e W), then times pi^shift:
+                # by the product rule the level is known to pi^(e W - top + shift)
+                shift = -4 * m - e * sig
+                if v < e * W - top:
+                    diags.append((m, v + shift))
+                    kept.append((m, b, shift, v + shift))
+                prec = min(prec, e * W - top + shift)
+            terms = [(m, t, s) for m, t, s, v in kept if v < prec]
+            base = min(((s - 3 * t[-1][0]) // e for _, t, s in terms), default=0)
+        forms.append((base, prec, terms))
+    _check_convergence(diags, [prec for _, prec, _ in forms], e, N)
+    return forms
+
+
+def plan_bad_disks(fd: FrobeniusData, N: int, e: int):
+    """{disk reduction: plan} at e for every bad disk, the finite ones in disk
+    order and then infinity (`plan_disk`); IncreaseE at the first refusal."""
+    bad = sorted((d for d in fd.disks if d.kind != GOOD), key=lambda d: d.kind != BAD_FINITE)
+    return {d.reduction: plan_disk(fd, d, e, N) for d in bad}
+
+
+def _check_convergence(diags, precs, e, N):
+    """Flag evaluations whose deep pole terms dominate (the boundary is
+    too close to the disk's center) or whose values, known modulo
+    pi^prec for prec in precs, fall short of the target: e must grow."""
+    vmin = min((v for _, v in diags), default=INF)
+    if vmin < -4 * e:
+        raise IncreaseE(f"exact part blows up at radius 1/{e} "
+                        f"(term of size p^{-vmin / e:.1f})")
+    ms = sorted({m for m, _ in diags})
+    if len(ms) >= 8:
+        deep_cut = ms[len(ms) // 4 - 1]
+        vdeep = min(v for m, v in diags if m <= deep_cut)
+        vrest = min(v for m, v in diags if m > deep_cut)
+        if vdeep < min(vrest, 0):
+            raise IncreaseE("exact-part terms are not decaying at radius "
+                            f"1/{e}; increase e")
+    # each wrap of pi^e = p in a deep y^m shift divides by p, so the
+    # values are only known modulo p^(W - depth/e); if that eats into the
+    # target digits, a larger e is required
+    need = N + 5
+    lowest = min((prec // e for prec in precs if prec != INF), default=None)
+    if lowest is not None and lowest < need:
+        raise IncreaseE(
+            f"boundary values precise only to O(p^{lowest}) at radius "
+            f"1/{e} (need {need} digits); increase e")
+
+
+def choose_e(fd: FrobeniusData, N: int, e_cap: int):
+    """(e, plans): the least e <= e_cap that every bad disk's plan accepts,
+    and those plans (`plan_bad_disks`), chosen before any integrator is
+    built.  Every check of `_check_convergence` but the decay of deep terms
+    is a bound e a >= b linear in e, from `FrobeniusData.levels`: a level
+    p^-sigma poly(x) y^m is known to pi^(e(W - sigma) + c), c = -3 deg(poly)
+    - 4m at infinity and m on a finite disk, and needs N + 5 digits; none of
+    its terms, of pi-valuation e(v_p(c_j) - sigma) - 3j - 4m at infinity and
+    e(k - sigma) + 3 i0 + m on a finite disk, may fall below pi^(-4e).  These
+    bounds are the plans' own checks but where terms tie (`_ties`).  The
+    plans confirm the least e they allow, and e - 1 unless a bound that is
+    exact there refuses it; a plan that disagrees moves e one step.
+    IncreaseE when the least e is above e_cap, PrecisionExhausted when the
+    bounds allow none."""
+    W, need = fd.N_work, N + 5
+    finite = [d for d in fd.disks if d.kind == BAD_FINITE]
+    bounds = []  # (a, b, ties) for e a >= b; ties None for the exact precision bounds
+    for levels in fd.levels():
+        for m, sig, terms, top in levels:
+            bounds.append((W - sig - need, top + 4 * m, None))
+            if finite:  # the precision of a finite disk's level does not depend on x0
+                bounds.append((W - sig - need, -m, None))
+            if top + 4 * m > 0 or sig > 3:  # else every term has a >= 1 and b <= 0
+                bounds += [(v - sig + 4, 3 * j + 4 * m, terms) for j, _, v in terms]
+    for disk in finite:
+        bounds += [(k - sig + 4, -3 * i0 - m, 3 * i0) for levels in fd.levels(disk.center.x.residue(W))
+                   for m, sig, _, k, i0 in levels if k < W]
+    floor = max([1] + [-(-b // a) for a, b, t in bounds if a > 0 and t is None])
+    lo = max([1] + [-(-b // a) for a, b, _ in bounds if a > 0])
+    hi = min([e_cap] + [b // a if a else 0 for a, b, _ in bounds if a < 0 or a == 0 < b])
+    if lo > hi:
+        raise (IncreaseE(f"the plans need e >= {lo}, above e_cap {e_cap}") if lo > e_cap else
+               PrecisionExhausted(f"no e passes the bounds of the plans (W = {W}, N = {N})"))
+
+    def plans_at(e):
+        try:
+            return plan_bad_disks(fd, N, e)
+        except IncreaseE:
+            return None
+
+    e = lo
+    while (plans := plans_at(e)) is None:
+        if e >= hi:
+            raise IncreaseE(f"no e from {lo} to {hi} passes the plans")
+        e += 1
+    if e == lo > floor and all(_ties(t, e - 1) for a, b, t in bounds if a > 0 and -(-b // a) == e):
+        while e > floor and (below := plans_at(e - 1)) is not None:
+            plans, e = below, e - 1
+    return e, plans
+
+
+def _ties(level, e):
+    """Whether the least terms of a level may tie at e, so that its plan
+    may pass a decay bound of `choose_e` that fails: at infinity two terms
+    of least e v_p(c_j) - 3j (level: the terms), on a finite disk 3 i0 >= e
+    (level: 3 i0)."""
+    if isinstance(level, int):
+        return level >= e
+    vals = [e * v - 3 * j for j, _, v in level]
+    return vals.count(min(vals)) > 1

@@ -207,8 +207,9 @@ def _icbrt(n: int) -> int:
 _CUBES = {m: {pow(r, 3, m) for r in range(m)} for m in (63, 13, 19, 37)}  # 63 = 7 * 9
 
 
-def rational_point_search(curve: PicardCurve, height_bound: int = 1000):
-    """All (a/b, y) in X(Q) with gcd(a, b) = 1, max(|a|, b) <= H, plus infinity.
+def rational_point_search(curve: PicardCurve):
+    """All (a/b, y) in X(Q) with gcd(a, b) = 1, max(|a|, b) <= H = 1000, plus
+    infinity.
 
     The search is exact.  Let F(a, b) = b^4 f(a/b) and y = r/s in lowest
     terms.  f is monic, so gcd(F(a, b), b) = gcd(a^4, b) = 1, and
@@ -218,7 +219,7 @@ def rational_point_search(curve: PicardCurve, height_bound: int = 1000):
     every m, so a sieve loses no point: only the a where F(a, d^3) is a cube
     modulo 63, 13, 19 and 37 (about 1%) get the exact test.
     """
-    H = height_bound
+    H = 1000
     found = []
     for d in range(1, _icbrt(H) + 1):
         b = d ** 3

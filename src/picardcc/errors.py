@@ -60,7 +60,7 @@ class BadPrime(PicardCCError):
 
 
 class BadParameter(PicardCCError):
-    """A pipeline parameter out of range: N, e0 or e_increment below 1."""
+    """A pipeline parameter out of range: N or e_cap below 1."""
 
     reason = "bad-parameter"
 
@@ -95,13 +95,10 @@ class DoubleRoot(ComputationFailure):
 
 
 class IncreaseE(ComputationFailure):
-    """The ramification index e is too small; e_min > 0 bounds the next e."""
+    """The ramification index e is too small: no e up to the cap passes the
+    plans, or a later stage, named in the message, needs a larger e."""
 
     reason = "increase-e"
-
-    def __init__(self, message="", e_min=0):
-        super().__init__(message)
-        self.e_min = e_min
 
 
 class FrobeniusUncertified(ComputationFailure):

@@ -54,7 +54,7 @@ from .errors import ComputationFailure, PrecisionExhausted
 from .padic import (INF, PadicContext, RamifiedElement, _pval, charpoly_adj, disc_adj,
                     poly_deriv, taylor_shift)
 from .series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
-from .curve import PicardCurve, points_over_Fp
+from .curve import PicardCurve, classify_disks, points_over_Fp
 
 
 # internal reduction basis: (a, b) with omega = x^a y^b dx/f
@@ -244,7 +244,7 @@ class FrobeniusData:
                                 # sum p^-sigma poly(x) y^y_exp
     sigma_max: int
     A_poly: list = None         # pA = f(x^p) - f(x)^p support data
-    _columns: dict = field(default_factory=dict, repr=False, compare=False)
+    _levels: dict = field(default_factory=dict, repr=False, compare=False)
 
     @cached_property
     def system(self):
@@ -257,20 +257,34 @@ class FrobeniusData:
                for i in range(n)]
         return _solve_linear(rows, eye)
 
-    def taylor_columns(self, x0):
-        """Per exact part, (m, sigma, b, k, i0) per level, b the Taylor
-        coefficients of its poly at the integer x0 mod p^W, k = min v_p(b_i),
-        i0 the first i with it; made once per x0, for every e."""
-        if x0 not in self._columns:
-            W, pk = self.N_work, self.ctx.pk
-            self._columns[x0] = [[] for _ in self.exact_parts]
-            for levels, part in zip(self._columns[x0], self.exact_parts):
+    @cached_property
+    def disks(self):
+        """The residue disks (`classify_disks`), shared by the choice of e and
+        every integrator built on this matrix."""
+        return classify_disks(self.curve, self.ctx)
+
+    def levels(self, x0=None):
+        """Per exact part, the data of each level p^-sigma poly(x) y^m that the
+        plans of the bad disks read, made once for every e.  At infinity (x0
+        None) it is (m, sigma, terms, top), terms the (j, c, v_p(c)) of the
+        nonzero coefficients of poly and top three times its degree; at the
+        integer x0 it is (m, sigma, b, k, i0), b the Taylor coefficients of
+        poly at x0 mod p^W, k = min v_p(b_i) and i0 the first i with it."""
+        if x0 not in self._levels:
+            p, mod = self.p, self.ctx.pk(self.N_work)
+            vp = {p ** k: k for k in range(self.N_work + 1)}  # v_p(c) = vp[gcd(c, p^W)]
+            self._levels[x0] = [[] for _ in self.exact_parts]
+            for levels, part in zip(self._levels[x0], self.exact_parts):
                 for m, (sig, poly) in part.items():
-                    b = taylor_shift(poly, x0, pk(W))
-                    k = _pval(math.gcd(*b), self.p) if any(b) else W
-                    i0 = next((i for i, c in enumerate(b) if c % pk(k + 1)), 0)
-                    levels.append((m, sig, b, k, i0))
-        return self._columns[x0]
+                    if x0 is None:
+                        terms = [(j, c, vp[math.gcd(c, mod)]) for j, c in enumerate(poly) if c]
+                        levels.append((m, sig, terms, 3 * terms[-1][0]))
+                    else:
+                        b = taylor_shift(poly, x0, mod)
+                        g = math.gcd(mod, *b)
+                        i0 = next((i for i, c in enumerate(b) if c % (g * p)), 0)
+                        levels.append((m, sig, b, vp[g], i0))
+        return self._levels[x0]
 
 
 def _solve_linear(rows, rhs):
@@ -341,22 +355,40 @@ def _numerator(p, b, c, A, F, mod):
     return [0] * (p - 1) + _tree(c, 0, len(c) - 1, A, F, mod), 3 * p * len(c) - p * b
 
 
-def _fpow_table(f, levels, mod):
-    """[(f^(2^i), 1/rev(f^(2^i)) to 4 * 2^i terms) for i < levels]; f is
-    monic, so each reversal has constant term 1."""
+def _fpow_table(f, levels, mod, n_top):
+    """[(f^(2^i), 1/rev(f^(2^i)) to 4 * 2^i terms) for i < levels], the top
+    reciprocal cut to n_top terms, the most `_f_adic_digits` reads of it; f
+    is monic, so each reversal has constant term 1.  Levels up to 2 divide
+    by f directly and keep no reciprocal."""
     table = []
-    for _ in range(levels):
-        table.append((f, ser_inverse_root(f[::-1], 1, 1, mod, len(f) - 2)))
-        f = ser_mul(f, f, mod)
+    for i in range(levels):
+        if i:
+            f = ser_mul(f, f, mod)
+        n = n_top if i == levels - 1 else len(f) - 1
+        table.append((f, ser_inverse_root(f[::-1], 1, 1, mod, n - 1) if i > 2 else None))
     return table
 
 
 def _f_adic_digits(h, level, table, mod):
     """The 2^(level+1) digits r_j (deg r_j < 4) of h = sum_j r_j f^j, exact
-    mod p^W for the monic quartic f = table[0][0], len(h) <= 8 * 2^level: the
-    quotient by f^(2^level) comes from the reciprocal of its reversal."""
-    if level < 0:
-        return [ser_trim(h)]
+    mod p^W for the monic quartic f = table[0][0], len(h) <= 8 * 2^level.
+    Above level 2 the quotient by f^(2^level) comes from the reciprocal of
+    its reversal and each half recurses; at level 2 and below (h of at most
+    32 coefficients) h is divided by f once per digit."""
+    if level <= 2:
+        f0, f1, f2, f3 = table[0][0][:4]
+        digits = []
+        for _ in range(2 ** (level + 1)):
+            h, q = list(h), [0] * (len(h) - 4)
+            for i in range(len(h) - 1, 3, -1):  # h = q f + r, top term first
+                c = q[i - 4] = h[i] % mod
+                h[i - 1] -= c * f3
+                h[i - 2] -= c * f2
+                h[i - 3] -= c * f1
+                h[i - 4] -= c * f0
+            digits.append(ser_trim([x % mod for x in h[:4]]))
+            h = q
+        return digits
     F, inv = table[level]
     D = len(F) - 1
     m = len(h) - D  # quotient length; q and h[D:] are empty when m <= 0
@@ -399,19 +431,23 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     A = ser_trim([(c // p) % mod for c in diff])
 
     k_max = _binomial_cutoff(p, W)
-    # deg A < 4p, so a numerator H below has at most p + 4p k_max coefficients
-    top = ((p + 4 * p * k_max - 1) // 8).bit_length()
-    table = _fpow_table([c % mod for c in curve.f], top + 1, mod)
-    reducer = _Reducer(curve, p, W, table)
     powA, powF = {1: A}, {1: [c % mod for c in fp]}  # shared by b = 1, 2
-    rows, parts = [None] * 6, [None] * 6
-    sigma_max = 0
+    numerators = []
     for b in (1, 2):
         c = [Fraction(p)]  # c_k = p^(k+1) C((b-3)/3, k) = c_(k-1) p (b - 3k)/(3k)
         for k in range(1, k_max + 1):
             c.append(c[-1] * p * (b - 3 * k) / (3 * k))  # unit denominators
         c = [q.numerator * pow(q.denominator, -1, mod) % mod for q in c]
-        H, t_max = _numerator(p, b, c, powA, powF, mod)
+        numerators.append((b, *_numerator(p, b, c, powA, powF, mod)))
+    # every numerator has at most 8 * 2^top coefficients, and the top
+    # reciprocal is read to the longest quotient by f^(2^top)
+    n = max(len(H) for _, H, _ in numerators)
+    top = ((n - 1) // 8).bit_length()
+    table = _fpow_table([c % mod for c in curve.f], top + 1, mod, max(1, n - 4 * 2 ** top))
+    reducer = _Reducer(curve, p, W, table)
+    rows, parts = [None] * 6, [None] * 6
+    sigma_max = 0
+    for b, H, t_max in numerators:
         # digit r_j sits at pole order t_max - 3j; deg H < 4 (t_max // 3 + 1),
         # so the last, at t_max mod 3, is the whole quotient H // f^(t_max // 3)
         r = _f_adic_digits(H, top, table, mod)

@@ -8,6 +8,8 @@ tests/fixtures/bench_reports.json.  A change meant to alter the reports
 regenerates the fixture with
 
     PYTHONPATH=src python tests/test_bench_reports.py
+
+which prints, per workload and seed, the report fields that changed.
 """
 
 import importlib.util
@@ -55,8 +57,11 @@ def test_bench_reports_match_fixture(name, seed, tmp_path, capsys):
 if __name__ == "__main__":
     import tempfile
 
+    from report_diff import print_changes
+
     with tempfile.TemporaryDirectory() as tmp:
         pinned = {f"{name}-seed{seed}": _reports(name, seed, Path(tmp))
                   for name, seed in CASES}
+    print_changes(json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}, pinned)
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(pinned, indent=1) + "\n")

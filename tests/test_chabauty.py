@@ -19,6 +19,7 @@ from picardcc.algdep import (
     lll_reduce,
 )
 import picardcc.chabauty as chabauty_mod
+import picardcc.coleman as coleman_mod
 from picardcc.chabauty import (
     _divisor_specs,
     _split_product,
@@ -36,7 +37,7 @@ from picardcc.coleman import (
 from picardcc.curve import CurvePoint, PicardCurve, branch_point
 from picardcc.errors import BadDivisor, DegenerateDivisor, DoubleRoot, IncreaseE
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
-from picardcc.padic import INF, PadicContext, cube_roots
+from picardcc.padic import INF, PadicContext, RamifiedElement, cube_roots
 from picardcc.series import ser_trim
 
 EX1 = [-64, -48, 0, 6, 1]
@@ -196,7 +197,7 @@ def _classify_with_algdep_log(monkeypatch, record, params):
     ({"label": "ex4", "f": EX4, "divisors": [{"g": [-1, 1, 1]}], "p": 11},
      {"N": 8}),
     ({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5},
-     {"N": 15, "e0": 10}),
+     {"N": 15}),
 ], ids=["ex4@11", "ex1@5"])
 def test_classify_recognizes_each_coordinate_once(monkeypatch, record, params):
     logs = _classify_with_algdep_log(monkeypatch, record, params)
@@ -262,13 +263,16 @@ def test_algdep_refuses_infinity_to_precision():
     ctx = PadicContext(5, 8)
     alpha = ctx.from_rational(Fraction(1, 5 ** 9)) + ctx.zero(-1)
     assert [algdep(alpha, d) for d in range(1, 5)] == [None] * 4
-    # on ex1 at p = 5 and N = 8 such a member of the infinite disk was
-    # tagged RecognizedAlgebraic with minpoly_x = minpoly_y = [1]
-    rec = {"f": [-64, -48, 0, 6, 1], "point": [-3, -1], "p": 5}
-    members = run_pipeline(rec, {"N": 8}).to_dict()["T"]
-    assert not [m for m in members if [1] in (m.get("minpoly_x"), m.get("minpoly_y"))]
-    assert any(m.get("x", "").endswith("*5^-3 + O(5^21)") and m["tag"] == "Unrecognized"
-               for m in members)
+    # on ex1 at p = 5 and N = 8 with e = 40 such a member of the infinite
+    # disk was tagged RecognizedAlgebraic with minpoly_x = minpoly_y = [1]
+    fd = frobenius_matrix(PicardCurve(EX1), 5, 8)
+    eng = ColemanIntegrator(fd, N=8, e=40)
+    P = CurvePoint(fd.ctx.from_int(-3), fd.ctx.from_int(-1), exact_x=-3, exact_y=-1)
+    van = vanishing_differentials(eng, [[P]])
+    members = [(Q, classify_point(Q, eng, van)) for Q in chabauty_set(eng, van)]
+    assert not [c for _, c in members if [1] in (c.minpoly_x, c.minpoly_y)]
+    assert any(repr(Q.x).endswith("*5^-3 + O(5^21)") and c.tag == "Unrecognized"
+               for Q, c in members)
 
 
 # The previous recognition code, kept as references for the differential
@@ -502,10 +506,12 @@ def test_pipeline_composite_prime_is_failure():
 
 
 def test_pipeline_failure_names_the_prime_it_ran_at(monkeypatch):
+    # ex1@5 needs e = 39: a cap below it fails before any integrator, and the
+    # report carries no e
     rec = {"label": "ex1", "f": EX1, "point": [-3, -1]}
-    d = run_pipeline(rec, {"N": 15, "e0": 10, "e_cap": 10}).to_dict()
-    assert d["failure_reason"].startswith("increase-e: ")
-    assert d["p"] == 5
+    d = run_pipeline(rec, {"N": 15, "e_cap": 38}).to_dict()
+    assert d["failure_reason"] == "increase-e: the plans need e >= 39, above e_cap 38"
+    assert d["p"] == 5 and d["e"] is None
     # a double root at p = 5 moves the run to the next admissible prime
     primes = []
 
@@ -535,17 +541,18 @@ def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):
 
 
 def test_failed_e_attempts_are_freed_without_the_cycle_collector():
-    # ex1 at p = 5 from e = 10 climbs to e = 50; each failed attempt's
-    # integrator must die with its last reference, not wait for a full
-    # collection (an exception kept across attempts holds its frames)
+    # ex1 at p = 5: an e choice refused at the cap, and a run at its chosen
+    # e = 39, leave no integrator and no frame of the package to a full
+    # collection (an exception kept past its handler holds its frames)
     rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
     pkg = os.path.dirname(chabauty_mod.__file__)
     enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        rep = run_pipeline(rec, {"N": 15, "e0": 10})
-        assert rep.status == "Success" and rep.e == 50
+        assert run_pipeline(rec, {"N": 15, "e_cap": 38}).status == "Failure"
+        rep = run_pipeline(rec, {"N": 15})
+        assert rep.status == "Success" and rep.e == 39
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         pinned = [o for o in gc.garbage if isinstance(o, ColemanIntegrator) or
@@ -560,18 +567,84 @@ def test_failed_e_attempts_are_freed_without_the_cycle_collector():
 
 
 def test_e_climb_from_e10_ex1_p5(monkeypatch):
-    # the escalation benchmark's record; its report keeps only the last e
-    attempts, plan = [], ColemanIntegrator.plan_bad_disks
-
-    def recording(self):
-        attempts.append(self.e)
-        plan(self)
-
-    monkeypatch.setattr(ColemanIntegrator, "plan_bad_disks", recording)
+    # the escalation benchmark's record and flags (--e 10 --e-increment 20):
+    # e no longer climbs 10, 30, 50 but is chosen once, and only e = 39 is
+    # planned, since the bounds of choose_e refuse e = 38 exactly
+    attempts, plan, init = [], coleman_mod.plan_bad_disks, ColemanIntegrator.__init__
+    built = []
+    monkeypatch.setattr(coleman_mod, "plan_bad_disks",
+                        lambda fd, N, e: attempts.append(e) or plan(fd, N, e))
+    monkeypatch.setattr(ColemanIntegrator, "__init__",
+                        lambda self, fd, N, e=40, plans=None: built.append(e) or init(self, fd, N, e, plans))
     rec = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
-    rep = run_pipeline(rec, {"N": 15, "e0": 10})
-    assert rep.status == "Success" and rep.e == 50
-    assert attempts == [10, 30, 50]
+    rep = run_pipeline(rec, {"N": 15, "e0": 10, "e_increment": 20})
+    assert rep.status == "Success" and rep.e == 39
+    assert attempts == built == [39]
+
+
+# record, N, the e its plans choose, and what the run reported when it
+# started at e = 40 (and climbed to 60 on a, b and c, which have a finite
+# bad disk at p = 7): precision, S as (x, y) and T as (tag, minpoly_x)
+RAMIFIED = "Ramification"
+CHOSEN_E = [
+    ("pool1-0", [-5, -2, -5, 1, 1], [-1, -2], 7, 10, 9, 9, [("-1", "-2")], []),
+    ("pool1-1", [-1, -6, -6, -6, 1], [0, -1], 5, 10, 9, 8, [("0", "-1")], []),
+    ("pool1-2", [1, 1, 2, -3, 1], [0, 1], 5, 10, 9, 8, [("0", "1")], []),
+    ("pool1-3", [4, -4, -1, 2, 1], [-2, 2], 5, 10, 9, 8, [("-2", "2")], []),
+    ("pool1-4", [2, -4, 4, -2, 1], [1, 1], 7, 10, 9, 9, [("1", "1")], []),
+    ("pool1-5", [-5, 5, -5, -6, 1], [-1, -2], 7, 10, 9, 9, [("-1", "-2")], []),
+    ("ex4", EX4, None, 11, 8, 14, 7, [], [("RecognizedAlgebraic", [1, 2])]),
+    ("ex4", EX4, None, 11, 12, 14, 11, [], [("RecognizedAlgebraic", [1, 2])]),
+    ("ex1", EX1, [-3, -1], 5, 15, 39, 13, [("0", "-4"), ("-3", "-1")],
+     [(RAMIFIED, [4, 1]), (RAMIFIED, [2, 1]), ("LinearRelation", [-48, -24, 0, 1])]),
+    ("a", [4, 2, -6, 0, 1], [1, 1], 7, 10, 47, 9, [("1", "1")], [(RAMIFIED, [-2, 1])]),
+    ("b", [-1, 0, 6, -3, 1], [0, -1], 7, 10, 47, 9, [("0", "-1")],
+     [(RAMIFIED, [-1, 0, 6, -3, 1])]),
+    ("c", [0, 2, -3, 4, 1], [-1, -2], 7, 10, 47, 9, [("-1", "-2")],
+     [(RAMIFIED, [0, 1]), (RAMIFIED, [2, -3, 4, 1])]),
+    ("d", [5, 2, 0, 2, 1], [-2, 1], 5, 10, 32, 8, [("-4", "5"), ("-2", "1")],
+     [(RAMIFIED, None), (RAMIFIED, None)]),
+]
+
+
+@pytest.mark.parametrize("label,f,point,p,N,e,precision,S,T", CHOSEN_E,
+                         ids=[f"{c[0]}@{c[3]}-N{c[4]}" for c in CHOSEN_E])
+def test_chosen_e(monkeypatch, label, f, point, p, N, e, precision, S, T):
+    # the run's e is the least its plans accept: plan_bad_disks passes at e
+    # and refuses e - 1.  Choosing it makes no disk expansion, boundary point
+    # or ramified product, and the run reports what it did at e = 40 or 60
+    record = {"label": label, "f": f, "p": p}
+    record.update({"point": point} if point else {"divisors": [{"g": [-1, 1, 1]}]})
+    chosen, work, choose = [], [], chabauty_mod.choose_e
+    for name in ("_disk_data", "boundary_point"):
+        method = getattr(ColemanIntegrator, name)
+        monkeypatch.setattr(ColemanIntegrator, name,
+                            lambda *a, _m=method, _n=name: work.append(_n) or _m(*a))
+    mul = RamifiedElement.__mul__
+
+    def ramified_mul(x, y):
+        if x.e > 1 or getattr(y, "e", 1) > 1:
+            work.append("ramified product")
+        return mul(x, y)
+
+    monkeypatch.setattr(RamifiedElement, "__mul__", ramified_mul)
+
+    def spy(fd, n, cap):
+        before = len(work)
+        chosen.append((fd, choose(fd, n, cap)[0]))
+        assert work[before:] == []
+        return chosen[-1][1], None
+
+    monkeypatch.setattr(chabauty_mod, "choose_e", spy)
+    rep = run_pipeline(record, {"N": N}).to_dict()
+    (fd, got), = chosen
+    assert got == rep["e"] == e
+    coleman_mod.plan_bad_disks(fd, N, e)
+    with pytest.raises(IncreaseE):
+        coleman_mod.plan_bad_disks(fd, N, e - 1)
+    assert rep["status"] == "Success" and rep["precision"] == precision
+    assert [(m["x"], m["y"]) for m in rep["S"] if m["x"] != "inf"] == S
+    assert [(m["tag"], m.get("minpoly_x")) for m in rep["T"]] == T
 
 
 _fraction = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))

@@ -225,19 +225,15 @@ def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, bad, why):
 BAD_PARAMETERS = pytest.mark.parametrize(
     "name,flag,value,why",
     [("N", "--precision", 0, "N must be at least 1, got 0"),
-     ("e0", "--e", 0, "e0 must be at least 1, got 0"),
-     ("e_increment", "--e-increment", 0, "e_increment must be at least 1, got 0"),
-     ("e_cap", "--e-cap", 5, "e_cap 5 is below e0 10")],
-    ids=["N", "e0", "e-increment", "e-cap"])
+     ("e_cap", "--e-cap", 0, "e_cap must be at least 1, got 0")],
+    ids=["N", "e-cap"])
 
 
 @BAD_PARAMETERS
 def test_pipeline_bad_parameter_is_failure(name, flag, value, why):
-    # ex1@5 started at e = 10 must escalate, so e_increment = 0 would retry
-    # e = 10 for ever
     record = {"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5}
     with _deadline(20):
-        rep = run_pipeline(record, {"N": 15, "e0": 10, name: value})
+        rep = run_pipeline(record, {"N": 15, name: value})
     assert rep.status == "Failure"
     assert rep.failure_reason == f"bad-parameter: {why}"
 
@@ -246,9 +242,24 @@ def test_pipeline_bad_parameter_is_failure(name, flag, value, why):
 def test_analyze_bad_parameter_is_failure(capsys, name, flag, value, why):
     rec = json.dumps({"label": "ex1", "f": EX1, "point": [-3, -1], "p": 5})
     with _deadline(20):
-        assert main(["analyze", "--curve", rec, "--e", "10", flag, str(value)]) == 0
+        assert main(["analyze", "--curve", rec, flag, str(value)]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]
     assert report["failure_reason"] == f"bad-parameter: {why}"
+
+
+@pytest.mark.parametrize("name,flag", [("e0", "--e"), ("e_increment", "--e-increment")],
+                         ids=["e0", "e-increment"])
+def test_unused_e_parameters_are_accepted(capsys, name, flag):
+    # e is the least one the plans accept: --e and --e-increment still
+    # parse, and no value of theirs changes the run
+    record = {"label": "ex4", "f": EX4, "divisors": [{"g": [-1, 1, 1]}], "p": 11}
+    with _deadline(20):
+        rep = run_pipeline(record, {"N": 8, name: 0})
+        assert main(["analyze", "--curve", json.dumps(record), "--precision", "8",
+                     flag, "0"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]
+    assert rep.status == report["status"] == "Success"
+    assert rep.e == report["e"] == 14
 
 
 NON_INTEGRAL = pytest.mark.parametrize(

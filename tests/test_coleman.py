@@ -16,6 +16,7 @@ from picardcc.coleman import (
     NumberFieldPointSpec,
     realize_nf_points,
 )
+from picardcc.chabauty import run_pipeline
 from picardcc.curve import CurvePoint, PicardCurve, branch_point
 from picardcc.errors import (
     BadYRule,
@@ -23,6 +24,7 @@ from picardcc.errors import (
     IncreaseE,
     NotSplit,
     PoleInDisk,
+    PrecisionExhausted,
 )
 from picardcc.frobenius import BASIS, REGULAR, frobenius_matrix
 from picardcc.padic import (
@@ -223,7 +225,7 @@ def test_fundamental_theorem_on_exact_form(ex1_p5):
     eng = ex1_p5
     ctx, p, W = eng.ctx, eng.p, eng.W
     mod = p ** W
-    red = _Reducer(eng.curve, p, W, _fpow_table([c % mod for c in eng.curve.f], 1, mod))
+    red = _Reducer(eng.curve, p, W, _fpow_table([c % mod for c in eng.curve.f], 1, mod, 4))
     (sigma, coeffs), exact = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
     assert sigma == 0
     fp = poly_deriv(eng.curve.f)  # degree 3, leading coefficient 4
@@ -595,13 +597,13 @@ def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, mon
         reference = _reference_exact_at_finite
     assert disks
     seen, ties = [], []
-    check, evaluate = eng._check_convergence, coleman.poly_at
+    check, evaluate = coleman._check_convergence, coleman.poly_at
 
-    def spy(diags, precs):
+    def spy(diags, precs, *args):
         seen.append(Counter(diags))
-        check(diags, precs)
+        check(diags, precs, *args)
 
-    monkeypatch.setattr(eng, "_check_convergence", spy)
+    monkeypatch.setattr(coleman, "_check_convergence", spy)
     # a finite level is evaluated only when two of its terms may tie at the
     # least valuation: b_i0 X^i0, i0 the first b_i of least v_p, and an earlier
     # b_j of higher v_p, which needs e <= 3 i0 <= 3 deg
@@ -610,16 +612,16 @@ def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, mon
         S = eng.boundary_point(disk)
         want, want_diags = reference(eng, S)
         try:
-            check(want_diags, [a.A for a in want])
+            check(want_diags, [a.A for a in want], e, N)
             want_exc = None
         except IncreaseE as exc:
-            want_exc = (str(exc), exc.e_min)
+            want_exc = str(exc)
         seen.clear()
         try:
             got = eng._exact_at_boundary(disk, S)
             got_exc = None
         except IncreaseE as exc:
-            got_exc = (str(exc), exc.e_min)
+            got_exc = str(exc)
         assert seen == [Counter(want_diags)]
         assert got_exc == want_exc
         if want_exc is None:
@@ -675,6 +677,27 @@ def test_exact_at_infinity_makes_few_ramified_products(monkeypatch):
     assert 0 < len(calls) <= 200
 
 
+def test_plan_at_infinity_takes_u_known_to_W(monkeypatch):
+    # the plan at infinity states each level's precision from u(pi) and
+    # 1/u(pi) known to O(p^W); a boundary point whose u is known to less
+    # fails the run with a typed failure instead of overstating the digits
+    eng = ColemanIntegrator(_frobenius(tuple(EX4), 11, 8), N=8, e=14)
+    disk = eng.infinite_disk
+    S = eng.boundary_point(disk)
+    u = S.y.shift_pi(4)
+    assert u.abs_prec == u.inverse().abs_prec == eng.W
+    eng._exact_at_boundary(disk, S)
+    blurred = CurvePoint(S.x, S.y + eng.ctx.zero(eng.W - 1))
+    with pytest.raises(PrecisionExhausted, match="^boundary point at infinity: u"):
+        eng._exact_at_boundary(disk, blurred)
+    boundary = ColemanIntegrator.boundary_point
+    monkeypatch.setattr(ColemanIntegrator, "boundary_point", lambda self, d: (
+        blurred if d.kind == "bad_infinite" else boundary(self, d)))
+    rep = run_pipeline({"f": EX4, "divisors": [{"g": [-1, 1, 1]}], "p": 11}, {"N": 8})
+    assert rep.status == "Failure"
+    assert rep.failure_reason.startswith("precision-exhausted: boundary point at infinity: u")
+
+
 def test_exact_at_finite_boundary_adds_no_ramified_elements(monkeypatch):
     # the level-by-level path adds one RamifiedElement per level
     eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 15), N=15, e=50)
@@ -686,34 +709,65 @@ def test_exact_at_finite_boundary_adds_no_ramified_elements(monkeypatch):
 
 
 def test_failed_attempt_makes_no_ramified_arithmetic(monkeypatch):
-    # ex1@5 at e = 10 fails on a finite bad disk; its plan refuses the attempt
-    # before any boundary point, product or Horner in X is made
-    eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 15), N=15, e=10)
+    # ex1@5 at e = 10 fails on a finite bad disk; its plan refuses e before
+    # any integrator, boundary point, product or Horner in X is made
+    fd = _frobenius(tuple(EX1), 5, 15)
+    assert fd.disks  # classified once per matrix, with Q_p products, for every e
     products, built, folds = _count_calls(monkeypatch, "__mul__"), [], []
-    disk_data, fold = eng._disk_data, coleman._fold_mul
-    monkeypatch.setattr(eng, "_disk_data", lambda d: built.append(d.kind) or disk_data(d))
+    init, fold = ColemanIntegrator.__init__, coleman._fold_mul
+    monkeypatch.setattr(ColemanIntegrator, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     monkeypatch.setattr(coleman, "_fold_mul", lambda *a: folds.append(1) or fold(*a))
     with pytest.raises(IncreaseE) as exc:
-        eng.plan_bad_disks()
+        coleman.plan_bad_disks(fd, 15, 10)
     assert str(exc.value) == "exact part blows up at radius 1/10 (term of size p^13.2)"
-    assert exc.value.e_min == 0
-    assert not products and not folds and "bad_finite" not in built
+    assert not products and not folds and not built
+
+
+def test_choose_e_steps_where_the_plans_disagree_with_the_bounds(monkeypatch):
+    # ex4@11 at N = 8: the bounds allow e >= 14, a decay bound at infinity
+    # with no tie at e = 13 refuses 13, and the plans agree
+    fd = _frobenius(tuple(EX4), 11, 8)
+    plan, tried = coleman.plan_bad_disks, []
+    assert coleman.choose_e(fd, 8, 200)[0] == 14
+    with pytest.raises(IncreaseE, match="^the plans need e >= 14, above e_cap 13$"):
+        coleman.choose_e(fd, 8, 13)
+
+    def refusing(refused):
+        def planned(fd, N, e):
+            tried.append(e)
+            if e in refused:
+                raise IncreaseE("refused")
+            return plan(fd, N, max(e, 14))
+        return planned
+
+    # a plan refused where the bounds allow it (the decay check) moves e up
+    monkeypatch.setattr(coleman, "plan_bad_disks", refusing({14, 15}))
+    assert coleman.choose_e(fd, 8, 200)[0] == 16 and tried == [14, 15, 16]
+    with pytest.raises(IncreaseE, match="^no e from 14 to 15 passes the plans$"):
+        coleman.choose_e(fd, 8, 15)
+    # where the least terms may tie below the bounds, e - 1 is planned, and
+    # lower while the plans pass
+    tried.clear()
+    monkeypatch.setattr(coleman, "_ties", lambda level, e: True)
+    monkeypatch.setattr(coleman, "plan_bad_disks", refusing({11}))
+    assert coleman.choose_e(fd, 8, 200)[0] == 12 and tried == [14, 13, 12, 11]
 
 
 def test_taylor_columns_made_once_per_run(monkeypatch):
-    # e = 10, 30 and 50 on one Frobenius matrix: each (finite root, level)
-    # is shifted once, and only e = 50 plans every disk
+    # choosing e and planning e = 10, 30 and 50 on one Frobenius matrix: each
+    # (finite root, level) is shifted once, and only e = 50 passes
     fd = frobenius_matrix(PicardCurve(EX1), 5, 15)
     shifts, shift = [], frobenius.taylor_shift
     monkeypatch.setattr(frobenius, "taylor_shift",
                         lambda poly, a, mod: shifts.append((a, id(poly))) or shift(poly, a, mod))
+    assert coleman.choose_e(fd, 15, 200)[0] == 39
     for e in (10, 30, 50):
-        eng = ColemanIntegrator(fd, N=15, e=e)
         try:
-            eng.plan_bad_disks()
+            coleman.plan_bad_disks(fd, 15, e)
         except IncreaseE:
             assert e < 50
-    roots = [d for d in eng.disks if d.kind == "bad_finite"]
+    roots = [d for d in fd.disks if d.kind == "bad_finite"]
     levels = sum(len(part) for part in fd.exact_parts)
     assert roots and len(shifts) == len(set(shifts)) == len(roots) * levels
 

@@ -278,9 +278,16 @@ def test_laurent_eval_matches_point():
     assert (yv ** 3).is_congruent(eng.curve.f_eval(xv), 7)
 
 
+def _search(curve, H):
+    """The points of the one search (height 1000) of height max(|a|, b) <= H,
+    x = a/b, with infinity first."""
+    return [P for P in rational_point_search(curve)
+            if P.inf or max(abs(P.exact_x.numerator), P.exact_x.denominator) <= H]
+
+
 def test_rational_point_search_ex1():
     c = PicardCurve(EX1)
-    pts = rational_point_search(c, 50)
+    pts = _search(c, 50)
     coords = {(P.exact_x, P.exact_y) for P in pts if not P.inf}
     assert (Fraction(-3), Fraction(-1)) in coords
     assert pts[0].inf
@@ -288,7 +295,7 @@ def test_rational_point_search_ex1():
 
 def test_rational_point_search_ex3():
     c = PicardCurve(EX3)
-    pts = rational_point_search(c, 10)
+    pts = _search(c, 10)
     coords = {(P.exact_x, P.exact_y) for P in pts if not P.inf}
     assert (Fraction(1), Fraction(-1)) in coords
     assert (Fraction(-1), Fraction(-1)) in coords
@@ -297,7 +304,7 @@ def test_rational_point_search_ex3():
 def test_rational_point_search_x4_minus_40():
     # monic model of y^3 = 2x^4 - 5 under (x, y) -> (2x, 2y)
     c = PicardCurve([-40, 0, 0, 0, 1])
-    pts = rational_point_search(c, 10)
+    pts = _search(c, 10)
     coords = {(P.exact_x, P.exact_y) for P in pts if not P.inf}
     assert (Fraction(4), Fraction(6)) in coords
     assert (Fraction(-4), Fraction(6)) in coords
@@ -305,22 +312,24 @@ def test_rational_point_search_x4_minus_40():
 
 def test_rational_point_search_ex4_empty():
     c = PicardCurve(EX4)
-    pts = rational_point_search(c, 100)
+    pts = _search(c, 100)
     assert len(pts) == 1 and pts[0].inf
 
 
 def test_rational_point_search_monotone():
-    c = PicardCurve(EX1)
-    small = {(P.exact_x, P.exact_y) for P in rational_point_search(c, 20) if not P.inf}
-    large = {(P.exact_x, P.exact_y) for P in rational_point_search(c, 60) if not P.inf}
-    assert small <= large
+    # infinity first, then the affine points in increasing (x, y), each of
+    # height at most 1000
+    pts = rational_point_search(PicardCurve(EX1))
+    coords = [(P.exact_x, P.exact_y) for P in pts[1:]]
+    assert pts[0].inf and len(coords) > 1 and coords == sorted(set(coords))
+    assert len(_search(PicardCurve(EX1), 1000)) == len(pts)
 
 
 def test_rational_point_search_denominator_cube():
     # f(1/8) = 1/4096 = (1/16)^3: denominator b = 2^3, y = r / 2^4
     c = PicardCurve([1, 0, 1, -520, 1])
     coords = {(P.exact_x, P.exact_y)
-              for P in rational_point_search(c, 1000) if not P.inf}
+              for P in rational_point_search(c) if not P.inf}
     assert (Fraction(1, 8), Fraction(1, 16)) in coords
 
 
@@ -347,7 +356,7 @@ def test_rational_point_search_matches_brute_force(f, H):
         c = PicardCurve(f + [1])
     except NotSquarefree:
         assume(False)
-    pts = rational_point_search(c, H)
+    pts = _search(c, H)
     assert pts[0].inf and not any(P.inf for P in pts[1:])
     assert {(P.exact_x, P.exact_y) for P in pts[1:]} == _brute_force_points(c.f, H)
 
@@ -377,7 +386,7 @@ POOL = [[-5, -2, -5, 1, 1], [-1, -6, -6, -6, 1], [1, 1, 2, -3, 1],
 def test_rational_point_search_matches_unsieved(f):
     # the cube-residue sieve keeps every point the full loop finds, in order
     # (H < 63 is covered by the brute-force property above)
-    pts = rational_point_search(PicardCurve(f), 1000)
+    pts = rational_point_search(PicardCurve(f))
     assert [(P.exact_x, P.exact_y) for P in pts[1:]] == _unsieved_search(f, 1000)
 
 
@@ -393,7 +402,7 @@ def test_rational_point_search_finds_planted_point(c, a, s, k, m):
         curve = PicardCurve([r ** 3 - poly_at([0] + c + [1], a)] + c + [1])
     except NotSquarefree:
         assume(False)
-    coords = {(P.exact_x, P.exact_y) for P in rational_point_search(curve, H) if not P.inf}
+    coords = {(P.exact_x, P.exact_y) for P in _search(curve, H) if not P.inf}
     assert (Fraction(a), Fraction(r)) in coords
 
 

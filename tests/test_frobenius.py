@@ -209,7 +209,7 @@ def test_trace_zero_for_p_2_mod_3():
 def _reducer(curve, p, W):
     """A _Reducer on the level-0 table of f mod p^W."""
     mod = p ** W
-    return _Reducer(curve, p, W, _fpow_table([c % mod for c in curve.f], 1, mod))
+    return _Reducer(curve, p, W, _fpow_table([c % mod for c in curve.f], 1, mod, 4))
 
 
 def _agree_mod(e1, e2, p, n):
@@ -230,7 +230,7 @@ def _digit_terms(terms, f, mod):
     out = {}
     for t, g in terms.items():
         level = ((max(len(g), 1) - 1) // 8).bit_length()
-        r = _f_adic_digits(g, level, _fpow_table(f, level + 1, mod), mod)
+        r = _f_adic_digits(g, level, _fpow_table(f, level + 1, mod, 4 * 2 ** level), mod)
         cut = max((t - 1) // 3, 0)  # the digit at pole order t - 3 cut <= 2
         rest = []
         for d in reversed(r[cut:]):
@@ -310,7 +310,7 @@ def test_f_adic_digits_reassemble(p, W, n, rng):
     f = [rng.randrange(mod) for _ in range(4)] + [1]
     h = [rng.randrange(mod) for _ in range(n)]
     level = ((max(n, 1) - 1) // 8).bit_length()  # n <= 8 * 2^level
-    digits = _f_adic_digits(h, level, _fpow_table(f, level + 1, mod), mod)
+    digits = _f_adic_digits(h, level, _fpow_table(f, level + 1, mod, 4 * 2 ** level), mod)
     assert all(len(r) <= 4 for r in digits)
     acc = []
     for r in reversed(digits):
