@@ -494,7 +494,11 @@ def run_pipeline(record, params=None):
 
     report = ChabautyReport(label=record.get("label") or "", N=N)
     try:
-        for name, value in (("N", N), ("e_cap", e_cap)):
+        # e0 and e_increment no longer steer the choice of e, but a value
+        # below 1 is still a malformed parameter
+        unused = [(name, int(params[name])) for name in ("e0", "e_increment")
+                  if params.get(name) is not None]
+        for name, value in [("N", N)] + unused + [("e_cap", e_cap)]:
             if value < 1:
                 raise BadParameter(f"{name} must be at least 1, got {value}")
         curve = PicardCurve(record["f"], discriminant=record.get("discriminant"),

@@ -90,6 +90,8 @@ def report_record(report, duration_s):
 def _params_from_args(args):
     params = {
         "N": args.precision,
+        "e0": args.e,
+        "e_increment": args.e_increment,
         "e_cap": args.e_cap,
         "relation_bound": args.relation_bound,
     }

@@ -225,8 +225,10 @@ def test_batch_bad_divisor_line_is_failure(tmp_path, capsys, bad, why):
 BAD_PARAMETERS = pytest.mark.parametrize(
     "name,flag,value,why",
     [("N", "--precision", 0, "N must be at least 1, got 0"),
+     ("e0", "--e", 0, "e0 must be at least 1, got 0"),
+     ("e_increment", "--e-increment", 0, "e_increment must be at least 1, got 0"),
      ("e_cap", "--e-cap", 0, "e_cap must be at least 1, got 0")],
-    ids=["N", "e-cap"])
+    ids=["N", "e0", "e-increment", "e-cap"])
 
 
 @BAD_PARAMETERS
@@ -247,16 +249,16 @@ def test_analyze_bad_parameter_is_failure(capsys, name, flag, value, why):
     assert report["failure_reason"] == f"bad-parameter: {why}"
 
 
-@pytest.mark.parametrize("name,flag", [("e0", "--e"), ("e_increment", "--e-increment")],
+@pytest.mark.parametrize("name,flag,value", [("e0", "--e", 100), ("e_increment", "--e-increment", 1)],
                          ids=["e0", "e-increment"])
-def test_unused_e_parameters_are_accepted(capsys, name, flag):
+def test_unused_e_parameters_are_accepted(capsys, name, flag, value):
     # e is the least one the plans accept: --e and --e-increment still
-    # parse, and no value of theirs changes the run
+    # parse, and no valid value of theirs changes the run
     record = {"label": "ex4", "f": EX4, "divisors": [{"g": [-1, 1, 1]}], "p": 11}
     with _deadline(20):
-        rep = run_pipeline(record, {"N": 8, name: 0})
+        rep = run_pipeline(record, {"N": 8, name: value})
         assert main(["analyze", "--curve", json.dumps(record), "--precision", "8",
-                     flag, "0"]) == 0
+                     flag, str(value)]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]
     assert rep.status == report["status"] == "Success"
     assert rep.e == report["e"] == 14
