@@ -40,7 +40,7 @@ from .errors import (
     PrecisionExhausted,
     WrongDisk,
 )
-from .frobenius import BASIS, REGULAR, FrobeniusData
+from .frobenius import BASIS, DECAY, NEED_MARGIN, REGULAR, FrobeniusData
 from .padic import (
     INF,
     PadicContext,
@@ -143,7 +143,7 @@ class ColemanIntegrator:
     given, are the bad disks' plans at e (`choose_e`).
     """
 
-    def __init__(self, fd: FrobeniusData, N: int, e: int = 40, plans=None):
+    def __init__(self, fd: FrobeniusData, N: int, e: int, plans=None):
         self.fd = fd
         self.curve = fd.curve
         self.p = fd.p
@@ -699,7 +699,7 @@ def _check_convergence(diags, precs, e, N):
     too close to the disk's center) or whose values, known modulo
     pi^prec for prec in precs, fall short of the target: e must grow."""
     vmin = min((v for _, v in diags), default=INF)
-    if vmin < -4 * e:
+    if vmin < -DECAY * e:
         raise IncreaseE(f"exact part blows up at radius 1/{e} "
                         f"(term of size p^{-vmin / e:.1f})")
     ms = sorted({m for m, _ in diags})
@@ -713,7 +713,7 @@ def _check_convergence(diags, precs, e, N):
     # each wrap of pi^e = p in a deep y^m shift divides by p, so the
     # values are only known modulo p^(W - depth/e); if that eats into the
     # target digits, a larger e is required
-    need = N + 5
+    need = N + NEED_MARGIN
     lowest = min((prec // e for prec in precs if prec != INF), default=None)
     if lowest is not None and lowest < need:
         raise IncreaseE(
@@ -727,15 +727,15 @@ def choose_e(fd: FrobeniusData, N: int, e_cap: int):
     built.  Every check of `_check_convergence` but the decay of deep terms
     is a bound e a >= b linear in e, from `FrobeniusData.levels`: a level
     p^-sigma poly(x) y^m is known to pi^(e(W - sigma) + c), c = -3 deg(poly)
-    - 4m at infinity and m on a finite disk, and needs N + 5 digits; none of
-    its terms, of pi-valuation e(v_p(c_j) - sigma) - 3j - 4m at infinity and
-    e(k - sigma) + 3 i0 + m on a finite disk, may fall below pi^(-4e).  These
-    bounds are the plans' own checks but where terms tie (`_ties`).  The
-    plans confirm the least e they allow, and e - 1 unless a bound that is
-    exact there refuses it; a plan that disagrees moves e one step.
-    IncreaseE when the least e is above e_cap, PrecisionExhausted when the
-    bounds allow none."""
-    W, need = fd.N_work, N + 5
+    - 4m at infinity and m on a finite disk, and needs N + NEED_MARGIN
+    digits; none of its terms, of pi-valuation e(v_p(c_j) - sigma) - 3j - 4m
+    at infinity and e(k - sigma) + 3 i0 + m on a finite disk, may fall below
+    pi^(-DECAY e).  These bounds are the plans' own checks but where terms
+    tie (`_ties`).  The plans confirm the least e they allow, and e - 1
+    unless a bound that is exact there refuses it; a plan that disagrees
+    moves e one step.  IncreaseE when the least e is above e_cap,
+    PrecisionExhausted when the bounds allow none."""
+    W, need = fd.N_work, N + NEED_MARGIN
     finite = [d for d in fd.disks if d.kind == BAD_FINITE]
     bounds = []  # (a, b, ties) for e a >= b; ties None for the exact precision bounds
     for levels in fd.levels():
@@ -743,10 +743,10 @@ def choose_e(fd: FrobeniusData, N: int, e_cap: int):
             bounds.append((W - sig - need, top + 4 * m, None))
             if finite:  # the precision of a finite disk's level does not depend on x0
                 bounds.append((W - sig - need, -m, None))
-            if top + 4 * m > 0 or sig > 3:  # else every term has a >= 1 and b <= 0
-                bounds += [(v - sig + 4, 3 * j + 4 * m, terms) for j, _, v in terms]
+            if top + 4 * m > 0 or sig >= DECAY:  # else every term has a >= 1 and b <= 0
+                bounds += [(v - sig + DECAY, 3 * j + 4 * m, terms) for j, _, v in terms]
     for disk in finite:
-        bounds += [(k - sig + 4, -3 * i0 - m, 3 * i0) for levels in fd.levels(disk.center.x.residue(W))
+        bounds += [(k - sig + DECAY, -3 * i0 - m, 3 * i0) for levels in fd.levels(disk.center.x.residue(W))
                    for m, sig, _, k, i0 in levels if k < W]
     floor = max([1] + [-(-b // a) for a, b, t in bounds if a > 0 and t is None])
     lo = max([1] + [-(-b // a) for a, b, _ in bounds if a > 0])

@@ -34,9 +34,12 @@ and is one step of the fixed 4x4 integer matrices U and V (Harvey, Kedlaya's
 algorithm in larger characteristic, 2007; Tuitman, Counting points on curves
 using a map to P^1, 2016).
 
-All polynomial arithmetic is on integer coefficients modulo p^W.  Divisions
-by p-divisible integers are tracked by a global shift sigma (values are
-p^-sigma times the stored integers), so the claimed precision is W - sigma.
+All polynomial arithmetic is on integer coefficients modulo p^(W + guard)
+(`working_precision`).  Divisions by p-divisible integers are tracked by a
+global shift sigma (values are p^-sigma times the stored integers).  M and
+the exact parts keep W digits, so an entry states O(p^(W - sigma)); the
+guard digits cover that while sigma lies at most guard below the largest
+sigma the sweep reached.
 
 The reduction basis is [dx/y^2, x dx/y^2, dx/y, x^2 dx/y^2, x dx/y,
 x^2 dx/y]: the first three are the regular omega_1, omega_2, omega_3; slot 4
@@ -52,10 +55,16 @@ from functools import cached_property
 
 from .errors import ComputationFailure, PrecisionExhausted
 from .padic import (INF, PadicContext, RamifiedElement, _pval, charpoly_adj, disc_adj,
-                    poly_deriv, taylor_shift)
+                    poly_deriv, poly_eval_mod, taylor_shift)
 from .series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
 from .curve import PicardCurve, classify_disks, points_over_Fp
 
+
+# The plan of a bad disk (`coleman.plan_disk`) needs every exact-part level
+# to N + NEED_MARGIN digits at the boundary point, and refuses terms as large
+# as pi^(-DECAY e).
+NEED_MARGIN = 5
+DECAY = 4
 
 # internal reduction basis: (a, b) with omega = x^a y^b dx/f
 BASIS = [(0, 1), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2)]
@@ -176,11 +185,12 @@ class _Reducer:
         sweep of pole steps from the largest t down; each g_t joins the
         running numerator when the sweep reaches t.
 
-        Returns ((sigma, coeffs[6]), exact) with
+        Returns ((sigma, coeffs[6]), exact, peak) with
         sum = p^-sigma sum coeffs_i omega_i + d(sum of exact entries),
-        exact a dict y_exp -> (sigma_e, poly)."""
+        exact a dict y_exp -> (sigma_e, poly) and peak the largest sigma the
+        sweep reaches, before a strip takes it back down."""
         mod, p = self.mod, self.p
-        sigma = 0
+        sigma = peak = 0
         g = []
         exact = {}
         t = max(terms)
@@ -191,6 +201,7 @@ class _Reducer:
                 g = ser_add(g, [c * scale for c in terms[t]], mod)
             if t <= 2:
                 break
+            peak = max(peak, sigma + _pval(3 - t, p))
             sigma, g, exact[3 - t] = self._pole_step(sigma, g, t)
             t -= 3
 
@@ -202,6 +213,7 @@ class _Reducer:
             inv, extra = self._inv_tracked(lead_num)
             lead = g[-1]  # pre-rescale: the division by p^extra cancels it
             sigma += extra
+            peak = max(peak, sigma)
             if extra:
                 scale = p ** extra
                 g = [c * scale % mod for c in g]
@@ -227,7 +239,7 @@ class _Reducer:
         slots = (0, 1, 3) if t == 2 else (2, 4, 5)
         for d, c in enumerate(g):
             coeffs[slots[d]] = c % mod
-        return (sigma, coeffs), exact
+        return (sigma, coeffs), exact, peak
 
 
 # --- Frobenius data ------------------------------------------------------
@@ -318,12 +330,22 @@ def _solve_linear(rows, rhs):
     return [row[n:] for row in aug], det_ord
 
 
-def working_precision(p: int, N: int) -> int:
-    """Guard-digit schedule: enough digits that reduction losses (bounded by
-    valuations of small integers up to ~3 p k_max) cannot eat into N."""
-    k_max = _binomial_cutoff(p, N + 8)
-    q_max = 3 * (p + p * k_max)
-    return N + 8 + 2 * max(1, math.ceil(math.log(q_max, p)))
+def working_precision(p: int, N: int, finite_disk: bool):
+    """(W, guard): M and the exact parts state W digits, and the sweep runs
+    with guard more that it drops.  With no finite bad disk W = N + 9, the
+    N + NEED_MARGIN digits the plan at infinity reads after terms as large
+    as pi^(-DECAY e), and guard = floor(log_p q_max) digits for the sweep's
+    loss, q_max = 3p(k_max + 1) the largest pole order at W + guard digits
+    (Kedlaya 2001).  With a finite bad disk the deep levels y^m set e
+    through W, and W = N + 8 + 2 ceil(log_p q_max) states its guard digits
+    (guard = 0)."""
+    if finite_disk:
+        q_max = 3 * p * (_binomial_cutoff(p, N + 8) + 1)
+        return N + 8 + 2 * max(1, math.ceil(math.log(q_max, p))), 0
+    W, guard = N + NEED_MARGIN + DECAY, 0
+    while p ** (guard + 1) <= 3 * p * (_binomial_cutoff(p, W + guard) + 1):
+        guard += 1
+    return W, guard
 
 
 def _binomial_cutoff(p: int, W: int) -> int:
@@ -416,12 +438,16 @@ def _times_x(r, n, f, mod):
 
 
 def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
-    """M and exact parts f_i with phi^* omega_i = d f_i + sum_j M_ij omega_j."""
-    W = working_precision(p, N)
-    mod = p ** W
-    ctx = PadicContext(p, W)
+    """M and exact parts f_i with phi^* omega_i = d f_i + sum_j M_ij omega_j,
+    stated to W digits and computed to W + guard (`working_precision`).
+    PrecisionExhausted when a stated entry's sigma lies more than guard
+    below the largest sigma its sweep reached."""
+    finite = any(poly_eval_mod(curve.f, x, p) == 0 for x in range(p))
+    W, guard = working_precision(p, N, finite)
+    Wg = W + guard
+    mod = p ** Wg
 
-    # pA = f(x^p) - f(x)^p, computed mod p^(W+1) so A is exact mod p^W
+    # pA = f(x^p) - f(x)^p, computed mod p^(Wg+1) so A is exact mod p^Wg
     mod1 = mod * p
     fxp = ser_spread([c % mod1 for c in curve.f], p)  # f(x^p)
     fp = _power({1: [c % mod1 for c in curve.f]}, p, mod1)
@@ -430,7 +456,7 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
         raise ComputationFailure(f"f(x^p) != f(x)^p mod p at p = {p}")
     A = ser_trim([(c // p) % mod for c in diff])
 
-    k_max = _binomial_cutoff(p, W)
+    k_max = _binomial_cutoff(p, Wg)
     powA, powF = {1: A}, {1: [c % mod for c in fp]}  # shared by b = 1, 2
     numerators = []
     for b in (1, 2):
@@ -444,9 +470,9 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
     n = max(len(H) for _, H, _ in numerators)
     top = ((n - 1) // 8).bit_length()
     table = _fpow_table([c % mod for c in curve.f], top + 1, mod, max(1, n - 4 * 2 ** top))
-    reducer = _Reducer(curve, p, W, table)
+    reducer = _Reducer(curve, p, Wg, table)
     rows, parts = [None] * 6, [None] * 6
-    sigma_max = 0
+    stated = p ** W
     for b, H, t_max in numerators:
         # digit r_j sits at pole order t_max - 3j; deg H < 4 (t_max // 3 + 1),
         # so the last, at t_max mod 3, is the whole quotient H // f^(t_max // 3)
@@ -455,21 +481,29 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
         for a in (0, 1, 2):  # form (a, b) pulls back to x^(pa) H_b dx/y^t_max
             if a:
                 r = _times_x(r, p, curve.f, mod)
-            (sigma, coeffs), exact = reducer.reduce(
+            (sigma, coeffs), exact, peak = reducer.reduce(
                 {t_max - 3 * j: d for j, d in enumerate(r)})
             i = BASIS.index((a, b))
             rows[i] = (sigma, coeffs)
-            parts[i] = {m: entry for m, entry in exact.items() if entry[1]}
-            sigma_max = max(sigma_max, sigma,
-                            max((e[0] for e in exact.values()), default=0))
+            # the guard digits are dropped: a level zero mod p^W is zero to
+            # the digits it states
+            parts[i] = {m: (sig, kept) for m, (sig, poly) in exact.items()
+                        if (kept := ser_trim([c % stated for c in poly]))}
+            low = min([sigma] + [sig for sig, _ in parts[i].values()])
+            if guard and peak - low > guard:
+                raise PrecisionExhausted(
+                    f"the sweep of form {i + 1} lost {peak - low} digits, "
+                    f"above its {guard} guard digits")
+    sigma_max = max([s for s, _ in rows] + [sig for part in parts for sig, _ in part.values()])
 
     # the matrix over Q_p: entry = p^-sigma * int, known mod p^(W - sigma)
+    ctx = PadicContext(p, W)
     M = [[RamifiedElement(ctx, 1, -sigma, [c], W - sigma) for c in coeffs]
          for sigma, coeffs in rows]
     if W - sigma_max < N:
         raise PrecisionExhausted(
             f"guard digits exhausted: W={W}, sigma={sigma_max}, N={N}")
-    return FrobeniusData(curve, p, W, ctx, M, parts, sigma_max, A)
+    return FrobeniusData(curve, p, W, ctx, M, parts, sigma_max, ser_trim([c % stated for c in A]))
 
 
 # --- zeta / consistency --------------------------------------------------

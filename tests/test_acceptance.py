@@ -461,7 +461,7 @@ def _check_ftc(eng, P, Q):
     ctx, p = eng.ctx, eng.p
     mod = p ** eng.W
     red = _Reducer(eng.curve, p, eng.W, _fpow_table([c % mod for c in eng.curve.f], 1, mod, 4))
-    (sigma, coeffs), exact = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
+    (sigma, coeffs), exact, _ = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
     fp = poly_deriv(eng.curve.f)  # degree 3, leading coefficient 4
     om = [Fraction(0)] * 6
     for a, slot in ((0, 0), (1, 1), (2, 3)):

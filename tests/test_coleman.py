@@ -226,7 +226,7 @@ def test_fundamental_theorem_on_exact_form(ex1_p5):
     ctx, p, W = eng.ctx, eng.p, eng.W
     mod = p ** W
     red = _Reducer(eng.curve, p, W, _fpow_table([c % mod for c in eng.curve.f], 1, mod, 4))
-    (sigma, coeffs), exact = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
+    (sigma, coeffs), exact, _ = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
     assert sigma == 0
     fp = poly_deriv(eng.curve.f)  # degree 3, leading coefficient 4
     # omega = f'(x)/3 y dx/f with the x^3 term rewritten via the reduction
@@ -726,7 +726,8 @@ def test_failed_attempt_makes_no_ramified_arithmetic(monkeypatch):
 
 def test_choose_e_steps_where_the_plans_disagree_with_the_bounds(monkeypatch):
     # ex4@11 at N = 8: the bounds allow e >= 14, a decay bound at infinity
-    # with no tie at e = 13 refuses 13, and the plans agree
+    # with no tie at e = 13 refuses 13, and the plans agree; its exact
+    # precision floor is 14 as well, the decay bound of a unit top term
     fd = _frobenius(tuple(EX4), 11, 8)
     plan, tried = coleman.plan_bad_disks, []
     assert coleman.choose_e(fd, 8, 200)[0] == 14
@@ -747,10 +748,16 @@ def test_choose_e_steps_where_the_plans_disagree_with_the_bounds(monkeypatch):
     with pytest.raises(IncreaseE, match="^no e from 14 to 15 passes the plans$"):
         coleman.choose_e(fd, 8, 15)
     # where the least terms may tie below the bounds, e - 1 is planned, and
-    # lower while the plans pass
+    # lower while the plans pass, but never below the precision floor
     tried.clear()
     monkeypatch.setattr(coleman, "_ties", lambda level, e: True)
     monkeypatch.setattr(coleman, "plan_bad_disks", refusing({11}))
+    assert coleman.choose_e(fd, 8, 200)[0] == 14 and tried == [14]
+    # the matrix made for N = 12 (W = 21) and planned for N = 8 has
+    # W - N - NEED_MARGIN = 8 digits where the decay bound counts DECAY = 4,
+    # so its precision floor is 7
+    tried.clear()
+    fd = _frobenius(tuple(EX4), 11, 12)
     assert coleman.choose_e(fd, 8, 200)[0] == 12 and tried == [14, 13, 12, 11]
 
 
