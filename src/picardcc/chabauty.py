@@ -32,7 +32,6 @@ from .errors import (
     DegenerateDivisor,
     DoubleRoot,
     FrobeniusUncertified,
-    IncreaseE,
     PicardCCError,
     PrecisionExhausted,
 )
@@ -167,9 +166,7 @@ def _disk_points(engine, disk, vanishing):
             solved.append(solve_zeros_in_disk(terms, prec, const,
                                               vanishing.base_precision))
         except PrecisionExhausted as exc:
-            # starved coefficients trace back to boundary routing noise,
-            # which shrinks as e grows
-            raise IncreaseE(f"disk solver on disk {disk.reduction}: {exc}")
+            raise PrecisionExhausted(f"disk solver on disk {disk.reduction}: {exc}")
     if any(F is None for (_, _, _, F) in solved):
         # some basis series has no zeros on the disk at all
         return []

@@ -462,7 +462,7 @@ class ColemanIntegrator:
         """
         ctx, p, e = self.ctx, self.p, self.e
         forms = self._plan_cache.get(disk.reduction) or self._plan_cache.setdefault(
-            disk.reduction, plan_disk(self.fd, disk, e, self.N, self))
+            disk.reduction, plan_disk(self.fd, disk, e, self.N))
         finite = disk.kind == BAD_FINITE
         if finite:
             X = self._x_offset(disk, S).integers()
@@ -628,31 +628,26 @@ class ColemanIntegrator:
 # --- plans of the bad disks and the choice of e ----------------------------
 
 
-def plan_disk(fd: FrobeniusData, disk, e: int, N: int, engine=None):
+def plan_disk(fd: FrobeniusData, disk, e: int, N: int):
     """The checked plan of `_exact_at_boundary` on a bad disk at e, from
     valuations alone (`FrobeniusData.levels`); IncreaseE when e is too small.
     forms[i] is (base, prec, terms) per exact part.  On a finite disk terms
-    are the X^i columns, level m of valuation e k + 3 i0, or evaluated at the
-    boundary point of `engine` (an integrator at e, made here if None) when
-    terms may tie (3 i0 >= e).  At infinity terms are the kept levels,
-    valuations from poly(pi^-3) alone and u(pi), 1/u(pi) units known to
-    O(p^W), which `_exact_at_boundary` checks."""
+    are the X^i columns, level m of valuation e k + 3 i0, which is exact
+    when e > 3 i0; at e <= 3 i0 two terms may tie, and the plan refuses e.
+    At infinity terms are the kept levels, valuations from poly(pi^-3)
+    alone, ties folded, and u(pi), 1/u(pi) units known to O(p^W), which
+    `_exact_at_boundary` checks."""
     ctx, p, W = fd.ctx, fd.p, fd.N_work
-    finite, forms, diags, X = disk.kind == BAD_FINITE, [], [], None
+    finite, forms, diags = disk.kind == BAD_FINITE, [], []
     for levels in fd.levels(disk.center.x.residue(W) if finite else None):
         if finite:
             prec = min((e * (W - lv[1]) + lv[0] for lv in levels), default=INF)
             base = min(((lv[0] - e * lv[1]) // e for lv in levels), default=0)
             terms = [[0] * e for _ in range(max((len(lv[2]) for lv in levels), default=1))]
             for m, sig, b, k, i0 in levels:
-                if 3 * i0 >= e:  # terms may tie: evaluate at the boundary point
-                    if X is None:
-                        engine = engine or ColemanIntegrator(fd, N, e)
-                        X = engine._x_offset(disk, engine.boundary_point(disk))
-                    v = poly_at(b, X).pi_valuation()
-                else:
-                    v = e * k + 3 * i0
-                shift = m - e * sig
+                if 3 * i0 >= e:
+                    raise IncreaseE(f"terms of a level may tie at radius 1/{e}")
+                v, shift = e * k + 3 * i0, m - e * sig
                 if v < e * W:
                     diags.append((m, v + shift))
                 q, r = divmod(shift, e)  # b_i pi^shift joins the column of X^i
@@ -730,54 +725,35 @@ def choose_e(fd: FrobeniusData, N: int, e_cap: int):
     - 4m at infinity and m on a finite disk, and needs N + NEED_MARGIN
     digits; none of its terms, of pi-valuation e(v_p(c_j) - sigma) - 3j - 4m
     at infinity and e(k - sigma) + 3 i0 + m on a finite disk, may fall below
-    pi^(-DECAY e).  These bounds are the plans' own checks but where terms
-    tie (`_ties`).  The plans confirm the least e they allow, and e - 1
-    unless a bound that is exact there refuses it; a plan that disagrees
-    moves e one step.  IncreaseE when the least e is above e_cap,
+    pi^(-DECAY e); and a finite level needs e > 3 i0.  The bounds are the
+    plans' own checks, exact but where terms at infinity tie, which the
+    plans fold.  The plans confirm e from the least e the bounds allow, one
+    step up at a time.  IncreaseE when the least e is above e_cap,
     PrecisionExhausted when the bounds allow none."""
     W, need = fd.N_work, N + NEED_MARGIN
     finite = [d for d in fd.disks if d.kind == BAD_FINITE]
-    bounds = []  # (a, b, ties) for e a >= b; ties None for the exact precision bounds
+    bounds = []  # (a, b) for e a >= b
     for levels in fd.levels():
         for m, sig, terms, top in levels:
-            bounds.append((W - sig - need, top + 4 * m, None))
+            bounds.append((W - sig - need, top + 4 * m))
             if finite:  # the precision of a finite disk's level does not depend on x0
-                bounds.append((W - sig - need, -m, None))
+                bounds.append((W - sig - need, -m))
             if top + 4 * m > 0 or sig >= DECAY:  # else every term has a >= 1 and b <= 0
-                bounds += [(v - sig + DECAY, 3 * j + 4 * m, terms) for j, _, v in terms]
+                bounds += [(v - sig + DECAY, 3 * j + 4 * m) for j, _, v in terms]
     for disk in finite:
-        bounds += [(k - sig + DECAY, -3 * i0 - m, 3 * i0) for levels in fd.levels(disk.center.x.residue(W))
-                   for m, sig, _, k, i0 in levels if k < W]
-    floor = max([1] + [-(-b // a) for a, b, t in bounds if a > 0 and t is None])
-    lo = max([1] + [-(-b // a) for a, b, _ in bounds if a > 0])
-    hi = min([e_cap] + [b // a if a else 0 for a, b, _ in bounds if a < 0 or a == 0 < b])
+        for levels in fd.levels(disk.center.x.residue(W)):
+            for m, sig, _, k, i0 in levels:
+                bounds.append((1, 3 * i0 + 1))  # no two terms tie
+                if k < W:
+                    bounds.append((k - sig + DECAY, -3 * i0 - m))
+    lo = max([1] + [-(-b // a) for a, b in bounds if a > 0])
+    hi = min([e_cap] + [b // a if a else 0 for a, b in bounds if a < 0 or a == 0 < b])
     if lo > hi:
         raise (IncreaseE(f"the plans need e >= {lo}, above e_cap {e_cap}") if lo > e_cap else
                PrecisionExhausted(f"no e passes the bounds of the plans (W = {W}, N = {N})"))
-
-    def plans_at(e):
+    for e in range(lo, hi + 1):
         try:
-            return plan_bad_disks(fd, N, e)
+            return e, plan_bad_disks(fd, N, e)
         except IncreaseE:
-            return None
-
-    e = lo
-    while (plans := plans_at(e)) is None:
-        if e >= hi:
-            raise IncreaseE(f"no e from {lo} to {hi} passes the plans")
-        e += 1
-    if e == lo > floor and all(_ties(t, e - 1) for a, b, t in bounds if a > 0 and -(-b // a) == e):
-        while e > floor and (below := plans_at(e - 1)) is not None:
-            plans, e = below, e - 1
-    return e, plans
-
-
-def _ties(level, e):
-    """Whether the least terms of a level may tie at e, so that its plan
-    may pass a decay bound of `choose_e` that fails: at infinity two terms
-    of least e v_p(c_j) - 3j (level: the terms), on a finite disk 3 i0 >= e
-    (level: 3 i0)."""
-    if isinstance(level, int):
-        return level >= e
-    vals = [e * v - 3 * j for j, _, v in level]
-    return vals.count(min(vals)) > 1
+            pass
+    raise IncreaseE(f"no e from {lo} to {hi} passes the plans")

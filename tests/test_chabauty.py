@@ -35,7 +35,7 @@ from picardcc.coleman import (
     realize_nf_points,
 )
 from picardcc.curve import CurvePoint, PicardCurve, branch_point
-from picardcc.errors import BadDivisor, DegenerateDivisor, DoubleRoot, IncreaseE
+from picardcc.errors import BadDivisor, DegenerateDivisor, DoubleRoot, IncreaseE, PrecisionExhausted
 from picardcc.frobenius import frobenius_matrix, zeta_consistency_check
 from picardcc.padic import INF, PadicContext, RamifiedElement, cube_roots
 from picardcc.series import ser_trim
@@ -523,6 +523,21 @@ def test_pipeline_failure_names_the_prime_it_ran_at(monkeypatch):
     d = run_pipeline(rec, {"N": 15}).to_dict()
     assert d["failure_reason"] == "increase-e: stub"
     assert primes == [5, 7] and d["p"] == 7
+
+
+def test_starved_disk_solve_is_precision_exhausted(monkeypatch):
+    # a zero solve that runs out of digits fails the record with
+    # precision-exhausted and the disk it ran on; e is chosen once, so no
+    # larger e could help
+    def starved(*args):
+        raise PrecisionExhausted("stub")
+
+    monkeypatch.setattr(chabauty_mod, "solve_zeros_in_disk", starved)
+    rec = {"label": "pool1-0", "f": [-5, -2, -5, 1, 1], "point": [-1, -2], "p": 7}
+    d = run_pipeline(rec, {"N": 10}).to_dict()
+    assert d["status"] == "Failure" and d["e"] == 9
+    assert d["failure_reason"].startswith("precision-exhausted: disk solver on disk ")
+    assert d["failure_reason"].endswith(": stub")
 
 
 def test_pipeline_uncertified_frobenius_is_typed_failure(monkeypatch):

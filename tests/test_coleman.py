@@ -33,6 +33,7 @@ from picardcc.padic import (
     RamifiedElement,
     _fold_mul,
     cube_roots,
+    disc_adj,
     poly_at,
     poly_deriv,
     taylor_shift,
@@ -596,18 +597,13 @@ def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, mon
         disks = [d for d in eng.disks if d.kind == "bad_finite"]
         reference = _reference_exact_at_finite
     assert disks
-    seen, ties = [], []
-    check, evaluate = coleman._check_convergence, coleman.poly_at
+    seen, check = [], coleman._check_convergence
 
     def spy(diags, precs, *args):
         seen.append(Counter(diags))
         check(diags, precs, *args)
 
     monkeypatch.setattr(coleman, "_check_convergence", spy)
-    # a finite level is evaluated only when two of its terms may tie at the
-    # least valuation: b_i0 X^i0, i0 the first b_i of least v_p, and an earlier
-    # b_j of higher v_p, which needs e <= 3 i0 <= 3 deg
-    monkeypatch.setattr(coleman, "poly_at", lambda *args: ties.append(1) or evaluate(*args))
     for disk in disks:
         S = eng.boundary_point(disk)
         want, want_diags = reference(eng, S)
@@ -622,15 +618,18 @@ def test_exact_at_boundary_matches_level_by_level_sum(coeffs, p, N, e, kind, mon
             got_exc = None
         except IncreaseE as exc:
             got_exc = str(exc)
+        if kind == "finite" and e < 10:
+            # ex1@5 at e = 3, 6 and 9: b_i0 X^i0, i0 the first b_i of least
+            # v_p, may tie with an earlier b_j of higher v_p (e <= 3 i0), and
+            # the plan refuses e before its convergence check; the full sum
+            # refuses these e as well, so the refusal loses no e
+            assert got_exc == f"terms of a level may tie at radius 1/{e}" and not seen
+            assert want_exc.startswith(f"exact part blows up at radius 1/{e} ")
+            continue
         assert seen == [Counter(want_diags)]
         assert got_exc == want_exc
         if want_exc is None:
             assert [(g.m, g.a, g.A) for g in got] == [(w.m, w.a, w.A) for w in want]
-    deg = max(len(poly) - 1 for part in eng.fd.exact_parts for _, poly in part.values())
-    if e > 3 * deg:
-        assert not ties
-    if kind == "finite" and e < 10:
-        assert ties  # ex1@5 at e = 3, 6 and 9 meets ties
 
 
 @pytest.mark.parametrize("coeffs,p,N", [(EX1, 5, 10), (EX4, 11, 8), (X40, 13, 10)],
@@ -709,25 +708,31 @@ def test_exact_at_finite_boundary_adds_no_ramified_elements(monkeypatch):
 
 
 def test_failed_attempt_makes_no_ramified_arithmetic(monkeypatch):
-    # ex1@5 at e = 10 fails on a finite bad disk; its plan refuses e before
-    # any integrator, boundary point, product or Horner in X is made
+    # ex1@5 fails on a finite bad disk at e = 10 (blow-up) and at e = 3, 6
+    # and 9 (terms that may tie); its plan refuses e before any integrator,
+    # boundary point, product or Horner in X is made
     fd = _frobenius(tuple(EX1), 5, 15)
     assert fd.disks  # classified once per matrix, with Q_p products, for every e
     products, built, folds = _count_calls(monkeypatch, "__mul__"), [], []
-    init, fold = ColemanIntegrator.__init__, coleman._fold_mul
+    init, boundary = ColemanIntegrator.__init__, ColemanIntegrator.boundary_point
+    fold = coleman._fold_mul
     monkeypatch.setattr(ColemanIntegrator, "__init__",
                         lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    monkeypatch.setattr(ColemanIntegrator, "boundary_point",
+                        lambda self, d: built.append(d) or boundary(self, d))
     monkeypatch.setattr(coleman, "_fold_mul", lambda *a: folds.append(1) or fold(*a))
-    with pytest.raises(IncreaseE) as exc:
-        coleman.plan_bad_disks(fd, 15, 10)
-    assert str(exc.value) == "exact part blows up at radius 1/10 (term of size p^13.2)"
+    refusals = {10: "exact part blows up at radius 1/10 (term of size p^13.2)"}
+    refusals.update({e: f"terms of a level may tie at radius 1/{e}" for e in (3, 6, 9)})
+    for e, reason in refusals.items():
+        with pytest.raises(IncreaseE) as exc:
+            coleman.plan_bad_disks(fd, 15, e)
+        assert str(exc.value) == reason
     assert not products and not folds and not built
 
 
 def test_choose_e_steps_where_the_plans_disagree_with_the_bounds(monkeypatch):
     # ex4@11 at N = 8: the bounds allow e >= 14, a decay bound at infinity
-    # with no tie at e = 13 refuses 13, and the plans agree; its exact
-    # precision floor is 14 as well, the decay bound of a unit top term
+    # with no tie at e = 13 refuses 13, and the plans agree
     fd = _frobenius(tuple(EX4), 11, 8)
     plan, tried = coleman.plan_bad_disks, []
     assert coleman.choose_e(fd, 8, 200)[0] == 14
@@ -739,7 +744,7 @@ def test_choose_e_steps_where_the_plans_disagree_with_the_bounds(monkeypatch):
             tried.append(e)
             if e in refused:
                 raise IncreaseE("refused")
-            return plan(fd, N, max(e, 14))
+            return plan(fd, N, e)
         return planned
 
     # a plan refused where the bounds allow it (the decay check) moves e up
@@ -747,18 +752,50 @@ def test_choose_e_steps_where_the_plans_disagree_with_the_bounds(monkeypatch):
     assert coleman.choose_e(fd, 8, 200)[0] == 16 and tried == [14, 15, 16]
     with pytest.raises(IncreaseE, match="^no e from 14 to 15 passes the plans$"):
         coleman.choose_e(fd, 8, 15)
-    # where the least terms may tie below the bounds, e - 1 is planned, and
-    # lower while the plans pass, but never below the precision floor
-    tried.clear()
-    monkeypatch.setattr(coleman, "_ties", lambda level, e: True)
-    monkeypatch.setattr(coleman, "plan_bad_disks", refusing({11}))
-    assert coleman.choose_e(fd, 8, 200)[0] == 14 and tried == [14]
-    # the matrix made for N = 12 (W = 21) and planned for N = 8 has
-    # W - N - NEED_MARGIN = 8 digits where the decay bound counts DECAY = 4,
-    # so its precision floor is 7
+    # the bounds are exact but where terms at infinity tie, so e is never
+    # planned below them: the matrix made for N = 12 (W = 21) and planned for
+    # N = 8 has precision to spare, and its decay bound still gives e = 14
     tried.clear()
     fd = _frobenius(tuple(EX4), 11, 12)
-    assert coleman.choose_e(fd, 8, 200)[0] == 12 and tried == [14, 13, 12, 11]
+    monkeypatch.setattr(coleman, "plan_bad_disks", refusing(set()))
+    assert coleman.choose_e(fd, 8, 200)[0] == 14 and tried == [14]
+
+
+@st.composite
+def _finite_disk_curves(draw):
+    """(f, p, N): a monic quartic f with a root mod p, p good for it."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    f = [draw(st.integers(-30, 30)) for _ in range(4)] + [1]
+    assume(any(poly_at(f, x) % p == 0 for x in range(p)))
+    assume(disc_adj(f)[0] % p != 0)
+    return f, p, draw(st.integers(1, 10))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_finite_disk_curves())
+def test_chosen_e_is_the_least_the_plans_accept(case):
+    # the bounds of choose_e are exact on finite disks: the plans pass at
+    # the chosen e and refuse e - 1, and no two terms of a finite level tie
+    f, p, N = case
+    fd = frobenius_matrix(PicardCurve(f), p, N)
+    e, plans = coleman.choose_e(fd, N, 200)
+    assert coleman.plan_bad_disks(fd, N, e) == plans
+    with pytest.raises(IncreaseE):
+        coleman.plan_bad_disks(fd, N, e - 1)
+    finite = [d for d in fd.disks if d.kind == "bad_finite"]
+    assert finite
+    for disk in finite:
+        for levels in fd.levels(disk.center.x.residue(fd.N_work)):
+            assert all(e > 3 * i0 for _, _, _, _, i0 in levels)
+
+
+def test_check_convergence_refuses_terms_that_do_not_decay():
+    # eight levels: the two deepest (m <= 2) may not fall below the rest or
+    # below 0; none falls below pi^(-DECAY e) and no precision is stated
+    rest = [(m, -1) for m in range(3, 9)]
+    coleman._check_convergence([(1, -1), (2, 0)] + rest, [INF], 10, 8)
+    with pytest.raises(IncreaseE, match="^exact-part terms are not decaying at radius 1/10; "):
+        coleman._check_convergence([(1, -2), (2, 0)] + rest, [INF], 10, 8)
 
 
 def test_taylor_columns_made_once_per_run(monkeypatch):
