@@ -392,11 +392,11 @@ def _coefficients(values, name):
 def _divisor_specs(record):
     """The record's divisors as NumberFieldPointSpecs (BadDivisor if one
     is malformed).  g must have distinct roots, or no prime splits it."""
-    divisors = record.get("divisors") or []
-    if not isinstance(divisors, list):
+    divisors = record.get("divisors")
+    if not isinstance(divisors, (list, type(None))):
         raise BadDivisor("'divisors' must be a list")
     specs = []
-    for d in divisors:
+    for d in divisors or []:
         if not isinstance(d, dict):
             raise BadDivisor(f"divisor {d!r} is not a JSON object")
         g = _coefficients(d.get("g"), "g")
@@ -415,7 +415,7 @@ def _point_spec(record):
     """The record's "point" as two Fractions, or None when it has none.
     A point is a degree-one divisor, so a malformed one is BadDivisor."""
     point = record.get("point")
-    xy = _coefficients(point, "point") if point else None
+    xy = _coefficients(point, "point") if point is not None else None
     if xy is not None and len(xy) != 2:
         raise BadDivisor(f"divisor point must be two numbers, got {point!r}")
     return xy

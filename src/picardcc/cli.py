@@ -100,22 +100,20 @@ def _params_from_args(args):
     return params
 
 
-def _summarize(report, out=sys.stdout):
-    print(f"{report.label or '(unlabeled)'}: {report.status}"
-          + (f" ({report.failure_reason})" if report.failure_reason else ""),
-          file=out)
-    print(f"  p={report.p} N={report.N} e={report.e} "
-          f"precision={report.precision} kernel_dim={report.kernel_dim}",
-          file=out)
-    for rec in report.S:
-        print(f"  S: ({rec.get('x')}, {rec.get('y')})", file=out)
-    for rec in report.T:
+def _summarize(report):
+    print(f"{report['label'] or '(unlabeled)'}: {report['status']}"
+          + (f" ({report['failure_reason']})" if report["failure_reason"] else ""))
+    print(f"  p={report['p']} N={report['N']} e={report['e']} "
+          f"precision={report['precision']} kernel_dim={report['kernel_dim']}")
+    for rec in report["S"]:
+        print(f"  S: ({rec.get('x')}, {rec.get('y')})")
+    for rec in report["T"]:
         extra = ""
         if rec.get("minpoly_x"):
             extra += f" minpoly_x={rec['minpoly_x']}"
         if rec.get("relation"):
             extra += f" relation={rec['relation']}"
-        print(f"  T[{rec['tag']}]: x={rec.get('x')}{extra}", file=out)
+        print(f"  T[{rec['tag']}]: x={rec.get('x')}{extra}")
 
 
 def cmd_analyze(args):
@@ -129,10 +127,8 @@ def cmd_analyze(args):
     except RecordInvalid as exc:
         print(f"invalid record: {exc}", file=sys.stderr)
         return 2
-    t0 = time.perf_counter()
-    report = run_pipeline(record, _params_from_args(args))
-    rec = report_record(report, time.perf_counter() - t0)
-    _summarize(report)
+    rec = _run_one((record, _params_from_args(args)))
+    _summarize(rec["report"])
     payload = json.dumps(rec)
     if args.out:
         with open(args.out, "w") as fh:
@@ -143,7 +139,7 @@ def cmd_analyze(args):
 
 
 def _run_one(task):
-    """One batch record's report; any exception is a Failure, not a lost batch."""
+    """One record's report; any exception is a Failure, not a lost batch."""
     record, params = task
     t0 = time.perf_counter()
     try:

@@ -7,7 +7,8 @@ of points, standing for sum(points) - len(points) * infinity, and
 disk expansion around the disk's center termwise.  Between disks, as in
 Balakrishnan--Tuitman, each disk D has one endpoint E_D of the
 Frobenius-equivariant system: the center of a good disk, or the boundary
-point over Q_p(pi), pi^e = p, of a bad one.  `basis_integrals(D)` solves
+point S at t = pi over Q_p(pi), pi^e = p, of a bad one, whose Frobenius
+image is at t = pi^p at infinity.  `basis_integrals(D)` solves
 (I - M) v = h(E_D) - h(S_inf) once per disk, M being Frobenius on H^1, h
 the exact parts and endpoint corrections and S_inf the boundary point at
 infinity; (I - M) is inverted once over Q_p (`FrobeniusData.system`).
@@ -186,8 +187,8 @@ class ColemanIntegrator:
         (x = t^-3, y = t^-4 u, Ft = t^12 f(t^-3)).  As y^3 = f, g_b = y^b/f
         is y^(b-3): g_2 = r and g_1 = r^2 for r = F^(-1/3), F = f(x0 + t)
         from r(0) = 1/y0 or F = Ft from r(0) = 1, and u = Ft r^2.  Bad disks
-        also keep x(t) as "xt", or u(t) as "u" and Ft as "Ft".  x(t) and Ft
-        are series in s = t^3, so the bad disks form their products in s.
+        also keep x(t) as "xt" or u(t) as "u"; x(t) and Ft are series in
+        s = t^3, so the bad disks form their products in s.
         """
         got = self._disk_data_cache.get(disk.reduction)
         if got is not None:
@@ -233,8 +234,7 @@ class ColemanIntegrator:
             for a, b in BASIS:
                 k0 = 8 - 3 * a - 4 * b
                 forms.append((k0, [-3 * c % mod for c in ser_spread(g[b], 3, T - 5 - k0)]))
-            dd = {"u": ser_spread(ser_mul(Fs, g[1], mod, Ts), 3, T + 1),
-                  "Ft": ser_spread(Fs, 3, T + 1), "forms": forms}
+            dd = {"u": ser_spread(ser_mul(Fs, g[1], mod, Ts), 3, T + 1), "forms": forms}
         self._disk_data_cache[disk.reduction] = dd
         return dd
 
@@ -382,10 +382,12 @@ class ColemanIntegrator:
 
     def point_at(self, disk, t) -> CurvePoint:
         """The point with uniformizer value t != 0 in `disk`.  A bad disk
-        reads it off its expansion, exact to W digits since T_bad >= W - 1:
-        (x(t), t) on a finite disk, (t^-3, u(t) t^-4) at infinity.  T_good
-        can fall below W - 1, so on a good disk x(center) + t is lifted to
-        the disk's cube-root branch."""
+        reads it off its expansion cut at t^T_bad: (x(t), t) on a finite
+        disk, (t^-3, u(t) t^-4) at infinity.  The point is stated to W digits
+        but exact only to about v_pi(t) T_bad / e, fewer than W at t = pi
+        when W > N + 10 (a finite bad disk).  On a good disk, whose cut
+        T_good can fall below W - 1, x(center) + t is lifted to the disk's
+        cube-root branch."""
         if disk.kind == GOOD:
             return branch_point(self.curve, disk.center.x + t, disk.reduction[1])
         dd = self._disk_data(disk)
@@ -399,18 +401,10 @@ class ColemanIntegrator:
         """The point at |t| = p^(-1/e) with t = pi on a bad disk."""
         if disk.kind == GOOD:
             raise WrongDisk("boundary points are defined for bad disks")
-        got = self._boundary_cache.get(disk.reduction)
-        if got is not None:
-            return got
-        ctx, e = self.ctx, self.e
-        pi1 = RamifiedElement.pi(ctx, e, 1)
-        dd = self._disk_data(disk)
-        if disk.kind == BAD_FINITE:
-            S = CurvePoint(self._eval_series(dd["xt"], pi1), pi1)
-        else:
-            uS = self._eval_series(dd["u"], pi1)
-            S = CurvePoint(RamifiedElement.pi(ctx, e, -3), uS.shift_pi(-4))
-        self._boundary_cache[disk.reduction] = S
+        S = self._boundary_cache.get(disk.reduction)
+        if S is None:
+            S = self.point_at(disk, RamifiedElement.pi(self.ctx, self.e, 1))
+            self._boundary_cache[disk.reduction] = S
         return S
 
     # -- exact parts f_i ----------------------------------------------------
@@ -500,32 +494,23 @@ class ColemanIntegrator:
     # -- Frobenius images of endpoints -------------------------------------
 
     def _phi_param(self, disk, S):
-        """Uniformizer value of phi(S) for a boundary point S."""
+        """Uniformizer value of phi(S) for a boundary point S.  On a finite
+        disk (t = y) it is pi^p (1 + u_el)^(1/3), u_el = p A(x) / f(x)^p and
+        f(x) = pi^3.  At infinity it is pi^p: x = t^-3 and y = t^-4 u(t) with
+        u(0) = 1, so x(phi S) = x(S)^p = pi^-3p gives t(phi S) = c pi^p with
+        c^3 = 1.  Mod pi, y(phi S) pi^4p = u(pi)^p (1 + u_el)^(1/3) = 1 while
+        u(c pi^p) c^-4 = c^-1, and the cube roots of unity differ mod p, so
+        c = 1.  There 1 + u_el = g(z^p) / g(z)^p at z = pi^3 for g(z) =
+        z^4 f(1/z), and g(z^p) - g(z)^p = p z h(z) with h in Z[z], so
+        v_pi(u_el) >= e + 3 at every e."""
         ctx, p, e = self.ctx, self.p, self.e
-        A = self.fd.A_poly
-        if disk.kind == BAD_FINITE:
-            # u = p A(x) / f(x)^p with f(x) = y^3 = pi^3
-            u_el = poly_at(A, S.x).shift_pi(e - 3 * p)
-        else:
-            # x = pi^-3, f(x)^p = pi^(-12p) Ft(pi)^p
-            Aval = RamifiedElement.from_terms(ctx, e, [(-3 * j, c % ctx.pk(self.W), self.W)
-                                                       for j, c in enumerate(A) if c])
-            dd = self._disk_data(disk)
-            Fv = self._eval_series(dd["Ft"], RamifiedElement.pi(ctx, e, 1))
-            u_el = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
+        if disk.kind != BAD_FINITE:
+            return RamifiedElement.pi(ctx, e, p)
+        u_el = poly_at(self.fd.A_poly, S.x).shift_pi(e - 3 * p)
         if u_el.pi_valuation() < 1:
             raise IncreaseE(f"Frobenius image of the boundary point of {disk!r}: "
                             f"the correction diverges at radius 1/{e}")
-        w = cube_root_ramified(u_el + 1)
-        if disk.kind == BAD_FINITE:
-            return w.shift_pi(p)
-        y_phi = S.y ** p * w
-        pi_p = RamifiedElement.pi(ctx, e, p)
-
-        def gap(c):  # y at t = c pi^p is u(t) c^-4 pi^(-4p)
-            ut = self._eval_series(dd["u"], pi_p * c)
-            return ((ut * c.inverse() ** 4).shift_pi(-4 * p) - y_phi).valuation()
-        return pi_p * max(cube_roots(ctx.one()), key=gap)
+        return cube_root_ramified(u_el + 1).shift_pi(p)
 
     # -- endpoints of the linear system ------------------------------------
 

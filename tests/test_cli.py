@@ -176,9 +176,15 @@ BAD_DIVISORS = pytest.mark.parametrize(
     "bad,why", [({"divisors": [{"g": ["a", 1]}]}, "list of numbers"),
                 ({"divisors": [{"g": [1, -2, 1]}]}, "repeated root"),
                 ({"point": ["a", 1]}, "list of numbers"),
-                ({"point": [1]}, "two numbers")],
+                ({"point": [1]}, "two numbers"),
+                ({"point": []}, "two numbers"),
+                ({"point": 0}, "list of numbers"),
+                ({"divisors": {}}, "'divisors' must be a list"),
+                ({"divisors": 0}, "'divisors' must be a list"),
+                ({"divisors": ""}, "'divisors' must be a list")],
     ids=["non-numeric", "repeated-root", "point-non-numeric",
-         "point-one-number"])
+         "point-one-number", "point-empty", "point-zero", "divisors-object",
+         "divisors-zero", "divisors-empty-string"])
 
 
 @contextlib.contextmanager
@@ -305,6 +311,22 @@ def test_batch_deterministic_modulo_timings(tmp_path, capsys):
     assert main(["batch", "--in", str(src), "--out", str(b)]) == 0
     assert _strip_timings(a) == _strip_timings(b)
     assert "duplicate labels: dup" in out1
+
+
+def test_analyze_survives_stray_exception(tmp_path, capsys, monkeypatch):
+    # as in batch, an exception that is not a typed failure becomes the
+    # record's Failure report instead of escaping main
+    def broken(record, params):
+        raise RuntimeError("kaput")
+
+    monkeypatch.setattr(cli_mod, "run_pipeline", broken)
+    out = tmp_path / "out.json"
+    rec = json.dumps({"label": "boom", "f": EX4})
+    assert main(["analyze", "--curve", rec, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert report["status"] == "Failure"
+    assert report["failure_reason"] == "internal: RuntimeError: kaput"
+    assert capsys.readouterr().out.startswith("boom: Failure (internal: RuntimeError: kaput)\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

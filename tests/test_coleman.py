@@ -32,6 +32,7 @@ from picardcc.padic import (
     PadicContext,
     RamifiedElement,
     _fold_mul,
+    cube_root_ramified,
     cube_roots,
     disc_adj,
     poly_at,
@@ -44,6 +45,8 @@ EX1 = [-64, -48, 0, 6, 1]
 EX2 = [-24, 76, -78, 25, 1]
 EX4 = [2, 5, 6, 2, 1]
 X40 = [-40, 0, 0, 0, 1]
+POOL1_0 = [-5, -2, -5, 1, 1]
+POOL1_1 = [-1, -6, -6, -6, 1]
 POOL1_5 = [-5, 5, -5, -6, 1]
 
 
@@ -410,6 +413,83 @@ def test_projected_result_is_padic(x40_p13):
     for v in eng.integral(P):
         assert v.e == 1
         assert int(v.abs_prec) >= eng.N
+
+
+# --- Frobenius images of boundary points ----------------------------------
+
+
+def _reference_phi_param_at_infinity(eng, S):
+    """(t(phi(S)), u) for the boundary point S at infinity, found
+    numerically: u = p A(x) / f(x)^p at x = pi^-3 from f(x)^p = pi^(-12p)
+    Ft(pi)^p, Ft = t^12 f(t^-3); y(phi(S)) = y(S)^p (1 + u)^(1/3); and
+    t(phi(S)) = c pi^p for the cube root of unity c whose y is nearest."""
+    ctx, p, e, W = eng.ctx, eng.p, eng.e, eng.W
+    mod = ctx.pk(W)
+    Aval = RamifiedElement.from_terms(ctx, e, [(-3 * j, c % mod, W)
+                                               for j, c in enumerate(eng.fd.A_poly) if c])
+    Ft = series.ser_spread([c % mod for c in reversed(eng.curve.f)], 3, eng.T_bad + 1)
+    Fv = eng._eval_series(Ft, RamifiedElement.pi(ctx, e, 1))
+    u = (Aval * Fv.inverse() ** p).shift_pi(12 * p + e)
+    y_phi = S.y ** p * cube_root_ramified(u + 1)
+    ut = eng._disk_data(eng.infinite_disk)["u"]
+    pi_p = RamifiedElement.pi(ctx, e, p)
+
+    def gap(c):  # y at t = c pi^p is u(t) c^-4 pi^(-4p)
+        yc = (eng._eval_series(ut, pi_p * c) * c.inverse() ** 4).shift_pi(-4 * p)
+        return (yc - y_phi).valuation()
+    return pi_p * max(cube_roots(ctx.one()), key=gap), u
+
+
+@pytest.mark.parametrize("coeffs,p,N", [
+    (EX1, 5, 15), (EX4, 11, 8), (X40, 13, 10), (POOL1_0, 7, 9), (POOL1_1, 5, 8)],
+    ids=["ex1@5", "ex4@11", "x40@13", "pool1-0@7", "pool1-1@5"])
+def test_phi_param_at_infinity_matches_numeric_reference(coeffs, p, N):
+    # phi(S) at infinity is the point at t = pi^p, to the digits and the
+    # stated precision of the numeric search, at e below, at and above the
+    # chosen e of each curve
+    fd = _frobenius(tuple(coeffs), p, N)
+    for e in (1, 2, 3, 9, 14, 39, 120):
+        eng = ColemanIntegrator(fd, N=N, e=e)
+        disk = eng.infinite_disk
+        S = eng.boundary_point(disk)
+        want, u = _reference_phi_param_at_infinity(eng, S)
+        got = eng._phi_param(disk, S)
+        assert (got.e, got.m, got.a, got.A) == (want.e, want.m, want.a, want.A), e
+        assert u.pi_valuation() >= e + 3, e
+
+
+@settings(max_examples=20, deadline=None)
+@given(p=st.sampled_from([5, 7, 11, 13]), e=st.integers(1, 60),
+       f=st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+def test_frobenius_correction_at_infinity_vanishes_to_e_plus_3(p, e, f):
+    # g(z) = z^4 f(1/z) has g(0) = 1, 1 + u = g(z^p) / g(z)^p at z = pi^3
+    # and g(z^p) - g(z)^p = p z h(z), h(0) = -f[3]: v_pi(u) >= e + 3, with
+    # equality when p does not divide f[3]
+    f = f + [1]
+    assume(disc_adj(f)[0] % p != 0)
+    eng = ColemanIntegrator(frobenius_matrix(PicardCurve(f), p, 3), N=3, e=e)
+    _, u = _reference_phi_param_at_infinity(eng, eng.boundary_point(eng.infinite_disk))
+    assert u.A > e + 3
+    assert u.pi_valuation() >= e + 3
+    if f[3] % p:
+        assert u.pi_valuation() == e + 3
+
+
+def test_phi_param_at_infinity_makes_no_arithmetic(monkeypatch):
+    eng = ColemanIntegrator(_frobenius(tuple(EX1), 5, 15), N=15, e=50)
+    disk = eng.infinite_disk
+    S = eng.boundary_point(disk)
+    calls = []
+    for name in ("inverse", "__pow__", "__mul__"):
+        method = getattr(RamifiedElement, name)
+        monkeypatch.setattr(RamifiedElement, name,
+                            lambda *a, _n=name, _m=method: calls.append(_n) or _m(*a))
+    monkeypatch.setattr(coleman, "cube_root_ramified", lambda a: calls.append("cube root"))
+    monkeypatch.setattr(ColemanIntegrator, "_eval_terms", lambda *a: calls.append("series"))
+    t = eng._phi_param(disk, S)
+    assert not calls
+    pi_p = RamifiedElement.pi(eng.ctx, eng.e, eng.p)
+    assert (t.m, t.a, t.A) == (pi_p.m, pi_p.a, pi_p.A)
 
 
 # --- caches, and the Frobenius system solved once over Q_p -----------------

@@ -253,8 +253,12 @@ def test_local_expansion_infinite():
     W, T = eng.W, eng.T_bad
     mod = 5 ** W
     dd = eng._disk_data(next(d for d in eng.disks if d.kind == BAD_INFINITE))
-    u, Ft = dd["u"], dd["Ft"]
-    # y = t^-4 u, x = t^-3: y^3 = f(x) is u^3 = Ft = t^12 f(t^-3)
+    u = dd["u"]
+    # Ft = t^12 f(t^-3): f[j] is the coefficient of t^(12 - 3j)
+    Ft = [0] * (T + 1)
+    for j, c in enumerate(eng.curve.f):
+        Ft[12 - 3 * j] = c % mod
+    # y = t^-4 u, x = t^-3: y^3 = f(x) is u^3 = Ft
     assert _power(u, 3, mod, T) == Ft
     # g_2 = Ft^(-1/3) and g_1 = g_2^2, the forms being cut at t^(T - 10)
     Tg = T - 10
