@@ -421,6 +421,15 @@ def _point_spec(record):
     return xy
 
 
+def _prime_spec(source):
+    """The "p" of a record or of the parameters: None (the run chooses p)
+    when absent or null, else an int that is not a bool (BadPrime)."""
+    p = source.get("p")
+    if p is not None and type(p) is not int:
+        raise BadPrime(f"'p' must be an integer, got {p!r}")
+    return p
+
+
 def _split_product(specs):
     """The product of the divisors' x-polynomials; 1 when there are none."""
     prod = [1]
@@ -487,10 +496,10 @@ def run_pipeline(record, params=None):
     N = int(params.get("N", 15))
     e_cap = int(params.get("e_cap", 200))
     bound = int(params.get("relation_bound", 50))
-    p_override = params.get("p") or record.get("p")
 
     report = ChabautyReport(label=record.get("label") or "", N=N)
     try:
+        report.p = p_override = _prime_spec(params if params.get("p") is not None else record)
         # e0 and e_increment no longer steer the choice of e, but a value
         # below 1 is still a malformed parameter
         unused = [(name, int(params[name])) for name in ("e0", "e_increment")
@@ -503,7 +512,9 @@ def run_pipeline(record, params=None):
         specs = _divisor_specs(record)
         point = _point_spec(record)
         split = _split_product(specs)
-        report.p = p = int(p_override or good_prime(curve, 5, split_poly=split))
+        if p_override is None:
+            report.p = good_prime(curve, 5, split_poly=split)
+        p = report.p
         rejection = prime_rejection(curve, p, split)
         if rejection:
             raise BadPrime(rejection)
@@ -522,7 +533,7 @@ def run_pipeline(record, params=None):
                 break
             except DoubleRoot:
                 # one retry at the next admissible prime
-                if retried or p_override:
+                if retried or p_override is not None:
                     raise
                 retried = True
                 report.p = p = good_prime(curve, p + 1, split_poly=split)
@@ -544,7 +555,6 @@ def run_pipeline(record, params=None):
             _contains_point(pts, sp, engine.ctx, tol) for sp in search)
         report.status = "Success"
     except PicardCCError as exc:
-        report.p = report.p or (int(p_override) if p_override else None)
         reason = getattr(exc, "reason", exc.__class__.__name__)
         report.failure_reason = f"{reason}: {exc}"
     report.timings["total_s"] = round(time.perf_counter() - t0, 2)

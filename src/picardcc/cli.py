@@ -13,10 +13,10 @@ import sys
 import time
 import traceback
 
-from .chabauty import (ChabautyReport, _divisor_specs, _point_spec, _split_product,
-                       run_pipeline)
+from .chabauty import (ChabautyReport, _divisor_specs, _point_spec, _prime_spec,
+                       _split_product, run_pipeline)
 from .curve import PicardCurve, good_prime, prime_rejection
-from .errors import BadDivisor, CurveValidationError, PicardCCError
+from .errors import BadDivisor, BadPrime, CurveValidationError, PicardCCError
 from .frobenius import frobenius_matrix, zeta_consistency_check
 from .padic import is_prime
 from .series import hensel_system_of_roots
@@ -64,7 +64,8 @@ def validate_record(record, where=""):
     try:
         _divisor_specs(record)
         _point_spec(record)
-    except BadDivisor as exc:
+        _prime_spec(record)
+    except (BadDivisor, BadPrime) as exc:
         raise RecordInvalid(f"record{where}: {exc}")
     return curve
 
@@ -95,7 +96,7 @@ def _params_from_args(args):
         "e_cap": args.e_cap,
         "relation_bound": args.relation_bound,
     }
-    if getattr(args, "prime", None):
+    if getattr(args, "prime", None) is not None:
         params["p"] = args.prime
     return params
 
@@ -119,7 +120,7 @@ def _summarize(report):
 def cmd_analyze(args):
     try:
         record = load_record(args.curve)
-        if args.prime:
+        if args.prime is not None:
             reason = check_prime_override(record, args.prime)
             if reason:
                 print(f"refused: {reason}", file=sys.stderr)
@@ -160,7 +161,7 @@ def cmd_batch(args):
     for idx, (line_no, line) in enumerate(lines):
         try:
             record = parse_record(line, line_no=line_no)
-            if args.prime:
+            if args.prime is not None:
                 reason = check_prime_override(record, args.prime)
                 if reason:
                     raise RecordInvalid(f"line {line_no}: {reason}")
@@ -238,7 +239,7 @@ def cmd_zeta(args):
     except RecordInvalid as exc:
         print(f"invalid record: {exc}", file=sys.stderr)
         return 2
-    p = args.prime or good_prime(curve, 5)
+    p = args.prime if args.prime is not None else good_prime(curve, 5)
     reason = prime_rejection(curve, p)
     if reason:
         print(f"refused: {reason}", file=sys.stderr)

@@ -53,7 +53,6 @@ from .padic import (
     hensel_lift_root,
     poly_at,
     poly_deriv,
-    poly_eval_mod,
     taylor_shift,
 )
 from .series import ser_add, ser_inverse_root, ser_mul, ser_spread
@@ -319,15 +318,19 @@ class ColemanIntegrator:
             # (c/d) t^j = p^(mu j - v_p(d)) (c/d') U^j pi^(rj), d = p^v_p(d) d',
             # known to the relative precision of c or of U^j
             r, mu, U, known = mono
-            out = []
+            out, inv = [], {}
             for terms, prec in rows:
-                vals = []
+                # U^j and 1/d' are kept mod p^prec, and each product is cut to
+                # the p^k its term is known to, k <= prec
+                P, Uj, i, vals = ctx.pk(prec), 1, 0, []
                 for j, c, d in terms:
-                    vd = _pval(d, p)
+                    if (d, prec) not in inv:
+                        vd = _pval(d, p)
+                        inv[d, prec] = vd, pow(d // ctx.pk(vd), -1, P)
+                    vd, dinv = inv[d, prec]
+                    Uj, i = Uj * pow(U, j - i, P) % P, j
                     k = prec if known >= prec else min(prec, _pval(c, p) + known)
-                    mod = ctx.pk(k)
-                    n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
-                    vals.append((r * j + e * (mu * j - vd), n, k))
+                    vals.append((r * j + e * (mu * j - vd), c * dinv * Uj % ctx.pk(k), k))
                 out.append(RamifiedElement.from_terms(ctx, e, vals))
             return out
         exps = {j for terms, _ in rows for j, _, _ in terms}
@@ -411,7 +414,7 @@ class ColemanIntegrator:
 
     def _exact_at_unramified(self, x, y):
         """All six exact-part values at a good-disk Q_p point."""
-        ctx, p = self.ctx, self.p
+        ctx = self.ctx
         kprec = self.W
         for el in (x, y):
             if el.abs_prec != INF:
@@ -420,17 +423,15 @@ class ColemanIntegrator:
         xr, yr = x.residue(kprec), y.residue(kprec)
         z = pow(yr, -3, mod)
         out = []
-        for levels in self.fd.exact_parts:
-            smax = max((sig for sig, _ in levels.values()), default=0)
-            # the levels of a form are congruent mod 3: Horner in z = y^-3
-            # from the lowest level up, then one power of y; a missing level
-            # is zero
-            acc, top = 0, max(levels, default=0)
-            for m in range(min(levels, default=0), top + 1, 3):
-                acc = acc * z % mod
-                if m in levels:
-                    sig, poly = levels[m]
-                    acc += poly_eval_mod(poly, xr, mod) * p ** (smax - sig)
+        for smax, top, rows in self.fd.level_rows:
+            # a Horner in z = y^-3 from the lowest level up, each level a
+            # Horner in x, then one power of y
+            acc = 0
+            for row in rows:
+                v = 0
+                for c in reversed(row):
+                    v = v * xr + c
+                acc = (acc * z + v) % mod
             acc = acc * pow(yr, top, mod) % mod
             out.append(RamifiedElement(ctx, 1, -smax, [acc], kprec - smax))
         return out
@@ -549,14 +550,15 @@ class ColemanIntegrator:
         return [q - r for q, r in zip(vQ, vP)]
 
     def basis_integrals(self, disk):
-        """The vector (int_S^E omega_i) for the six basis differentials, from
-        the boundary point S of the infinite disk to the endpoint E of
-        `disk`: (I - M)^-1 (h(E) - h(S)).  `integral` calls it once per disk.
+        """The vector (int_S^E omega_i) for the regular omega_1, omega_2,
+        omega_3, from the boundary point S of the infinite disk to the
+        endpoint E of `disk`: the regular rows of (I - M)^-1 applied to
+        h(E) - h(S).  `integral` calls it once per disk.
         """
         hS, hE = self._endpoint(self.infinite_disk), self._endpoint(disk)
         c = [q - r for q, r in zip(hE, hS)]
         return [sum((x * y for x, y in zip(c[1:], row[1:])), c[0] * row[0])
-                for row in self.system_inverse]
+                for row in (self.system_inverse[i] for i in REGULAR)]
 
     @cached_property
     def _to_boundary(self):
@@ -583,8 +585,7 @@ class ColemanIntegrator:
         else:
             vals = self._to_endpoint_cache.get(disk.reduction)
             if vals is None:
-                v = self.basis_integrals(disk)
-                vals = [v[i] + s for i, s in zip(REGULAR, self._to_boundary)]
+                vals = [v + s for v, s in zip(self.basis_integrals(disk), self._to_boundary)]
                 self._to_endpoint_cache[disk.reduction] = vals
             E, tE = self._system_endpoint(disk)
             if Q is E:

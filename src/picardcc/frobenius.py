@@ -23,16 +23,19 @@ with degree steps once t <= 2.
       kills the top x-degree (leading coefficient (3m + 12 - 4t)/3 != 0).
 
 Before the sweep the pullback is put over one denominator, H/y^t_max with
-H = x^(p-1) sum_k c_k A^k F^(K-k), F = f^p, built by a product tree that
-splits the range of k in halves, and H is expanded once in f-adic digits
+H = x^(p-1) sum_k c_k A^k F^(K-k), F = f^p, and H is taken in f-adic digits
 H = sum_j r_j f^j (deg r_j < 4); r_j is the term at pole order t_max - 3j.
-Form (a, b) pulls back to x^(pa) times the (0, b) pullback, so only b = 1, 2
-are expanded.  The digits of x^(pa) H come from those of H by pa passes of
-x r_j = (x r_j - c_j f) + c_j f, c_j the x^3 coefficient of r_j, the c_j f
-carried into r_(j+1).  So every pole step acts on a numerator of degree < 4
-and is one step of the fixed 4x4 integer matrices U and V (Harvey, Kedlaya's
-algorithm in larger characteristic, 2007; Tuitman, Counting points on curves
-using a map to P^1, 2016).
+H itself is never formed.  The digits of x^(p-1) A^k come from those of
+x^(p-1) A^(k-1) by one digit product with the digits of A (`_digit_mul`: a
+product of two digits has degree <= 6, so a digit product is one polynomial
+product with each digit spread over 7 coefficients, and each slot q f + r
+keeps r and carries q into the next digit), and F^(K-k) = f^(p(K-k)) only
+shifts digits.  Form (a, b) pulls back to x^(pa) times the (0, b) pullback,
+so only b = 1, 2 are built, and the digits of x^(pa) H take one digit
+product per a with the digits of x^p.  So every pole step acts on a
+numerator of degree < 4 and is one step of the fixed 4x4 integer matrices
+U and V (Harvey, Kedlaya's algorithm in larger characteristic, 2007;
+Tuitman, Counting points on curves using a map to P^1, 2016).
 
 All polynomial arithmetic is on integer coefficients modulo p^(W + guard)
 (`working_precision`).  Divisions by p-divisible integers are tracked by a
@@ -54,9 +57,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ComputationFailure, PrecisionExhausted
-from .padic import (INF, PadicContext, RamifiedElement, _pval, charpoly_adj, disc_adj,
-                    poly_deriv, poly_eval_mod, taylor_shift)
-from .series import ser_add, ser_inverse_root, ser_mul, ser_spread, ser_trim
+from .padic import (INF, PadicContext, RamifiedElement, _polymul_mod, _pval, charpoly_adj,
+                    disc_adj, poly_deriv, poly_eval_mod, taylor_shift)
+from .series import ser_add, ser_mul, ser_spread, ser_trim
 from .curve import PicardCurve, classify_disks, points_over_Fp
 
 
@@ -78,15 +81,6 @@ def _poly_sub(a, b, mod):
     n = max(len(a), len(b))
     return [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % mod
             for i in range(n)]
-
-
-def _power(cache, n, mod):
-    """cache[n] = cache[1]^n mod `mod`, by squaring through cache[n // 2]."""
-    if n not in cache:
-        h = _power(cache, n // 2, mod)
-        h = ser_mul(h, h, mod)
-        cache[n] = ser_mul(h, cache[1], mod) if n % 2 else h
-    return cache[n]
 
 
 def _bezout_unit(curve: PicardCurve, p, mod):
@@ -139,13 +133,13 @@ class _Reducer:
     """Reduces sums of g(x) dx / y^t into basis coordinates plus an exact part.
 
     All values are (sigma, integer data) pairs meaning p^-sigma times the
-    stored integers, coefficients modulo p^W; table: `_fpow_table` of f.
+    stored integers, coefficients modulo p^W.
     """
 
-    def __init__(self, curve, p, W, table):
+    def __init__(self, curve, p, W):
         self.p = p
         self.mod = mod = p ** W
-        self.f = table[0][0]
+        self.f = [c % mod for c in curve.f]
         self.df = [c % mod for c in poly_deriv(curve.f)]
         self.inv3 = pow(3, -1, mod)
         self.V = _bezout_unit(curve, p, mod)
@@ -153,7 +147,7 @@ class _Reducer:
         cols = []
         for k in range(4):
             h = _poly_sub([0] * k + [1], ser_mul([r[k] for r in self.V], self.df, mod), mod)
-            cols.append(_f_adic_digits(h, 0, table, mod)[1] + [0] * 3)
+            cols.append(_f_adic_digits(h, self.f, mod, 2)[1])
         self.U = [[c[i] for c in cols] for i in range(3)]
 
     def _inv_tracked(self, n):
@@ -275,6 +269,20 @@ class FrobeniusData:
         every integrator built on this matrix."""
         return classify_disks(self.curve, self.ctx)
 
+    @cached_property
+    def level_rows(self):
+        """Per exact part (smax, top, rows), which the exact parts at good
+        disks read: smax its largest sigma, top its highest level and rows[j]
+        the coefficients of level lo + 3j, lo its lowest, times
+        p^(smax - sigma) mod p^W ([] for a missing level)."""
+        p, mod, out = self.p, self.ctx.pk(self.N_work), []
+        for part in self.exact_parts:
+            smax = max((sig for sig, _ in part.values()), default=0)
+            rows = [[c * p ** (smax - part[m][0]) % mod for c in part[m][1]] if m in part else []
+                    for m in range(min(part, default=0), max(part, default=0) + 1, 3)]
+            out.append((smax, max(part, default=0), rows))
+        return out
+
     def levels(self, x0=None):
         """Per exact part, the data of each level p^-sigma poly(x) y^m that the
         plans of the bad disks read, made once for every e.  At infinity (x0
@@ -358,83 +366,58 @@ def _binomial_cutoff(p: int, W: int) -> int:
         k += 1
 
 
-def _tree(c, lo, hi, A, F, mod):
-    """S(lo, hi) = sum_{k=lo..hi} c_k A^(k-lo) F^(hi-k) by the product tree
-    S(lo, m) F^(hi-m) + A^(m+1-lo) S(m+1, hi), m the midpoint (von zur
-    Gathen-Gerhard, Modern Computer Algebra, 10.1); A, F: `_power` caches."""
-    if lo == hi:
-        return [c[lo]]
-    m = (lo + hi) // 2
-    return ser_add(ser_mul(_tree(c, lo, m, A, F, mod), _power(F, hi - m, mod), mod),
-                   ser_mul(_power(A, m + 1 - lo, mod), _tree(c, m + 1, hi, A, F, mod), mod), mod)
-
-
-def _numerator(p, b, c, A, F, mod):
-    """(H, t_max) with sum_k c_k x^(p-1) A^k dx/y^(3p(k+1) - pb) = H dx/y^t_max:
-    t_max = 3p(K'+1) - pb, K' the last k with c_k != 0, and term k gains
-    f^(p(K'-k)), so H = x^(p-1) S(0, K') with F = f^p (`_tree`)."""
-    c = ser_trim(c)
-    return [0] * (p - 1) + _tree(c, 0, len(c) - 1, A, F, mod), 3 * p * len(c) - p * b
-
-
-def _fpow_table(f, levels, mod, n_top):
-    """[(f^(2^i), 1/rev(f^(2^i)) to 4 * 2^i terms) for i < levels], the top
-    reciprocal cut to n_top terms, the most `_f_adic_digits` reads of it; f
-    is monic, so each reversal has constant term 1.  Levels up to 2 divide
-    by f directly and keep no reciprocal."""
-    table = []
-    for i in range(levels):
-        if i:
-            f = ser_mul(f, f, mod)
-        n = n_top if i == levels - 1 else len(f) - 1
-        table.append((f, ser_inverse_root(f[::-1], 1, 1, mod, n - 1) if i > 2 else None))
-    return table
-
-
-def _f_adic_digits(h, level, table, mod):
-    """The 2^(level+1) digits r_j (deg r_j < 4) of h = sum_j r_j f^j, exact
-    mod p^W for the monic quartic f = table[0][0], len(h) <= 8 * 2^level.
-    Above level 2 the quotient by f^(2^level) comes from the reciprocal of
-    its reversal and each half recurses; at level 2 and below (h of at most
-    32 coefficients) h is divided by f once per digit."""
-    if level <= 2:
-        f0, f1, f2, f3 = table[0][0][:4]
-        digits = []
-        for _ in range(2 ** (level + 1)):
-            h, q = list(h), [0] * (len(h) - 4)
-            for i in range(len(h) - 1, 3, -1):  # h = q f + r, top term first
-                c = q[i - 4] = h[i] % mod
-                h[i - 1] -= c * f3
-                h[i - 2] -= c * f2
-                h[i - 3] -= c * f1
-                h[i - 4] -= c * f0
-            digits.append(ser_trim([x % mod for x in h[:4]]))
-            h = q
-        return digits
-    F, inv = table[level]
-    D = len(F) - 1
-    m = len(h) - D  # quotient length; q and h[D:] are empty when m <= 0
-    q = ser_mul(h[D:][::-1], inv[:m], mod, m - 1)[::-1]
-    r = _poly_sub(h[:D], ser_mul(q, F[:D], mod, D - 1), mod)
-    return (_f_adic_digits(r, level - 1, table, mod)
-            + _f_adic_digits(q, level - 1, table, mod))
-
-
-def _times_x(r, n, f, mod):
-    """The f-adic digits of x^n sum_j r_j f^j for the monic quartic f, given
-    its digits r_j (deg r_j < 4 except the last, which is kept whole).  Each
-    of n passes maps r_j to x r_j - c_j f + c_(j-1), c_j the x^3 coefficient
-    of r_j, whose c_j f is carried into r_(j+1); the last digit becomes
-    x r_j + c_(j-1)."""
-    r = [d + [0] * (4 - len(d)) for d in r[:-1]] + [r[-1]]
-    f0, f1, f2, f3 = f[:4]
+def _f_adic_digits(h, f, mod, n):
+    """The n digits r_j of h = sum_(j<n) r_j f^j mod p^W, each a list of 4
+    coefficients, for the monic quartic f and len(h) <= 4n: h is divided by
+    f once per digit, top term first."""
+    digits = []
     for _ in range(n):
-        c = 0
-        for j, (r0, r1, r2, r3) in enumerate(r[:-1]):
-            r[j], c = [(c - r3 * f0) % mod, (r0 - r3 * f1) % mod,
-                       (r1 - r3 * f2) % mod, (r2 - r3 * f3) % mod], r3
-        r[-1] = [c] + r[-1]
-    return r[:-1] + [ser_trim(r[-1])]
+        h, q = list(h) + [0] * (4 - len(h)), [0] * (len(h) - 4)
+        for i in range(len(h) - 1, 3, -1):  # h = q f + r
+            c = q[i - 4] = h[i] % mod
+            for j in range(4):
+                h[i - 4 + j] -= c * f[j]
+        digits.append([x % mod for x in h[:4]])
+        h = q
+    return digits
+
+
+def _digit_mul(d, a, f, mod):
+    """The len(d) + len(a) digits of (sum_j d_j f^j)(sum_i a_i f^i) from the
+    digits d_j and a_i (4 coefficients each).  Each digit is spread over 7
+    coefficients, so one product puts s_n = sum_(i+j=n) d_j a_i, of degree
+    <= 6, in coefficients 7n..7n+6; then s_n = q_n f + r_n with deg q_n <= 2
+    and digit n is r_n + q_(n-1)."""
+    pad = [0, 0, 0]
+    s = _polymul_mod([c for r in d for c in r + pad][:-3],
+                     [c for r in a for c in r + pad][:-3], mod)
+    f0, f1, f2, f3 = f[:4]
+    out, q0, q1, q2 = [], 0, 0, 0
+    for n in range(0, len(s), 7):
+        h0, h1, h2, h3, h4, h5, c2 = s[n:n + 7]
+        c1 = (h5 - c2 * f3) % mod
+        c0 = (h4 - c2 * f2 - c1 * f3) % mod
+        out.append([(h0 - c0 * f0 + q0) % mod, (h1 - c1 * f0 - c0 * f1 + q1) % mod,
+                    (h2 - c2 * f0 - c1 * f1 - c0 * f2 + q2) % mod,
+                    (h3 - c2 * f1 - c1 * f2 - c0 * f3) % mod])
+        q0, q1, q2 = c0, c1, c2
+    return out + [[q0, q1, q2, 0]]
+
+
+def _numerator_digits(p, b, c, deltas, mod):
+    """(r, t_max): the t_max // 3 + 1 digits r_j of H with
+    sum_k c_k x^(p-1) A^k dx/y^(3p(k+1) - pb) = H dx/y^t_max, K the last k
+    with c_k != 0 and t_max = 3p(K+1) - pb.  Term k gains F^(K-k) = f^(p(K-k)),
+    a shift by p(K-k) of deltas[k], the digits of x^(p-1) A^k to the p^W that
+    c_k leaves; deg H < 4 (t_max // 3 + 1), so digits past r_J are zero."""
+    c = ser_trim(c)
+    K, t_max = len(c) - 1, 3 * p * len(c) - p * b
+    r = [[0] * 4 for _ in range(t_max // 3 + 1)]
+    for k, ck in enumerate(c):
+        for acc, d in zip(r[p * (K - k):], deltas[k]):
+            for i in range(4):
+                acc[i] += ck * d[i]
+    return [[x % mod for x in d] for d in r], t_max
 
 
 def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
@@ -449,40 +432,45 @@ def frobenius_matrix(curve: PicardCurve, p: int, N: int) -> FrobeniusData:
 
     # pA = f(x^p) - f(x)^p, computed mod p^(Wg+1) so A is exact mod p^Wg
     mod1 = mod * p
-    fxp = ser_spread([c % mod1 for c in curve.f], p)  # f(x^p)
-    fp = _power({1: [c % mod1 for c in curve.f]}, p, mod1)
-    diff = _poly_sub(fxp, fp, mod1)
+    f1, fp = [c % mod1 for c in curve.f], [1]
+    for _ in range(p):
+        fp = ser_mul(fp, f1, mod1)
+    diff = _poly_sub(ser_spread(f1, p), fp, mod1)  # f(x^p) - f(x)^p
     if any(c % p for c in diff):
         raise ComputationFailure(f"f(x^p) != f(x)^p mod p at p = {p}")
     A = ser_trim([(c // p) % mod for c in diff])
 
-    k_max = _binomial_cutoff(p, Wg)
-    powA, powF = {1: A}, {1: [c % mod for c in fp]}  # shared by b = 1, 2
-    numerators = []
+    reducer = _Reducer(curve, p, Wg)
+    f, cs = reducer.f, []
     for b in (1, 2):
         c = [Fraction(p)]  # c_k = p^(k+1) C((b-3)/3, k) = c_(k-1) p (b - 3k)/(3k)
-        for k in range(1, k_max + 1):
+        for k in range(1, _binomial_cutoff(p, Wg) + 1):
             c.append(c[-1] * p * (b - 3 * k) / (3 * k))  # unit denominators
-        c = [q.numerator * pow(q.denominator, -1, mod) % mod for q in c]
-        numerators.append((b, *_numerator(p, b, c, powA, powF, mod)))
-    # every numerator has at most 8 * 2^top coefficients, and the top
-    # reciprocal is read to the longest quotient by f^(2^top)
-    n = max(len(H) for _, H, _ in numerators)
-    top = ((n - 1) // 8).bit_length()
-    table = _fpow_table([c % mod for c in curve.f], top + 1, mod, max(1, n - 4 * 2 ** top))
-    reducer = _Reducer(curve, p, Wg, table)
+        cs.append([q.numerator * pow(q.denominator, -1, mod) % mod for q in c])
+    # the digits of x^(p-1) A^k for every k the numerators read, each from the
+    # one before by one digit product with the p digits of A; read times c_k,
+    # they are needed mod p^(Wg - v_p(c_k)), or to what a later k needs
+    need = [max(Wg - _pval(c, p) if c else 0 for c in ck) for ck in zip(*cs)]
+    alpha = _f_adic_digits(A, f, mod, p)
+    deltas = [_f_adic_digits([0] * (p - 1) + [1], f, mod, (p + 3) // 4)]
+    while len(deltas) < max(len(ser_trim(c)) for c in cs):
+        deltas.append(_digit_mul(deltas[-1], alpha, f, p ** max(need[len(deltas):])))
+    xp = _f_adic_digits([0] * p + [1], f, mod, p // 4 + 1)
     rows, parts = [None] * 6, [None] * 6
     stated = p ** W
-    for b, H, t_max in numerators:
-        # digit r_j sits at pole order t_max - 3j; deg H < 4 (t_max // 3 + 1),
-        # so the last, at t_max mod 3, is the whole quotient H // f^(t_max // 3)
-        r = _f_adic_digits(H, top, table, mod)
-        r = [r[j] if j < len(r) else [] for j in range(t_max // 3 + 1)]
+    for b, c in zip((1, 2), cs):
+        # digit r_j sits at pole order t_max - 3j; the last, at t_max mod 3,
+        # takes the digits past it whole
+        r, t_max = _numerator_digits(p, b, c, deltas, mod)
+        J = t_max // 3
         for a in (0, 1, 2):  # form (a, b) pulls back to x^(pa) H_b dx/y^t_max
             if a:
-                r = _times_x(r, p, curve.f, mod)
+                r = _digit_mul(r, xp, f, mod)
+            last = []
+            for d in reversed(r[J:]):
+                last = ser_add(ser_mul(last, f, mod), d, mod)
             (sigma, coeffs), exact, peak = reducer.reduce(
-                {t_max - 3 * j: d for j, d in enumerate(r)})
+                {t_max - 3 * j: ser_trim(d) for j, d in enumerate(r[:J] + [last])})
             i = BASIS.index((a, b))
             rows[i] = (sigma, coeffs)
             # the guard digits are dropped: a level zero mod p^W is zero to

@@ -503,6 +503,9 @@ def test_pipeline_composite_prime_is_failure():
     d = run_pipeline({"f": [-48, -24, 0, 0, 1]}, {"p": 25, "N": 8}).to_dict()
     assert d["status"] == "Failure"
     assert d["failure_reason"] == "bad-prime: p = 25 is not a prime > 3"
+    # a record's p = 0 is a prime to refuse, not "choose p"
+    d = run_pipeline({"f": EX4, "p": 0}, {"N": 8}).to_dict()
+    assert d["failure_reason"] == "bad-prime: p = 0 is not a prime > 3" and d["p"] == 0
 
 
 def test_pipeline_failure_names_the_prime_it_ran_at(monkeypatch):

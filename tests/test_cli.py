@@ -110,6 +110,10 @@ def test_analyze_bad_prime_override(capsys):
     rec = json.dumps({"f": [-48, -24, 0, 0, 1]})
     assert main(["analyze", "--curve", rec, "--prime", "25"]) == 2
     assert "refused" in capsys.readouterr().err
+    # 0 is a prime override too, not "choose p"
+    rec = json.dumps({"f": EX4})
+    assert main(["analyze", "--curve", rec, "--prime", "0"]) == 2
+    assert "refused: p = 0 is not a prime > 3" in capsys.readouterr().err
 
 
 # --- report records -------------------------------------------------------
@@ -162,14 +166,17 @@ def test_batch_composite_prime_line_is_failure(tmp_path, capsys):
     src = tmp_path / "in.jsonl"
     dst = tmp_path / "out.jsonl"
     lines = [{"label": "c25", "f": [-48, -24, 0, 0, 1], "p": 25},
-             {"label": "c49", "f": EX4, "p": 49}]
+             {"label": "c49", "f": EX4, "p": 49},
+             {"label": "c0", "f": EX4, "p": 0}]  # 0 is not "choose p"
     src.write_text("".join(json.dumps(r) + "\n" for r in lines))
-    assert main(["batch", "--in", str(src), "--out", str(dst)]) == 0
+    with _deadline(20):
+        assert main(["batch", "--in", str(src), "--out", str(dst)]) == 0
     recs = [json.loads(l) for l in dst.read_text().splitlines()]
-    assert [r["report"]["label"] for r in recs] == ["c25", "c49"]
-    for r in recs:
+    assert [r["report"]["label"] for r in recs] == ["c25", "c49", "c0"]
+    for r, p in zip(recs, (25, 49, 0)):
         assert r["report"]["status"] == "Failure"
-        assert r["report"]["failure_reason"].startswith("bad-prime: ")
+        assert r["report"]["failure_reason"] == f"bad-prime: p = {p} is not a prime > 3"
+        assert r["p"] == p
 
 
 BAD_DIVISORS = pytest.mark.parametrize(
@@ -272,8 +279,11 @@ def test_unused_e_parameters_are_accepted(capsys, name, flag, value):
 
 NON_INTEGRAL = pytest.mark.parametrize(
     "bad,why", [({"f": [2.5, 5, 6, 2, 1]}, "integer coefficients"),
-                ({"f": EX4, "discriminant": 2.5}, "not an integer")],
-    ids=["f", "discriminant"])
+                ({"f": EX4, "discriminant": 2.5}, "not an integer"),
+                ({"f": EX4, "p": 7.5}, "'p' must be an integer, got 7.5"),
+                ({"f": EX4, "p": "11"}, "'p' must be an integer, got '11'"),
+                ({"f": EX4, "p": False}, "'p' must be an integer, got False")],
+    ids=["f", "discriminant", "p-float", "p-string", "p-bool"])
 
 
 def test_integral_strings_accepted():
@@ -284,7 +294,8 @@ def test_integral_strings_accepted():
 
 @NON_INTEGRAL
 def test_pipeline_non_integral_is_failure(bad, why):
-    rep = run_pipeline(dict(bad, divisors=[{"g": [-1, 1, 1]}], p=11), {"N": 8})
+    with _deadline(20):
+        rep = run_pipeline(dict({"divisors": [{"g": [-1, 1, 1]}], "p": 11}, **bad), {"N": 8})
     assert rep.status == "Failure"
     assert why in rep.failure_reason
 
@@ -292,8 +303,9 @@ def test_pipeline_non_integral_is_failure(bad, why):
 @NON_INTEGRAL
 def test_batch_non_integral_line_is_failure(tmp_path, capsys, bad, why):
     src, dst = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
-    src.write_text(json.dumps(dict(bad, divisors=[{"g": [-1, 1, 1]}], p=11)) + "\n")
-    assert main(["batch", "--in", str(src), "--out", str(dst), "--precision", "8"]) == 1
+    src.write_text(json.dumps(dict({"divisors": [{"g": [-1, 1, 1]}], "p": 11}, **bad)) + "\n")
+    with _deadline(20):
+        assert main(["batch", "--in", str(src), "--out", str(dst), "--precision", "8"]) == 1
     report = json.loads(dst.read_text())["report"]
     assert report["failure_reason"].startswith("validation: ")
     assert why in report["failure_reason"]

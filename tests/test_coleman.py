@@ -32,6 +32,7 @@ from picardcc.padic import (
     PadicContext,
     RamifiedElement,
     _fold_mul,
+    _pval,
     cube_root_ramified,
     cube_roots,
     disc_adj,
@@ -225,11 +226,10 @@ def test_system_matches_tiny_in_shared_disk(ex1_p5):
 def test_fundamental_theorem_on_exact_form(ex1_p5):
     """3 d(y) = f'(x) y dx/f: reduce the x^3 part to the basis and check
     that the integral of the resulting combination telescopes to y."""
-    from picardcc.frobenius import _Reducer, _fpow_table
+    from picardcc.frobenius import _Reducer
     eng = ex1_p5
     ctx, p, W = eng.ctx, eng.p, eng.W
-    mod = p ** W
-    red = _Reducer(eng.curve, p, W, _fpow_table([c % mod for c in eng.curve.f], 1, mod, 4))
+    red = _Reducer(eng.curve, p, W)
     (sigma, coeffs), exact, _ = red.reduce({2: [0, 0, 0, 1]})  # x^3 dx/y^2
     assert sigma == 0
     fp = poly_deriv(eng.curve.f)  # degree 3, leading coefficient 4
@@ -336,6 +336,54 @@ def test_eval_terms_matches_termwise_sum(p, e, W, v, unit, data):
     got = ColemanIntegrator._eval_terms(stand_in, rows, t)
     want = _termwise_eval_terms(ctx, rows, t)
     assert [(g.e, g.m, g.a, g.A, g.w) for g in got] == [(w.e, w.m, w.a, w.A, w.w) for w in want]
+
+
+def _per_term_monomial_eval(ctx, rows, t):
+    """The monomial branch of `_eval_terms` with two modular powers per
+    term, U^j and 1/d' mod p^k, as it was before the running U^j."""
+    p, e, v = ctx.p, t.e, t.pi_valuation()
+    rows = [([tm for tm in terms if tm[0] <= (e * prec) // v + 4], prec)
+            for terms, prec in rows]
+    r, mu, U, known = t.monomial()
+    out = []
+    for terms, prec in rows:
+        vals = []
+        for j, c, d in terms:
+            vd = _pval(d, p)
+            k = prec if known >= prec else min(prec, _pval(c, p) + known)
+            mod = ctx.pk(k)
+            n = c * pow(d // ctx.pk(vd), -1, mod) * pow(U, j, mod) % mod
+            vals.append((r * j + e * (mu * j - vd), n, k))
+        out.append(RamifiedElement.from_terms(ctx, e, vals))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([5, 7, 11, 13]), e=st.integers(1, 60), W=st.integers(2, 12),
+       v=st.integers(1, 15), data=st.data())
+def test_eval_terms_monomial_branch_matches_per_term_powers(p, e, W, v, data):
+    # t = p^mu U pi^r with U a unit known to as few as one digit: the running
+    # U^j and the 1/d' shared by the rows give every term as before
+    ctx = PadicContext(p, W)
+    U = data.draw(st.integers(1, ctx.pk(W) - 1).filter(lambda u: u % p))
+    A = data.draw(st.integers(1, e * W))  # U known to pi^A before the shift
+    t = RamifiedElement(ctx, e, 0, [U] + [0] * (e - 1), A).shift_pi(v)
+    assert t.monomial() is not None
+    J = min(150, e * W // v + 6)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        prec = data.draw(st.integers(1, W))
+        lo, hi = data.draw(st.integers(-6, J)), data.draw(st.integers(-6, J))
+        terms = []
+        for j in range(min(lo, hi), max(lo, hi) + 1):
+            c = data.draw(st.integers(0, ctx.pk(W) - 1)) * p ** data.draw(st.sampled_from([0, 0, 1, 3]))
+            d = data.draw(st.sampled_from([1, j or 1, p, -p, 2 * p * p, p ** 3 + p]))
+            if c and j:
+                terms.append((j, c, d))
+        rows.append((terms, prec))
+    got = ColemanIntegrator._eval_terms(SimpleNamespace(ctx=ctx, p=p), rows, t)
+    want = _per_term_monomial_eval(ctx, rows, t)
+    assert [(g.m, g.a, g.A) for g in got] == [(w.m, w.a, w.A) for w in want]
 
 
 # --- boundary points and bad-disk routing ---------------------------------
@@ -567,8 +615,9 @@ def test_basis_integrals_match_ramified_gauss_jordan(coeffs, p, N, e, other):
     c = [q - r for q, r in zip(eng._endpoint(disk), eng._endpoint(eng.infinite_disk))]
     c = [RamifiedElement.pi(eng.ctx, e, 0) * x for x in c]
     want = _ramified_gauss_jordan(eng, c)
-    got = eng.basis_integrals(disk)
-    for g, w in zip(got, want):
+    got = eng.basis_integrals(disk)  # the regular entries only
+    assert len(got) == len(REGULAR)
+    for g, w in zip(got, [want[i] for i in REGULAR]):
         assert g.e == e
         assert min(g.A, w.A) >= e * N
         assert (g - w).is_zero  # agreement to the smaller stated precision

@@ -1,5 +1,6 @@
 """Tests for the Frobenius action on cohomology and the zeta certificates."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -20,13 +21,12 @@ from picardcc.frobenius import (
     FrobeniusData,
     _bezout_unit,
     _binomial_cutoff,
+    _digit_mul,
     _entry_add,
     _f_adic_digits,
-    _fpow_table,
-    _numerator,
+    _numerator_digits,
     _Reducer,
     _strip,
-    _times_x,
     frobenius_matrix,
     working_precision,
     zeta_consistency_check,
@@ -225,12 +225,6 @@ def test_trace_zero_for_p_2_mod_3():
     assert z.trace == 0 and z.trace_ok
 
 
-def _reducer(curve, p, W):
-    """A _Reducer on the level-0 table of f mod p^W."""
-    mod = p ** W
-    return _Reducer(curve, p, W, _fpow_table([c % mod for c in curve.f], 1, mod, 4))
-
-
 def _agree_mod(e1, e2, p, n):
     """The (sigma, ints) values p^-sigma ints agree modulo p^n."""
     (s1, c1), (s2, c2) = e1, e2
@@ -248,8 +242,7 @@ def _digit_terms(terms, f, mod):
     keeps the rest of g whole."""
     out = {}
     for t, g in terms.items():
-        level = ((max(len(g), 1) - 1) // 8).bit_length()
-        r = _f_adic_digits(g, level, _fpow_table(f, level + 1, mod, 4 * 2 ** level), mod)
+        r = _f_adic_digits(g, f, mod, max(1, -(-len(g) // 4)))
         cut = max((t - 1) // 3, 0)  # the digit at pole order t - 3 cut <= 2
         rest = []
         for d in reversed(r[cut:]):
@@ -263,7 +256,7 @@ def _check_linear(curve, p, W, terms, N):
     """The sweep of all raw terms in digit form equals the sum of the sweeps
     of each term's digits alone, and the polynomial sweep of the raw terms,
     to N digits."""
-    red, mod = _reducer(curve, p, W), p ** W
+    red, mod = _Reducer(curve, p, W), p ** W
     whole, whole_exact, _ = red.reduce(_digit_terms(terms, red.f, mod))
     total, total_exact = (0, [0] * 6), {}
     for t, g in terms.items():
@@ -356,25 +349,52 @@ def test_stated_digits_match_more_internal_digits(case):
             assert _agree_mod(part.get(m, (sig, [])), ref_part.get(m, (0, [])), p, W - sig), m
 
 
-# lengths of h: empty, under one digit, and one off a power-of-two block
-DIGIT_LENGTHS = st.sampled_from(
-    [0, 1, 2, 3] + [4 * 2 ** i + d for i in range(8) for d in (-1, 1)])
+# lengths of h: empty, under one digit, and around a few digit boundaries
+DIGIT_LENGTHS = st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 63])
+
+
+def _assemble(digits, f, mod):
+    """sum_j digits[j] f^j mod p^W, by Horner in f."""
+    acc = []
+    for r in reversed(digits):
+        acc = ser_add(ser_mul(acc, f, mod), r, mod)
+    return ser_trim(acc)
+
+
+def _random_digits(n, mod, rng):
+    return [[rng.randrange(mod) for _ in range(4)] for _ in range(n)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 30), DIGIT_LENGTHS,
-       st.randoms(use_true_random=False))
-def test_f_adic_digits_reassemble(p, W, n, rng):
+       DIGIT_LENGTHS, st.randoms(use_true_random=False))
+def test_f_adic_digits_reassemble(p, W, n, m, rng):
+    # the direct division gives digits of degree < 4 that reassemble h, and
+    # the digit product of the digits of g and h is the division of g h
     mod = p ** W
     f = [rng.randrange(mod) for _ in range(4)] + [1]
+    g = [rng.randrange(mod) for _ in range(m)]
     h = [rng.randrange(mod) for _ in range(n)]
-    level = ((max(n, 1) - 1) // 8).bit_length()  # n <= 8 * 2^level
-    digits = _f_adic_digits(h, level, _fpow_table(f, level + 1, mod, 4 * 2 ** level), mod)
-    assert all(len(r) <= 4 for r in digits)
-    acc = []
-    for r in reversed(digits):
-        acc = ser_add(ser_mul(acc, f, mod), r, mod)
-    assert ser_trim(acc) == ser_trim(h)
+    digits = _f_adic_digits(h, f, mod, max(1, -(-n // 4)))
+    assert all(len(r) == 4 for r in digits)
+    assert _assemble(digits, f, mod) == ser_trim(h)
+    prod = _digit_mul(_f_adic_digits(g, f, mod, max(1, -(-m // 4))), digits, f, mod)
+    assert prod == _f_adic_digits(ser_mul(g, h, mod), f, mod, len(prod))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 30), st.integers(1, 40),
+       st.integers(1, 12), st.randoms(use_true_random=False))
+def test_digit_product_reassembles(p, W, nd, na, rng):
+    # sum_n (d * a)_n f^n = (sum_j d_j f^j)(sum_i a_i f^i) mod p^W on random
+    # digit sequences, every digit of the product of degree < 4
+    mod = p ** W
+    f = [rng.randrange(mod) for _ in range(4)] + [1]
+    d, a = _random_digits(nd, mod, rng), _random_digits(na, mod, rng)
+    out = _digit_mul(d, a, f, mod)
+    assert len(out) == nd + na and all(len(r) == 4 for r in out)
+    assert _assemble(out, f, mod) == ser_trim(
+        ser_mul(_assemble(d, f, mod), _assemble(a, f, mod), mod))
 
 
 # --- the polynomial pole step, kept as the reference for the sweep --------
@@ -542,17 +562,22 @@ def _lift_polys(f, p, W):
 @given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 15),
        st.sampled_from(["binomial", "interior", "top", "interior+top", "random"]),
        st.randoms(use_true_random=False))
-def test_tree_numerator_matches_horner(p, N, shape, rng):
-    # the product tree's H and t_max equal the Horner in f^p bit for bit, for
-    # b = 1 and 2 on one pair of power caches, with the binomial c_k and with
-    # lists that have zero interior or top entries
+def test_numerator_digits_match_horner(p, N, shape, rng):
+    # the digits of H and t_max built from the digits of x^(p-1) A^k are the
+    # f-adic digits of the Horner in f^p, for b = 1 and 2 on one list of
+    # digit sequences, with the binomial c_k and with lists that have zero
+    # interior or top entries
     f = [rng.randrange(-50, 51) for _ in range(4)] + [1]
     W = _internal_precision(f, p, N)
     mod = p ** W
+    fm = [c % mod for c in f]
     A, fp = _lift_polys(f, p, W)
     K = _binomial_cutoff(p, W)
     powers = _a_powers(A, K, mod)
-    powA, powF = {1: A}, {1: [c % mod for c in fp]}
+    deltas = [_f_adic_digits([0] * (p - 1) + [1], fm, mod, (p + 3) // 4)]
+    alpha = _f_adic_digits(A, fm, mod, p)
+    while len(deltas) <= K:
+        deltas.append(_digit_mul(deltas[-1], alpha, fm, mod))
     for b in (1, 2):
         c = _binomial_coefficients(p, b, K, mod)
         if shape == "random":
@@ -564,11 +589,13 @@ def test_tree_numerator_matches_horner(p, N, shape, rng):
             n = rng.randrange(1, K + 1)
             c[K + 1 - n:] = [0] * n
         assume(any(c))
-        H, t_max = _numerator(p, b, list(c), powA, powF, mod)
+        r, t_max = _numerator_digits(p, b, list(c), deltas, mod)
         ref_H, ref_t = _horner_numerator(p, _pullback_terms(p, b, powers, mod, c),
                                          fp, mod)
         assert t_max == ref_t
-        assert ser_trim(H) == ser_trim(ref_H)
+        # digits of degree < 4 are unique: these are the digits of ref_H
+        assert len(r) == t_max // 3 + 1 and all(len(d) == 4 for d in r)
+        assert _assemble(r, fm, mod) == ser_trim(ref_H)
 
 
 @pytest.mark.parametrize("coeffs,p,N", [(EX4, 11, 8), (EX1, 5, 15),
@@ -576,27 +603,82 @@ def test_tree_numerator_matches_horner(p, N, shape, rng):
                                         ([-1, -6, -6, -6, 1], 5, 10),
                                         ([-40, 0, 0, 0, 1], 13, 15)])
 def test_matrix_numerators_match_horner(monkeypatch, coeffs, p, N):
-    # frobenius_matrix passes the binomial c_k, and its H and t_max for
-    # b = 1, 2 are the Horner numerator's, bit for bit
+    # frobenius_matrix passes the binomial c_k, its digits of H and t_max for
+    # b = 1, 2 are those of the Horner numerator, and the forms with a = 1, 2
+    # take the digits of x^(pa) H from one digit product each with the
+    # digits of x^p
     import picardcc.frobenius as frob
-    seen = []
+    seen, products = [], []
 
-    def spy(p_, b, c, A, F, mod):
-        seen.append((b, c, _numerator(p_, b, c, A, F, mod)))
+    def spy(p_, b, c, deltas, mod):
+        seen.append((b, c, _numerator_digits(p_, b, c, deltas, mod)))
         return seen[-1][2]
 
-    monkeypatch.setattr(frob, "_numerator", spy)
+    def mul_spy(d, a, f, mod):
+        products.append((a, _digit_mul(d, a, f, mod)))
+        return products[-1][1]
+
+    monkeypatch.setattr(frob, "_numerator_digits", spy)
+    monkeypatch.setattr(frob, "_digit_mul", mul_spy)
     fd = frobenius_matrix(PicardCurve(coeffs), p, N)
     W = _internal_precision(coeffs, p, N)
     mod = p ** W
+    fm = [c % mod for c in coeffs]
     A, fp = _lift_polys(coeffs, p, W)
     assert ser_trim([c % p ** fd.N_work for c in A]) == fd.A_poly
     powers = _a_powers(A, _binomial_cutoff(p, W), mod)
-    assert [b for b, _, _ in seen] == [1, 2]
-    for b, c, (H, t_max) in seen:
+    xp = _f_adic_digits([0] * p + [1], fm, mod, p // 4 + 1)
+    by_xp = [out for a, out in products if a == xp]
+    assert [b for b, _, _ in seen] == [1, 2] and len(by_xp) == 4
+    for (b, c, (r, t_max)), outs in zip(seen, (by_xp[:2], by_xp[2:])):
         assert c == _binomial_coefficients(p, b, len(powers) - 1, mod)
         ref_H, ref_t = _horner_numerator(p, _pullback_terms(p, b, powers, mod), fp, mod)
-        assert (ser_trim(H), t_max) == (ser_trim(ref_H), ref_t)
+        assert t_max == ref_t and _assemble(r, fm, mod) == ser_trim(ref_H)
+        for a, out in zip((1, 2), outs):
+            assert all(len(d) == 4 for d in out)
+            assert _assemble(out, fm, mod) == ser_trim(ser_mul([0] * (p * a) + [1], ref_H, mod))
+
+
+def test_frobenius_matrix_makes_no_series_inverse(monkeypatch):
+    # the numerators are built as digit sequences: no reciprocal of a power
+    # of f is expanded
+    import picardcc.frobenius as frob
+    import picardcc.series as series
+    calls, inverse_root = [], series.ser_inverse_root
+
+    def spy(*args):
+        calls.append(args)
+        return inverse_root(*args)
+
+    monkeypatch.setattr(series, "ser_inverse_root", spy)
+    monkeypatch.setattr(frob, "ser_inverse_root", spy, raising=False)
+    for coeffs, p, N in ((EX4, 11, 8), (EX1, 5, 15), (EX1, 17, 15)):
+        frobenius_matrix(PicardCurve(coeffs), p, N)
+    assert calls == []
+
+
+# sha256 of repr((M, sigma_max, exact_parts)) as the product-tree numerators
+# with the f-adic division by f^(2^i) gave them
+PINNED_MATRICES = [
+    (EX4, 11, 8, "d5c6036cb0d95b0eb3910ea9efe9073030795253bcafade16d8b163703205097"),
+    (EX4, 11, 12, "b054388b152b627c8cd6f0bbb7a48bc75988e832926ab05b6b7fc01f92ab5679"),
+    ([-5, 5, -5, -6, 1], 7, 10, "6d38082c1b07d12afda69e8de108df1c5c39c0233268932f0a9262a47b9e1a58"),
+    ([-1, -6, -6, -6, 1], 5, 10, "85d39cee346482bfc45e791896acb26026e5592cf2d60e3145f803089779119f"),
+    (EX1, 5, 15, "a79a9fd759f2e4dc3821c10c8c053fe45dda935c73affcd25aa9b0c93edf4da6"),
+    (EX1, 17, 15, "b77da13beefa4868b7f8e96d241aabe1196623bf50b4ce2ad94958e54d35a7fa"),
+    ([-40, 0, 0, 0, 1], 13, 15, "0e63bc2836e508d3db15f2ceaed14e4ca4994d738b5061be57585fdb310e143c"),
+    ([1, 0, 0, 0, 1], 5, 1, "42b6791b05e19f478e9af28f70d6bd2b14766129167f4e002a291e5972e16c8b"),
+    ([1, 1, 2, -3, 1], 5, 4, "91d24f87bc5da8869fb74b0ee2d77049f362a557eb3697ad2e652d811dbf3bd9"),
+]
+
+
+@pytest.mark.parametrize("coeffs,p,N,digest", PINNED_MATRICES,
+                         ids=["ex4@11-N8", "ex4@11-N12", "pool1-5@7", "pool1-1@5", "ex1@5",
+                              "ex1@17", "x40@13", "x4+1@5-N1", "pool1-2@5-N4"])
+def test_matrix_and_exact_parts_are_pinned(coeffs, p, N, digest):
+    fd = frobenius_matrix(PicardCurve(coeffs), p, N)
+    got = hashlib.sha256(repr((fd.M, fd.sigma_max, fd.exact_parts)).encode()).hexdigest()
+    assert got == digest
 
 
 def _reference_frobenius(fd):
@@ -674,30 +756,22 @@ def test_pole_step_matches_polynomial_step(p, W, sigma, k, j, n, rng):
     curve, mod, t = PicardCurve(f), p ** W, 3 + k * p ** j
     g = [rng.randrange(mod) * p ** rng.choice([0, 0, 1, 2]) % mod
          for _ in range(n)]
-    assert (_reducer(curve, p, W)._pole_step(sigma, g, t)
+    assert (_Reducer(curve, p, W)._pole_step(sigma, g, t)
             == _ReferenceReducer(curve, p, W).pole_step(sigma, g, t))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([5, 7, 11, 13, 17]), st.integers(1, 30),
-       st.integers(1, 12), st.integers(0, 40), st.integers(0, 8),
-       st.randoms(use_true_random=False))
-def test_carried_digits_reassemble(p, W, J, n, last, rng):
-    # the digits of x^n H from those of H reassemble x^n H mod p^W
+       st.integers(1, 12), st.integers(0, 40), st.randoms(use_true_random=False))
+def test_carried_digits_reassemble(p, W, J, n, rng):
+    # the digits of x^n H, one digit product of the digits of H with those
+    # of x^n, reassemble x^n H mod p^W
     mod = p ** W
-    f = [rng.randrange(-50, 51) for _ in range(4)] + [1]
-    r = [[rng.randrange(mod) for _ in range(rng.randrange(5))]
-         for _ in range(J - 1)] + [[rng.randrange(mod) for _ in range(last)]]
-
-    def assemble(digits):
-        acc = []
-        for d in reversed(digits):
-            acc = ser_add(ser_mul(acc, [c % mod for c in f], mod), d, mod)
-        return ser_trim(acc)
-
-    out = _times_x(r, n, f, mod)
-    assert len(out) == J and all(len(d) <= 4 for d in out[:-1])
-    assert assemble(out) == ser_trim(ser_mul([0] * n + [1], assemble(r), mod))
+    f = [rng.randrange(-50, 51) % mod for _ in range(4)] + [1]
+    r = _random_digits(J, mod, rng)
+    out = _digit_mul(r, _f_adic_digits([0] * n + [1], f, mod, n // 4 + 1), f, mod)
+    assert len(out) == J + n // 4 + 1 and all(len(d) == 4 for d in out)
+    assert _assemble(out, f, mod) == ser_trim(ser_mul([0] * n + [1], _assemble(r, f, mod), mod))
 
 
 @settings(max_examples=150, deadline=None)
